@@ -37,7 +37,7 @@ from .branch import BranchPredictor
 from .cachesim import MemoryHierarchy
 from .distance_predictor import StoreDistancePredictor
 from .params import CoreParams, ModelKind
-from .regfile import PhysRegFile
+from .regfile import PhysRegFile, RegfileError
 from .ssn import SsnState, StoreRegisterBuffer
 from .stats import LoadKind, LowConfOutcome, SimStats, SquashCause
 from .storebuffer import StoreBuffer
@@ -67,7 +67,8 @@ class _Decoded:
 
     __slots__ = ("is_load", "is_store", "is_mem", "is_control",
                  "is_cond_branch", "src_regs", "dest_reg", "fu",
-                 "latency", "is_partial", "rs", "rt", "rd", "uop_estimate")
+                 "latency", "is_partial", "rs", "rt", "rd", "uop_estimate",
+                 "uop_kind", "uop_fu")
 
     def __init__(self, instr: Instruction, params: CoreParams):
         self.is_load = instr.is_load
@@ -90,6 +91,14 @@ class _Decoded:
             self.latency = params.branch_latency
         else:
             self.latency = params.alu_latency
+        # Kind and functional-unit class of the first MicroOp: a memory
+        # op's address generation, or a non-memory instruction's only one.
+        if self.is_mem:
+            self.uop_kind, self.uop_fu = UopKind.AGI, FuClass.AGEN
+        elif self.is_control:
+            self.uop_kind, self.uop_fu = UopKind.BRANCH, FuClass.BRANCH
+        else:
+            self.uop_kind, self.uop_fu = UopKind.ALU, self.fu
         if not self.is_mem:
             self.uop_estimate = 1
         elif self.is_store:
@@ -222,7 +231,6 @@ class Simulator:
 
         # Oracle bookkeeping.
         self.commit_cycle: Dict[int, int] = {}    # trace index -> cycle
-        self.rename_cycle_of: Dict[int, int] = {}
 
         # Precomputed front-end behaviour (deterministic on the committed
         # path, so squash/refetch replays identical predictions) and the
@@ -384,7 +392,7 @@ class Simulator:
         rename = self._rename
         fetch = self._fetch
         while (self.fetch_index < total or self.rob or self.fetch_buffer
-               or not sb.is_empty):
+               or sb.entries):
             if self.cycle > max_cycles:
                 raise SimulationError("cycle cap reached; likely deadlock at "
                                       "trace index %d" % (self.rob[0].rob_id
@@ -443,71 +451,61 @@ class Simulator:
         same events, and the front end advances only at availability
         cycles computed here.  A span with no deadline therefore touches
         no state and no statistics except the retire-stall counters the
-        caller accounts for.
+        caller accounts for.  No deadline is earlier than the next cycle,
+        so one that falls there ends the search.
         """
         cycle = self.cycle
-        wake: Optional[int] = None
+        next_cycle = cycle + 1
+        wake = self._retire_wake
+        if wake == next_cycle:
+            return next_cycle
         heap = self.event_heap
         while heap and heap[0][2].dead:
             # Squashed completions are behaviour-free; drop them so a dead
             # tail cannot hold the wake horizon (or the final cycle) back.
             heapq.heappop(heap)
-        if heap:
+        if heap and (wake is None or heap[0][0] < wake):
             wake = heap[0][0]
+        # Rename: the fetch-buffer head's availability, unless ROB, IQ or
+        # register space is short, which frees only through the
+        # event-driven retire, commit and issue paths.
+        buffer = self.fetch_buffer
+        if buffer:
+            avail, index = buffer[0]
+            if avail > next_cycle:
+                if wake is None or avail < wake:
+                    wake = avail
+            else:
+                params = self.params
+                dec = self._dec_by_index[index]
+                prf = self.prf
+                if (len(self.rob) < params.rob_entries
+                        and self.iq_occupancy + dec.uop_estimate
+                        <= params.iq_entries
+                        and len(prf.free) >= dec.uop_estimate + 1
+                        and not (self.model is ModelKind.BASELINE
+                                 and dec.is_mem and len(prf.free_aux) < 2)):
+                    return next_cycle
+        # Fetch: blocked on an event (branch resolution, buffer drain) or
+        # out of trace, or else free at its next unblocked cycle.
+        if (self.pending_branch is None
+                and self._pending_branch_index is None
+                and self.fetch_index < len(self.trace)
+                and len(buffer) < 2 * self.params.fetch_width):
+            blocked = self.fetch_blocked_until
+            if blocked <= next_cycle:
+                return next_cycle
+            if wake is None or blocked < wake:
+                wake = blocked
         if self.sb.entries:
             sb_wake = self.sb.next_event_cycle(cycle)
             if sb_wake is not None and (wake is None or sb_wake < wake):
                 wake = sb_wake
-        retire_wake = self._retire_wake
-        if retire_wake is not None and (wake is None or retire_wake < wake):
-            wake = retire_wake
-        rename_wake = self._rename_wake()
-        if rename_wake is not None and (wake is None or rename_wake < wake):
-            wake = rename_wake
-        fetch_wake = self._fetch_wake()
-        if fetch_wake is not None and (wake is None or fetch_wake < wake):
-            wake = fetch_wake
         if wake is None or wake <= cycle:
             # No deadline at all: advance one cycle at a time so genuine
             # deadlocks still spin into the max_cycles diagnostic.
-            return cycle + 1
+            return next_cycle
         return wake
-
-    def _rename_wake(self) -> Optional[int]:
-        """When can rename next do work?  ``None`` means only after an
-        already-tracked event: ROB/IQ/register space frees exclusively
-        through the event-driven retire, commit, and issue paths."""
-        buffer = self.fetch_buffer
-        if not buffer:
-            return None
-        avail, index = buffer[0]
-        if avail > self.cycle + 1:
-            return avail
-        if len(self.rob) >= self.params.rob_entries:
-            return None
-        dec = self._dec_by_index[index]
-        if self.iq_occupancy + dec.uop_estimate > self.params.iq_entries:
-            return None
-        if self.prf.free_count < dec.uop_estimate + 1:
-            return None
-        if (self.model is ModelKind.BASELINE and dec.is_mem
-                and self.prf.free_aux_count < 2):
-            return None
-        return self.cycle + 1
-
-    def _fetch_wake(self) -> Optional[int]:
-        """When can fetch next do work?  ``None`` means blocked on an event
-        (branch resolution, buffer drain) or permanently out of trace."""
-        if (self.pending_branch is not None
-                or self._pending_branch_index is not None):
-            return None
-        if self.fetch_index >= len(self.trace):
-            return None
-        if len(self.fetch_buffer) >= 2 * self.params.fetch_width:
-            return None
-        blocked = self.fetch_blocked_until
-        next_cycle = self.cycle + 1
-        return blocked if blocked > next_cycle else next_cycle
 
     # ------------------------------------------------------------------
     # Stage: store commit (store buffer drain).
@@ -549,95 +547,102 @@ class Simulator:
         heap = self.event_heap
         cycle = self.cycle
         pop = heapq.heappop
+        push = heapq.heappush
         done = UopState.DONE
+        waiting_state = UopState.WAITING
+        ready_state = UopState.READY
+        alu = UopKind.ALU
+        agi = UopKind.AGI
+        branch = UopKind.BRANCH
+        ready_cycle = self.prf.ready_cycle
+        waiters = self.waiters
+        ready_heap = self.ready_heap
+        ee = self._ee
         tr = self._tr
         while heap and heap[0][0] <= cycle:
             uop = pop(heap)[2]
             if uop.dead:
                 continue
             uop.state = done
-            uop.instr.pending_uops -= 1
+            instr = uop.instr
+            instr.pending_uops -= 1
             if tr is not None:
                 tr.on_writeback(uop, cycle)
-            self._complete_uop(uop)
+            kind = uop.kind
+            if kind is alu or kind is agi:
+                pass
+            elif kind is branch:
+                # Only a mispredicted branch is ever the pending redirect.
+                if self.pending_branch is instr:
+                    self._resolve_redirect(instr)
+            elif not self._complete_special(uop):
+                continue  # an unselected CMOV acts as a NOP
+            dest = uop.dest
+            if dest is None:
+                continue
+            # The destination becomes ready; wake its waiting consumers.
+            ee["rf_write"] += 1
+            # Cycles only move forward and nothing marks a register ready
+            # ahead of time, so this is the register's latest ready cycle.
+            ready_cycle[dest] = cycle
+            waiting = waiters.pop(dest, None)
+            if waiting is None:
+                continue
+            for waiter in waiting:
+                if waiter.dead:
+                    continue
+                remaining = waiter.remaining_srcs - 1
+                waiter.remaining_srcs = remaining
+                if remaining == 0 and waiter.state is waiting_state:
+                    waiter.state = ready_state
+                    push(ready_heap, (waiter.seq, waiter))
 
-    def _complete_uop(self, uop: Uop) -> None:
+    def _resolve_redirect(self, instr: DynInstr) -> None:
+        """A mispredicted branch resolved: refill the front end after the
+        usual pipeline-depth bubble.  Counted as a (front-end) squash cause
+        so branch and memory recoveries stay separable."""
+        self.pending_branch = None
+        self.fetch_blocked_until = self.cycle + self.params.frontend_depth
+        self.stats.squash_causes[SquashCause.BRANCH_MISPREDICT] += 1
+        if self._tr is not None:
+            self._tr.on_redirect(instr.rob_id, self.cycle)
+
+    def _complete_special(self, uop: Uop) -> bool:
+        """Completion side effects of the memory and predication MicroOps;
+        returns whether the MicroOp writes its destination register."""
         instr = uop.instr
-        if uop.kind is UopKind.LOAD and not uop.instr.dead:
-            self._complete_load_access(uop)
-        elif uop.kind is UopKind.CMP:
+        kind = uop.kind
+        if kind is UopKind.LOAD:
+            # A cache access returned data: sample value and SSN_commit.
             li = instr.load
-            dep = self.trace[li.dep_trace_index]
-            li.predicate = _covers(dep, instr.trace)
-        elif uop.kind is UopKind.CMOV:
-            if uop.cmov_selected:
-                self._finalize_predicated_value(instr)
+            te = instr.trace
+            li.ssn_nvul = self.ssn.commit
+            value = self.timing_mem.read(te.mem_addr, te.mem_size)
+            if li.mode is LoadKind.PREDICATED:
+                # Goes to the $ldtmp register; the CMOV pair selects later.
+                li.cache_value = value
+            elif not li.value_from_store:
+                li.obtained_value = value
+        elif kind is UopKind.CMP:
+            li = instr.load
+            li.predicate = _covers(self.trace[li.dep_trace_index],
+                                   instr.trace)
+        elif kind is UopKind.CMOV:
+            if not uop.cmov_selected:
+                return False
+            li = instr.load
+            if li.predicate:
+                dep = self.trace[li.dep_trace_index]
+                li.obtained_value = _extract_forward(dep, instr.trace)
+                li.value_from_store = True
             else:
-                # The unselected CMOV acts as a NOP and writes nothing.
-                return self._maybe_set_ready(uop, write=False)
-        elif uop.kind is UopKind.STORE:
+                li.obtained_value = li.cache_value
+                li.value_from_store = False
+        elif kind is UopKind.STORE:
             # Baseline: address + data now visible in the store queue.
             instr.store.sq_entry_done = True
-            self.stats.energy_event("lq_cam_search")
-        elif uop.kind is UopKind.BRANCH and instr.mispredicted_branch:
-            if self.pending_branch is instr:
-                # Redirect resolved: refill the front end after the usual
-                # pipeline-depth bubble.  Counted as a (front-end) squash
-                # cause so branch and memory recoveries stay separable.
-                self.pending_branch = None
-                self.fetch_blocked_until = (
-                    self.cycle + self.params.frontend_depth)
-                self.stats.squash_causes[
-                    SquashCause.BRANCH_MISPREDICT] += 1
-                if self._tr is not None:
-                    self._tr.on_redirect(instr.rob_id, self.cycle)
-        self._maybe_set_ready(uop)
-
-    def _maybe_set_ready(self, uop: Uop, write: bool = True) -> None:
-        if uop.dest is None or not uop.writes_dest or not write:
-            return
-        if uop.kind is UopKind.CMOV and not uop.cmov_selected:
-            return
-        self._ee["rf_write"] += 1
-        self._set_preg_ready(uop.dest, self.cycle)
-
-    def _set_preg_ready(self, preg: int, cycle: int) -> None:
-        self.prf.set_ready(preg, cycle)
-        waiting = self.waiters.pop(preg, None)
-        if waiting is None:
-            return
-        ready_heap = self.ready_heap
-        for waiter in waiting:
-            if waiter.dead:
-                continue
-            waiter.remaining_srcs -= 1
-            if waiter.remaining_srcs == 0 and waiter.state is UopState.WAITING:
-                waiter.state = UopState.READY
-                heapq.heappush(ready_heap, (waiter.seq, waiter))
-
-    def _complete_load_access(self, uop: Uop) -> None:
-        """A cache access returned data: sample value and SSN_commit."""
-        instr = uop.instr
-        li = instr.load
-        te = instr.trace
-        li.read_cycle = self.cycle
-        li.ssn_nvul = self.ssn.commit
-        value = self.timing_mem.read(te.mem_addr, te.mem_size)
-        if li.mode is LoadKind.PREDICATED:
-            # Goes to the $ldtmp register; the CMOV pair selects later.
-            li.cache_value = value  # type: ignore[attr-defined]
-        elif not li.value_from_store:
-            li.obtained_value = value
-
-    def _finalize_predicated_value(self, instr: DynInstr) -> None:
-        li = instr.load
-        if li.predicate:
-            dep = self.trace[li.dep_trace_index]
-            li.obtained_value = _extract_forward(dep, instr.trace)
-            li.value_from_store = True
-        else:
-            li.obtained_value = li.cache_value
-            li.value_from_store = False
+            self._ee["lq_cam_search"] += 1
+        return True
 
     # ------------------------------------------------------------------
     # Stage: retire.
@@ -646,22 +651,39 @@ class Simulator:
     def _retire(self) -> None:
         self._retire_stall = None
         self._retire_wake = None
-        budget = self.params.retire_width
+        width = self.params.retire_width
         rob = self.rob
         prf = self.prf
+        ready_cycle = prf.ready_cycle
+        producer = prf.producer
+        consumer = prf.consumer
+        committed_map = self.committed_map
         stats = self.stats
+        ee = self._ee
         cycle = self.cycle
-        retired_any = False
-        while budget > 0 and rob:
+        tr = self._tr
+        arch_regs = self.arch_regs
+        mispredicted = self._mispredicted
+        retired = 0
+        while retired < width and rob:
             head = rob[0]
             if head.pending_uops:
                 break
             result_preg = head.result_preg
-            if result_preg is not None and not prf.is_ready(result_preg,
-                                                            cycle):
-                break
+            if result_preg is None:
+                # Nothing to wait for: an instruction without a result
+                # register retires with execution time 0.
+                exec_time = 0
+            else:
+                ready = ready_cycle[result_preg]
+                if ready is None or ready > cycle:
+                    break
+                exec_time = ready - head.rename_cycle
+                if exec_time < 0:
+                    exec_time = 0
 
             dec = head.dec
+            violation = False
             if dec.is_load:
                 status = self._verify_load(head)
                 if status == "wait":
@@ -674,66 +696,57 @@ class Simulator:
                     # deadline already feeds _next_wake_cycle.
                     break
                 violation = status == "violation"
-            else:
-                violation = False
-
-            if dec.is_store:
-                if not self._retire_store(head):
-                    stats.sb_full_stall_cycles += 1
-                    self._retire_stall = "sb_full"
-                    break
-
-            self._retire_bookkeeping(head)
-            rob.popleft()
-            budget -= 1
-            retired_any = True
-
-            if violation:
-                stats.dep_mispredictions += 1
-                self._squash_younger(head)
+            elif dec.is_store and not self._retire_store(head):
+                stats.sb_full_stall_cycles += 1
+                self._retire_stall = "sb_full"
                 break
-        if retired_any:
+
+            rob.popleft()
+            # Every MicroOp has written back: dropping them breaks the
+            # instruction <-> MicroOp reference cycle, so both are freed
+            # by reference counting rather than the cyclic collector.
+            head.uops = ()
+            retired += 1
+            ee["rob_entry"] += 1
+            if arch_regs is not None:
+                self._arch_update(head)
+            if dec.is_control:
+                stats.branches += 1
+                if mispredicted[head.rob_id]:
+                    stats.branch_mispredicts += 1
+            # Rename-map commit + virtual release (paper Fig. 9).
+            for logical, new_preg, prev_preg in head.renames:
+                committed_map[logical] = new_preg
+                count = producer[prev_preg]
+                if count <= 0:
+                    raise RegfileError("producer underflow on preg %d"
+                                       % prev_preg)
+                producer[prev_preg] = count - 1
+                if count == 1 and not consumer[prev_preg]:
+                    prf.release(prev_preg)
+            li = head.load
+            if li is not None:
+                # Release verification holds.
+                for preg in li.holds:
+                    prf.dec_consumer(preg)
+                li.holds = []
+            if tr is not None:
+                tr.on_retire(head, cycle, exec_time)
+            stats.insn_exec_time_total += exec_time
+            if li is not None:
+                stats.record_load(li.mode, exec_time, li.low_confidence)
+                if li.low_confidence:
+                    self._classify_lowconf(head)
+                if violation:
+                    stats.dep_mispredictions += 1
+                    self._squash_younger(head)
+                    break
+            elif dec.is_store:
+                stats.stores += 1
+        if retired:
             # Progress frees ROB entries and registers and may unblock any
             # stage: never skip past the very next cycle.
             self._retire_wake = cycle + 1
-
-    def _retire_bookkeeping(self, instr: DynInstr) -> None:
-        instr.retired = True
-        self._ee["rob_entry"] += 1
-        dec = instr.dec
-        stats = self.stats
-        prf = self.prf
-        if self.arch_regs is not None:
-            self._arch_update(instr)
-        if dec.is_control:
-            stats.branches += 1
-            if instr.mispredicted_branch:
-                stats.branch_mispredicts += 1
-        # Rename-map commit + virtual release (paper Fig. 9).
-        committed_map = self.committed_map
-        dec_producer = prf.dec_producer
-        for logical, new_preg, prev_preg in instr.renames:  # type: ignore
-            committed_map[logical] = new_preg
-            dec_producer(prev_preg)
-        # Release verification holds.
-        li = instr.load
-        if li is not None:
-            for preg in li.holds:
-                prf.dec_consumer(preg)
-            li.holds = []
-        # Execution-time statistics.
-        ready = instr.result_ready_cycle(prf)
-        exec_time = max(0, (ready if ready is not None else instr.rename_cycle)
-                        - instr.rename_cycle)
-        if self._tr is not None:
-            self._tr.on_retire(instr, self.cycle, exec_time)
-        stats.insn_exec_time_total += exec_time
-        if dec.is_load:
-            stats.record_load(li.mode, exec_time, li.low_confidence)
-            if li.low_confidence:
-                self._classify_lowconf(instr)
-        if dec.is_store:
-            stats.stores += 1
 
     def _classify_lowconf(self, instr: DynInstr) -> None:
         """Paper Fig. 5: outcome of a low-confidence dependence prediction."""
@@ -811,12 +824,12 @@ class Simulator:
             return False
         si = instr.store
         self.sb.push(si.ssn, te.word_addr, te.index)
-        self.stats.energy_event("store_buffer_op")
+        self._ee["store_buffer_op"] += 1
         si.retired = True
         self.ssn.on_retire(si.ssn)
         if self.model is not ModelKind.BASELINE:
             self.tssbf.store_retire(te.word_addr, si.ssn, te.bab)
-            self.stats.energy_event("tssbf_access")
+            self._ee["tssbf_access"] += 1
         else:
             self.storesets.store_complete(te.pc, instr.rob_id)
         return True
@@ -839,7 +852,7 @@ class Simulator:
                 dep = te.dep_store
                 if dep is not None:
                     self.storesets.on_violation(te.pc, self.trace[dep].pc)
-                    self.stats.energy_event("store_sets_access")
+                    self._ee["store_sets_access"] += 1
                 li.violation = True
                 if self._tr is not None:
                     self._tr.on_verify(te.index, self.cycle, "violation",
@@ -857,7 +870,7 @@ class Simulator:
             return self._finish_reexecution(head)
 
         if li.tssbf_result is None:
-            self.stats.energy_event("tssbf_access")
+            self._ee["tssbf_access"] += 1
             li.tssbf_result = self.tssbf.load_lookup(te.word_addr, te.bab)
         result = li.tssbf_result
 
@@ -927,7 +940,7 @@ class Simulator:
         actual_distance = None
         if result is not None and result.matched:
             actual_distance = self.ssn.retire - result.ssn
-        self.stats.energy_event("distance_pred_access")
+        self._ee["distance_pred_access"] += 1
         if li.predicted:
             if correct:
                 self.sdp.train_correct(te.pc, li.history)
@@ -958,7 +971,8 @@ class Simulator:
             instr.dead = True
             for uop in instr.uops:
                 uop.dead = True
-            if instr.is_store and instr.store is not None:
+            instr.uops = ()  # as at retire: no reference cycle left behind
+            if instr.store is not None:
                 self.inflight_store_by_id.pop(instr.rob_id, None)
         self.rob.clear()
         self.iq_occupancy = 0
@@ -1004,9 +1018,6 @@ class Simulator:
     # Stage: issue.
     # ------------------------------------------------------------------
 
-    def _fu_budget(self) -> Dict[FuClass, int]:
-        return dict(self._fu_budget_template)
-
     def _issue(self) -> None:
         budget = self.params.issue_width
         fu_budget = dict(self._fu_budget_template)
@@ -1015,8 +1026,10 @@ class Simulator:
         heappush = heapq.heappush
         heappop = heapq.heappop
         ready_state = UopState.READY
+        issued_state = UopState.ISSUED
         store_kind = UopKind.STORE
         load_kind = UopKind.LOAD
+        agi_kind = UopKind.AGI
 
         # Re-check previously blocked loads.
         if self.blocked_loads:
@@ -1030,40 +1043,87 @@ class Simulator:
                     heappush(ready_heap, (uop.seq, uop))
             self.blocked_loads = still_blocked
 
+        # Only the baseline (store-set ordering, forwarding stalls) and
+        # NoSQ (delayed loads) hold a ready load back.
+        gated = self.model is ModelKind.BASELINE or self.model is ModelKind.NOSQ
+        # The baseline's loads search the store queue first.
+        access = None if self.model is ModelKind.BASELINE else self.hier.access
+        cycle = self.cycle
+        event_heap = self.event_heap
+        prf = self.prf
+        producer = prf.producer
+        consumer = prf.consumer
+        ee = self._ee
+        fu_energy = _FU_ENERGY
+        tr = self._tr
+        issued = 0
         deferred: List[Tuple[int, Uop]] = []
         while budget > 0 and ready_heap:
-            seq, uop = heappop(ready_heap)
+            item = heappop(ready_heap)
+            uop = item[1]
             if uop.dead or uop.state is not ready_state:
                 continue
             fu = uop.fu
             kind = uop.kind
             if kind is store_kind:
                 if store_ports <= 0:
-                    deferred.append((seq, uop))
+                    deferred.append(item)
                     continue
-            elif fu_budget[fu] <= 0:
-                deferred.append((seq, uop))
-                continue
-            if kind is load_kind and self._load_issue_blocked(uop):
-                self.blocked_loads.append(uop)
-                continue
-
-            if kind is store_kind:
                 store_ports -= 1
             else:
+                if fu_budget[fu] <= 0:
+                    deferred.append(item)
+                    continue
+                if (kind is load_kind and gated
+                        and self._load_issue_blocked(uop)):
+                    self.blocked_loads.append(uop)
+                    continue
                 fu_budget[fu] -= 1
             budget -= 1
-            self._start_execution(uop)
+
+            # Start execution.
+            uop.state = issued_state
+            if tr is not None:
+                tr.on_issue(uop, cycle)
+            issued += 1
+            srcs = uop.srcs
+            ee["iq_issue"] += 1
+            ee["rf_read"] += len(srcs)
+            energy = fu_energy[fu]
+            if energy is not None:
+                ee[energy] += 1
+            if kind is load_kind:
+                if access is not None:
+                    done = access(uop.instr.trace.mem_addr, cycle)
+                else:
+                    done = self._start_baseline_load(uop)
+                    if done is None:
+                        continue  # re-blocked (forwarding stall)
+            elif kind is agi_kind:
+                address = uop.instr.trace.mem_addr
+                done = cycle + uop.latency + self.tlb.access_penalty(
+                    address if address is not None else 0)
+            else:
+                done = cycle + uop.latency
+            heappush(event_heap, (done, uop.seq, uop))
+            # Source values are read out at execution: consumer counters
+            # drop (the paper's early-release counting, here used to
+            # *delay* release).
+            for src in srcs:
+                count = consumer[src]
+                if count <= 0:
+                    raise RegfileError("consumer underflow on preg %d" % src)
+                consumer[src] = count - 1
+                if count == 1 and not producer[src]:
+                    prf.release(src)
+        self.iq_occupancy -= issued
 
         for item in deferred:
             heappush(ready_heap, item)
 
     def _load_issue_blocked(self, uop: Uop) -> bool:
         """Model-specific conditions beyond register readiness."""
-        instr = uop.instr
-        li = instr.load
-        if li is None:
-            return False
+        li = uop.instr.load
         if self.model is ModelKind.NOSQ and li.mode is LoadKind.DELAYED:
             # Delayed until the predicted colliding store commits.
             return self.ssn.commit < li.ssn_byp
@@ -1085,59 +1145,29 @@ class Simulator:
                 li.forward_block = None  # type: ignore[attr-defined]
         return False
 
-    def _start_execution(self, uop: Uop) -> None:
-        uop.state = UopState.ISSUED
-        uop.issue_cycle = self.cycle
-        if self._tr is not None:
-            self._tr.on_issue(uop, self.cycle)
-        self.iq_occupancy -= 1
-        ee = self._ee
-        ee["iq_issue"] += 1
-        ee["rf_read"] += len(uop.srcs)
-        energy = _FU_ENERGY.get(uop.fu)
-        if energy:
-            ee[energy] += 1
-
-        if uop.kind is UopKind.LOAD:
-            done = self._start_load(uop)
-            if done is None:
-                return  # re-blocked (baseline forwarding stall)
-        elif uop.kind is UopKind.AGI:
-            te = uop.instr.trace
-            done = self.cycle + uop.latency + self.tlb.access_penalty(
-                te.mem_addr if te.mem_addr is not None else 0)
-        else:
-            done = self.cycle + uop.latency
-        heapq.heappush(self.event_heap, (done, uop.seq, uop))
-        # Source values are read out at execution: consumer counters drop
-        # (the paper's early-release counting, here used to *delay* release).
-        for src in uop.srcs:
-            self.prf.dec_consumer(src)
-
-    def _start_load(self, uop: Uop) -> Optional[int]:
-        """Begin a load's cache/SQ access; returns the completion cycle, or
-        None when the load must re-block (baseline forwarding stall)."""
+    def _start_baseline_load(self, uop: Uop) -> Optional[int]:
+        """Begin a baseline load's SQ search and cache access; returns the
+        completion cycle, or None when the load must re-block (forwarding
+        stall)."""
         instr = uop.instr
         li = instr.load
-        te = instr.trace
-        if self.model is ModelKind.BASELINE:
-            self.stats.energy_event("sq_cam_search")
-            forward = self._search_store_queue(instr)
-            if forward is not None:
-                store_instr, value = forward
-                if value is None:
-                    # Partial coverage: stall until that store commits, then
-                    # retry through the cache.
-                    li.forward_block = store_instr.rob_id
-                    uop.state = UopState.READY
-                    self.iq_occupancy += 1
-                    self.blocked_loads.append(uop)
-                    return None
-                li.obtained_value = value
-                li.value_from_store = True
-                li.mode = LoadKind.FORWARDED
-                return self.cycle + self.params.sq_search_latency
-        return self.hier.access(te.mem_addr, self.cycle)
+        self._ee["sq_cam_search"] += 1
+        forward = self._search_store_queue(instr)
+        if forward is not None:
+            store_instr, value = forward
+            if value is None:
+                # Partial coverage: stall until that store commits, then
+                # retry through the cache.
+                li.forward_block = store_instr.rob_id
+                uop.state = UopState.READY
+                self.iq_occupancy += 1
+                self.blocked_loads.append(uop)
+                return None
+            li.obtained_value = value
+            li.value_from_store = True
+            li.mode = LoadKind.FORWARDED
+            return self.cycle + self.params.sq_search_latency
+        return self.hier.access(instr.trace.mem_addr, self.cycle)
 
     def _search_store_queue(self, load: DynInstr):
         """Baseline SQ+SB search: youngest older store with a known,
@@ -1168,58 +1198,159 @@ class Simulator:
 
     def _rename(self) -> None:
         params = self.params
-        budget = params.rename_width
+        width = params.rename_width
+        budget = width
+        rob_entries = params.rob_entries
+        iq_entries = params.iq_entries
         fetch_buffer = self.fetch_buffer
         rob = self.rob
         trace = self.trace
         dec_by_index = self._dec_by_index
+        rename_map = self.rename_map
         prf = self.prf
+        free = prf.free
+        free_aux = prf.free_aux
+        producer = prf.producer
+        consumer = prf.consumer
+        ready_cycle = prf.ready_cycle
+        waiters = self.waiters
+        ready_heap = self.ready_heap
+        heappush = heapq.heappush
+        ready_state = UopState.READY
+        ee = self._ee
+        tr = self._tr
         cycle = self.cycle
         baseline = self.model is ModelKind.BASELINE
+        agen_latency = params.agen_latency
+        iq_occupancy = self.iq_occupancy
+        renamed_uops = 0
         while budget > 0 and fetch_buffer:
             avail, index = fetch_buffer[0]
             if avail > cycle:
                 break
-            if len(rob) >= params.rob_entries:
+            if len(rob) >= rob_entries:
                 break
             dec = dec_by_index[index]
             uop_count = dec.uop_estimate
-            if uop_count > budget and budget < params.rename_width:
+            if uop_count > budget and budget < width:
                 break  # does not fit in what is left of this cycle
-            if self.iq_occupancy + uop_count > params.iq_entries:
+            if iq_occupancy + uop_count > iq_entries:
                 break
-            if prf.free_count < uop_count + 1:
+            if len(free) < uop_count + 1:
                 break  # conservative free-register check
-            if baseline and dec.is_mem and prf.free_aux_count < 2:
+            if baseline and dec.is_mem and len(free_aux) < 2:
                 break
             fetch_buffer.popleft()
-            instr = self._crack_and_rename(trace[index], dec)
+            instr = DynInstr(index, trace[index], cycle, dec)
+
+            # The first MicroOp straight from the decode template: a memory
+            # op's AGI (writing $32, from the baseline's auxiliary register
+            # space) or a non-memory instruction's only MicroOp.  Rename
+            # the sources, allocate the destination, dispatch.
+            if dec.is_mem:
+                srcs = (rename_map[dec.rs],)
+                dest_reg = REG_AGI
+                pool = free_aux if baseline else free
+                latency = agen_latency
+            else:
+                src_regs = dec.src_regs
+                n_srcs = len(src_regs)
+                if n_srcs == 1:
+                    srcs = (rename_map[src_regs[0]],)
+                elif n_srcs == 2:
+                    srcs = (rename_map[src_regs[0]], rename_map[src_regs[1]])
+                elif n_srcs == 0:
+                    srcs = ()
+                else:
+                    srcs = tuple(rename_map[r] for r in src_regs)
+                dest_reg = dec.dest_reg
+                pool = free
+                latency = dec.latency
+            if dest_reg is None:
+                dest = None
+            else:
+                if not pool:
+                    raise SimulationError("physical register underflow")
+                dest = pool.pop()
+                producer[dest] = 1
+                consumer[dest] = 0
+                ready_cycle[dest] = None
+                instr.renames.append((dest_reg, dest, rename_map[dest_reg]))
+                rename_map[dest_reg] = dest
+            seq = self.uop_seq
+            self.uop_seq = seq + 1
+            uop = Uop(seq, dec.uop_kind, dec.uop_fu, latency, srcs, dest,
+                      instr)
+            instr.uops.append(uop)
+            instr.pending_uops = 1
+            ee["rename"] += 1
+            ee["iq_dispatch"] += 1
+            # Consumer counting and wakeup registration.
+            remaining = 0
+            for src in srcs:
+                consumer[src] += 1
+                ready = ready_cycle[src]
+                if ready is None or ready > cycle:
+                    queue = waiters.get(src)
+                    if queue is None:
+                        waiters[src] = [uop]
+                    else:
+                        queue.append(uop)
+                    remaining += 1
+            if remaining:
+                uop.remaining_srcs = remaining
+            else:
+                uop.state = ready_state
+                heappush(ready_heap, (seq, uop))
+
+            if dec.is_mem:
+                if dec.is_load:
+                    self._crack_load(instr, dec, dest)
+                else:
+                    self._crack_store(instr, dec, dest)
+                uop_count = len(instr.uops)
+            else:
+                instr.result_preg = dest
+                if dec.is_control:
+                    if self._pending_branch_index == index:
+                        self.pending_branch = instr
+                        self._pending_branch_index = None
+                    ee["bpred_access"] += 1
+                uop_count = 1
+
             rob.append(instr)
-            if self._tr is not None:
-                self._tr.on_rename(instr, cycle)
-            budget -= len(instr.uops) if instr.uops else 1
+            iq_occupancy += uop_count
+            renamed_uops += uop_count
+            budget -= uop_count
+            if tr is not None:
+                tr.on_rename(instr, cycle)
+        self.iq_occupancy = iq_occupancy
+        self.stats.uops += renamed_uops
 
     # -- rename plumbing -----------------------------------------------------
 
     def _new_uop(self, instr: DynInstr, kind: UopKind, fu: FuClass,
                  latency: int, srcs: Tuple[int, ...],
                  dest: Optional[int]) -> Uop:
-        uop = Uop(seq=self.uop_seq, kind=kind, fu=fu, latency=latency,
-                  srcs=srcs, dest=dest, prev_preg=None, instr=instr)
-        self.uop_seq += 1
+        """Dispatch one MicroOp of a memory instruction: count its source
+        consumers and register its wakeups.  The rename stage bumps the
+        per-instruction IQ occupancy and MicroOp count."""
+        seq = self.uop_seq
+        self.uop_seq = seq + 1
+        uop = Uop(seq, kind, fu, latency, srcs, dest, instr)
         instr.uops.append(uop)
         instr.pending_uops += 1
-        self.stats.uops += 1
         ee = self._ee
         ee["rename"] += 1
         ee["iq_dispatch"] += 1
-        self.iq_occupancy += 1
-        # Source readiness / wakeup registration.
-        ready_cycle = self.prf.ready_cycle
+        prf = self.prf
+        ready_cycle = prf.ready_cycle
+        consumer = prf.consumer
         cycle = self.cycle
         waiters = self.waiters
         remaining = 0
         for src in srcs:
+            consumer[src] += 1
             ready = ready_cycle[src]
             if ready is None or ready > cycle:
                 queue = waiters.get(src)
@@ -1232,7 +1363,7 @@ class Simulator:
             uop.remaining_srcs = remaining
         else:
             uop.state = UopState.READY
-            heapq.heappush(self.ready_heap, (uop.seq, uop))
+            heapq.heappush(self.ready_heap, (seq, uop))
         return uop
 
     def _rename_dest(self, instr: DynInstr, logical: int,
@@ -1255,70 +1386,11 @@ class Simulator:
         self.prf.add_producer(preg)
         instr.renames.append((logical, preg, prev))  # type: ignore
 
-    def _src(self, logical: int) -> int:
-        return self.rename_map[logical]
-
     # -- cracking -----------------------------------------------------------------
 
-    def _crack_and_rename(self, te: TraceEntry,
-                          dec: Optional[_Decoded] = None) -> DynInstr:
-        instr = DynInstr(rob_id=te.index, trace=te,
-                         rename_cycle=self.cycle)
-        self.rename_cycle_of[te.index] = self.cycle
-        if dec is None:
-            dec = self._dec_by_index[te.index]
-        instr.dec = dec
-
-        if dec.is_load:
-            self._crack_load(instr, dec)
-        elif dec.is_store:
-            self._crack_store(instr, dec)
-        else:
-            rename_map = self.rename_map
-            src_regs = dec.src_regs
-            n_srcs = len(src_regs)
-            if n_srcs == 1:
-                srcs = (rename_map[src_regs[0]],)
-            elif n_srcs == 2:
-                srcs = (rename_map[src_regs[0]], rename_map[src_regs[1]])
-            elif n_srcs == 0:
-                srcs = ()
-            else:
-                srcs = tuple(rename_map[r] for r in src_regs)
-            dest = None
-            if dec.dest_reg is not None:
-                dest = self._rename_dest(instr, dec.dest_reg)
-                instr.result_preg = dest
-            if dec.is_control:
-                self._new_uop(instr, UopKind.BRANCH, FuClass.BRANCH,
-                              dec.latency, srcs, dest)
-                instr.mispredicted_branch = self._mispredicted[te.index]
-                if self._pending_branch_index == te.index:
-                    self.pending_branch = instr
-                    self._pending_branch_index = None
-                self._ee["bpred_access"] += 1
-            else:
-                self._new_uop(instr, UopKind.ALU, dec.fu, dec.latency,
-                              srcs, dest)
-        # Consumer counting for every renamed source operand.
-        add_consumer = self.prf.add_consumer
-        for uop in instr.uops:
-            for src in uop.srcs:
-                add_consumer(src)
-        return instr
-
-    def _crack_agi(self, instr: DynInstr, dec: _Decoded) -> int:
-        """The address-generation MicroOp; returns the address register."""
-        srcs = (self.rename_map[dec.rs],)
-        addr_preg = self._rename_dest(
-            instr, REG_AGI, aux=self.model is ModelKind.BASELINE)
-        self._new_uop(instr, UopKind.AGI, FuClass.AGEN,
-                      self.params.agen_latency, srcs, addr_preg)
-        return addr_preg
-
-    def _crack_store(self, instr: DynInstr, dec: _Decoded) -> None:
+    def _crack_store(self, instr: DynInstr, dec: _Decoded,
+                     addr_preg: int) -> None:
         te = instr.trace
-        addr_preg = self._crack_agi(instr, dec)
         data_preg = self.rename_map[dec.rt]
         ssn = self.ssn.next_rename()
         si = StoreInfo(ssn=ssn, data_preg=data_preg, addr_preg=addr_preg)
@@ -1327,25 +1399,26 @@ class Simulator:
 
         if self.model is ModelKind.BASELINE:
             # The SQ-entry MicroOp makes address+data searchable.
-            sq_uop = self._new_uop(instr, UopKind.STORE, FuClass.MEM, 1,
-                                   (addr_preg, data_preg), None)
-            self.stats.energy_event("sq_write")
+            self._new_uop(instr, UopKind.STORE, FuClass.MEM, 1,
+                          (addr_preg, data_preg), None)
+            self._ee["sq_write"] += 1
             self.baseline_stores.append(instr)
             prev = self.storesets.store_rename(te.pc, instr.rob_id)
-            self.stats.energy_event("store_sets_access")
+            self._ee["store_sets_access"] += 1
             si.store_set_prev = prev
         else:
             # Store-queue-free: no access MicroOp.  The data and address
             # registers are read at commit, so their lifetimes extend
             # (consumer counter holds, paper Section IV-B.a).
             self.srb.add(ssn, data_preg, addr_preg, te.index)
-            for preg in (data_preg, addr_preg):
-                self.prf.add_consumer(preg)
-                si.holds.append(preg)
+            consumer = self.prf.consumer
+            consumer[data_preg] += 1
+            consumer[addr_preg] += 1
+            si.holds = [data_preg, addr_preg]
 
-    def _crack_load(self, instr: DynInstr, dec: _Decoded) -> None:
+    def _crack_load(self, instr: DynInstr, dec: _Decoded,
+                    addr_preg: int) -> None:
         te = instr.trace
-        addr_preg = self._crack_agi(instr, dec)
         model = self.model
 
         if model is ModelKind.BASELINE:
@@ -1467,7 +1540,6 @@ class Simulator:
         li = instr.load
         li.mode = LoadKind.DELAYED
         li.low_confidence = True
-        li.waiting_commit_ssn = li.ssn_byp
         self.stats.delayed_loads += 1
         dest = self._rename_dest(instr, dec.rd)
         instr.result_preg = dest
@@ -1521,44 +1593,43 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _fetch(self) -> None:
-        if self.cycle < self.fetch_blocked_until or self.pending_branch:
+        cycle = self.cycle
+        if cycle < self.fetch_blocked_until or self.pending_branch:
             return
         fetch_buffer = self.fetch_buffer
-        if len(fetch_buffer) >= 2 * self.params.fetch_width:
-            return
-        total = len(self.trace)
-        avail = self.cycle + 2  # fetch + decode depth
-        fetched = 0
         width = self.params.fetch_width
+        if len(fetch_buffer) >= 2 * width:
+            return
+        first = index = self.fetch_index
+        end = min(index + width, len(self.trace))
+        if index >= end:
+            return
+        avail = cycle + 2  # fetch + decode depth
         trace = self.trace
         dec_by_index = self._dec_by_index
         mispredicted = self._mispredicted
         taken_bits = self._taken_bits
-        ee = self._ee
         tr = self._tr
-        while fetched < width and self.fetch_index < total:
-            index = self.fetch_index
+        while index < end:
             fetch_buffer.append((avail, index))
-            self.fetch_index += 1
-            fetched += 1
-            ee["fetch_decode"] += 1
             if tr is not None:
-                tr.on_fetch(index, trace[index].pc, self.cycle, avail)
-            if dec_by_index[index].is_control:
-                if mispredicted[index]:
-                    # Stall fetch until this branch resolves; the resumption
-                    # cycle is set at branch completion.
-                    self._mark_pending_branch(index)
+                tr.on_fetch(index, trace[index].pc, cycle, avail)
+            fetched = index
+            index += 1
+            if dec_by_index[fetched].is_control:
+                if mispredicted[fetched]:
+                    # Stall fetch until this branch resolves (the
+                    # resumption cycle is set at branch completion).  The
+                    # branch is not renamed yet: remember its index so the
+                    # renamed DynInstr can be linked as the pending redirect.
+                    self.fetch_blocked_until = 1 << 62
+                    self._pending_branch_index = fetched
                     break
-                if (taken_bits[index] & F_TAKEN if taken_bits is not None
-                        else trace[index].taken):
+                if (taken_bits[fetched] & F_TAKEN if taken_bits is not None
+                        else trace[fetched].taken):
                     break  # a taken branch ends the fetch group
-
-    def _mark_pending_branch(self, index: int) -> None:
-        # The branch has not been renamed yet; remember the index so the
-        # renamed DynInstr can be linked as the pending redirect.
-        self.fetch_blocked_until = 1 << 62
-        self._pending_branch_index = index
+        self.fetch_index = index
+        self._ee["fetch_decode"] += index - first
 
     # ------------------------------------------------------------------
     # External hooks.

@@ -48,23 +48,25 @@ class PhysRegFile:
         self.consumer = [0] * total
         # ready_cycle[p] is None while the value is still being produced.
         self.ready_cycle: List[Optional[int]] = [None] * total
-        self._free: List[int] = list(range(num_pregs - 1, -1, -1))
-        self._free_aux: List[int] = list(range(total - 1, num_pregs - 1, -1))
+        # Free lists, popped from the end.  Public so the pipeline's rename
+        # stage can check space and allocate without a method call.
+        self.free: List[int] = list(range(num_pregs - 1, -1, -1))
+        self.free_aux: List[int] = list(range(total - 1, num_pregs - 1, -1))
         self.alloc_stalls = 0
 
     # -- allocation -----------------------------------------------------------
 
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return len(self.free)
 
     @property
     def free_aux_count(self) -> int:
-        return len(self._free_aux)
+        return len(self.free_aux)
 
     def allocate(self, aux: bool = False) -> Optional[int]:
         """Pop a free register (producer count set to 1, not ready)."""
-        pool = self._free_aux if aux else self._free
+        pool = self.free_aux if aux else self.free
         if not pool:
             self.alloc_stalls += 1
             return None
@@ -74,13 +76,18 @@ class PhysRegFile:
         self.ready_cycle[preg] = None
         return preg
 
+    def release(self, preg: int) -> None:
+        """Return a register whose producer and consumer counts both
+        reached zero to its free list (the caller checked the counts)."""
+        self.ready_cycle[preg] = None
+        if preg >= self.num_pregs:
+            self.free_aux.append(preg)
+        else:
+            self.free.append(preg)
+
     def _maybe_release(self, preg: int) -> None:
         if self.producer[preg] == 0 and self.consumer[preg] == 0:
-            self.ready_cycle[preg] = None
-            if preg >= self.num_pregs:
-                self._free_aux.append(preg)
-            else:
-                self._free.append(preg)
+            self.release(preg)
 
     # -- producer counting ------------------------------------------------------
 
@@ -155,5 +162,5 @@ class PhysRegFile:
                     new_free.append(preg)
         new_free.reverse()
         new_free_aux.reverse()
-        self._free = new_free
-        self._free_aux = new_free_aux
+        self.free = new_free
+        self.free_aux = new_free_aux

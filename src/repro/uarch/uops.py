@@ -54,30 +54,24 @@ class UopState(enum.Enum):
 class Uop:
     """One MicroOp in flight."""
 
-    __slots__ = ("seq", "kind", "fu", "latency", "srcs", "dest", "prev_preg",
-                 "instr", "state", "remaining_srcs", "issue_cycle",
-                 "done_cycle", "dead", "cmov_selected", "writes_dest")
+    __slots__ = ("seq", "kind", "fu", "latency", "srcs", "dest", "instr",
+                 "state", "remaining_srcs", "dead", "cmov_selected")
 
     def __init__(self, seq: int, kind: UopKind, fu: FuClass, latency: int,
                  srcs: Tuple[int, ...], dest: Optional[int],
-                 prev_preg: Optional[int], instr: "DynInstr"):
+                 instr: "DynInstr"):
         self.seq = seq                 # global MicroOp age (issue priority)
         self.kind = kind
         self.fu = fu
         self.latency = latency
         self.srcs = srcs               # source physical registers
         self.dest = dest               # destination physical register
-        self.prev_preg = prev_preg     # mapping overwritten (virtual release)
         self.instr = instr
         self.state = UopState.WAITING
         self.remaining_srcs = 0
-        self.issue_cycle: Optional[int] = None
-        self.done_cycle: Optional[int] = None
         self.dead = False              # squashed; ignore all pending events
         # CMOV pair bookkeeping: does this CMOV actually write the register?
         self.cmov_selected = False
-        # Does completion of this MicroOp make the dest register ready?
-        self.writes_dest = True
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<Uop %d %s %s>" % (self.seq, self.kind.value, self.state.name)
@@ -87,10 +81,9 @@ class LoadInfo:
     """Timing-model bookkeeping for one dynamic load."""
 
     __slots__ = ("mode", "low_confidence", "predicted", "ssn_byp",
-                 "dep_trace_index", "ssn_nvul", "read_cycle",
-                 "obtained_value", "value_from_store", "predicate",
-                 "store_bab_checked", "reexec_scheduled", "reexec_done_cycle",
-                 "violation", "holds", "history", "waiting_commit_ssn",
+                 "dep_trace_index", "ssn_nvul", "obtained_value",
+                 "value_from_store", "predicate", "reexec_scheduled",
+                 "reexec_done_cycle", "violation", "holds", "history",
                  "cache_value", "tssbf_result", "storeset_wait",
                  "forward_block")
 
@@ -101,11 +94,9 @@ class LoadInfo:
         self.ssn_byp: Optional[int] = None   # predicted colliding store SSN
         self.dep_trace_index: Optional[int] = None  # trace idx of pred. store
         self.ssn_nvul: Optional[int] = None  # SSN_commit sampled at cache read
-        self.read_cycle: Optional[int] = None  # when the cache data returned
         self.obtained_value: Optional[int] = None  # value the load got
         self.value_from_store = False        # forwarded (cloak / predicate==1)
         self.predicate: Optional[bool] = None  # DMDP CMP outcome
-        self.store_bab_checked = True        # Fig. 11 coverage check outcome
         self.reexec_scheduled = False
         self.reexec_done_cycle: Optional[int] = None
         self.violation = False
@@ -113,7 +104,6 @@ class LoadInfo:
         self.holds: List[int] = []
         # Predictor-training context.
         self.history = history
-        self.waiting_commit_ssn: Optional[int] = None  # delayed-load wake
         # Predicated loads: cache data parked in the $ldtmp register.
         self.cache_value: Optional[int] = None
         # Retire-time verification cache (one T-SSBF read per load).
@@ -146,15 +136,17 @@ class DynInstr:
     """One architectural instruction in flight."""
 
     __slots__ = ("rob_id", "trace", "uops", "rename_cycle", "load", "store",
-                 "renames", "result_preg", "mispredicted_branch", "retired",
-                 "dead", "pending_uops", "dec")
+                 "renames", "result_preg", "dead", "pending_uops", "dec")
 
-    def __init__(self, rob_id: int, trace: TraceEntry, rename_cycle: int = 0):
+    def __init__(self, rob_id: int, trace: TraceEntry, rename_cycle: int = 0,
+                 dec=None):
         self.rob_id = rob_id           # program-order id (== trace index)
         self.trace = trace
         # Decode template (pipeline._Decoded) shared across all dynamic
         # instances of this static instruction; None outside the pipeline.
-        self.dec = None
+        self.dec = dec
+        # Emptied at retire and squash, which breaks the instruction <->
+        # MicroOp reference cycle (both are then freed by refcounting).
         self.uops: List[Uop] = []
         self.rename_cycle = rename_cycle
         self.load: Optional[LoadInfo] = None
@@ -164,8 +156,6 @@ class DynInstr:
         self.renames: List[Tuple[int, int, int]] = []
         # Physical register whose readiness is the architectural result.
         self.result_preg: Optional[int] = None
-        self.mispredicted_branch = False
-        self.retired = False
         self.dead = False
         # MicroOps not yet written back; the pipeline's retire stage checks
         # this counter instead of scanning ``uops`` every cycle.
@@ -178,13 +168,3 @@ class DynInstr:
     @property
     def is_store(self) -> bool:
         return self.trace.is_store
-
-    def uops_done(self) -> bool:
-        return all(u.state is UopState.DONE for u in self.uops)
-
-    def result_ready_cycle(self, prf) -> Optional[int]:
-        """Cycle the architectural result became available (None if N/A)."""
-        if self.result_preg is None:
-            done = [u.done_cycle for u in self.uops if u.done_cycle is not None]
-            return max(done) if done else self.rename_cycle
-        return prf.ready_cycle[self.result_preg]

@@ -4,16 +4,24 @@ Hypothesis generates small occasionally-colliding kernels (random hot-set
 sizes, iteration counts, access sizes) and every model must:
 
 * complete every instruction,
-* keep the physical-register books balanced after the run,
+* keep the physical-register books exact after the run,
 * leave the timing memory equal to the functional machine's memory.
+
+The rename, issue and retire stages count register references inline,
+so corrupting a count mid-run must still raise :class:`RegfileError`.
 """
 
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa import ProgramBuilder
 from repro.kernel import FunctionalCpu
-from repro.uarch import ALL_MODELS, ModelKind, Simulator, model_params
+from repro.uarch import (ALL_MODELS, ModelKind, RegfileError, Simulator,
+                         model_params)
+from repro.uarch.uops import UopState
 
 
 def build_kernel(iterations, slots, use_half, seed):
@@ -51,6 +59,25 @@ def build_kernel(iterations, slots, use_half, seed):
     return b.build()
 
 
+def assert_exact_register_books(sim):
+    """After a run nothing is in flight, so every physical register is
+    either free with zero counts, or named by the committed rename map
+    with one producer per mapping and no consumer."""
+    prf = sim.prf
+    total = prf.num_pregs + prf.aux_regs
+    free = set(prf.free) | set(prf.free_aux)
+    assert len(free) == len(prf.free) + len(prf.free_aux)  # no duplicates
+    live = Counter(sim.committed_map)
+    for preg in range(total):
+        if preg in free:
+            assert (prf.producer[preg], prf.consumer[preg]) == (0, 0), preg
+        else:
+            assert live[preg] > 0, "preg %d leaked" % preg
+            assert prf.producer[preg] == live[preg], preg
+            assert prf.consumer[preg] == 0, preg
+    assert len(free) + len(live) == total
+
+
 @st.composite
 def kernels(draw):
     iterations = draw(st.integers(20, 120))
@@ -73,15 +100,7 @@ class TestPipelineInvariants:
         assert stats.instructions == len(trace)
         assert not sim.rob and sim.sb.is_empty
 
-        # Physical register books balance: every register is either free
-        # or referenced by the committed map / outstanding holds.
-        prf = sim.prf
-        live = set(sim.committed_map)
-        total = prf.num_pregs + prf.aux_regs
-        free = prf.free_count + prf.free_aux_count
-        assert free + len(live) <= total
-        for preg in live:
-            assert prf.producer[preg] >= 1
+        assert_exact_register_books(sim)
 
         # The committed memory image matches the architectural result.
         for entry in trace:
@@ -95,8 +114,74 @@ class TestPipelineInvariants:
         """The oracle never loses to prediction-based NoSQ by more than
         a small silent-store-value-locality margin (DESIGN.md §7)."""
         trace = FunctionalCpu(prog).run_trace()
-        perfect = Simulator(prog, trace,
-                            model_params(ModelKind.PERFECT)).run()
-        nosq = Simulator(prog, trace, model_params(ModelKind.NOSQ)).run()
+        perfect_sim = Simulator(prog, trace, model_params(ModelKind.PERFECT))
+        perfect = perfect_sim.run()
+        nosq_sim = Simulator(prog, trace, model_params(ModelKind.NOSQ))
+        nosq = nosq_sim.run()
+        assert_exact_register_books(perfect_sim)
+        assert_exact_register_books(nosq_sim)
         assert perfect.ipc >= 0.9 * nosq.ipc
         assert perfect.dep_mispredictions == 0
+
+
+def alu_chain_program(iterations=40):
+    """Dependent ALU chains only: no memory op, so no squash can rebuild
+    the register books mid-run."""
+    b = ProgramBuilder()
+    b.label("main")
+    b.li("$t0", 0)
+    b.li("$t9", iterations)
+    b.label("loop")
+    b.addi("$t1", "$t0", 3)
+    b.add("$t2", "$t1", "$t0")
+    b.add("$t3", "$t2", "$t1")
+    b.addi("$t0", "$t0", 1)
+    b.blt("$t0", "$t9", "loop")
+    b.halt()
+    return b.build()
+
+
+class TestInlinedRefcountChecks:
+    """A corrupted reference count makes ``Simulator.run`` raise, on every
+    model, from the stage that would drive it below zero."""
+
+    @staticmethod
+    def _run_corrupted(model, corrupt, message):
+        prog = alu_chain_program()
+        sim = Simulator(prog, FunctionalCpu(prog).run_trace(),
+                        model_params(model))
+        corrupted = []
+
+        def hook(s):
+            if not corrupted and corrupt(s):
+                corrupted.append(s.cycle)
+
+        sim.tick_hook = hook
+        with pytest.raises(RegfileError, match=message):
+            sim.run()
+        assert corrupted
+
+    @pytest.mark.parametrize("model", list(ALL_MODELS))
+    def test_consumer_underflow_at_issue(self, model):
+        def corrupt(sim):
+            for instr in sim.rob:
+                for uop in instr.uops:
+                    if (uop.srcs and uop.state in (UopState.WAITING,
+                                                   UopState.READY)):
+                        sim.prf.consumer[uop.srcs[0]] = 0
+                        return True
+            return False
+
+        self._run_corrupted(model, corrupt, "consumer underflow")
+
+    @pytest.mark.parametrize("model", list(ALL_MODELS))
+    def test_producer_underflow_at_retire(self, model):
+        def corrupt(sim):
+            for instr in sim.rob:
+                if instr.renames:
+                    _logical, _new, prev_preg = instr.renames[0]
+                    sim.prf.producer[prev_preg] = 0
+                    return True
+            return False
+
+        self._run_corrupted(model, corrupt, "producer underflow")

@@ -73,32 +73,14 @@ class TestUopState:
                           mem_size=None, value=None, dep_store=None,
                           dep_covers=False, silent=False, word_addr=0, bab=0)
 
-    def test_dyninstr_uops_done(self):
-        di = DynInstr(rob_id=0, trace=self._entry())
-        uop = Uop(seq=0, kind=UopKind.ALU, fu=FuClass.ALU, latency=1,
-                  srcs=(), dest=None, prev_preg=None, instr=di)
-        di.uops.append(uop)
-        assert not di.uops_done()
-        uop.state = UopState.DONE
-        assert di.uops_done()
-
     def test_dyninstr_classification(self):
         di = DynInstr(rob_id=0, trace=self._entry())
         assert not di.is_load and not di.is_store
 
-    def test_result_ready_cycle_without_preg(self):
-        di = DynInstr(rob_id=0, trace=self._entry(), rename_cycle=5)
-        uop = Uop(seq=0, kind=UopKind.ALU, fu=FuClass.ALU, latency=1,
-                  srcs=(), dest=None, prev_preg=None, instr=di)
-        uop.done_cycle = 9
-        di.uops.append(uop)
-        assert di.result_ready_cycle(prf=None) == 9
-
     def test_uop_defaults(self):
         di = DynInstr(rob_id=0, trace=self._entry())
         uop = Uop(seq=1, kind=UopKind.CMOV, fu=FuClass.ALU, latency=1,
-                  srcs=(4, 5), dest=6, prev_preg=None, instr=di)
+                  srcs=(4, 5), dest=6, instr=di)
         assert uop.state is UopState.WAITING
         assert not uop.cmov_selected
-        assert uop.writes_dest
         assert not uop.dead

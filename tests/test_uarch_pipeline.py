@@ -358,7 +358,7 @@ class TestWritebackHeapOrder:
         uops = []
         for seq, deadline in enumerate(deadlines):
             uop = Uop(seq=seq, kind=UopKind.ALU, fu=FuClass.ALU, latency=1,
-                      srcs=(), dest=None, prev_preg=None, instr=instr)
+                      srcs=(), dest=None, instr=instr)
             uop.state = UopState.ISSUED
             if seq in dead:
                 uop.dead = True

@@ -33,9 +33,9 @@ class TestAllocation:
         preg = prf.allocate()
         prf.add_consumer(preg)          # store will read it at commit
         prf.dec_producer(preg)          # overwriter retired
-        assert preg not in prf._free    # still held
+        assert preg not in prf.free     # still held
         prf.dec_consumer(preg)          # store committed
-        assert preg in prf._free
+        assert preg in prf.free
 
     def test_multiple_definitions(self):
         """Paper Fig. 9: producer counter counts definitions."""
@@ -43,9 +43,9 @@ class TestAllocation:
         preg = prf.allocate()           # def 1 (count=1)
         prf.add_producer(preg)          # def 2 (cloaking / second CMOV)
         prf.dec_producer(preg)          # first overwriter retires
-        assert preg not in prf._free
+        assert preg not in prf.free
         prf.dec_producer(preg)          # second overwriter retires
-        assert preg in prf._free
+        assert preg in prf.free
 
     def test_add_producer_on_consumer_held_register(self):
         prf = PhysRegFile(64)
