@@ -51,10 +51,12 @@ Commands
 ``fuzz run / repro / corpus / profiles``
     Differential fuzzing farm (see DESIGN.md Section 13): ``run``
     executes a seeded campaign of pathology-biased programs through the
-    three-oracle stack on every model, auto-minimizing any divergence
-    into a replayable JSON artifact; ``repro ARTIFACT`` replays one
-    artifact and checks that the same divergence class reappears;
-    ``corpus`` replays the distilled regression corpus
+    three-oracle stack on every model (functional-arch, cross-model and
+    reference-stats: a packed-trace re-run with cycle skipping off must
+    match the cycle-skipping run's SimStats), auto-minimizing any
+    divergence into a replayable JSON artifact; ``repro ARTIFACT``
+    replays one artifact and checks that the same divergence class
+    reappears; ``corpus`` replays the distilled regression corpus
     (``tests/corpus``); ``profiles`` lists the bias profiles.
 
 Global flags: ``--jobs N`` fans simulation points out over N worker
@@ -364,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz = sub.add_parser("fuzz", help="differential fuzzing farm")
     fuzz_sub = fuzz.add_subparsers(dest="fuzz_command", required=True)
     fuzz_run = fuzz_sub.add_parser(
-        "run", help="run a seeded fuzz campaign")
+        "run", help="run a seeded fuzz campaign through the "
+                    "functional-arch, cross-model and reference-stats "
+                    "oracles")
     fuzz_run.add_argument("--profile", dest="fuzz_profiles",
                           action="append", default=None, metavar="NAME",
                           help="bias profile (repeatable; default: mixed; "
@@ -1046,8 +1050,8 @@ def _phase_attribution(stats) -> List:
 
     Attributes the cumulative time of each phase's entry point --
     functional tracing (``FunctionalCpu.run``), whole-trace precompute
-    (the vectorized bundle build/load in ``kernel/precompute.py`` and
-    the per-run passes inside ``Simulator.__init__``), timing simulation
+    (the bundle build/load in ``kernel/precompute.py``, shared or built
+    inside ``Simulator.__init__``), timing simulation
     (``Simulator.run``), and trace-store I/O (``load_trace`` /
     ``PackedTrace.to_bytes``).  The phases never nest (a trace is fully
     built or loaded before its simulation starts, and every precompute
@@ -1063,11 +1067,6 @@ def _phase_attribution(stats) -> List:
             phases["functional tracing"] += cumulative
         elif (path.endswith("kernel/precompute.py")
                 and funcname in ("build", "load_precompute")):
-            phases["precompute"] += cumulative
-        elif (path.endswith("uarch/pipeline.py")
-                and funcname in ("_init_from_columns",
-                                 "_precompute_branch_outcomes",
-                                 "_precompute_history")):
             phases["precompute"] += cumulative
         elif path.endswith("uarch/pipeline.py") and funcname == "run":
             phases["timing simulation"] += cumulative

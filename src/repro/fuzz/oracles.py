@@ -11,10 +11,12 @@ and must satisfy:
    registers and memory image;
 2. **cross-model** -- all models agree with each other on final
    architectural state (a defense-in-depth net under oracle 1);
-3. **packed-stats** -- simulating from the columnar
-   :class:`~repro.kernel.tracestore.PackedTrace` yields byte-identical
-   :class:`~repro.uarch.SimStats` to simulating from the
-   ``List[TraceEntry]`` form (the trace-store fidelity contract).
+3. **reference-stats** -- re-simulating from the packed
+   :class:`~repro.kernel.tracestore.PackedTrace` with cycle skipping off
+   yields byte-identical :class:`~repro.uarch.SimStats` to the
+   cycle-skipping run from the ``List[TraceEntry]`` form (the
+   trace-store fidelity contract and the cycle-skipping exactness
+   contract in one comparison).
 
 A divergence is reported as a :class:`Divergence` record; the set of
 records hashes to a stable :attr:`CheckReport.signature` so a minimized
@@ -52,7 +54,7 @@ _MIN_CYCLE_BUDGET = 100_000
 class Divergence:
     """One oracle violation for one model."""
 
-    oracle: str                  # functional-arch | cross-model | packed-stats
+    oracle: str          # functional-arch | cross-model | reference-stats
     model: str
     detail: str
 
@@ -169,9 +171,14 @@ def _mem_detail(got: Dict[int, bytes], ref: Dict[int, bytes]
             % (len(pages), (page << 12) + byte))
 
 
+def _observe_every_cycle(sim) -> None:
+    """A no-op tick hook: ``Simulator.run`` skips no cycle while one is
+    set, which makes the run the skip-off reference."""
+
+
 def check_program(program, models=ALL_MODELS, mutation: Optional[str] = None,
-                  max_instructions: int = MAX_FUZZ_INSTRUCTIONS,
-                  packed_oracle: bool = True) -> CheckReport:
+                  max_instructions: int = MAX_FUZZ_INSTRUCTIONS
+                  ) -> CheckReport:
     """Run one program through the full oracle stack.
 
     ``mutation`` names a test-only trace corruption from ``MUTATIONS``
@@ -226,28 +233,27 @@ def check_program(program, models=ALL_MODELS, mutation: Optional[str] = None,
                 "final architectural state differs from %s"
                 % reference.value))
 
-    if packed_oracle:
-        packed = PackedTrace.from_entries(program, entries)
-        for model in models:
-            if model not in stats_by_model:
-                continue  # already reported as a hang above
-            try:
-                packed_stats = Simulator(program, packed,
-                                         model_params(model)
-                                         ).run(max_cycles=budget)
-            except SimulationError as exc:
-                report.divergences.append(Divergence(
-                    "packed-stats", model.value,
-                    "hang: %d-cycle budget exhausted (%s)" % (budget, exc)))
-                continue
-            listed = stats_by_model[model].to_dict()
-            packed_dict = packed_stats.to_dict()
-            if packed_dict != listed:
-                keys = sorted(k for k in set(listed) | set(packed_dict)
-                              if listed.get(k) != packed_dict.get(k))
-                report.divergences.append(Divergence(
-                    "packed-stats", model.value,
-                    "SimStats differ for: " + ", ".join(keys[:6])))
+    packed = PackedTrace.from_entries(program, entries)
+    for model in models:
+        if model not in stats_by_model:
+            continue  # already reported as a hang above
+        sim = Simulator(program, packed, model_params(model))
+        sim.tick_hook = _observe_every_cycle
+        try:
+            reference_stats = sim.run(max_cycles=budget)
+        except SimulationError as exc:
+            report.divergences.append(Divergence(
+                "reference-stats", model.value,
+                "hang: %d-cycle budget exhausted (%s)" % (budget, exc)))
+            continue
+        skip_on = stats_by_model[model].to_dict()
+        skip_off = reference_stats.to_dict()
+        if skip_off != skip_on:
+            keys = sorted(k for k in set(skip_on) | set(skip_off)
+                          if skip_on.get(k) != skip_off.get(k))
+            report.divergences.append(Divergence(
+                "reference-stats", model.value,
+                "SimStats differ for: " + ", ".join(keys[:6])))
     return report
 
 

@@ -458,8 +458,8 @@ class PrecomputeStore:
     (a bundle is meaningless without its trace) plus
     ``PRECOMPUTE_FORMAT_VERSION`` and a hash of the precompute/branch
     sources, so editing the predictor silently invalidates stale
-    bundles.  Blobs are CRC'd, written atomically, loaded read-only via
-    ``mmap``, and any unreadable/mismatched blob is a clean miss.
+    bundles.  Blobs are CRC'd, written atomically, read back and decoded
+    into lists, and any unreadable/mismatched blob is a clean miss.
     """
 
     suffix = ".pre"

@@ -200,8 +200,7 @@ def measure_batched(workloads: Iterable[str] = BENCH_WORKLOADS,
             start = time.perf_counter()
             pre = TracePrecompute.build(
                 packed, bpred_signature(model_params(ModelKind.BASELINE)))
-            cached = pre.cached_trace()
-            stats = [Simulator(program, cached, spec.to_params(),
+            stats = [Simulator(program, packed, spec.to_params(),
                                precompute=pre).run()
                      for spec in matrix]
             elapsed = time.perf_counter() - start

@@ -121,9 +121,9 @@ class BatchTiming:
     traces_generated: int = 0        # functional traces run in the parent
     worker_retraces: int = 0         # functional traces re-run in workers
     precomputes_built: int = 0       # trace bundles analysed in the parent
-    precomputes_loaded: int = 0      # trace bundles mapped from the store
+    precomputes_loaded: int = 0      # trace bundles loaded from the store
     worker_precomputes_built: int = 0    # bundles workers rebuilt locally
-    worker_precomputes_loaded: int = 0   # bundles workers mapped
+    worker_precomputes_loaded: int = 0   # bundles workers loaded
 
     @property
     def functional_traces(self) -> int:
@@ -169,7 +169,7 @@ def _run_task(task):
     decode -- deleted, truncated, format-bumped under us -- fall back to
     re-tracing rather than failing the task.  The blob slot may also be
     a ``(trace_path, precompute_path)`` pair: the precompute bundle is
-    then mapped the same way, so all of this task's configurations share
+    then loaded the same way, so all of this task's configurations share
     one whole-trace analysis; a bundle that fails to decode (or was
     never shipped, with more than one config to amortise it over) is
     rebuilt locally.  The third element of the return value counts
@@ -196,7 +196,7 @@ def _run_task(task):
             try:
                 _WORKER_RUNNER.precompute_for(workload)
             except Exception:
-                pass    # the per-run path still works without a bundle
+                pass    # each Simulator builds its own bundle
     out = []
     for model, settings in configs:
         start = time.perf_counter()
@@ -293,7 +293,7 @@ class ParallelEngine:
     timed_out: int = 0
     worker_retraces: int = 0         # functional traces workers re-ran
     worker_precomputes_built: int = 0    # bundles workers rebuilt locally
-    worker_precomputes_loaded: int = 0   # bundles workers mapped
+    worker_precomputes_loaded: int = 0   # bundles workers loaded
     degraded: bool = False
 
     def _say(self, message: str) -> None:

@@ -9,7 +9,7 @@ them under arbitrary model/parameter combinations with three cache layers:
    batches of points over multiprocessing workers.
 
 Functional traces get the same treatment: :meth:`ExperimentRunner.trace`
-returns a columnar :class:`~repro.kernel.tracestore.PackedTrace`, resolved
+returns a packed :class:`~repro.kernel.tracestore.PackedTrace`, resolved
 memo -> persistent trace store -> functional CPU, and batch fan-out hands
 workers the persisted blob's path so they ``mmap`` it instead of
 re-tracing (DESIGN.md section 12).
@@ -138,7 +138,7 @@ class ExperimentRunner:
         # one precompute per distinct trace" is built + loaded == number
         # of distinct traces swept, asserted in tests via BatchTiming.
         self.precomputes_built = 0   # bundles analysed in this process
-        self.precomputes_loaded = 0  # bundles mapped from the store
+        self.precomputes_loaded = 0  # bundles loaded from the store
         self.worker_precomputes_built = 0
         self.worker_precomputes_loaded = 0
 
@@ -163,7 +163,7 @@ class ExperimentRunner:
     def trace(self, workload: str) -> PackedTrace:
         """The packed dynamic trace for a workload: memo -> store -> trace.
 
-        A store hit maps the persisted columnar blob read-only (zero
+        A store hit maps the persisted packed blob read-only (zero
         functional re-execution); a miss runs the functional CPU once and
         persists the packed result for every later session and worker.
         """
@@ -237,6 +237,8 @@ class ExperimentRunner:
         except Exception:
             return False
         self._traces[workload] = packed
+        # A bundle is tied to the trace object it was built for.
+        self._precomputes.pop(workload, None)
         self.traces_loaded += 1
         return True
 
@@ -250,7 +252,7 @@ class ExperimentRunner:
     def _bpred_signature(self):
         """The default predictor geometry bundles are keyed by.  A point
         that overrides any of it fails ``TracePrecompute.matches`` inside
-        the Simulator and transparently takes the per-run path."""
+        the Simulator, which then builds a bundle for its own geometry."""
         if self._bpred_sig is None:
             self._bpred_sig = bpred_signature(
                 model_params(ModelKind.BASELINE))
@@ -372,14 +374,11 @@ class ExperimentRunner:
             from ..obs import MetricsTracer  # deferred: keeps import light
             tracer = MetricsTracer()
         # Batch submissions resolve a shared precompute bundle per trace
-        # (see run_batch); single-point run() stays on the per-run path.
-        pre = self._precomputes.get(workload)
-        if pre is not None:
-            stats = Simulator(self.program(workload), pre.cached_trace(),
-                              params, tracer=tracer, precompute=pre).run()
-        else:
-            stats = Simulator(self.program(workload), self.trace(workload),
-                              params, tracer=tracer).run()
+        # (see run_batch); a single-point run() has none here, and the
+        # Simulator builds its own.
+        stats = Simulator(self.program(workload), self.trace(workload),
+                          params, tracer=tracer,
+                          precompute=self._precomputes.get(workload)).run()
         if tracer is not None:
             self.metrics_log[self._memo_key(workload,
                                             spec)] = tracer.report()
@@ -633,7 +632,7 @@ class ExperimentRunner:
                         try:
                             self.precompute_for(workload)
                         except Exception:
-                            pass    # per-run path still works without it
+                            pass    # each Simulator builds its own
                     misses.sort(key=lambda p: p.workload)
                 for point in misses:
                     failure = self._simulate_with_retry(point, publish)

@@ -5,7 +5,7 @@ simulator's inner loop; this module tracks the layer above it -- a whole
 parameter sweep, where since the fault-tolerant engine every point runs
 in a fresh session (supervised worker process) and functional tracing is
 repeated O(points) unless something persists the trace.  That something
-is the columnar trace store (DESIGN.md section 12); this benchmark is its
+is the packed trace store (DESIGN.md section 12); this benchmark is its
 tracked artifact (``BENCH_sweep.json``).
 
 Each *leg* runs the same point matrix -- BENCH_WORKLOADS x all four
@@ -95,11 +95,12 @@ SMOKE_PROBE_SCALE = 4.0
 # ~1.2-1.35x on these workloads).  The batched floor is the acceptance
 # bar for the batched timing core: per-trace-grouped scheduling with a
 # shared precompute bundle must beat the ungrouped warm leg on per-point
-# warm throughput.  Calibration: the per-run precompute passes plus the
-# lazy entry/decode materialisation the bundle amortises are ~25-30% of
-# a warm-store point, so clean-machine smoke runs measure 1.27-1.39x; a
-# 1.2 floor fails any real regression (redundant precompute work shows
-# up as ~1.0x) without flaking on leg-ordering noise.
+# warm throughput.  Calibration: the per-point bundle build plus the
+# lazy entry/decode materialisation a shared bundle amortises are
+# ~25-30% of a warm-store point, so clean-machine smoke runs measure
+# 1.27-1.39x; a 1.2 floor fails any real regression (redundant
+# precompute work shows up as ~1.0x) without flaking on leg-ordering
+# noise.
 MIN_WARM_SPEEDUP = 1.5
 MIN_WARM_STORE_SPEEDUP = 1.05
 MIN_BATCHED_SPEEDUP = 1.2
@@ -133,7 +134,8 @@ def bench_points() -> List[Tuple[str, ConfigSpec]]:
 
 def _run_point_legacy(workload: str, spec: ConfigSpec,
                       scale: Optional[float]) -> float:
-    """One pre-store point session: list trace, list-path simulation.
+    """One pre-store point session: a list trace, simulated without a
+    shared bundle (the Simulator packs it and builds its own tables).
 
     Reproduces what a fresh worker did before the trace store existed,
     so the ``legacy`` leg is an honest baseline rather than a strawman.
@@ -298,7 +300,7 @@ def _rss_probe_child(conn, mode: str, scale: Optional[float],
     """Simulate one (mcf, dmdp) point and report this process's peak RSS.
 
     ``legacy`` holds the full ``List[TraceEntry]`` (one Python object per
-    dynamic instruction); ``packed`` maps the store's columnar blob.
+    dynamic instruction); ``packed`` maps the store's packed blob.
     """
     import resource
     try:

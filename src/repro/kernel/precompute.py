@@ -1,52 +1,40 @@
-"""Vectorized whole-trace precompute bundles (DESIGN.md section 14).
+"""Whole-trace precompute bundles (DESIGN.md section 14).
 
-Every timing simulation starts by deriving per-trace metadata -- which
-trace entries the front end mispredicts, the global branch history seen
-at rename, the decode template per entry -- and builds a per-run
-architectural memory image.  None of that depends on the sweep
-configuration (only on the trace content and the branch-predictor
-geometry), yet ``Simulator.__init__`` re-derives all of it once per
-sweep point: a 16-point sweep scans the same mmap'd trace 16 times.
+Every timing simulation needs per-trace metadata -- which trace entries
+the front end mispredicts, the global branch history seen at rename,
+the decode template per entry -- and a pre-execution architectural
+memory image.  None of that depends on the sweep configuration (only on
+the trace content and the branch-predictor geometry).
 
-:class:`TracePrecompute` computes that metadata **once per trace**,
-directly from :class:`~repro.kernel.tracestore.PackedTrace` columns --
-via numpy when available (``memoryview`` -> ``np.frombuffer``,
-zero-copy), with a pure-Python fallback that produces byte-identical
-tables -- and shares it across every configuration and worker that
-simulates the trace:
+:class:`TracePrecompute` derives it from
+:class:`~repro.kernel.tracestore.PackedTrace` columns in one pure-Python
+pass, and it is the only place the Simulator gets it from: a sweep
+builds one bundle per trace and shares it across every configuration
+and worker that simulates the trace, and a single run builds its own.
+The bundle holds:
 
-* ``mispredicted`` -- per-entry branch-outcome bitmap from a sequential
-  :class:`~repro.uarch.branch.BranchPredictor` replay (the only pass
-  that cannot be vectorized; it loops over control entries only);
-* ``history`` -- the global-history shift register value at rename,
-  vectorized as a windowed OR over the taken bits of conditional
-  branches plus one ``repeat`` fill;
-* ``taken`` / ``target`` -- zero-copy views of the trace's flag and
-  next-pc columns;
-* ``word_addr`` / ``bab`` / ``dep_word`` / ``dep_covers_word`` -- the
-  store->load collision/dependence index at T-SSBF word granularity
-  (last-writer dynamic index per accessed word, and whether that writer
-  covers the load's Byte Access Bits), derived lazily and fully
-  vectorized;
+* ``mispredicted`` -- per-entry branch-outcome flags from a sequential
+  :class:`~repro.uarch.branch.BranchPredictor` replay;
+* ``history`` -- the global-history shift register value at rename;
 * a decode-template index (``_Decoded`` per trace entry), memoised per
   latency signature so every config with default latencies shares one
   table;
-* a lazily materialised :class:`TraceEntry` cache
-  (:meth:`cached_trace`) and a shared base memory image
-  (:meth:`base_memory`), so trace-resident multi-config runs stop
-  paying per-config entry materialisation and data-segment loads.
+* a shared dense :class:`TraceEntry` list (:meth:`entry_list`) and a
+  shared base memory image (:meth:`base_memory`), so trace-resident
+  multi-config runs stop paying per-config entry materialisation and
+  data-segment loads.
 
 Bundles serialise to a small CRC'd blob (the sequential parts only:
-bitmap + history; everything else re-derives in microseconds from the
-trace columns) so the harness can persist them next to the trace blob
-and mmap-share them read-only across sweep workers -- see
+bitmap + history; the decode index re-derives from the trace columns)
+so the harness can persist them next to the trace blob -- see
 ``PrecomputeStore`` in :mod:`repro.harness.cache`.
 
-The bundle is keyed by the branch-predictor *signature* (table bits,
-BTB entries, history bits): a configuration that overrides any of those
-fails :meth:`matches` and silently takes the unbatched per-run path, so
-sharing can never change results.  Byte-identity of SimStats across the
-list, packed, and batched paths is golden-pinned in
+The bundle is tied to one trace object and one branch-predictor
+*signature* (table bits, BTB entries, history bits): a Simulator handed
+a bundle for another trace, or a configuration that overrides any of
+the geometry, fails :meth:`matches` and builds a bundle of its own, so
+sharing can never change results.  Byte-identity of SimStats across
+the list, packed, and shared-bundle runs is golden-pinned in
 ``tests/test_precompute.py``.
 """
 
@@ -59,12 +47,7 @@ from array import array
 from typing import Dict, List, Optional, Tuple
 
 from .memory import SparseMemory
-from .tracestore import F_TAKEN, NO_DEP, _U32, _pad
-
-try:
-    import numpy as _np
-except ImportError:                   # pragma: no cover - baked-in normally
-    _np = None
+from .tracestore import F_TAKEN, _U32, _pad
 
 # Bump whenever the blob layout or the meaning of any precomputed table
 # changes; folded into the persistent store's keys (harness/cache.py) so
@@ -90,91 +73,20 @@ def bpred_signature(params) -> Tuple[int, int, int]:
             params.predictor.history_bits)
 
 
-def _as_u32_array(column, n: int):
-    """Numpy u32 view of a packed column (zero-copy where possible)."""
-    return _np.frombuffer(column, dtype=_np.uint32, count=n)
-
-
-def _as_u8_array(column, n: int):
-    return _np.frombuffer(column, dtype=_np.uint8, count=n)
-
-
-class _EntryCachedTrace:
-    """PackedTrace wrapper with a shared lazy :class:`TraceEntry` cache.
-
-    Satisfies the Simulator's columnar trace interface; ``trace[i]``
-    materialises each entry at most once *per bundle* instead of once
-    per access per configuration, so back-to-back runs over one trace
-    share the views the first run built.
-    """
-
-    columnar = True
-
-    __slots__ = ("_packed", "_cache", "program")
-
-    def __init__(self, packed, cache: list):
-        self._packed = packed
-        self._cache = cache
-        self.program = packed.program
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self._cache)))]
-        entry = self._cache[index]
-        if entry is None:
-            entry = self._cache[index] = self._packed[index]
-        return entry
-
-    def __iter__(self):
-        for index in range(len(self._cache)):
-            yield self[index]
-
-    def static_column(self):
-        return self._packed.static_column()
-
-    def next_pc_column(self):
-        return self._packed.next_pc_column()
-
-    def flags_column(self):
-        return self._packed.flags_column()
-
-    def mem_addr_column(self):
-        return self._packed.mem_addr_column()
-
-    def value_column(self):
-        return self._packed.value_column()
-
-    def dep_column(self):
-        return self._packed.dep_column()
-
-    def mem_size_column(self):
-        return self._packed.mem_size_column()
-
-
 class TracePrecompute:
     """Whole-trace analysis shared by every run of one packed trace."""
 
     def __init__(self, trace, signature: Tuple[int, int, int],
-                 mispredicted, history):
+                 mispredicted: List[bool], history: List[int]):
         self.trace = trace
         self.signature = tuple(signature)
         self.n = len(trace)
-        # Raw tables: numpy arrays (vectorized build / mmap load) or
-        # plain Python lists (fallback build).
         self._mispredicted = mispredicted
         self._history = history
         # Lazily materialised shared state.
-        self._mis_list: Optional[List[bool]] = None
-        self._hist_list: Optional[List[int]] = None
-        self._static_list: Optional[List[int]] = None
         self._dec_memo: Dict[Tuple[int, int, int, int], list] = {}
         self._entries: Optional[list] = None
-        self._entries_dense = False
         self._base_mem: Optional[SparseMemory] = None
-        self._dep_index = None
 
     # -- construction --------------------------------------------------------
 
@@ -183,11 +95,9 @@ class TracePrecompute:
               ) -> "TracePrecompute":
         """Analyse one packed trace under one predictor geometry.
 
-        The branch-predictor replay is inherently sequential (table and
-        BTB state), but it only visits control entries; everything else
-        is vectorized when numpy is available.  The fallback path fuses
-        the same passes into one Python scan and produces identical
-        tables (asserted in tests).
+        One scan over the packed columns replays the branch predictor on
+        control entries and records the rename-time history of every
+        entry.
         """
         # Deferred import: the uarch layer imports repro.kernel, so a
         # module-level import here would be circular.  The bundle is the
@@ -199,85 +109,25 @@ class TracePrecompute:
         table_bits, btb_entries, history_bits = signature
         program = trace.program
         instrs = program.instructions
-        bpred = BranchPredictor(table_bits, btb_entries)
-        predict = bpred.predict_and_update
-        n = len(trace)
-        if _np is None:
-            return cls._build_fallback(trace, signature, bpred)
-
-        static = _as_u32_array(trace.static_column(), n)
-        flags = _as_u8_array(trace.flags_column(), n)
-        next_pc = _as_u32_array(trace.next_pc_column(), n)
-        is_control = _np.fromiter((i.is_control for i in instrs),
-                                  dtype=bool, count=len(instrs))
-        is_cond = _np.fromiter((i.is_cond_branch for i in instrs),
-                               dtype=bool, count=len(instrs))
-
-        mispredicted = _np.zeros(n, dtype=_np.uint8)
-        if n:
-            ctrl = _np.nonzero(is_control[static])[0]
-        else:
-            ctrl = _np.zeros(0, dtype=_np.intp)
-        if len(ctrl):
-            si_ctrl = static[ctrl]
-            taken_ctrl = (flags[ctrl] & F_TAKEN) != 0
-            pcs = program.text_base + 4 * si_ctrl.astype(_np.int64)
-            mis_ctrl = _np.zeros(len(ctrl), dtype=_np.uint8)
-            rows = zip(si_ctrl.tolist(), pcs.tolist(),
-                       taken_ctrl.tolist(), next_pc[ctrl].tolist())
-            for j, (si, pc, taken, npc) in enumerate(rows):
-                if not predict(pc, instrs[si], taken, npc):
-                    mis_ctrl[j] = 1
-            mispredicted[ctrl] = mis_ctrl
-            cond = ctrl[is_cond[si_ctrl]]
-        else:
-            cond = ctrl
-
-        # history[i] = shift-register state after every conditional
-        # branch with index < i.  The recurrence s_j = ((s_{j-1} << 1)
-        # | t_j) & mask keeps the last ``history_bits`` taken bits, so
-        # the state after cond branch j is a windowed OR of shifted
-        # taken bits -- history_bits vector ops instead of an n-loop.
-        m = len(cond)
-        states = _np.zeros(m, dtype=_np.uint32)
-        if m:
-            t = ((flags[cond] & F_TAKEN) != 0).astype(_np.uint32)
-            for k in range(history_bits):
-                if k >= m:
-                    break
-                states[k:] |= t[:m - k] << _np.uint32(k)
-        values = _np.concatenate((_np.zeros(1, dtype=_np.uint32), states))
-        bounds = _np.concatenate((_np.zeros(1, dtype=_np.int64),
-                                  cond.astype(_np.int64) + 1,
-                                  _np.asarray([n], dtype=_np.int64)))
-        history = _np.repeat(values, _np.diff(bounds))
-        return cls(trace, signature, mispredicted, history)
-
-    @classmethod
-    def _build_fallback(cls, trace, signature, bpred) -> "TracePrecompute":
-        """Pure-Python build (no numpy): one fused scan over the columns."""
-        _, _, history_bits = signature
-        program = trace.program
-        instrs = program.instructions
         text_base = program.text_base
-        static = trace.static_column()
+        is_control = [instr.is_control for instr in instrs]
+        is_cond = [instr.is_cond_branch for instr in instrs]
+        predict = BranchPredictor(table_bits, btb_entries).predict_and_update
         flags = trace.flags_column()
         next_pc = trace.next_pc_column()
-        predict = bpred.predict_and_update
         mask = (1 << history_bits) - 1
         n = len(trace)
         mispredicted = [False] * n
         history = [0] * n
         state = 0
-        for i in range(n):
-            instr = instrs[static[i]]
+        for i, si in enumerate(trace.static_column()):
             history[i] = state
-            if instr.is_control:
-                taken = bool(flags[i] & F_TAKEN)
-                hit = predict(text_base + 4 * static[i], instr, taken,
-                              next_pc[i])
-                mispredicted[i] = not hit
-                if instr.is_cond_branch:
+            if is_control[si]:
+                taken = (flags[i] & F_TAKEN) != 0
+                if not predict(text_base + 4 * si, instrs[si], taken,
+                               next_pc[i]):
+                    mispredicted[i] = True
+                if is_cond[si]:
                     state = ((state << 1) | taken) & mask
         return cls(trace, signature, mispredicted, history)
 
@@ -286,48 +136,23 @@ class TracePrecompute:
     def matches(self, trace, params) -> bool:
         """Usable for this (trace, configuration) pair?
 
-        A config that overrides the predictor geometry gets ``False``
-        and falls back to the per-run precompute, so sharing a bundle
-        can never change a result.
+        Only the very trace object the bundle was built or loaded for,
+        under the same predictor geometry: any other trace (even one of
+        the same length) or a config that overrides the geometry gets
+        ``False``, and the Simulator builds a bundle of its own.
         """
-        return (len(trace) == self.n
+        return (trace is self.trace
                 and bpred_signature(params) == self.signature)
 
     # -- Simulator-facing tables (materialised once, shared) -----------------
 
     def mispredicted_list(self) -> List[bool]:
-        """Per-entry mispredict flags as plain Python bools (hot-loop
-        indexing and golden byte-identity both want native types)."""
-        if self._mis_list is None:
-            mis = self._mispredicted
-            if isinstance(mis, list):
-                self._mis_list = mis
-            elif _np is not None and isinstance(mis, _np.ndarray):
-                self._mis_list = (mis != 0).tolist()
-            else:
-                self._mis_list = [bool(v) for v in mis]
-        return self._mis_list
+        """Per-entry mispredict flags."""
+        return self._mispredicted
 
     def history_list(self) -> List[int]:
-        """Per-entry rename-time global history as plain Python ints."""
-        if self._hist_list is None:
-            hist = self._history
-            if isinstance(hist, list):
-                self._hist_list = hist
-            elif _np is not None and isinstance(hist, _np.ndarray):
-                self._hist_list = hist.tolist()
-            else:
-                self._hist_list = [int(v) for v in hist]
-        return self._hist_list
-
-    def _statics(self) -> List[int]:
-        if self._static_list is None:
-            column = self.trace.static_column()
-            if _np is not None and not isinstance(column, (list, array)):
-                self._static_list = _as_u32_array(column, self.n).tolist()
-            else:
-                self._static_list = list(column)
-        return self._static_list
+        """Per-entry rename-time global history."""
+        return self._history
 
     def decode_index(self, params) -> list:
         """``_Decoded`` template per trace entry, memoised per latency
@@ -340,7 +165,7 @@ class TracePrecompute:
             instrs = self.trace.program.instructions
             dec_static = [None] * len(instrs)
             index = [None] * self.n
-            for i, si in enumerate(self._statics()):
+            for i, si in enumerate(self.trace.static_column()):
                 dec = dec_static[si]
                 if dec is None:
                     dec = dec_static[si] = _Decoded(instrs[si], params)
@@ -348,30 +173,14 @@ class TracePrecompute:
             self._dec_memo[key] = index
         return index
 
-    def cached_trace(self) -> _EntryCachedTrace:
-        """The packed trace behind a shared entry-materialisation cache."""
-        if self._entries is None:
-            self._entries = [None] * self.n
-        return _EntryCachedTrace(self.trace, self._entries)
-
     def entry_list(self) -> list:
         """Every entry materialised into a plain list, once per bundle.
 
-        The first run over a trace touches every entry anyway (fetch
-        walks the whole thing), so batched Simulators index this shared
-        list directly — C-speed ``list[i]`` on the hot path instead of
-        the lazy wrapper's per-access Python call.  Backed by the same
-        cache :meth:`cached_trace` fills, so the two views stay
-        consistent."""
-        if not self._entries_dense:
-            if self._entries is None:
-                self._entries = [None] * self.n
-            entries = self._entries
-            packed = self.trace
-            for i, entry in enumerate(entries):
-                if entry is None:
-                    entries[i] = packed[i]
-            self._entries_dense = True
+        Fetch walks every entry anyway, so Simulators sharing a bundle
+        index this list directly -- C-speed ``list[i]`` on the hot path
+        instead of a packed view's per-access Python call."""
+        if self._entries is None:
+            self._entries = list(self.trace)
         return self._entries
 
     def base_memory(self) -> SparseMemory:
@@ -385,79 +194,19 @@ class TracePrecompute:
             self._base_mem = mem
         return self._base_mem
 
-    # -- collision/dependence index (vectorized, derived lazily) -------------
-
-    def dependence_index(self):
-        """``(word_addr, bab, dep_word, dep_covers_word)`` per entry.
-
-        The last-writer index at T-SSBF word granularity: ``dep_word``
-        is the dynamic index of the youngest store that wrote any byte
-        of the entry's access (``NO_DEP`` sentinel otherwise), and
-        ``dep_covers_word`` mirrors ``pipeline._covers`` -- the dep
-        store touches the same word and its Byte Access Bits cover the
-        load's.  Numpy arrays when available, plain lists otherwise.
-        """
-        if self._dep_index is None:
-            n = self.n
-            trace = self.trace
-            if _np is not None and n and not isinstance(
-                    trace.static_column(), (list, array)):
-                mem_addr = _as_u32_array(trace.mem_addr_column(), n)
-                mem_size = _as_u8_array(trace.mem_size_column(), n)
-                dep = _as_u32_array(trace.dep_column(), n)
-                word_addr = mem_addr & _np.uint32(0xFFFFFFFC)
-                bab = ((_np.uint32(1) << mem_size.astype(_np.uint32))
-                       - _np.uint32(1)) << (mem_addr & _np.uint32(0x3))
-                bab = bab.astype(_np.uint8)
-                has_dep = dep != _np.uint32(NO_DEP)
-                safe = _np.where(has_dep, dep, 0)
-                covers = (has_dep
-                          & (word_addr[safe] == word_addr)
-                          & ((bab[safe] & bab) == bab))
-                self._dep_index = (word_addr, bab, dep, covers)
-            else:
-                word_addr, bab, covers = [], [], []
-                dep_col = list(trace.dep_column()) if n else []
-                for i in range(n):
-                    entry = trace[i]
-                    word_addr.append(entry.word_addr)
-                    bab.append(entry.bab)
-                    d = dep_col[i]
-                    covers.append(
-                        d != NO_DEP
-                        and trace[d].word_addr == entry.word_addr
-                        and (trace[d].bab & entry.bab) == entry.bab)
-                self._dep_index = (word_addr, bab, dep_col, covers)
-        return self._dep_index
-
     # -- binary encoding ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialise the sequential tables (bitmap + history).
-
-        The derived columns re-vectorize from the trace blob in
-        microseconds, so persisting them would only bloat the store.
-        """
+        """Serialise the sequential tables (bitmap + history)."""
         n = self.n
-        packed_len = _pad((n + 7) // 8)
-        if _np is not None and isinstance(self._mispredicted, _np.ndarray):
-            bits = _np.packbits(self._mispredicted != 0, bitorder="little")
-            mis_bytes = bits.tobytes()
-        else:
-            buf = bytearray((n + 7) // 8)
-            for i, flag in enumerate(self._mispredicted):
-                if flag:
-                    buf[i >> 3] |= 1 << (i & 7)
-            mis_bytes = bytes(buf)
-        mis_bytes = mis_bytes + b"\x00" * (packed_len - len(mis_bytes))
-        if _np is not None and isinstance(self._history, _np.ndarray):
-            hist_bytes = self._history.astype("<u4").tobytes()
-        else:
-            col = array(_U32, self._history)
-            if sys.byteorder != "little":  # pragma: no cover - exotic
-                col.byteswap()
-            hist_bytes = col.tobytes()
-        payload = mis_bytes + hist_bytes
+        mis_bytes = bytearray(_pad((n + 7) // 8))
+        for i, flag in enumerate(self._mispredicted):
+            if flag:
+                mis_bytes[i >> 3] |= 1 << (i & 7)
+        col = array(_U32, self._history)
+        if sys.byteorder != "little":  # pragma: no cover - exotic
+            col.byteswap()
+        payload = bytes(mis_bytes) + col.tobytes()
         table_bits, btb_entries, history_bits = self.signature
         header = _HEADER.pack(_MAGIC, PRECOMPUTE_FORMAT_VERSION, n,
                               table_bits, btb_entries, history_bits, 0,
@@ -498,21 +247,19 @@ class TracePrecompute:
         payload = view[_HEADER.size:]
         if zlib.crc32(payload) & _U32_MAX != crc:
             raise PrecomputeDecodeError("payload checksum mismatch")
-        mis_view = payload[:packed_len]
-        hist_view = payload[packed_len:]
-        if _np is not None:
-            mis = _np.unpackbits(_np.frombuffer(mis_view, dtype=_np.uint8),
-                                 count=n, bitorder="little")
-            history = _np.frombuffer(hist_view, dtype="<u4", count=n)
-        else:
-            raw = bytes(mis_view)
-            mis = [bool(raw[i >> 3] & (1 << (i & 7))) for i in range(n)]
-            col = array(_U32)
-            col.frombytes(bytes(hist_view))
-            if sys.byteorder != "little":  # pragma: no cover - exotic
-                col.byteswap()
-            history = list(col)
-        return cls(trace, found, mis, history)
+        # Mispredicts are sparse: visit the non-zero bitmap bytes only.
+        mis = [False] * (8 * packed_len)
+        for byte_index, byte in enumerate(payload[:packed_len]):
+            while byte:
+                low = byte & -byte
+                mis[8 * byte_index + low.bit_length() - 1] = True
+                byte ^= low
+        del mis[n:]
+        col = array(_U32)
+        col.frombytes(payload[packed_len:])
+        if sys.byteorder != "little":  # pragma: no cover - exotic
+            col.byteswap()
+        return cls(trace, found, mis, col.tolist())
 
 
 def write_precompute(path, bundle: TracePrecompute) -> None:
@@ -524,29 +271,12 @@ def write_precompute(path, bundle: TracePrecompute) -> None:
 def load_precompute(path, trace,
                     signature: Optional[Tuple[int, int, int]] = None
                     ) -> TracePrecompute:
-    """Load a bundle read-only against its trace.
+    """Load a bundle against its trace.
 
-    The history column is a zero-copy view into an ``mmap`` when the
-    platform allows, so concurrent workers share one page-cache copy.
-    Raises :class:`PrecomputeDecodeError` (or ``OSError``) on any
-    problem -- callers treat that as a cache miss.
+    The file is read rather than mapped: decoding copies the tables into
+    lists anyway.  Raises :class:`PrecomputeDecodeError` (or ``OSError``)
+    on any problem -- callers treat that as a cache miss.
     """
-    import mmap
-
-    path = str(path)
-    with open(path, "rb") as handle:
-        if _np is not None:
-            try:
-                mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            except (ValueError, OSError):   # empty file / no mmap support
-                mm = None
-            if mm is not None:
-                try:
-                    bundle = TracePrecompute.from_buffer(trace, mm, signature)
-                except Exception:
-                    mm.close()
-                    raise
-                bundle._mmap = mm           # keep the mapping alive
-                return bundle
+    with open(str(path), "rb") as handle:
         data = handle.read()
     return TracePrecompute.from_buffer(trace, data, signature)

@@ -20,10 +20,12 @@ flag bits, and ``dep_store`` uses an explicit sentinel.
 timing Simulator's trace interface -- ``len()``, ``trace[i]`` -- by
 materialising :class:`TraceEntry` views on demand, while exposing the raw
 columns (``static_column`` / ``flags_column`` / ``next_pc_column``) so the
-Simulator's whole-trace precompute passes scan integers instead of
-building objects.  Loaded from disk the columns are zero-copy views into
-an ``mmap``, so N concurrent workers reading the same blob share one set
-of page-cache pages instead of N private object heaps.
+whole-trace precompute pass (:mod:`repro.kernel.precompute`, the one
+source of every Simulator's trace tables) and the Simulator's fetch stage
+scan integers instead of building objects.  Loaded from disk the columns
+are zero-copy views into an ``mmap``, so N concurrent workers reading the
+same blob share one set of page-cache pages instead of N private object
+heaps.
 
 Integrity: the header pins the format version, the entry count, the
 program shape (instruction count, data length, bases, entry pc) and a
@@ -79,7 +81,7 @@ _CAN_CAST = struct.calcsize("I") == 4 and sys.byteorder == "little"
 
 
 class TraceEncodeError(ValueError):
-    """A trace entry does not fit the columnar encoding."""
+    """A trace entry does not fit the packed column encoding."""
 
 
 class TraceDecodeError(ValueError):
@@ -93,11 +95,9 @@ class PackedTrace:
     """Columnar dynamic trace with lazy :class:`TraceEntry` views.
 
     Satisfies the Simulator's trace interface (``len``, integer and slice
-    indexing, iteration); ``columnar`` marks it for the Simulator's
-    array-scanning precompute fast paths.
+    indexing, iteration) and exposes the raw columns the precompute pass
+    scans.
     """
-
-    columnar = True
 
     __slots__ = ("program", "_n", "_static", "_next_pc", "_mem_addr",
                  "_value", "_dep", "_flags", "_mem_size", "_instructions",
@@ -159,7 +159,7 @@ class PackedTrace:
         for index in range(self._n):
             yield self[index]
 
-    # -- columnar fast-path accessors ---------------------------------------
+    # -- column accessors ----------------------------------------------------
 
     def static_column(self) -> Column:
         """Static instruction index per entry (u32)."""
@@ -397,7 +397,7 @@ class ColumnarTraceRecorder:
 def run_trace_packed(program: Program,
                      max_instructions: int = MAX_TRACE_INSTRUCTIONS
                      ) -> PackedTrace:
-    """Trace ``program`` directly into columnar form (no object list)."""
+    """Trace ``program`` directly into packed columns (no object list)."""
     recorder = ColumnarTraceRecorder(program)
     FunctionalCpu(program).run(max_instructions=max_instructions,
                                recorder=recorder)

@@ -23,17 +23,16 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..isa import FuClass, Instruction, Opcode, Program, STACK_TOP
 from ..isa.registers import (NUM_ARCH_REGS, NUM_LOGICAL_REGS, REG_AGI,
                              REG_LDTMP, REG_PRED)
 from ..kernel.cpu import WORD_MASK, alu_result, sign_extend
-from ..kernel.memory import SparseMemory
 from ..kernel.trace import TraceEntry
-from ..kernel.tracestore import F_TAKEN
+from ..kernel.precompute import TracePrecompute, bpred_signature
+from ..kernel.tracestore import F_TAKEN, pack_trace
 from ..obs.tracer import NULL_TRACER, PipelineTracer
-from .branch import BranchPredictor
 from .cachesim import MemoryHierarchy
 from .distance_predictor import StoreDistancePredictor
 from .params import CoreParams, ModelKind
@@ -131,7 +130,7 @@ def _covers(store: TraceEntry, load: TraceEntry) -> bool:
 class Simulator:
     """One simulation run: a trace executed under one configuration."""
 
-    def __init__(self, program: Program, trace: List[TraceEntry],
+    def __init__(self, program: Program, trace: Sequence[TraceEntry],
                  params: CoreParams, track_arch_state: bool = False,
                  tracer: Optional[PipelineTracer] = None,
                  precompute=None):
@@ -188,21 +187,35 @@ class Simulator:
         # Occupancy-at-drain sampling happens inside the buffer itself.
         self.sb.tracer = self._tr
 
-        # Shared whole-trace precompute bundle (kernel/precompute.py):
-        # honoured only when it was built for this trace under this
-        # configuration's predictor geometry, so a config overriding any
-        # bpred parameter silently falls back to the per-run passes.
-        self._pre = None
-        if (precompute is not None and getattr(trace, "columnar", False)
-                and precompute.matches(trace, params)):
-            self._pre = precompute
+        # Trace tables (kernel/precompute.py): the mispredict flags,
+        # rename-time history, decode templates and base memory image
+        # depend only on the trace and the predictor geometry (the front
+        # end is deterministic on the committed path, so squash/refetch
+        # replays identical predictions), and they always come from one
+        # TracePrecompute bundle.  A caller's shared bundle is honoured
+        # only for the very trace it was built from under this
+        # configuration's predictor signature; otherwise this run builds
+        # its own.
+        packed = pack_trace(program, trace)
+        pre = precompute
+        if pre is not None and pre.matches(packed, params):
+            # Fetch walks every entry, so runs sharing a bundle index its
+            # dense entry list: plain-list indexing keeps a Python call
+            # out of the hot loop.
+            self.trace = pre.entry_list()
+        else:
+            # One run indexes the trace as given: a list is already
+            # dense, and lazy packed views keep memory at the in-flight
+            # window.
+            pre = TracePrecompute.build(packed, bpred_signature(params))
+        self._pre = pre
+        self._mispredicted = pre.mispredicted_list()
+        self._history = pre.history_list()
+        self._dec_by_index = pre.decode_index(params)
+        self._taken_bits = packed.flags_column()
 
         # Architectural memory image evolved by *committed* stores only.
-        if self._pre is not None:
-            self.timing_mem = self._pre.base_memory().copy()
-        else:
-            self.timing_mem = SparseMemory()
-            self.timing_mem.load_segment(program.data_base, program.data)
+        self.timing_mem = pre.base_memory().copy()
 
         # Rename state.
         self.rename_map: List[int] = []
@@ -232,40 +245,6 @@ class Simulator:
         # Oracle bookkeeping.
         self.commit_cycle: Dict[int, int] = {}    # trace index -> cycle
 
-        # Precomputed front-end behaviour (deterministic on the committed
-        # path, so squash/refetch replays identical predictions) and the
-        # per-static-instruction decode cache (one shared template per
-        # static instruction, also indexable by trace position so the hot
-        # rename/crack path is a single list lookup).  A columnar
-        # PackedTrace takes a fused single pass over raw integer columns;
-        # the list path materialises the same data from TraceEntry
-        # objects.  Both produce identical tables (golden-pinned).
-        self._dec: Dict[int, _Decoded] = {}
-        self._taken_bits = None
-        if self._pre is not None:
-            # Batched fast path: the tables were computed once for this
-            # trace and are shared by every config/worker simulating it.
-            # Fetch walks every entry, so the bundle's fully-materialised
-            # shared entry list replaces the lazy per-access wrapper:
-            # after __init__ the trace is only indexed and iterated, and
-            # plain-list indexing keeps a Python call out of the hot loop.
-            self._taken_bits = trace.flags_column()
-            self.trace = self._pre.entry_list()
-            self._mispredicted = self._pre.mispredicted_list()
-            self._history = self._pre.history_list()
-            self._dec_by_index = self._pre.decode_index(params)
-        elif getattr(trace, "columnar", False):
-            self._taken_bits = trace.flags_column()
-            self._init_from_columns(trace, params)
-        else:
-            self._mispredicted = self._precompute_branch_outcomes()
-            self._history = self._precompute_history()
-            for entry in trace:
-                key = id(entry.instr)
-                if key not in self._dec:
-                    self._dec[key] = _Decoded(entry.instr, params)
-            self._dec_by_index: List[_Decoded] = [
-                self._dec[id(entry.instr)] for entry in trace]
         self._ee = self.stats.energy_events
 
         # Per-cycle issue budget template; building this dict from enum
@@ -304,84 +283,18 @@ class Simulator:
             self.rename_map.append(preg)
         self.committed_map = list(self.rename_map)
 
-    def _init_from_columns(self, trace, params: CoreParams) -> None:
-        """Columnar fast path for the whole-trace precompute passes.
-
-        One fused scan over the packed integer columns builds the decode
-        tables, the branch-misprediction flags, and the rename-time
-        global-history values without materialising a single TraceEntry
-        -- equivalent, entry for entry, to ``_precompute_branch_outcomes``
-        + ``_precompute_history`` + the decode-cache loop on a
-        ``List[TraceEntry]``.
-        """
-        program = self.program
-        instrs = program.instructions
-        text_base = program.text_base
-        static = trace.static_column()
-        flags = trace.flags_column()
-        next_pcs = trace.next_pc_column()
-        n = len(static)
-        bpred = BranchPredictor(params.bpred_table_bits, params.btb_entries)
-        predict = bpred.predict_and_update
-        history_mask = (1 << params.predictor.history_bits) - 1
-        history = 0
-        mispredicted = [False] * n
-        histories = [0] * n
-        dec_cache = self._dec
-        dec_static: List[Optional[_Decoded]] = [None] * len(instrs)
-        dec_by_index: List[Optional[_Decoded]] = [None] * n
-        for i in range(n):
-            si = static[i]
-            dec = dec_static[si]
-            if dec is None:
-                instr = instrs[si]
-                dec = _Decoded(instr, params)
-                dec_static[si] = dec
-                dec_cache[id(instr)] = dec
-            dec_by_index[i] = dec
-            histories[i] = history
-            if dec.is_control:
-                taken = bool(flags[i] & F_TAKEN)
-                hit = predict(text_base + 4 * si, instrs[si], taken,
-                              next_pcs[i])
-                mispredicted[i] = not hit
-                if dec.is_cond_branch:
-                    history = ((history << 1) | taken) & history_mask
-        self._mispredicted = mispredicted
-        self._history = histories
-        self._dec_by_index = dec_by_index
-
-    def _precompute_branch_outcomes(self) -> List[bool]:
-        """Per trace entry: did the front end mispredict it?"""
-        bpred = BranchPredictor(self.params.bpred_table_bits,
-                                self.params.btb_entries)
-        flags = []
-        for entry in self.trace:
-            if entry.instr.is_control:
-                hit = bpred.predict_and_update(
-                    entry.pc, entry.instr, entry.taken, entry.next_pc)
-                flags.append(not hit)
-            else:
-                flags.append(False)
-        return flags
-
-    def _precompute_history(self) -> List[int]:
-        """Global branch history (as seen at rename) per trace index."""
-        bits = self.params.predictor.history_bits
-        mask = (1 << bits) - 1
-        history = 0
-        values = []
-        for entry in self.trace:
-            values.append(history)
-            if entry.instr.is_cond_branch:
-                history = ((history << 1) | int(entry.taken)) & mask
-        return values
-
     # ------------------------------------------------------------------
     # Main loop.
     # ------------------------------------------------------------------
 
     def run(self, max_cycles: int = 200_000_000) -> SimStats:
+        """Simulate the whole trace and return its statistics.
+
+        Idle spans are skipped (event-driven cycle skipping) unless
+        ``tick_hook`` is set: a hook observes every cycle, so any hook,
+        a no-op one included, makes this the skip-off reference run,
+        whose statistics are byte-identical.
+        """
         total = len(self.trace)
         stats = self.stats
         sb = self.sb
@@ -1625,8 +1538,7 @@ class Simulator:
                     self.fetch_blocked_until = 1 << 62
                     self._pending_branch_index = fetched
                     break
-                if (taken_bits[fetched] & F_TAKEN if taken_bits is not None
-                        else trace[fetched].taken):
+                if taken_bits[fetched] & F_TAKEN:
                     break  # a taken branch ends the fetch group
         self.fetch_index = index
         self._ee["fetch_decode"] += index - first

@@ -3,21 +3,23 @@
 Four layers under test (DESIGN.md Section 14):
 
 * the tables -- :class:`TracePrecompute` must reproduce exactly the
-  per-run tables ``Simulator.__init__`` derives itself (mispredict
-  bitmap, rename-time global history, decode index, dependence index),
-  with the numpy and pure-Python builds byte-identical;
+  mispredict flags and rename-time global history of an independent
+  reference computed here from ``TraceEntry`` objects, before and after
+  a serialisation round trip, plus the decode index and base memory;
 * the golden bar -- SimStats must be byte-identical whether a point is
   simulated from the list trace, the packed trace, or the packed trace
-  plus a shared bundle, on every model;
-* the blob -- serialisation round-trips through bytes and through an
-  mmap'd file, and every corruption (truncated, flipped byte, bad
-  magic, format bump, wrong trace, wrong signature) raises
+  plus a shared bundle, on every model; a bundle is adopted only for
+  the trace and predictor geometry it was built for;
+* the blob -- serialisation round-trips through bytes and through a
+  file, and every corruption (truncated, flipped byte, bad magic,
+  format bump, wrong trace, wrong signature) raises
   :class:`PrecomputeDecodeError`, which the store reads as a clean miss;
 * the batching -- batch submissions resolve exactly one bundle per
   distinct trace (cold: built, warm store: loaded -- never rebuilt),
   asserted through the runner counters and :class:`BatchTiming`.
 """
 
+import copy
 import random
 
 import pytest
@@ -26,12 +28,15 @@ import repro.kernel.precompute as precompute_mod
 from repro.harness.cache import PrecomputeStore, ResultCache, TraceStore
 from repro.harness.parallel import make_point
 from repro.harness.runner import ExperimentRunner
-from repro.kernel import FunctionalCpu, MAX_TRACE_INSTRUCTIONS, pack_trace
+from repro.kernel import (FunctionalCpu, MAX_TRACE_INSTRUCTIONS,
+                          PackedTrace, pack_trace)
 from repro.kernel.precompute import (PRECOMPUTE_FORMAT_VERSION,
                                      PrecomputeDecodeError, TracePrecompute,
                                      bpred_signature, load_precompute,
                                      write_precompute)
 from repro.uarch import ALL_MODELS, ModelKind, Simulator, model_params
+from repro.uarch.branch import BranchPredictor
+from repro.uarch.pipeline import _Decoded
 from repro.workloads import get_workload
 
 from .test_differential_oracle import SEED, build_random_program
@@ -52,64 +57,84 @@ def packed_case(name="mcf", fraction=0.1):
     return program, trace, pack_trace(program, trace)
 
 
-def random_packed(index):
+def random_case(index):
     rng = random.Random(SEED + index)
     program = build_random_program(rng)
     trace = FunctionalCpu(program).run_trace(max_instructions=200_000)
-    return program, pack_trace(program, trace)
+    return program, trace, pack_trace(program, trace)
+
+
+def random_packed(index):
+    program, _trace, packed = random_case(index)
+    return program, packed
+
+
+def reference_tables(entries, signature):
+    """Mispredict flags and rename-time global history computed straight
+    from ``TraceEntry`` objects, one predictor replay and one history
+    pass, independent of the bundle's fused scan over packed columns."""
+    table_bits, btb_entries, history_bits = signature
+    bpred = BranchPredictor(table_bits, btb_entries)
+    mispredicted = []
+    for entry in entries:
+        if entry.instr.is_control:
+            mispredicted.append(not bpred.predict_and_update(
+                entry.pc, entry.instr, entry.taken, entry.next_pc))
+        else:
+            mispredicted.append(False)
+    mask = (1 << history_bits) - 1
+    state = 0
+    history = []
+    for entry in entries:
+        history.append(state)
+        if entry.instr.is_cond_branch:
+            state = ((state << 1) | int(entry.taken)) & mask
+    return mispredicted, history
+
+
+def assert_tables(bundle, want):
+    __tracebackhide__ = True
+    mispredicted, history = want
+    assert bundle.mispredicted_list() == mispredicted
+    assert bundle.history_list() == history
+    again = TracePrecompute.from_buffer(bundle.trace, bundle.to_bytes())
+    assert again.mispredicted_list() == mispredicted
+    assert again.history_list() == history
+
+
+DECODE_FIELDS = ("is_load", "is_store", "is_mem", "is_control",
+                 "is_cond_branch", "src_regs", "dest_reg", "fu", "latency",
+                 "is_partial", "rs", "rt", "rd", "uop_estimate", "uop_kind",
+                 "uop_fu")
 
 
 class TestBundleTables:
     def test_tables_match_simulator_own_precompute(self):
-        program, _trace, packed = packed_case()
         params = model_params(ModelKind.DMDP)
-        bundle = TracePrecompute.build(packed, bpred_signature(params))
-        sim = Simulator(program, packed, params)   # per-run path
-        assert bundle.mispredicted_list() == sim._mispredicted
-        assert bundle.history_list() == sim._history
-        dec = bundle.decode_index(params)
-        assert len(dec) == len(sim._dec_by_index)
-        fields = ("is_load", "is_store", "is_mem", "is_control",
-                  "is_cond_branch", "src_regs", "dest_reg", "fu", "latency",
-                  "is_partial", "rs", "rt", "rd", "uop_estimate")
-        for ours, theirs in zip(dec, sim._dec_by_index):
-            for field in fields:
-                assert getattr(ours, field) == getattr(theirs, field)
-
-    def test_fallback_build_matches_numpy(self, monkeypatch):
-        if precompute_mod._np is None:
-            pytest.skip("numpy unavailable: fallback is the only path")
-        _program, _trace, packed = packed_case()
-        vectorized = TracePrecompute.build(packed, DEFAULT_SIG)
-        monkeypatch.setattr(precompute_mod, "_np", None)
-        fallback = TracePrecompute.build(packed, DEFAULT_SIG)
-        assert fallback.mispredicted_list() == vectorized.mispredicted_list()
-        assert fallback.history_list() == vectorized.history_list()
+        signature = bpred_signature(params)
+        for name in ("mcf", "lbm", "perl"):
+            program, trace, packed = packed_case(name)
+            want = reference_tables(trace, signature)
+            assert any(want[0]) and any(want[1]), name
+            assert_tables(TracePrecompute.build(packed, signature), want)
+            # A Simulator without a shared bundle builds its own tables.
+            sim = Simulator(program, trace, params)
+            assert (sim._mispredicted, sim._history) == want
+            assert len(sim._dec_by_index) == len(trace)
+            for entry, ours in zip(trace, sim._dec_by_index):
+                theirs = _Decoded(entry.instr, params)
+                for field in DECODE_FIELDS:
+                    assert getattr(ours, field) == getattr(theirs, field)
 
     def test_random_programs_tables_match(self):
+        signatures = (DEFAULT_SIG,
+                      (DEFAULT_SIG[0] - 2, DEFAULT_SIG[1], DEFAULT_SIG[2]),
+                      (DEFAULT_SIG[0], 16, 3))
         for index in range(4):
-            program, packed = random_packed(index)
-            params = model_params(ModelKind.BASELINE)
-            bundle = TracePrecompute.build(packed, bpred_signature(params))
-            sim = Simulator(program, packed, params)
-            assert bundle.mispredicted_list() == sim._mispredicted
-            assert bundle.history_list() == sim._history
-
-    def test_dependence_index_matches_entries(self):
-        _program, packed = random_packed(0)
-        word_addr, bab, dep, covers = (
-            TracePrecompute.build(packed, DEFAULT_SIG).dependence_index())
-        from repro.kernel.tracestore import NO_DEP
-        for i, entry in enumerate(packed):
-            assert int(word_addr[i]) == entry.word_addr
-            assert int(bab[i]) == entry.bab
-            want_dep = NO_DEP if entry.dep_store is None else entry.dep_store
-            assert int(dep[i]) == want_dep
-            want_covers = (
-                entry.dep_store is not None
-                and packed[entry.dep_store].word_addr == entry.word_addr
-                and (packed[entry.dep_store].bab & entry.bab) == entry.bab)
-            assert bool(covers[i]) == want_covers
+            _program, trace, packed = random_case(index)
+            for signature in signatures:
+                assert_tables(TracePrecompute.build(packed, signature),
+                              reference_tables(trace, signature))
 
     def test_matches_rejects_overridden_predictor_geometry(self):
         _program, _trace, packed = packed_case()
@@ -120,6 +145,14 @@ class TestBundleTables:
                                   bpred_table_bits=DEFAULT_SIG[0] + 1)
         assert not bundle.matches(packed, overridden)
 
+    def test_matches_requires_the_bundles_own_trace(self):
+        program, _trace, packed = packed_case()
+        bundle = TracePrecompute.build(packed, DEFAULT_SIG)
+        params = model_params(ModelKind.BASELINE)
+        twin = PackedTrace.from_buffer(program, packed.to_bytes())
+        assert len(twin) == len(packed)
+        assert not bundle.matches(twin, params)
+
     def test_decode_index_memoised_per_latency_signature(self):
         _program, _trace, packed = packed_case()
         bundle = TracePrecompute.build(packed, DEFAULT_SIG)
@@ -129,16 +162,6 @@ class TestBundleTables:
         slow = model_params(ModelKind.BASELINE,
                             mul_latency=base.mul_latency + 1)
         assert bundle.decode_index(slow) is not bundle.decode_index(base)
-
-    def test_entry_cache_is_shared_across_cached_trace_views(self):
-        _program, _trace, packed = packed_case()
-        bundle = TracePrecompute.build(packed, DEFAULT_SIG)
-        first = bundle.cached_trace()
-        second = bundle.cached_trace()
-        assert first[7] is second[7]           # one materialisation, shared
-        assert [e.index for e in first[3:6]] == [3, 4, 5]
-        assert first[-1].index == len(packed) - 1
-        assert sum(1 for _ in first) == len(packed)
 
     def test_base_memory_matches_direct_segment_load(self):
         from repro.kernel.memory import SparseMemory
@@ -161,10 +184,10 @@ class TestGoldenBatchedIdentity:
         bundle = TracePrecompute.build(packed, bpred_signature(params))
         from_list = Simulator(program, trace, params).run().to_dict()
         from_packed = Simulator(program, packed, params).run().to_dict()
-        batched = Simulator(program, bundle.cached_trace(), params,
-                            precompute=bundle).run().to_dict()
+        sim = Simulator(program, bundle.trace, params, precompute=bundle)
+        assert sim._pre is bundle
         assert from_packed == from_list
-        assert batched == from_list
+        assert sim.run().to_dict() == from_list
 
     def test_bundle_reuse_across_configs_is_identical(self):
         # The whole point of batching: one bundle, many configs.
@@ -174,20 +197,42 @@ class TestGoldenBatchedIdentity:
             for overrides in ({}, {"store_buffer_entries": 8}):
                 params = model_params(model, **overrides)
                 plain = Simulator(program, packed, params).run().to_dict()
-                shared = Simulator(program, bundle.cached_trace(), params,
+                shared = Simulator(program, bundle.trace, params,
                                    precompute=bundle).run().to_dict()
                 assert shared == plain
 
     def test_overridden_geometry_falls_back_and_stays_identical(self):
-        program, _trace, packed = packed_case()
+        program, trace, packed = packed_case()
         bundle = TracePrecompute.build(packed, DEFAULT_SIG)
         params = model_params(ModelKind.DMDP,
                               bpred_table_bits=DEFAULT_SIG[0] - 2)
-        sim = Simulator(program, bundle.cached_trace(), params,
-                        precompute=bundle)
-        assert sim._pre is None                # silently unbatched
+        sim = Simulator(program, bundle.trace, params, precompute=bundle)
+        # The Simulator built a bundle for its own predictor geometry.
+        assert sim._pre is not bundle
+        assert sim._pre.signature == bpred_signature(params)
+        assert (sim._mispredicted, sim._history) == reference_tables(
+            trace, bpred_signature(params))
         assert (sim.run().to_dict()
-                == Simulator(program, packed, params).run().to_dict())
+                == Simulator(program, trace, params).run().to_dict())
+
+    def test_bundle_for_another_trace_of_equal_length_is_ignored(self):
+        # Trace B differs from trace A in one loaded value only, so a
+        # length check alone would adopt A's bundle and simulate A.
+        program, trace_a, packed_a = packed_case()
+        trace_b = [copy.copy(entry) for entry in trace_a]
+        flipped = next(i for i, entry in enumerate(trace_b)
+                       if entry.is_load and entry.value is not None)
+        trace_b[flipped].value ^= 1
+        packed_b = pack_trace(program, trace_b)
+        bundle_a = TracePrecompute.build(packed_a, DEFAULT_SIG)
+        params = model_params(ModelKind.DMDP)
+        sim = Simulator(program, packed_b, params, precompute=bundle_a)
+        assert sim._pre is not bundle_a
+        assert sim._pre.trace is packed_b
+        assert sim.trace[flipped].value == trace_b[flipped].value
+        assert sim.trace[flipped].value != trace_a[flipped].value
+        assert (sim.run().to_dict()
+                == Simulator(program, trace_b, params).run().to_dict())
 
     def test_loaded_bundle_is_identical_to_built(self, tmp_path):
         program, _trace, packed = packed_case()
@@ -196,8 +241,9 @@ class TestGoldenBatchedIdentity:
         path = tmp_path / "mcf.pre"
         write_precompute(path, built)
         loaded = load_precompute(path, packed, DEFAULT_SIG)
-        assert (Simulator(program, loaded.cached_trace(), params,
-                          precompute=loaded).run().to_dict()
+        sim = Simulator(program, loaded.trace, params, precompute=loaded)
+        assert sim._pre is loaded
+        assert (sim.run().to_dict()
                 == Simulator(program, packed, params).run().to_dict())
 
 
@@ -211,6 +257,7 @@ class TestSerialization:
         assert again.history_list() == bundle.history_list()
 
     def test_file_roundtrip_via_mmap(self, tmp_path):
+        # load_precompute reads the file (the tables decode into lists).
         _program, packed = random_packed(2)
         bundle = TracePrecompute.build(packed, DEFAULT_SIG)
         path = tmp_path / "rand2.pre"
@@ -220,7 +267,6 @@ class TestSerialization:
         assert loaded.history_list() == bundle.history_list()
 
     def test_empty_trace_roundtrip(self):
-        from repro.kernel import PackedTrace
         program, _trace, _packed = packed_case()
         empty = PackedTrace.from_entries(program, [])
         bundle = TracePrecompute.build(empty, DEFAULT_SIG)
@@ -376,12 +422,14 @@ class TestRunnerBatching:
         assert timing.precomputes_built == 0
 
     def test_single_point_run_stays_precompute_free(self, tmp_path):
-        # Per-point runs must not pay the bundle build (the sweep
-        # benchmark's warm_store leg depends on this staying honest).
+        # A per-point run neither resolves nor stores a shared bundle:
+        # its Simulator builds its own tables, and the sweep benchmark's
+        # warm_store leg depends on that staying honest.
         runner = self.runner(tmp_path)
         runner.run("mcf", ModelKind.DMDP)
         assert runner.precomputes_built == 0
         assert runner.precomputes_loaded == 0
+        assert runner.precompute_store.entry_count() == 0
 
     def test_attach_precompute_bad_blob_falls_back(self, tmp_path):
         runner = self.runner(tmp_path)
@@ -392,6 +440,18 @@ class TestRunnerBatching:
         bundle = runner.precompute_for("mcf")          # falls back to build
         assert bundle is not None
         assert runner.precomputes_built == 1
+
+    def test_attach_trace_drops_the_replaced_traces_bundle(self, tmp_path):
+        # A bundle belongs to one trace object: after a worker adopts a
+        # new trace blob, the workload's bundle is resolved again for it.
+        runner = self.runner(tmp_path)
+        path = runner.ensure_trace("mcf")
+        old = runner.precompute_for("mcf")
+        assert runner.attach_trace("mcf", path)
+        new = runner.precompute_for("mcf")
+        assert new is not old
+        assert new.trace is runner.trace("mcf")
+        assert runner.precomputes_loaded == 1       # from the store
 
     def test_ensure_precompute_populates_store(self, tmp_path):
         import os

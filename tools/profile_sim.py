@@ -5,20 +5,16 @@ Runs the whole point -- functional tracing *and* timing simulation --
 under one profile, prints the top functions by cumulative time, and
 closes with a phase split (trace seconds vs. precompute seconds vs. sim
 seconds) so "the simulator is slow" can be attributed to the right loop.
-Simulator construction is timed as its own "precompute" phase: that is
-where the whole-trace passes (branch outcomes, history, decode) run,
-whether per-config inside ``__init__`` or amortized via a shared
-:class:`TracePrecompute` bundle (``--batched``).
+The point traces into a :class:`PackedTrace`, then builds its
+:class:`TracePrecompute` bundle (the branch outcomes, history and decode
+tables every Simulator takes) and hands it to the Simulator; bundle build
+and Simulator construction together are the "precompute" phase.
 
     PYTHONPATH=src python tools/profile_sim.py mcf --model dmdp --top 25
     PYTHONPATH=src python tools/profile_sim.py lbm --output lbm.prof
-    PYTHONPATH=src python tools/profile_sim.py mcf --packed --batched
 
-``--packed`` traces into the columnar :class:`PackedTrace` form (the
-harness default since the trace store landed); the default traces into a
-``List[TraceEntry]`` like the pre-store pipeline, which is the right
-baseline when comparing the two representations.  ``--sim-only``
-restores the old behaviour of profiling ``Simulator.run()`` alone.
+``--sim-only`` restores the old behaviour of profiling
+``Simulator.run()`` alone.
 
 The same profile (plus phase split) can be captured for any CLI command
 with the global ``repro --profile`` flag.
@@ -36,8 +32,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.kernel import (FunctionalCpu, MAX_TRACE_INSTRUCTIONS,
-                          run_trace_packed)                 # noqa: E402
+from repro.kernel import run_trace_packed                    # noqa: E402
+from repro.kernel.precompute import (TracePrecompute,
+                                     bpred_signature)       # noqa: E402
 from repro.uarch import ModelKind, model_params             # noqa: E402
 from repro.uarch.pipeline import Simulator                  # noqa: E402
 from repro.workloads import ALL_NAMES, get_workload         # noqa: E402
@@ -52,12 +49,6 @@ def main(argv=None) -> int:
                         choices=[m.value for m in ModelKind])
     parser.add_argument("--scale", type=float, default=None,
                         help="workload scale factor (default: full)")
-    parser.add_argument("--packed", action="store_true",
-                        help="trace into the columnar PackedTrace form "
-                             "(harness default) instead of List[TraceEntry]")
-    parser.add_argument("--batched", action="store_true",
-                        help="build a shared TracePrecompute bundle and "
-                             "hand it to the Simulator (implies --packed)")
     parser.add_argument("--sim-only", action="store_true",
                         help="profile Simulator.run() alone, trace "
                              "construction excluded")
@@ -76,55 +67,27 @@ def main(argv=None) -> int:
     program = spec.build(iterations)
     params = model_params(ModelKind(args.model))
 
-    if args.batched:
-        args.packed = True
-
-    def build_trace():
-        if args.packed:
-            return run_trace_packed(program)
-        return FunctionalCpu(program).run_trace(
-            max_instructions=MAX_TRACE_INSTRUCTIONS)
-
-    def build_simulator(trace):
-        if args.batched:
-            from repro.kernel.precompute import (TracePrecompute,
-                                                 bpred_signature)
-            pre = TracePrecompute.build(trace, bpred_signature(params))
-            return Simulator(program, pre.cached_trace(), params,
-                             precompute=pre)
-        return Simulator(program, trace, params)
-
     profile = cProfile.Profile()
+    if not args.sim_only:
+        profile.enable()
     start = time.perf_counter()
+    trace = run_trace_packed(program)
+    trace_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    pre = TracePrecompute.build(trace, bpred_signature(params))
+    sim = Simulator(program, trace, params, precompute=pre)
+    pre_seconds = time.perf_counter() - start
     if args.sim_only:
-        trace = build_trace()
-        trace_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        sim = build_simulator(trace)
-        pre_seconds = time.perf_counter() - start
-        start = time.perf_counter()
         profile.enable()
-        stats = sim.run()
-        profile.disable()
-        sim_seconds = time.perf_counter() - start
-    else:
-        profile.enable()
-        trace = build_trace()
-        trace_seconds = time.perf_counter() - start
-        pre_start = time.perf_counter()
-        sim = build_simulator(trace)
-        pre_seconds = time.perf_counter() - pre_start
-        sim_start = time.perf_counter()
-        stats = sim.run()
-        profile.disable()
-        sim_seconds = time.perf_counter() - sim_start
+    start = time.perf_counter()
+    stats = sim.run()
+    sim_seconds = time.perf_counter() - start
+    profile.disable()
     elapsed = trace_seconds + pre_seconds + sim_seconds
 
-    print("%s/%s (%s trace%s): %d instructions, %d cycles in %.3fs "
+    print("%s/%s: %d instructions, %d cycles in %.3fs "
           "(%.0f cycles/sec)"
           % (args.workload, args.model,
-             "packed" if args.packed else "list",
-             ", batched" if args.batched else "",
              stats.instructions, stats.cycles, elapsed,
              stats.cycles / sim_seconds))
     print("phase attribution:")
