@@ -91,8 +91,8 @@ from typing import List, Optional
 from .config import ConfigSpec, ConfigError
 from .harness import (BatchFailure, ExperimentRunner, LedgerDir,
                       PrecomputeStore, ResultCache, RetryPolicy, SimPoint,
-                      TraceStore, default_ledger_dir, hotloop, spec_point,
-                      sweepbench)
+                      TraceStore, default_cache_dir, default_ledger_dir,
+                      hotloop, spec_point, sweepbench)
 from .harness.experiments import ALL_EXPERIMENTS
 from .harness.reporting import (format_failure_table, format_run_report,
                                 format_table)
@@ -753,7 +753,7 @@ def cmd_trace_report(args, out) -> int:
 
 
 def cmd_cache(args, out) -> int:
-    cache = ResultCache()
+    cache = ResultCache(default_cache_dir())
     store = TraceStore(root=cache.root / "traces")
     precomputes = PrecomputeStore(root=cache.root / "traces")
     ledgers = LedgerDir(root=cache.root / "ledgers")

@@ -66,8 +66,8 @@ def _fuzz_task_fn(task):
 
     ``task`` is ``(program_id, payload_json, configs)`` -- the spec JSON
     rides in the trace-path slot.  Returns the engine's standard
-    ``(workload, outcomes, retraces)`` payload with the check report as
-    the per-point result dict.
+    ``(workload, outcomes, counts)`` payload with the check report as
+    the per-point result dict and no counts.
     """
     workload, payload_json, configs = task
     payload = json.loads(payload_json)
@@ -79,7 +79,7 @@ def _fuzz_task_fn(task):
     seconds = time.perf_counter() - start
     outcomes = [(model, overrides, report.to_dict(), seconds)
                 for model, overrides in configs]
-    return (workload, outcomes, 0)
+    return (workload, outcomes, {})
 
 
 @dataclass

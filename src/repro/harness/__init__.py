@@ -1,10 +1,8 @@
 """Experiment harness: runner, cache, parallel engine, reproductions."""
 
-from .cache import (LedgerDir, NullCache, NullPrecomputeStore,
-                    NullTraceStore, PrecomputeStore, ResultCache,
-                    TraceStore, code_version, default_cache_dir,
-                    default_ledger_dir, functional_version,
-                    precompute_version)
+from .cache import (LedgerDir, PrecomputeStore, ResultCache, TraceStore,
+                    code_version, default_cache_dir, default_ledger_dir,
+                    functional_version, precompute_version)
 from .resilience import (BatchFailure, FailedPoint, FaultInjector,
                          RetryPolicy, parse_fault_spec)
 from .parallel import (BatchTiming, ParallelEngine, PointTiming, SimPoint,
@@ -18,8 +16,7 @@ from . import hotloop, paper_data, sweepbench
 
 __all__ = [
     "ExperimentRunner", "SimResult", "shared_runner",
-    "LedgerDir", "NullCache", "NullPrecomputeStore", "NullTraceStore",
-    "PrecomputeStore", "ResultCache", "TraceStore",
+    "LedgerDir", "PrecomputeStore", "ResultCache", "TraceStore",
     "code_version", "default_cache_dir", "default_ledger_dir",
     "functional_version", "precompute_version",
     "BatchFailure", "FailedPoint", "FaultInjector", "RetryPolicy",

@@ -1,4 +1,5 @@
-"""Persistent on-disk cache for simulation results.
+"""Persistent on-disk stores: simulation results, packed traces,
+precompute bundles, and the sweep-ledger directory.
 
 Every (workload, iteration count, model, parameter overrides, code version)
 point maps to a content-hash key; the :class:`SimResult` for that point is
@@ -12,15 +13,18 @@ that could change simulation results silently invalidates old entries --
 no manual cache management needed.  Harness/CLI files are deliberately
 excluded: they orchestrate runs but cannot change a point's outcome.
 
-Cache location: ``$REPRO_CACHE_DIR`` if set, else ``.repro-cache`` under
-the current working directory.  Writes are atomic (tempfile + rename), so
-concurrent pytest sessions can safely share one cache.
+Every store is a :class:`BlobStore`: one directory with one layout,
+atomic publish (tempfile + rename, so concurrent pytest sessions can
+safely share one cache), corrupt-blob-as-miss reads, and one set of
+maintenance calls (entries, size, gc of orphaned temp files, clear).
+A store built with ``root=None`` is disabled: it persists nothing.
+The default location is ``$REPRO_CACHE_DIR`` if set, else
+``.repro-cache`` under the current working directory
+(:func:`default_cache_dir`).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import hashlib
 import json
 import os
@@ -101,28 +105,6 @@ def precompute_version() -> str:
     return _PRECOMPUTE_VERSION
 
 
-def canonical(value):
-    """JSON-serialisable canonical form of a parameter override value.
-
-    Handles the value types experiments actually pass: enums, (frozen)
-    dataclasses such as :class:`PredictorParams`, containers, and scalars.
-    """
-    if isinstance(value, enum.Enum):
-        return [type(value).__name__, value.value]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return [type(value).__name__,
-                {f.name: canonical(getattr(value, f.name))
-                 for f in dataclasses.fields(value)}]
-    if isinstance(value, dict):
-        return {str(k): canonical(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [canonical(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise TypeError("cannot canonicalise override of type %s"
-                    % type(value).__name__)
-
-
 def default_cache_dir() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
 
@@ -134,140 +116,62 @@ def default_ledger_dir() -> Path:
     return default_cache_dir() / "ledgers"
 
 
-class LedgerDir:
-    """Maintenance view over the sweep-ledger directory.
+def _digest(material: dict) -> str:
+    """The content-hash key for one blob's identity material."""
+    encoded = json.dumps(material, sort_keys=True).encode()
+    return hashlib.sha256(encoded).hexdigest()
 
-    Ledgers are not content-addressed (each run writes a fresh file),
-    but they share the cache tree's maintenance idiom: finalised
-    ``*.jsonl`` files are the entries, and ``*.jsonl.tmp`` orphans --
-    left by runs killed before :meth:`JsonlLedger.close` renamed them
-    -- are swept by :meth:`gc` exactly like the stores' atomic-write
-    temp files.
+
+def _unpickle(path: Path):
+    with open(path, "rb") as handle:
+        return pickle.load(handle)
+
+
+class BlobStore:
+    """One directory of blobs: ``root/<key[:2]>/<key><suffix>``.
+
+    Publishing is atomic (tempfile + rename), so a reader never sees a
+    partial blob and a killed writer can only orphan a ``*.tmp`` file,
+    which :meth:`gc` sweeps.  A blob that fails to decode -- truncated,
+    garbage, format-bumped, built for different inputs -- is a clean
+    miss, repaired by the next write.  With ``root=None`` the store is
+    disabled: lookups return None without counting, writes return None,
+    and maintenance sees no files.
     """
 
-    suffix = ".jsonl"
+    suffix = ""
+    entry_glob = "??/*"
+    tmp_glob = "??/*.tmp"
 
     def __init__(self, root: Optional[Path] = None):
-        self.root = Path(root) if root is not None else default_ledger_dir()
-
-    # -- maintenance ---------------------------------------------------------
-
-    def entries(self):
-        return sorted(self.root.glob("*" + self.suffix))
-
-    def entry_count(self) -> int:
-        return len(self.entries())
-
-    def size_bytes(self) -> int:
-        total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def tmp_files(self):
-        """Ledgers of runs that died before finalising (still ``.tmp``)."""
-        return sorted(self.root.glob("*" + self.suffix + ".tmp"))
-
-    def gc(self, min_age_seconds: float = 0.0) -> int:
-        """Sweep ``*.jsonl.tmp`` ledgers orphaned by killed runs."""
-        removed = 0
-        now = time.time()
-        for path in self.tmp_files():
-            try:
-                if now - path.stat().st_mtime >= min_age_seconds:
-                    path.unlink()
-                    removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def clear(self) -> int:
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        self.gc()
-        return removed
-
-
-class ResultCache:
-    """Content-addressed pickle store for :class:`SimResult` objects."""
-
-    def __init__(self, root: Optional[Path] = None,
-                 version: Optional[str] = None):
-        self.root = Path(root) if root is not None else default_cache_dir()
-        self.version = version if version is not None else code_version()
+        self.root = Path(root) if root is not None else None
         self.hits = 0
         self.misses = 0
 
-    # -- keys --------------------------------------------------------------
+    def _path(self, key: str) -> Optional[Path]:
+        if self.root is None:
+            return None
+        return self.root / key[:2] / (key + self.suffix)
 
-    def key_for_spec(self, workload: str, iterations: int, spec) -> str:
-        """Key for a :class:`~repro.config.ConfigSpec`-described point.
-
-        The spec's canonical dict (model + default-dropped settings) is
-        the sole configuration material, so any two constructions of the
-        same parameters -- bare overrides, dotted ``--set`` flags, a grid
-        expansion -- hit one entry.  ``config_format`` versions the spec
-        vocabulary itself: bump it alongside CONFIG_FORMAT_VERSION when
-        the canonical settings encoding changes incompatibly.
-        """
-        material = json.dumps({
-            "format": FORMAT_VERSION,
-            "config_format": CONFIG_FORMAT_VERSION,
-            # Results are simulated *from* an encoded trace, so a trace
-            # format bump conservatively invalidates them too (instead of
-            # ever trusting stats derived from a mis-decoded blob).
-            "trace_format": tracestore.TRACE_FORMAT_VERSION,
-            "code": self.version,
-            "workload": workload,
-            "iterations": iterations,
-            "spec": spec.to_dict(),
-        }, sort_keys=True)
-        return hashlib.sha256(material.encode()).hexdigest()
-
-    def key_for(self, workload: str, iterations: int, model,
-                overrides: dict) -> str:
-        """Legacy overrides-dict key surface; derives the key from the
-        equivalent ConfigSpec so both entry points share one entry."""
-        from ..config import ConfigSpec
-        spec = ConfigSpec.from_overrides(model, **overrides)
-        return self.key_for_spec(workload, iterations, spec)
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / (key + ".pkl")
-
-    # -- storage ------------------------------------------------------------
-
-    def get(self, key: str):
-        path = self._path(key)
+    def _read(self, path: Optional[Path], decode):
+        """``decode(path)``; None when the store is disabled or the
+        decode raises (a counted miss).  Never raises."""
+        if path is None:
+            return None
         try:
-            with open(path, "rb") as handle:
-                result = pickle.load(handle)
+            value = decode(path)
         except Exception:
-            # Any unreadable entry -- truncated pickle, garbage bytes,
-            # a payload whose class/module no longer exists -- is a
-            # clean miss; the next put() overwrites (repairs) it.
             self.misses += 1
             return None
         self.hits += 1
-        return result
+        return value
 
-    def put(self, key: str, result) -> None:
-        path = self._path(key)
+    def _write(self, path: Path, data: bytes) -> Path:
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic publish: concurrent sessions never observe partial files.
-        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent),
-                                        suffix=".tmp")
+        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(data)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -275,11 +179,15 @@ class ResultCache:
             except OSError:
                 pass
             raise
+        return path
 
-    # -- maintenance ----------------------------------------------------------
+    # -- maintenance ---------------------------------------------------------
+
+    def _glob(self, pattern: str):
+        return [] if self.root is None else sorted(self.root.glob(pattern))
 
     def entries(self):
-        return sorted(self.root.glob("??/*.pkl"))
+        return self._glob(self.entry_glob + self.suffix)
 
     def entry_count(self) -> int:
         return len(self.entries())
@@ -295,15 +203,15 @@ class ResultCache:
 
     def tmp_files(self):
         """In-flight (or orphaned) atomic-write temp files."""
-        return sorted(self.root.glob("??/*.tmp"))
+        return self._glob(self.tmp_glob)
 
     def gc(self, min_age_seconds: float = 0.0) -> int:
-        """Sweep ``*.tmp`` files orphaned by killed sessions.
+        """Sweep temp files orphaned by killed sessions.
 
         A live writer holds its temp file only for the duration of one
-        ``pickle.dump`` + rename, so anything older than
-        ``min_age_seconds`` (default: everything) is an orphan from a
-        session that died mid-put.  Returns the number removed.
+        write + rename, so anything older than ``min_age_seconds``
+        (default: everything) is an orphan from a session that died
+        mid-write.  Returns the number removed.
         """
         removed = 0
         now = time.time()
@@ -317,8 +225,8 @@ class ResultCache:
         return removed
 
     def clear(self) -> int:
-        """Delete every cached result (and sweep orphaned temp files);
-        returns the number of results removed."""
+        """Delete every entry (and sweep orphaned temp files); returns
+        the number of entries removed."""
         removed = 0
         for path in self.entries():
             try:
@@ -330,7 +238,79 @@ class ResultCache:
         return removed
 
 
-class TraceStore:
+class LedgerDir(BlobStore):
+    """Maintenance view over the sweep-ledger directory.
+
+    Ledgers are not content-addressed (each run writes a fresh file),
+    but they share the stores' maintenance idiom: finalised ``*.jsonl``
+    files are the entries, and ``*.jsonl.tmp`` orphans -- left by runs
+    killed before :meth:`JsonlLedger.close` renamed them -- are swept by
+    :meth:`gc` exactly like the stores' atomic-write temp files.
+    """
+
+    suffix = ".jsonl"
+    entry_glob = "*"
+    tmp_glob = "*.jsonl.tmp"
+
+
+class ResultCache(BlobStore):
+    """Content-addressed pickle store for :class:`SimResult` objects."""
+
+    suffix = ".pkl"
+
+    def __init__(self, root: Optional[Path] = None,
+                 version: Optional[str] = None):
+        super().__init__(root)
+        self.version = version if version is not None else code_version()
+
+    # -- keys --------------------------------------------------------------
+
+    def key_for_spec(self, workload: str, iterations: int, spec) -> str:
+        """Key for a :class:`~repro.config.ConfigSpec`-described point.
+
+        The spec's canonical dict (model + default-dropped settings) is
+        the sole configuration material, so any two constructions of the
+        same parameters -- bare overrides, dotted ``--set`` flags, a grid
+        expansion -- hit one entry.  ``config_format`` versions the spec
+        vocabulary itself: bump it alongside CONFIG_FORMAT_VERSION when
+        the canonical settings encoding changes incompatibly.
+        """
+        return _digest({
+            "format": FORMAT_VERSION,
+            "config_format": CONFIG_FORMAT_VERSION,
+            # Results are simulated *from* an encoded trace, so a trace
+            # format bump conservatively invalidates them too (instead of
+            # ever trusting stats derived from a mis-decoded blob).
+            "trace_format": tracestore.TRACE_FORMAT_VERSION,
+            "code": self.version,
+            "workload": workload,
+            "iterations": iterations,
+            "spec": spec.to_dict(),
+        })
+
+    def key_for(self, workload: str, iterations: int, model,
+                overrides: dict) -> str:
+        """Legacy overrides-dict key surface; derives the key from the
+        equivalent ConfigSpec so both entry points share one entry."""
+        from ..config import ConfigSpec
+        spec = ConfigSpec.from_overrides(model, **overrides)
+        return self.key_for_spec(workload, iterations, spec)
+
+    # -- storage ------------------------------------------------------------
+
+    def get(self, key: str):
+        # Any unreadable entry -- truncated pickle, garbage bytes, a
+        # payload whose class/module no longer exists -- is a miss.
+        return self._read(self._path(key), _unpickle)
+
+    def put(self, key: str, result) -> None:
+        path = self._path(key)
+        if path is not None:
+            self._write(path, pickle.dumps(
+                result, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+class TraceStore(BlobStore):
     """Persistent store of packed functional traces (DESIGN.md section 12).
 
     One blob per (workload, iterations, functional-semantics version,
@@ -338,116 +318,51 @@ class TraceStore:
     The key hashes only the *functional* sources (isa, kernel, workloads):
     timing-model edits keep traces valid, while any edit that could change
     what the functional CPU retires silently invalidates them.  Blobs are
-    written atomically and loaded read-only via ``mmap``, so every sweep
-    worker shares one page-cache copy; any unreadable/mismatched blob is
-    a clean miss, repaired by the next put.
+    loaded read-only via ``mmap``, so every sweep worker shares one
+    page-cache copy.  This store's :meth:`gc` sweeps the temp files of
+    the whole ``traces/`` tree, the precompute blobs' included.
     """
+
+    suffix = ".trc"
 
     def __init__(self, root: Optional[Path] = None,
                  version: Optional[str] = None):
-        if root is not None:
-            self.root = Path(root)
-        else:
-            self.root = default_cache_dir() / "traces"
+        super().__init__(root)
         self.version = (version if version is not None
                         else functional_version())
-        self.hits = 0
-        self.misses = 0
 
     # -- keys --------------------------------------------------------------
 
     def key_for(self, workload: str, iterations: int) -> str:
-        material = json.dumps({
+        return _digest({
             "trace_format": tracestore.TRACE_FORMAT_VERSION,
             "functional": self.version,
             "workload": workload,
             "iterations": iterations,
-        }, sort_keys=True)
-        return hashlib.sha256(material.encode()).hexdigest()
+        })
 
-    def path_for(self, workload: str, iterations: int) -> Path:
-        key = self.key_for(workload, iterations)
-        return self.root / key[:2] / (key + ".trc")
+    def path_for(self, workload: str, iterations: int) -> Optional[Path]:
+        return self._path(self.key_for(workload, iterations))
 
     # -- storage ------------------------------------------------------------
 
     def load(self, workload: str, iterations: int, program):
-        """The packed trace for a point, or None (miss) -- never raises."""
-        path = self.path_for(workload, iterations)
-        try:
-            packed = tracestore.load_trace(path, program)
-        except Exception:
-            # Missing, truncated, garbage, format-bumped, or packed for a
-            # different program: a clean miss; the next put repairs it.
-            self.misses += 1
-            return None
-        self.hits += 1
-        return packed
+        """The packed trace for a point, or None (miss) -- never raises.
+
+        A blob packed for a different program is a miss too."""
+        return self._read(self.path_for(workload, iterations),
+                          lambda path: tracestore.load_trace(path, program))
 
     def put(self, workload: str, iterations: int, packed) -> Optional[Path]:
         """Atomically persist a trace; returns its path."""
-        packed = tracestore.pack_trace(packed.program, packed)
         path = self.path_for(workload, iterations)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(packed.to_bytes())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
-
-    # -- maintenance ---------------------------------------------------------
-
-    def entries(self):
-        return sorted(self.root.glob("??/*.trc"))
-
-    def entry_count(self) -> int:
-        return len(self.entries())
-
-    def size_bytes(self) -> int:
-        total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def tmp_files(self):
-        return sorted(self.root.glob("??/*.tmp"))
-
-    def gc(self, min_age_seconds: float = 0.0) -> int:
-        """Sweep ``*.tmp`` blobs orphaned by killed sessions."""
-        removed = 0
-        now = time.time()
-        for path in self.tmp_files():
-            try:
-                if now - path.stat().st_mtime >= min_age_seconds:
-                    path.unlink()
-                    removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def clear(self) -> int:
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        self.gc()
-        return removed
+        if path is None:
+            return None
+        packed = tracestore.pack_trace(packed.program, packed)
+        return self._write(path, packed.to_bytes())
 
 
-class PrecomputeStore:
+class PrecomputeStore(BlobStore):
     """Persistent store of whole-trace precompute bundles (DESIGN.md §14).
 
     One ``.pre`` blob per (workload, iterations, predictor signature,
@@ -458,28 +373,22 @@ class PrecomputeStore:
     (a bundle is meaningless without its trace) plus
     ``PRECOMPUTE_FORMAT_VERSION`` and a hash of the precompute/branch
     sources, so editing the predictor silently invalidates stale
-    bundles.  Blobs are CRC'd, written atomically, read back and decoded
-    into lists, and any unreadable/mismatched blob is a clean miss.
+    bundles.  Blobs are CRC'd and decoded into lists.
     """
 
     suffix = ".pre"
 
     def __init__(self, root: Optional[Path] = None,
                  version: Optional[str] = None):
-        if root is not None:
-            self.root = Path(root)
-        else:
-            self.root = default_cache_dir() / "traces"
+        super().__init__(root)
         self.functional = (version if version is not None
                            else functional_version())
         self.version = precompute_version()
-        self.hits = 0
-        self.misses = 0
 
     # -- keys --------------------------------------------------------------
 
     def key_for(self, workload: str, iterations: int, signature) -> str:
-        material = json.dumps({
+        return _digest({
             "trace_format": tracestore.TRACE_FORMAT_VERSION,
             "precompute_format": precompute_mod.PRECOMPUTE_FORMAT_VERSION,
             "functional": self.functional,
@@ -487,175 +396,28 @@ class PrecomputeStore:
             "workload": workload,
             "iterations": iterations,
             "signature": list(signature),
-        }, sort_keys=True)
-        return hashlib.sha256(material.encode()).hexdigest()
+        })
 
-    def path_for(self, workload: str, iterations: int, signature) -> Path:
-        key = self.key_for(workload, iterations, signature)
-        return self.root / key[:2] / (key + self.suffix)
+    def path_for(self, workload: str, iterations: int,
+                 signature) -> Optional[Path]:
+        return self._path(self.key_for(workload, iterations, signature))
 
     # -- storage ------------------------------------------------------------
 
     def load(self, workload: str, iterations: int, trace, signature):
-        """The bundle for a (point, trace) pair, or None -- never raises."""
-        path = self.path_for(workload, iterations, signature)
-        try:
-            bundle = precompute_mod.load_precompute(path, trace, signature)
-        except Exception:
-            # Missing, truncated, garbage, format-bumped, or built for a
-            # different trace: a clean miss; the next put repairs it.
-            self.misses += 1
-            return None
-        self.hits += 1
-        return bundle
+        """The bundle for a (point, trace) pair, or None -- never raises.
+
+        A bundle built for a different trace is a miss too."""
+        # Called through the module so a wrapper installed on
+        # ``load_precompute`` (perfbench's spans) sees this call.
+        return self._read(
+            self.path_for(workload, iterations, signature),
+            lambda path: precompute_mod.load_precompute(path, trace,
+                                                        signature))
 
     def put(self, workload: str, iterations: int, bundle) -> Optional[Path]:
         """Atomically persist a bundle; returns its path."""
         path = self.path_for(workload, iterations, bundle.signature)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(bundle.to_bytes())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
-
-    # -- maintenance ---------------------------------------------------------
-    # Temp files in the shared traces/ tree are swept by TraceStore.gc
-    # (one sweep covers both blob kinds), so there is no gc() here.
-
-    def entries(self):
-        return sorted(self.root.glob("??/*" + self.suffix))
-
-    def entry_count(self) -> int:
-        return len(self.entries())
-
-    def size_bytes(self) -> int:
-        total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def clear(self) -> int:
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-
-class NullPrecomputeStore:
-    """Precompute-store stand-in that persists nothing (``--no-cache``)."""
-
-    root = None
-    hits = 0
-    misses = 0
-
-    def key_for(self, workload, iterations, signature) -> str:
-        return ""
-
-    def path_for(self, workload, iterations, signature):
-        return None
-
-    def load(self, workload, iterations, trace, signature):
-        return None
-
-    def put(self, workload, iterations, bundle):
-        return None
-
-    def entries(self):
-        return []
-
-    def entry_count(self) -> int:
-        return 0
-
-    def size_bytes(self) -> int:
-        return 0
-
-    def clear(self) -> int:
-        return 0
-
-
-class NullTraceStore:
-    """Trace-store stand-in that persists nothing (``--no-cache``)."""
-
-    root = None
-    hits = 0
-    misses = 0
-
-    def key_for(self, workload, iterations) -> str:
-        return ""
-
-    def path_for(self, workload, iterations):
-        return None
-
-    def load(self, workload, iterations, program):
-        return None
-
-    def put(self, workload, iterations, packed):
-        return None
-
-    def entries(self):
-        return []
-
-    def entry_count(self) -> int:
-        return 0
-
-    def size_bytes(self) -> int:
-        return 0
-
-    def tmp_files(self):
-        return []
-
-    def gc(self, min_age_seconds: float = 0.0) -> int:
-        return 0
-
-    def clear(self) -> int:
-        return 0
-
-
-class NullCache:
-    """Cache stand-in that stores nothing (``--no-cache``)."""
-
-    root = None
-    hits = 0
-    misses = 0
-
-    def key_for(self, workload, iterations, model, overrides) -> str:
-        return ""
-
-    def key_for_spec(self, workload, iterations, spec) -> str:
-        return ""
-
-    def get(self, key):
-        return None
-
-    def put(self, key, result) -> None:
-        pass
-
-    def entry_count(self) -> int:
-        return 0
-
-    def size_bytes(self) -> int:
-        return 0
-
-    def tmp_files(self):
-        return []
-
-    def gc(self, min_age_seconds: float = 0.0) -> int:
-        return 0
-
-    def clear(self) -> int:
-        return 0
+        if path is None:
+            return None
+        return self._write(path, bundle.to_bytes())

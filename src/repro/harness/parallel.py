@@ -41,13 +41,13 @@ import multiprocessing
 import os
 import time
 import traceback
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import dataclass, field, fields
 from multiprocessing.connection import wait as _conn_wait
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import ConfigSpec
-from ..obs.ledger import NULL_LEDGER
+from ..obs.ledger import NULL_LEDGER, SPAN_SCHEMA
 from ..uarch import ModelKind
 from .resilience import FailedPoint, FaultInjector, RetryPolicy
 
@@ -73,10 +73,6 @@ class SimPoint:
         """The point's configuration as a ConfigSpec (re-canonicalised,
         so even a hand-built point with legacy bare names resolves)."""
         return ConfigSpec.from_overrides(self.model, **dict(self.overrides))
-
-    @property
-    def override_dict(self) -> dict:
-        return dict(self.overrides)
 
 
 def make_point(workload: str, model: ModelKind, **overrides) -> SimPoint:
@@ -106,7 +102,9 @@ class PointTiming:
 
 @dataclass
 class BatchTiming:
-    """Wall-clock accounting for one fan-out batch."""
+    """Wall-clock and count accounting for one batch: the one record of
+    what it did.  ``--timing`` reports it, and its ``sweep.end`` span is
+    built from it (:meth:`span_fields`)."""
 
     points: int = 0
     simulated: int = 0
@@ -116,7 +114,7 @@ class BatchTiming:
     wall_seconds: float = 0.0
     sim_seconds: float = 0.0         # sum of per-point simulation time
     failed: int = 0                  # points that exhausted their retries
-    retried: int = 0                 # task retry attempts performed
+    retried: int = 0                 # retry attempts, serial or per task
     timed_out: int = 0               # task timeouts (terminated workers)
     traces_generated: int = 0        # functional traces run in the parent
     worker_retraces: int = 0         # functional traces re-run in workers
@@ -124,6 +122,28 @@ class BatchTiming:
     precomputes_loaded: int = 0      # trace bundles loaded from the store
     worker_precomputes_built: int = 0    # bundles workers rebuilt locally
     worker_precomputes_loaded: int = 0   # bundles workers loaded
+    degraded: bool = False           # workers could not spawn: ran inline
+
+    def add(self, counts) -> None:
+        """Add a ``{field: count}`` mapping to this record's fields;
+        names that are not fields (the runner's ``traces_loaded``) are
+        not part of the record."""
+        for name in _COUNT_FIELDS.intersection(counts):
+            setattr(self, name, getattr(self, name) + counts[name])
+
+    def span_fields(self) -> Dict[str, object]:
+        """This record as ``sweep.end`` span fields: every field but
+        ``jobs`` (a ``sweep.begin`` field), seconds rounded to the
+        microsecond, and optional fields left out while zero/False."""
+        required = SPAN_SCHEMA["sweep.end"]["req"]
+        out: Dict[str, object] = {}
+        for name in _SPAN_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, float):
+                out[name] = round(value, 6)
+            elif value or name in required:
+                out[name] = value
+        return out
 
     @property
     def functional_traces(self) -> int:
@@ -146,6 +166,17 @@ class BatchTiming:
         if self.wall_seconds <= 0.0:
             return 1.0
         return self.sim_seconds / self.wall_seconds
+
+
+_SPAN_FIELDS = tuple(f.name for f in fields(BatchTiming) if f.name != "jobs")
+_COUNT_FIELDS = frozenset(f.name for f in fields(BatchTiming)
+                          if f.type == "int" and f.name != "jobs")
+
+# A worker's own counts, and the BatchTiming fields the parent files
+# them under.
+_WORKER_FIELDS = {"traces_generated": "worker_retraces",
+                  "precomputes_built": "worker_precomputes_built",
+                  "precomputes_loaded": "worker_precomputes_loaded"}
 
 
 # -- worker side -----------------------------------------------------------
@@ -172,11 +203,11 @@ def _run_task(task):
     then loaded the same way, so all of this task's configurations share
     one whole-trace analysis; a bundle that fails to decode (or was
     never shipped, with more than one config to amortise it over) is
-    rebuilt locally.  The third element of the return value counts
-    functional traces this task had to run itself, so the parent can
-    account for (and the sweep benchmark can assert the absence of)
-    worker re-traces; the fourth counts precompute bundles the worker
-    (built, loaded) itself.
+    rebuilt locally.  Returns ``(workload, outcomes, counts)``:
+    ``counts`` maps :class:`BatchTiming` field names to what this task
+    did itself -- functional traces it had to run (``worker_retraces``,
+    whose absence the sweep benchmark asserts) and precompute bundles
+    it built or loaded -- leaving out zeros.
     """
     workload, blob, configs = task
     trace_path = pre_path = None
@@ -184,9 +215,7 @@ def _run_task(task):
         trace_path, pre_path = blob
     else:
         trace_path = blob
-    retraces_before = _WORKER_RUNNER.traces_generated
-    built_before = _WORKER_RUNNER.precomputes_built
-    loaded_before = _WORKER_RUNNER.precomputes_loaded
+    before = Counter(_WORKER_RUNNER.counts)
     if trace_path is not None:
         _WORKER_RUNNER.attach_trace(workload, trace_path)
         attached = False
@@ -206,10 +235,10 @@ def _run_task(task):
                                          ConfigSpec(model, settings))
         out.append((model, settings, result,
                     time.perf_counter() - start))
-    return (workload, out,
-            _WORKER_RUNNER.traces_generated - retraces_before,
-            (_WORKER_RUNNER.precomputes_built - built_before,
-             _WORKER_RUNNER.precomputes_loaded - loaded_before))
+    done = _WORKER_RUNNER.counts - before
+    return (workload, out, {field: done[name]
+                            for name, field in _WORKER_FIELDS.items()
+                            if done[name]})
 
 
 def _worker_entry(conn, task, scale, task_fn=None) -> None:
@@ -224,9 +253,8 @@ def _worker_entry(conn, task, scale, task_fn=None) -> None:
     ``task_fn`` overrides the default simulate-one-workload body with a
     caller-supplied (picklable, module-level) function -- the fuzz
     campaign rides the engine this way -- and must return the same
-    ``(workload, outcomes, retraces)`` payload shape (the default body
-    appends a fourth ``(precomputes_built, precomputes_loaded)`` element,
-    which custom bodies may omit).
+    ``(workload, outcomes, counts)`` payload shape as :func:`_run_task`
+    (``counts`` may be empty).
     """
     try:
         injector = FaultInjector.from_env()
@@ -273,10 +301,11 @@ class ParallelEngine:
     """Maps batches of :class:`SimPoint` over supervised worker processes.
 
     After :meth:`run_points` returns, ``failures`` holds one
-    :class:`FailedPoint` per unresolved point, ``retried``/``timed_out``
-    count recovery actions, and ``degraded`` reports whether the engine
-    fell back to in-process serial execution because workers could not
-    be spawned.
+    :class:`FailedPoint` per unresolved point, ``counts`` holds the
+    batch's :class:`BatchTiming` counts (``retried`` and ``timed_out``
+    recovery actions, and what the workers traced and precomputed), and
+    ``degraded`` reports whether the engine fell back to in-process
+    serial execution because workers could not be spawned.
     """
 
     jobs: int = 1
@@ -289,11 +318,7 @@ class ParallelEngine:
     task_fn: Optional[Callable] = None     # custom task body (picklable)
     ledger: object = None            # LedgerSink (None -> NULL_LEDGER)
     failures: List[FailedPoint] = field(default_factory=list)
-    retried: int = 0
-    timed_out: int = 0
-    worker_retraces: int = 0         # functional traces workers re-ran
-    worker_precomputes_built: int = 0    # bundles workers rebuilt locally
-    worker_precomputes_loaded: int = 0   # bundles workers loaded
+    counts: Counter = field(default_factory=Counter)
     degraded: bool = False
 
     def _say(self, message: str) -> None:
@@ -308,11 +333,7 @@ class ParallelEngine:
         returned dict and recorded in ``self.failures`` instead.
         """
         self.failures = []
-        self.retried = 0
-        self.timed_out = 0
-        self.worker_retraces = 0
-        self.worker_precomputes_built = 0
-        self.worker_precomputes_loaded = 0
+        self.counts = Counter()
         self.degraded = False
         if not points:
             return {}
@@ -351,36 +372,17 @@ class ParallelEngine:
         waiting: List[_TaskState] = []         # backing off before retry
         running: List[_TaskState] = []
 
-        def absorb(payload) -> None:
-            """Fold a task payload's counters into the engine totals.
-
-            Payloads are ``(workload, outcomes, retraces)`` -- custom
-            ``task_fn`` bodies -- or the default body's 4-tuple with a
-            trailing ``(precomputes_built, precomputes_loaded)`` pair.
-            """
-            self.worker_retraces += payload[2]
-            if len(payload) > 3:
-                built, loaded = payload[3]
-                self.worker_precomputes_built += built
-                self.worker_precomputes_loaded += loaded
-
         def publish(state: _TaskState, payload) -> None:
             workload = state.workload
-            outcomes = payload[1]
+            _, outcomes, counts = payload
+            self.counts.update(counts)
             if ledger.enabled:
-                fields = {}
-                if len(payload) > 2:
-                    fields["worker_retraces"] = payload[2] or None
-                if len(payload) > 3:
-                    built, loaded = payload[3]
-                    fields["worker_precomputes_built"] = built or None
-                    fields["worker_precomputes_loaded"] = loaded or None
                 ledger.emit("task.completed", task=workload,
                             attempt=state.failures + 1,
                             points=len(outcomes),
                             wall_seconds=round(
                                 time.monotonic() - state.started, 6),
-                            pid=state.pid, **fields)
+                            pid=state.pid, **counts)
             for model, settings, result, seconds in outcomes:
                 point = origin.get((workload, model, settings),
                                    SimPoint(workload, model, settings))
@@ -397,9 +399,9 @@ class ParallelEngine:
             state.failures += 1
             state.last_error = detail
             if kind == "timeout":
-                self.timed_out += 1
+                self.counts["timed_out"] += 1
             if state.failures <= policy.retries:
-                self.retried += 1
+                self.counts["retried"] += 1
                 delay = policy.delay_for(state.failures)
                 state.not_before = time.monotonic() + delay
                 waiting.append(state)
@@ -447,7 +449,6 @@ class ParallelEngine:
                             or _WORKER_RUNNER.scale != self.scale):
                         _init_worker(self.scale)
                     payload = _run_task(state.task)
-                absorb(payload)
                 publish(state, payload)
             except Exception:
                 fail(state, "error", traceback.format_exc())
@@ -546,7 +547,6 @@ class ParallelEngine:
                     state.proc.join()
                     state.proc = state.conn = None
                     if status == "ok":
-                        absorb(payload)
                         publish(state, payload)
                     else:
                         fail(state, "error", payload)

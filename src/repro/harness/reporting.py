@@ -143,6 +143,10 @@ def format_run_report(points: Sequence[PointTiming],
         lines.append("task retries          %d (%d after timeout)"
                      % (retried, timed_out))
         lines.append("points failed         %d" % failed)
+    degraded = sum(1 for b in batches if b.degraded)
+    if degraded:
+        lines.append("degraded batches      %d (workers could not spawn; "
+                     "ran in-process)" % degraded)
     return "\n".join(lines)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -38,11 +39,16 @@ from ..obs.ledger import NULL_LEDGER, PHASE_NAMES
 from ..uarch import CoreParams, ModelKind, SimStats, model_params
 from ..uarch.pipeline import Simulator
 from ..workloads import ALL_NAMES, get_workload
-from .cache import (NullCache, NullPrecomputeStore, NullTraceStore,
-                    PrecomputeStore, ResultCache, TraceStore, canonical)
+from .cache import (PrecomputeStore, ResultCache, TraceStore,
+                    default_cache_dir)
 from .parallel import (BatchTiming, ParallelEngine, PointTiming, SimPoint,
                        make_point, spec_point)
 from .resilience import BatchFailure, FailedPoint, RetryPolicy
+
+
+def _count(name: str, doc: str) -> property:
+    """A read-only runner attribute backed by ``ExperimentRunner.counts``."""
+    return property(lambda self: self.counts[name], doc=doc)
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,8 @@ class ExperimentRunner:
         (e.g. 0.1 for quick tests); None keeps per-workload defaults.
         ``jobs`` is the worker-process count for batch submissions (1 =
         in-process serial).  ``cache`` overrides the default on-disk result
-        cache; ``use_cache=False`` disables persistence entirely.
+        cache; ``use_cache=False`` disables persistence entirely (the
+        default trace and precompute stores follow the result cache).
         ``progress`` is an optional callable(str) for live reporting.
         ``collect_metrics=True`` attaches a streaming metrics tracer to
         every simulation and keeps the structured report per point (forces
@@ -100,27 +107,18 @@ class ExperimentRunner:
         self.failure_log: List[FailedPoint] = []
         self._failed_keys: Dict[Tuple, FailedPoint] = {}
         self.metrics_log: Dict[Tuple, Dict[str, object]] = {}
-        if cache is not None:
-            self.cache = cache
-        elif use_cache:
-            self.cache = ResultCache()
-        else:
-            self.cache = NullCache()
-        if trace_store is not None:
-            self.trace_store = trace_store
-        elif getattr(self.cache, "root", None) is not None:
-            # Keep trace blobs beside the result entries they feed.
-            self.trace_store = TraceStore(root=self.cache.root / "traces")
-        else:
-            self.trace_store = NullTraceStore()
-        if precompute_store is not None:
-            self.precompute_store = precompute_store
-        elif getattr(self.trace_store, "root", None) is not None:
-            # Precompute bundles live beside the trace blobs they annotate.
-            self.precompute_store = PrecomputeStore(
-                root=self.trace_store.root)
-        else:
-            self.precompute_store = NullPrecomputeStore()
+        if cache is None:
+            cache = ResultCache(default_cache_dir() if use_cache else None)
+        self.cache = cache
+        if trace_store is None:
+            # Trace blobs live beside the result entries they feed.
+            trace_store = TraceStore(
+                None if cache.root is None else cache.root / "traces")
+        self.trace_store = trace_store
+        # Precompute bundles live beside the trace blobs they annotate.
+        self.precompute_store = (
+            precompute_store if precompute_store is not None
+            else PrecomputeStore(trace_store.root))
         self.progress = progress
         self._programs: Dict[str, Program] = {}
         self._traces: Dict[str, PackedTrace] = {}
@@ -129,18 +127,22 @@ class ExperimentRunner:
         self._results: Dict[Tuple, SimResult] = {}
         self.point_log: List[PointTiming] = []
         self.batch_log: List[BatchTiming] = []
-        # Functional-trace accounting (the sweep benchmark's zero-retrace
-        # assertion reads these; see DESIGN.md section 12).
-        self.traces_generated = 0    # functional CPU runs in this process
-        self.traces_loaded = 0       # packed traces mapped from the store
-        self.worker_retraces = 0     # functional CPU runs inside workers
-        # Precompute-bundle accounting (DESIGN.md section 14): "exactly
-        # one precompute per distinct trace" is built + loaded == number
-        # of distinct traces swept, asserted in tests via BatchTiming.
-        self.precomputes_built = 0   # bundles analysed in this process
-        self.precomputes_loaded = 0  # bundles loaded from the store
-        self.worker_precomputes_built = 0
-        self.worker_precomputes_loaded = 0
+        # Lifetime counts under BatchTiming field names (plus
+        # traces_loaded); each batch records its own delta.  The sweep
+        # benchmark's zero-retrace and one-precompute-per-trace gates
+        # read them (DESIGN.md sections 12 and 14).
+        self.counts: Counter = Counter()
+
+    traces_generated = _count("traces_generated",
+                              "Functional CPU runs in this process.")
+    traces_loaded = _count("traces_loaded",
+                           "Packed traces mapped from a stored blob.")
+    worker_retraces = _count("worker_retraces",
+                             "Functional CPU runs inside workers.")
+    precomputes_built = _count("precomputes_built",
+                               "Precompute bundles built in this process.")
+    precomputes_loaded = _count("precomputes_loaded",
+                                "Precompute bundles loaded from a blob.")
 
     # -- workload plumbing ---------------------------------------------------
 
@@ -175,7 +177,7 @@ class ExperimentRunner:
             self.phase_seconds["trace store I/O"] += (time.perf_counter()
                                                       - start)
             if packed is not None:
-                self.traces_loaded += 1
+                self.counts["traces_loaded"] += 1
                 if self.ledger.enabled:
                     self.ledger.emit(
                         "store.trace", workload=workload, event="hit",
@@ -192,7 +194,7 @@ class ExperimentRunner:
                 packed = run_trace_packed(program)
                 self.phase_seconds["functional tracing"] += (
                     time.perf_counter() - start)
-                self.traces_generated += 1
+                self.counts["traces_generated"] += 1
                 start = time.perf_counter()
                 self.trace_store.put(workload, iterations, packed)
                 self.phase_seconds["trace store I/O"] += (time.perf_counter()
@@ -217,8 +219,8 @@ class ExperimentRunner:
 
     def ensure_trace(self, workload: str) -> Optional[str]:
         """Make sure the store holds this workload's trace; returns its
-        path (None when the store is a :class:`NullTraceStore`), so batch
-        fan-out can hand workers a blob to map instead of re-tracing."""
+        path (None when the store is disabled), so batch fan-out can
+        hand workers a blob to map instead of re-tracing."""
         self.trace(workload)
         path = self.trace_store.path_for(workload,
                                          self.iterations(workload))
@@ -239,13 +241,14 @@ class ExperimentRunner:
         self._traces[workload] = packed
         # A bundle is tied to the trace object it was built for.
         self._precomputes.pop(workload, None)
-        self.traces_loaded += 1
+        self.counts["traces_loaded"] += 1
         return True
 
     @property
     def functional_traces(self) -> int:
         """Functional CPU executions this runner caused, anywhere."""
-        return self.traces_generated + self.worker_retraces
+        return (self.counts["traces_generated"]
+                + self.counts["worker_retraces"])
 
     # -- precompute plumbing -------------------------------------------------
 
@@ -276,7 +279,7 @@ class ExperimentRunner:
                 workload, iterations, trace, signature)
             self.phase_seconds["precompute"] += time.perf_counter() - start
             if bundle is not None:
-                self.precomputes_loaded += 1
+                self.counts["precomputes_loaded"] += 1
                 if self.ledger.enabled:
                     self.ledger.emit(
                         "store.precompute", workload=workload, event="hit",
@@ -290,7 +293,7 @@ class ExperimentRunner:
                     stale = stale is not None and stale.exists()
                 start = time.perf_counter()
                 bundle = TracePrecompute.build(trace, signature)
-                self.precomputes_built += 1
+                self.counts["precomputes_built"] += 1
                 self.phase_seconds["precompute"] += (time.perf_counter()
                                                      - start)
                 start = time.perf_counter()
@@ -328,7 +331,7 @@ class ExperimentRunner:
         except Exception:
             return False
         self._precomputes[workload] = bundle
-        self.precomputes_loaded += 1
+        self.counts["precomputes_loaded"] += 1
         return True
 
     # -- cache plumbing ------------------------------------------------------
@@ -351,7 +354,7 @@ class ExperimentRunner:
             fields = {"workload": workload, "model": model.value,
                       "source": source, "seconds": round(seconds, 6)}
             if overrides:
-                fields["overrides"] = canonical(overrides)
+                fields["overrides"] = overrides
             if result is not None:
                 # energy/edp are the exact floats energy_report produced
                 # (JSON round-trips doubles losslessly), so ledger spans
@@ -502,6 +505,7 @@ class ExperimentRunner:
                 if attempts > self.policy.retries:
                     return FailedPoint(point=point, kind="error",
                                        detail=detail, attempts=attempts)
+                self.counts["retried"] += 1
                 time.sleep(self.policy.delay_for(attempts))
                 continue
             publish(point, result, time.perf_counter() - start)
@@ -522,9 +526,7 @@ class ExperimentRunner:
         published, so completed work is never lost.
         """
         batch_start = time.perf_counter()
-        traces_before = self.traces_generated
-        pre_built_before = self.precomputes_built
-        pre_loaded_before = self.precomputes_loaded
+        counts_before = Counter(self.counts)
         phases_before = dict(self.phase_seconds)
         points = list(points)
         self.sweep_seq += 1
@@ -600,18 +602,8 @@ class ExperimentRunner:
                                         ledger=self.ledger)
                 resolved = engine.run_points(misses)
                 fresh_failures.extend(engine.failures)
-                timing.retried += engine.retried
-                timing.timed_out += engine.timed_out
-                timing.worker_retraces += engine.worker_retraces
-                self.worker_retraces += engine.worker_retraces
-                timing.worker_precomputes_built += \
-                    engine.worker_precomputes_built
-                timing.worker_precomputes_loaded += \
-                    engine.worker_precomputes_loaded
-                self.worker_precomputes_built += \
-                    engine.worker_precomputes_built
-                self.worker_precomputes_loaded += \
-                    engine.worker_precomputes_loaded
+                self.counts.update(engine.counts)
+                timing.degraded = engine.degraded
                 # Defensive: a point the engine neither resolved nor
                 # recorded as failed is reported, never KeyError'd.
                 accounted = set(resolved)
@@ -649,10 +641,7 @@ class ExperimentRunner:
                     failure.point.spec)] = failure
             failures.extend(fresh_failures)
         timing.failed = len(failures)
-        timing.traces_generated = self.traces_generated - traces_before
-        timing.precomputes_built = self.precomputes_built - pre_built_before
-        timing.precomputes_loaded = (self.precomputes_loaded
-                                     - pre_loaded_before)
+        timing.add(self.counts - counts_before)
         timing.wall_seconds = time.perf_counter() - batch_start
         if timing.points:
             self.batch_log.append(timing)
@@ -662,8 +651,7 @@ class ExperimentRunner:
                     "point.failed", workload=failure.point.workload,
                     model=failure.point.model.value, cause=failure.kind,
                     attempts=failure.attempts,
-                    overrides=(canonical(failure.point.override_dict)
-                               if failure.point.overrides else None),
+                    overrides=failure.point.spec.setting_dict() or None,
                     detail=failure.detail or None)
             # "timing simulation" is the summed per-point simulation
             # time; the other phases are this batch's deltas of the
@@ -674,21 +662,8 @@ class ExperimentRunner:
                 if delta > 0.0:
                     self.ledger.emit("phase", sweep=sweep_id, name=name,
                                      seconds=round(delta, 6))
-            self.ledger.emit(
-                "sweep.end", sweep=sweep_id, points=timing.points,
-                simulated=timing.simulated, memo_hits=timing.memo_hits,
-                cache_hits=timing.cache_hits, failed=timing.failed,
-                retried=timing.retried, timed_out=timing.timed_out,
-                wall_seconds=round(timing.wall_seconds, 6),
-                sim_seconds=round(timing.sim_seconds, 6),
-                traces_generated=timing.traces_generated or None,
-                worker_retraces=timing.worker_retraces or None,
-                precomputes_built=timing.precomputes_built or None,
-                precomputes_loaded=timing.precomputes_loaded or None,
-                worker_precomputes_built=(timing.worker_precomputes_built
-                                          or None),
-                worker_precomputes_loaded=(timing.worker_precomputes_loaded
-                                           or None))
+            self.ledger.emit("sweep.end", sweep=sweep_id,
+                             **timing.span_fields())
         if failures and not self.keep_going:
             raise BatchFailure(failures)
         return out

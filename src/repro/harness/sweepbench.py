@@ -50,6 +50,7 @@ rebuilds), and an RSS drop.
 from __future__ import annotations
 
 import multiprocessing
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -62,7 +63,7 @@ from ..kernel.trace import MAX_TRACE_INSTRUCTIONS
 from ..uarch import ModelKind
 from ..uarch.pipeline import Simulator
 from ..workloads import get_workload
-from .cache import NullCache, NullTraceStore, ResultCache, TraceStore
+from .cache import ResultCache, TraceStore
 from .hotloop import SCHEMA, calibrate, write_report  # shared report idiom
 from .runner import ExperimentRunner
 
@@ -105,12 +106,20 @@ MIN_WARM_SPEEDUP = 1.5
 MIN_WARM_STORE_SPEEDUP = 1.05
 MIN_BATCHED_SPEEDUP = 1.2
 
-# Ceiling on the cost of recording a sweep ledger (ISSUE 8 acceptance:
-# a warm 16-point sweep with --ledger stays within 5% of one without).
-# Both legs are timed best-of-N in the same session, so the gate is
-# machine-independent; the flush-per-span JSONL writer costs well under
-# 1% at these span rates.
+# Ceiling on the cost of recording a sweep ledger: a warm 16-point
+# sweep with --ledger stays within 5% of one without.  Both legs run in
+# the same session, so the gate is machine-independent; the
+# flush-per-span JSONL writer costs well under 1% at these span rates.
 MAX_LEDGER_OVERHEAD_PERCENT = 5.0
+
+# Passes of the ledger-overhead probe.  Each pass times one plain and
+# one recorded leg back to back, alternating which goes first, and the
+# gate reads the median of the per-pass ratios.  On a shared 2-core
+# x86-64 host (smoke scale) single passes read -11% to +12%, and the
+# former best-of-3 of each leg read -3.9% and +6.6% (a gate failure)
+# with the ledger path unchanged; the median of seven passes read -0.5%
+# to +1.7% over three runs.
+LEDGER_OVERHEAD_PASSES = 7
 
 _LEG_DESCRIPTIONS = {
     "legacy": "no trace store, no result cache: every point re-traces "
@@ -155,12 +164,10 @@ def _run_point_legacy(workload: str, spec: ConfigSpec,
 
 def _leg_runner(scale: Optional[float], store_root: Optional[Path],
                 cache_root: Optional[Path]) -> ExperimentRunner:
-    return ExperimentRunner(
-        scale=scale, jobs=1,
-        cache=(ResultCache(root=cache_root) if cache_root is not None
-               else NullCache()),
-        trace_store=(TraceStore(root=store_root) if store_root is not None
-                     else NullTraceStore()))
+    """A fresh runner over the given stores (a None root disables one)."""
+    return ExperimentRunner(scale=scale, jobs=1,
+                            cache=ResultCache(root=cache_root),
+                            trace_store=TraceStore(root=store_root))
 
 
 def _run_leg(leg: str, scale: Optional[float],
@@ -249,46 +256,64 @@ def _run_leg(leg: str, scale: Optional[float],
 
 
 def measure_ledger_overhead(scale: Optional[float], store_root: Path,
-                            repeats: int = 3) -> Dict[str, object]:
+                            passes: int = LEDGER_OVERHEAD_PASSES
+                            ) -> Dict[str, object]:
     """Wall cost of recording a sweep ledger on the warm batched matrix.
 
     Runs the full point matrix through ``run_batch`` against warm trace
     and precompute stores (result cache off, so every point simulates),
-    best-of-``repeats`` with no ledger and again with a live
-    :class:`~repro.obs.ledger.JsonlLedger`, alternating legs within each
-    pass so machine drift hits both equally.  This is the acceptance
-    probe for the NullLedger's zero-overhead contract *and* for the
-    enabled writer staying in the noise.
+    once with no ledger and once with a live
+    :class:`~repro.obs.ledger.JsonlLedger` per pass, the first leg
+    alternating between passes so machine drift hits both equally.  The
+    overhead is the median of the per-pass ledger/plain ratios; every
+    pass is reported.  This is the acceptance probe for the NullLedger's
+    zero-overhead contract *and* for the enabled writer staying in the
+    noise.
     """
     from ..obs.ledger import JsonlLedger
     from .parallel import spec_point
 
     points = [spec_point(workload, spec)
               for workload, spec in bench_points()]
-    plain_wall = ledger_wall = float("inf")
+    runs: List[Dict[str, object]] = []
+    ratios: List[float] = []
     spans = 0
     with tempfile.TemporaryDirectory(prefix="repro-ledgerbench-") as tmp:
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            _leg_runner(scale, store_root, None).run_batch(points)
-            plain_wall = min(plain_wall, time.perf_counter() - start)
 
-            sink = JsonlLedger(Path(tmp) / "bench.jsonl", command="bench")
+        def leg(recorded: bool) -> float:
+            nonlocal spans
+            sink = (JsonlLedger(Path(tmp) / "bench.jsonl", command="bench")
+                    if recorded else None)
             start = time.perf_counter()
             runner = _leg_runner(scale, store_root, None)
-            runner.ledger = sink
+            if sink is not None:
+                runner.ledger = sink
             runner.run_batch(points)
-            ledger_wall = min(ledger_wall, time.perf_counter() - start)
-            sink.close()
-            spans = sink.spans
-    overhead = 100.0 * (ledger_wall - plain_wall) / plain_wall
+            seconds = time.perf_counter() - start
+            if sink is not None:
+                sink.close()
+                spans = sink.spans
+            return seconds
+
+        for index in range(max(1, passes)):
+            ledger_first = index % 2 == 1
+            walls = {recorded: leg(recorded)
+                     for recorded in (ledger_first, not ledger_first)}
+            ratios.append(walls[True] / walls[False])
+            runs.append({"ledger_first": ledger_first,
+                         "plain_seconds": round(walls[False], 6),
+                         "ledger_seconds": round(walls[True], 6)})
     return {
         "points": len(points),
-        "repeats": repeats,
-        "plain_seconds": round(plain_wall, 6),
-        "ledger_seconds": round(ledger_wall, 6),
-        "overhead_percent": round(overhead, 2),
+        "passes": len(runs),
+        "plain_seconds": round(statistics.median(
+            run["plain_seconds"] for run in runs), 6),
+        "ledger_seconds": round(statistics.median(
+            run["ledger_seconds"] for run in runs), 6),
+        "overhead_percent": round(100.0 * (statistics.median(ratios) - 1.0),
+                                  2),
         "spans": spans,
+        "runs": runs,
     }
 
 
@@ -427,8 +452,7 @@ def run_benchmark(smoke: bool = False, scale: Optional[float] = None,
 
         # Ledger overhead probe against the now-warm stores (every point
         # still simulates; only the telemetry sink differs between legs).
-        payload["ledger"] = measure_ledger_overhead(scale, store_root,
-                                                    repeats=repeats)
+        payload["ledger"] = measure_ledger_overhead(scale, store_root)
         if progress is not None:
             progress("  ledger overhead %+.2f%% (%d spans)"
                      % (payload["ledger"]["overhead_percent"],
@@ -518,9 +542,10 @@ def format_report(payload: dict) -> str:
     ledger = payload.get("ledger")
     if ledger:
         lines.append("  ledger overhead: %.2fs plain -> %.2fs recorded "
-                     "(%+.2f%%, %d spans)"
+                     "(median of %d paired passes %+.2f%%, %d spans)"
                      % (ledger["plain_seconds"], ledger["ledger_seconds"],
-                        ledger["overhead_percent"], ledger["spans"]))
+                        ledger["passes"], ledger["overhead_percent"],
+                        ledger["spans"]))
     rss = payload["rss"]
     if "error" in rss:
         lines.append("  rss probe failed: %s" % rss["error"])

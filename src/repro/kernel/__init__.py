@@ -7,8 +7,7 @@ from .trace import (MAX_TRACE_INSTRUCTIONS, TraceEntry, TraceRecorder,
                     trace_summary)
 from .tracestore import (TRACE_FORMAT_VERSION, ColumnarTraceRecorder,
                          PackedTrace, TraceDecodeError, TraceEncodeError,
-                         load_trace, pack_trace, run_trace_packed,
-                         write_trace)
+                         load_trace, pack_trace, run_trace_packed)
 
 __all__ = [
     "SparseMemory", "ExecutionError", "FunctionalCpu", "alu_result",
@@ -16,5 +15,5 @@ __all__ = [
     "MAX_TRACE_INSTRUCTIONS", "TraceEntry", "TraceRecorder", "trace_summary",
     "TRACE_FORMAT_VERSION", "ColumnarTraceRecorder", "PackedTrace",
     "TraceDecodeError", "TraceEncodeError", "load_trace", "pack_trace",
-    "run_trace_packed", "write_trace",
+    "run_trace_packed",
 ]

@@ -412,23 +412,17 @@ def pack_trace(program: Program,
     return PackedTrace.from_entries(program, trace)
 
 
-def write_trace(path, packed: PackedTrace) -> None:
-    """Serialise to ``path`` (callers wanting atomicity write-and-rename)."""
-    with open(path, "wb") as handle:
-        handle.write(packed.to_bytes())
-
-
-def load_trace(path, program: Program,
-               use_mmap: bool = True) -> PackedTrace:
+def load_trace(path, program: Program) -> PackedTrace:
     """Load a packed trace read-only; column views are zero-copy into an
-    ``mmap`` (shared page cache across workers) when the platform allows.
+    ``mmap`` (shared page cache across workers) when the platform allows,
+    and decoded from a plain read otherwise.
 
     Raises :class:`TraceDecodeError` (or ``OSError``) on any problem --
     callers treat that as a cache miss.
     """
     path = str(path)
     with open(path, "rb") as handle:
-        if use_mmap and _CAN_CAST:
+        if _CAN_CAST:
             try:
                 mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
             except (ValueError, OSError):   # empty file / no mmap support

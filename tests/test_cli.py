@@ -128,3 +128,52 @@ class TestObservabilityCommands:
         path.write_text("not json\n")
         code, text = run_cli("trace-report", str(path))
         assert code == 1 and "malformed" in text
+
+
+class TestCacheCommand:
+    def fill(self, root):
+        """One blob of every kind under ``root``, plus one orphaned
+        temp file in each of the result, trace and ledger trees."""
+        from repro.harness.cache import ResultCache
+        from repro.harness.runner import ExperimentRunner
+        from repro.obs.ledger import JsonlLedger
+
+        runner = ExperimentRunner(scale=0.05, cache=ResultCache(root=root))
+        runner.ensure_precompute("bzip2")        # a trace and a bundle
+        runner.cache.put("ab" + "0" * 62, {"stats": 1})
+        JsonlLedger(root / "ledgers" / "run.jsonl").close()
+        for orphan in (root / "ab" / "dead.tmp",
+                       root / "traces" / "cd" / "dead.tmp",
+                       root / "ledgers" / "dead.jsonl.tmp"):
+            orphan.parent.mkdir(parents=True, exist_ok=True)
+            orphan.write_bytes(b"partial")
+
+    def info(self):
+        code, text = run_cli("cache", "info")
+        assert code == 0
+        rows = dict(line.rsplit(None, 1) for line in text.splitlines()
+                    if not line.endswith("KiB"))
+        return {name.strip(): value for name, value in rows.items()}
+
+    def test_info_gc_clear(self, tmp_path, monkeypatch):
+        root = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        self.fill(root)
+        info = self.info()
+        assert info["cache dir"] == str(root)
+        assert (info["entries"], info["trace blobs"],
+                info["precompute blobs"], info["ledgers"],
+                info["orphaned tmp"]) == ("1", "1", "1", "1", "3")
+
+        code, text = run_cli("cache", "gc")
+        assert code == 0 and "swept 3 orphaned temp file(s)" in text
+        assert self.info()["orphaned tmp"] == "0"
+
+        code, text = run_cli("cache", "clear")
+        assert code == 0
+        assert ("removed 1 cached result(s), 1 trace blob(s), 1 "
+                "precompute blob(s), and 1 ledger(s)") in text
+        info = self.info()
+        assert (info["entries"], info["trace blobs"],
+                info["precompute blobs"], info["ledgers"]) == \
+            ("0", "0", "0", "0")

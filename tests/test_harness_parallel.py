@@ -105,9 +105,16 @@ def test_run_batch_deduplicates_points(tmp_path):
 
 def test_no_cache_runner_leaves_disk_untouched(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "never"))
+    monkeypatch.chdir(tmp_path)
     runner = ExperimentRunner(scale=SCALE, use_cache=False)
+    assert runner.cache.root is None
+    assert runner.trace_store.root is None
+    assert runner.precompute_store.root is None
     runner.run("bzip2", ModelKind.DMDP)
-    assert not (tmp_path / "never").exists()
+    runner.run_batch([make_point(w, m) for w in WORKLOADS
+                      for m in (ModelKind.NOSQ, ModelKind.DMDP)])
+    assert runner.batch_log[-1].simulated == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_overrides_key_is_order_insensitive(tmp_path):

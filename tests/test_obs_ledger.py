@@ -8,6 +8,7 @@ and which ``repro ledger report`` can render.  The ``NullLedger``
 default keeps all of this strictly opt-in.
 """
 
+import dataclasses
 import io
 import json
 import os
@@ -15,13 +16,16 @@ import os
 import pytest
 
 from repro.energy import energy_summary
+from repro.harness import parallel
 from repro.harness.cache import LedgerDir, ResultCache
-from repro.harness.parallel import make_point
+from repro.harness.parallel import BatchTiming, SimPoint, make_point
+from repro.harness.reporting import format_run_report
 from repro.harness.resilience import RetryPolicy
 from repro.harness.runner import ExperimentRunner
-from repro.obs.ledger import (LEDGER_SCHEMA_VERSION, JsonlLedger,
-                              LedgerSink, NullLedger, TeeLedger,
-                              diff_ledgers, format_ledger_diff,
+from repro.obs import ledger as ledger_mod
+from repro.obs.ledger import (LEDGER_SCHEMA_VERSION, SPAN_SCHEMA,
+                              JsonlLedger, LedgerSink, NullLedger,
+                              TeeLedger, diff_ledgers, format_ledger_diff,
                               format_ledger_report, read_ledger,
                               summarize_ledger, validate_span)
 from repro.obs.progress import ProgressRenderer
@@ -111,6 +115,19 @@ class TestSchema:
         span = {"v": LEDGER_SCHEMA_VERSION, "t": 0.0, "kind": "task.failed",
                 "task": "bzip2", "attempts": 3, "cause": "timeout"}
         validate_span(span)
+
+    def test_batch_timing_fields_are_in_the_schema(self):
+        """``sweep.end`` carries every BatchTiming field but ``jobs`` and
+        ``task.completed`` every worker count, so a new counter needs a
+        schema entry before any ledger can carry it."""
+        timing_fields = dataclasses.fields(BatchTiming)
+        sweep_end = SPAN_SCHEMA["sweep.end"]
+        assert ({f.name for f in timing_fields} - {"jobs"}
+                <= sweep_end["req"] | sweep_end["opt"])
+        assert ({f.name for f in timing_fields if f.type in (int, "int")}
+                <= ledger_mod._NUMERIC_FIELDS)
+        assert (set(parallel._WORKER_FIELDS.values())
+                <= SPAN_SCHEMA["task.completed"]["opt"])
 
 
 # -- sinks -------------------------------------------------------------------
@@ -213,6 +230,38 @@ class TestRunnerSpans:
             assert span["points"] == 2
             assert span["wall_seconds"] >= 0.0
             assert span["pid"] > 0
+
+    def test_degraded_batch_reaches_timing_and_span(self, monkeypatch,
+                                                     tmp_path):
+        fault_env(monkeypatch, tmp_path, "nospawn")
+        sink = ListLedger()
+        runner = runner_with(tmp_path, sink, jobs=2)
+        runner.run_batch(POINTS)
+        timing = runner.batch_log[-1]
+        assert timing.degraded
+        assert timing.simulated == len(POINTS) and timing.failed == 0
+        assert sink.of("sweep.end")[0]["degraded"] is True
+        assert {s["mode"] for s in sink.of("task.spawned")} == {"inline"}
+        assert "degraded batches      1" in format_run_report(
+            runner.point_log, runner.batch_log)
+
+    def test_failed_and_completed_points_name_settings_alike(
+            self, monkeypatch, tmp_path):
+        """A hand-built point with a bare setting name is logged under
+        its dotted canonical name whether it fails or completes."""
+        fault_env(monkeypatch, tmp_path, "raise:workload=bzip2")
+        sink = ListLedger()
+        runner = runner_with(tmp_path, sink, jobs=2, keep_going=True,
+                             policy=RetryPolicy(retries=0, backoff=0.0))
+        bare = (("store_buffer_entries", 8),)
+        runner.run_batch([SimPoint("bzip2", ModelKind.DMDP, bare),
+                          SimPoint("tonto", ModelKind.DMDP, bare)])
+        dotted = {"core.store_buffer_entries": 8}
+        [failed] = sink.of("point.failed")
+        [completed] = sink.of("point.completed")
+        assert failed["workload"] == "bzip2"
+        assert completed["workload"] == "tonto"
+        assert failed["overrides"] == completed["overrides"] == dotted
 
     def test_warm_rerun_reports_cache_hits(self, tmp_path):
         sink = ListLedger()

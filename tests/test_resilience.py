@@ -268,6 +268,7 @@ class TestEngineRobustness:
         results = runner.run_batch(POINTS[:1])
         assert set(results) == set(POINTS[:1])
         assert calls["n"] == 2
+        assert runner.batch_log[-1].retried == 1
 
     def test_serial_path_exhausts_retries(self, tmp_path, monkeypatch):
         runner = runner_with(tmp_path, jobs=1, keep_going=True,

@@ -18,12 +18,12 @@ import random
 
 import pytest
 
-from repro.harness.cache import (NullCache, NullTraceStore, ResultCache,
-                                 TraceStore)
+from repro.harness.cache import PrecomputeStore, ResultCache, TraceStore
 from repro.harness.parallel import make_point
 from repro.harness.runner import ExperimentRunner
 from repro.kernel import (MAX_TRACE_INSTRUCTIONS, FunctionalCpu, PackedTrace,
-                          pack_trace, run_trace_packed, write_trace)
+                          pack_trace, run_trace_packed)
+from repro.kernel.precompute import TracePrecompute, bpred_signature
 from repro.uarch import ALL_MODELS, ModelKind, Simulator, model_params
 from repro.uarch.models import trace_program
 from repro.workloads import get_workload
@@ -81,7 +81,7 @@ class TestPackedTraceFidelity:
         from repro.kernel import load_trace
         program, trace = random_case(0)
         path = tmp_path / "case0.trc"
-        write_trace(path, pack_trace(program, trace))
+        path.write_bytes(pack_trace(program, trace).to_bytes())
         loaded = load_trace(path, program)
         assert isinstance(loaded, PackedTrace)
         assert_entries_identical(loaded, trace)
@@ -289,18 +289,42 @@ class TestTraceStore:
         assert store.clear() == 1
         assert store.entries() == []
 
-    def test_null_store_is_inert(self):
-        store = NullTraceStore()
+    @pytest.mark.parametrize("kind", ["result", "trace", "precompute"])
+    def test_disabled_store_is_inert(self, kind, tmp_path, monkeypatch):
+        """``root=None`` persists nothing, counts nothing, and its
+        maintenance calls see no files, for every kind of store."""
+        monkeypatch.chdir(tmp_path)
         program, trace = random_case(0)
-        assert store.put("x", 1, pack_trace(program, trace)) is None
-        assert store.load("x", 1, program) is None
-        assert store.path_for("x", 1) is None
-        assert store.entry_count() == 0
+        packed = pack_trace(program, trace)
+        if kind == "result":
+            store = ResultCache(root=None)
+            key = store.key_for("x", 1, ModelKind.DMDP, {})
+            assert store.put(key, {"stats": 1}) is None
+            assert store.get(key) is None
+            assert store._path(key) is None
+        elif kind == "trace":
+            store = TraceStore(root=None)
+            assert store.put("x", 1, packed) is None
+            assert store.load("x", 1, program) is None
+            assert store.path_for("x", 1) is None
+        else:
+            store = PrecomputeStore(root=None)
+            bundle = TracePrecompute.build(
+                packed, bpred_signature(model_params(ModelKind.DMDP)))
+            assert store.put("x", 1, bundle) is None
+            assert store.load("x", 1, packed, bundle.signature) is None
+            assert store.path_for("x", 1, bundle.signature) is None
+        assert store.root is None
+        assert (store.hits, store.misses) == (0, 0)
+        assert store.entries() == [] and store.tmp_files() == []
+        assert store.entry_count() == store.size_bytes() == 0
+        assert store.gc() == store.clear() == 0
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunnerIntegration:
     def runner(self, tmp_path, **kwargs):
-        kwargs.setdefault("cache", NullCache())
+        kwargs.setdefault("cache", ResultCache(root=None))
         kwargs.setdefault("trace_store",
                           TraceStore(root=tmp_path / "traces"))
         return ExperimentRunner(scale=0.1, jobs=1, **kwargs)
@@ -323,7 +347,7 @@ class TestRunnerIntegration:
 
     def test_no_cache_disables_trace_store_too(self):
         runner = ExperimentRunner(scale=0.1, use_cache=False)
-        assert isinstance(runner.trace_store, NullTraceStore)
+        assert runner.trace_store.root is None
 
     def test_attach_trace_bad_blob_falls_back_to_retrace(self, tmp_path):
         runner = self.runner(tmp_path)
