@@ -170,7 +170,7 @@ class BatchTiming:
 
 _SPAN_FIELDS = tuple(f.name for f in fields(BatchTiming) if f.name != "jobs")
 _COUNT_FIELDS = frozenset(f.name for f in fields(BatchTiming)
-                          if f.type == "int" and f.name != "jobs")
+                          if type(f.default) is int and f.name != "jobs")
 
 # A worker's own counts, and the BatchTiming fields the parent files
 # them under.

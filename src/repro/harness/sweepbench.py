@@ -255,9 +255,8 @@ def _run_leg(leg: str, scale: Optional[float],
 # -- ledger overhead probe ---------------------------------------------------
 
 
-def measure_ledger_overhead(scale: Optional[float], store_root: Path,
-                            passes: int = LEDGER_OVERHEAD_PASSES
-                            ) -> Dict[str, object]:
+def measure_ledger_overhead(scale: Optional[float],
+                            store_root: Path) -> Dict[str, object]:
     """Wall cost of recording a sweep ledger on the warm batched matrix.
 
     Runs the full point matrix through ``run_batch`` against warm trace
@@ -295,7 +294,7 @@ def measure_ledger_overhead(scale: Optional[float], store_root: Path,
                 spans = sink.spans
             return seconds
 
-        for index in range(max(1, passes)):
+        for index in range(LEDGER_OVERHEAD_PASSES):
             ledger_first = index % 2 == 1
             walls = {recorded: leg(recorded)
                      for recorded in (ledger_first, not ledger_first)}

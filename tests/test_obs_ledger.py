@@ -8,15 +8,18 @@ and which ``repro ledger report`` can render.  The ``NullLedger``
 default keeps all of this strictly opt-in.
 """
 
-import dataclasses
+import inspect
 import io
 import json
 import os
+import re
+import typing
 
 import pytest
 
 from repro.energy import energy_summary
 from repro.harness import parallel
+from repro.harness import runner as runner_mod
 from repro.harness.cache import LedgerDir, ResultCache
 from repro.harness.parallel import BatchTiming, SimPoint, make_point
 from repro.harness.reporting import format_run_report
@@ -120,14 +123,30 @@ class TestSchema:
         """``sweep.end`` carries every BatchTiming field but ``jobs`` and
         ``task.completed`` every worker count, so a new counter needs a
         schema entry before any ledger can carry it."""
-        timing_fields = dataclasses.fields(BatchTiming)
+        hints = typing.get_type_hints(BatchTiming)
         sweep_end = SPAN_SCHEMA["sweep.end"]
-        assert ({f.name for f in timing_fields} - {"jobs"}
-                <= sweep_end["req"] | sweep_end["opt"])
-        assert ({f.name for f in timing_fields if f.type in (int, "int")}
+        assert set(hints) - {"jobs"} <= sweep_end["req"] | sweep_end["opt"]
+        assert ({name for name, hint in hints.items() if hint is int}
                 <= ledger_mod._NUMERIC_FIELDS)
         assert (set(parallel._WORKER_FIELDS.values())
                 <= SPAN_SCHEMA["task.completed"]["opt"])
+
+    def test_every_count_name_is_a_batch_timing_field(self):
+        """``BatchTiming.add`` files each count under its field name and
+        drops any other name, so a misspelt ``counts[...]`` key in the
+        runner or the engine would vanish from the record silently."""
+        hints = typing.get_type_hints(BatchTiming)
+        assert parallel._COUNT_FIELDS == (
+            {name for name, hint in hints.items() if hint is int} - {"jobs"})
+        names = set(parallel._WORKER_FIELDS.values())
+        for module in (runner_mod, parallel):
+            source = inspect.getsource(module)
+            names.update(re.findall(r'counts\["(\w+)"\]', source))
+            names.update(re.findall(r'_count\("(\w+)"', source))
+        assert {"retried", "timed_out", "traces_generated",
+                "precomputes_loaded"} <= names
+        # The runner's store-load count is its own; no batch field.
+        assert names - {"traces_loaded"} <= parallel._COUNT_FIELDS
 
 
 # -- sinks -------------------------------------------------------------------

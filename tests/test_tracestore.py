@@ -418,6 +418,10 @@ class TestSweepBenchCheck:
                      "simulations": 0},
         }
         return {
+            "mode": "smoke",
+            "points": 16,
+            "models": ["baseline", "dmdp"],
+            "configs": [{}, {"core.store_buffer_entries": 8}],
             "legs": legs,
             "workloads": ["mcf", "lbm"],
             "stats_consistent": True,
@@ -427,10 +431,60 @@ class TestSweepBenchCheck:
             "rss": {"legacy_max_rss_kb": 50_000,
                     "packed_max_rss_kb": 30_000,
                     "drop_kb": 20_000, "drop_percent": 40.0},
-            "ledger": {"points": 16, "repeats": 3,
+            "ledger": {"points": 16, "passes": 2,
                        "plain_seconds": 5.0, "ledger_seconds": 5.1,
-                       "overhead_percent": 2.0, "spans": 27},
+                       "overhead_percent": 2.0, "spans": 27,
+                       "runs": [{"ledger_first": False,
+                                 "plain_seconds": 5.0,
+                                 "ledger_seconds": 5.05},
+                                {"ledger_first": True,
+                                 "plain_seconds": 5.0,
+                                 "ledger_seconds": 5.15}]},
         }
+
+    def test_ledger_overhead_is_median_of_paired_passes(self, tmp_path,
+                                                        monkeypatch):
+        """Each pass times a plain and a recorded leg back to back, the
+        first leg alternating; one outlier pass does not move the gate."""
+        from types import SimpleNamespace
+        from repro.harness import sweepbench
+        monkeypatch.setattr(sweepbench, "LEDGER_OVERHEAD_PASSES", 7)
+        recorded = iter([1.01, 1.50, 0.99, 1.02, 1.03, 0.98, 1.00])
+        clock = SimpleNamespace(now=0.0)
+        order = []
+
+        class FakeRunner:
+            ledger = None
+
+            def run_batch(self, points):
+                order.append(self.ledger is not None)
+                clock.now += (next(recorded) if self.ledger is not None
+                              else 1.0)
+
+        monkeypatch.setattr(sweepbench, "_leg_runner",
+                            lambda *args: FakeRunner())
+        monkeypatch.setattr(sweepbench, "time",
+                            SimpleNamespace(perf_counter=lambda: clock.now))
+        ledger = sweepbench.measure_ledger_overhead(None, tmp_path)
+        assert order == [False, True, True, False] * 3 + [False, True]
+        assert ledger["passes"] == len(ledger["runs"]) == 7
+        assert [run["ledger_first"] for run in ledger["runs"]] == [
+            index % 2 == 1 for index in range(7)]
+        assert ledger["runs"][1] == {"ledger_first": True,
+                                     "plain_seconds": 1.0,
+                                     "ledger_seconds": 1.5}
+        assert ledger["overhead_percent"] == 1.0
+        assert ledger["plain_seconds"] == 1.0
+        assert ledger["ledger_seconds"] == 1.01
+        assert ledger["spans"] == 2          # ledger.open + ledger.close
+
+    def test_report_renders_paired_ledger_passes(self):
+        from repro.harness import sweepbench
+        payload = sweepbench.attach_check(self.payload(), check=True)
+        report = sweepbench.format_report(payload)
+        assert ("ledger overhead: 5.00s plain -> 5.10s recorded "
+                "(median of 2 paired passes +2.00%, 27 spans)") in report
+        assert "check: PASS" in report
 
     def test_passes_on_healthy_payload(self):
         from repro.harness import sweepbench
