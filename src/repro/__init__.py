@@ -17,7 +17,7 @@ Quick start::
 """
 
 from .isa import Program, ProgramBuilder, assemble
-from .kernel import FunctionalCpu, run_program
+from .kernel import FunctionalCpu
 from .uarch import (
     ALL_MODELS,
     CoreParams,
@@ -58,7 +58,7 @@ def quick_compare(workload: str = "bzip2", scale: float = None) -> str:
 
 __all__ = [
     "Program", "ProgramBuilder", "assemble",
-    "FunctionalCpu", "run_program",
+    "FunctionalCpu",
     "ALL_MODELS", "CoreParams", "ModelKind", "SimStats", "Simulator",
     "baseline_params", "model_params", "run_all_models", "run_model",
     "EnergyReport", "edp", "energy_report",

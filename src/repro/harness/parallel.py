@@ -198,41 +198,38 @@ def _run_task(task):
     When the parent supplied a packed-trace path, adopt that blob (an
     ``mmap`` of the store's copy) before simulating; if it fails to
     decode -- deleted, truncated, format-bumped under us -- fall back to
-    re-tracing rather than failing the task.  The blob slot may also be
-    a ``(trace_path, precompute_path)`` pair: the precompute bundle is
-    then loaded the same way, so all of this task's configurations share
-    one whole-trace analysis; a bundle that fails to decode (or was
-    never shipped, with more than one config to amortise it over) is
-    rebuilt locally.  Returns ``(workload, outcomes, counts)``:
+    re-tracing rather than failing the task.  A task with two or more
+    configurations shares one precompute bundle, the rule
+    :meth:`ExperimentRunner.run_batch` applies: the parent then ships a
+    ``(trace_path, precompute_path)`` pair, and a bundle that fails to
+    decode (or was not shipped) is rebuilt locally.  A single
+    configuration builds its own tables.  Every configuration is
+    simulated through the runner's ``_simulate``; retries are the
+    engine's alone.  Returns ``(workload, outcomes, counts)``:
     ``counts`` maps :class:`BatchTiming` field names to what this task
     did itself -- functional traces it had to run (``worker_retraces``,
     whose absence the sweep benchmark asserts) and precompute bundles
     it built or loaded -- leaving out zeros.
     """
     workload, blob, configs = task
-    trace_path = pre_path = None
-    if isinstance(blob, tuple):
-        trace_path, pre_path = blob
-    else:
-        trace_path = blob
+    trace_path, pre_path = blob if isinstance(blob, tuple) else (blob, None)
     before = Counter(_WORKER_RUNNER.counts)
     if trace_path is not None:
         _WORKER_RUNNER.attach_trace(workload, trace_path)
-        attached = False
-        if pre_path is not None:
-            attached = _WORKER_RUNNER.attach_precompute(workload, pre_path)
-        if not attached and len(configs) > 1:
-            try:
-                _WORKER_RUNNER.precompute_for(workload)
-            except Exception:
-                pass    # each Simulator builds its own bundle
+    if len(configs) > 1 and (
+            pre_path is None
+            or not _WORKER_RUNNER.attach_precompute(workload, pre_path)):
+        try:
+            _WORKER_RUNNER.precompute_for(workload)
+        except Exception:
+            pass    # each Simulator builds its own bundle
     out = []
     for model, settings in configs:
         start = time.perf_counter()
         # Settings are already canonical (the parent built the task from
         # point specs), so the trusting constructor suffices.
-        result = _WORKER_RUNNER.run_spec(workload,
-                                         ConfigSpec(model, settings))
+        result = _WORKER_RUNNER._simulate(workload,
+                                          ConfigSpec(model, settings))
         out.append((model, settings, result,
                     time.perf_counter() - start))
     done = _WORKER_RUNNER.counts - before

@@ -14,11 +14,12 @@ memo -> persistent trace store -> functional CPU, and batch fan-out hands
 workers the persisted blob's path so they ``mmap`` it instead of
 re-tracing (DESIGN.md section 12).
 
-Figure/table functions submit their whole point set through
-:meth:`ExperimentRunner.run_batch` (collect points -> parallel map ->
-assemble); individual :meth:`run` calls then resolve from the memo.
-Every resolved point is logged with its wall-clock cost and provenance
-("sim" vs "cache") for the reporting layer.
+:meth:`ExperimentRunner.run_batch` is the one way a point is resolved.
+Figure/table functions submit their whole point set through it (collect
+points -> parallel map -> assemble), and individual :meth:`run` calls
+then resolve from the memo; a :meth:`run` that misses the memo is a
+one-point batch.  Every resolved point is logged with its wall-clock
+cost and provenance ("sim" vs "cache") for the reporting layer.
 """
 
 from __future__ import annotations
@@ -36,13 +37,13 @@ from ..kernel.precompute import (TracePrecompute, bpred_signature,
                                  load_precompute)
 from ..kernel.tracestore import (PackedTrace, load_trace, run_trace_packed)
 from ..obs.ledger import NULL_LEDGER, PHASE_NAMES
-from ..uarch import CoreParams, ModelKind, SimStats, model_params
+from ..uarch import ModelKind, SimStats, model_params
 from ..uarch.pipeline import Simulator
 from ..workloads import ALL_NAMES, get_workload
 from .cache import (PrecomputeStore, ResultCache, TraceStore,
                     default_cache_dir)
 from .parallel import (BatchTiming, ParallelEngine, PointTiming, SimPoint,
-                       make_point, spec_point)
+                       spec_point)
 from .resilience import BatchFailure, FailedPoint, RetryPolicy
 
 
@@ -70,8 +71,7 @@ class ExperimentRunner:
 
     def __init__(self, scale: Optional[float] = None, jobs: int = 1,
                  cache: Optional[ResultCache] = None, use_cache: bool = True,
-                 progress=None, collect_metrics: bool = False,
-                 policy: Optional[RetryPolicy] = None,
+                 progress=None, policy: Optional[RetryPolicy] = None,
                  keep_going: bool = False,
                  trace_store=None, precompute_store=None,
                  ledger=None):
@@ -82,18 +82,14 @@ class ExperimentRunner:
         cache; ``use_cache=False`` disables persistence entirely (the
         default trace and precompute stores follow the result cache).
         ``progress`` is an optional callable(str) for live reporting.
-        ``collect_metrics=True`` attaches a streaming metrics tracer to
-        every simulation and keeps the structured report per point (forces
-        in-process simulation: no disk-cache reads, no worker fan-out, so
-        the metrics are always complete).  ``policy`` sets per-task
-        timeout/retry/backoff for batch submissions (default:
-        :class:`RetryPolicy`); with ``keep_going=True`` a batch whose
-        points exhaust their retries returns the partial result set and
-        records the rest in ``failure_log`` instead of raising
-        :class:`BatchFailure`.  ``ledger`` is an optional
-        :class:`~repro.obs.ledger.LedgerSink`; the default
-        :data:`~repro.obs.ledger.NULL_LEDGER` costs one attribute
-        check per emit site (DESIGN.md section 15)."""
+        ``policy`` sets per-task timeout/retry/backoff for every point
+        resolved (default: :class:`RetryPolicy`); with
+        ``keep_going=True`` a batch whose points exhaust their retries
+        returns the partial result set and records the rest in
+        ``failure_log`` instead of raising :class:`BatchFailure`.
+        ``ledger`` is an optional :class:`~repro.obs.ledger.LedgerSink`;
+        the default :data:`~repro.obs.ledger.NULL_LEDGER` costs one
+        attribute check per emit site (DESIGN.md section 15)."""
         self.scale = scale
         self.ledger = ledger if ledger is not None else NULL_LEDGER
         self.sweep_seq = 0           # monotonic sweep id for ledger spans
@@ -101,12 +97,10 @@ class ExperimentRunner:
         # per-sweep delta); names match tools/profile_sim.py.
         self.phase_seconds = {name: 0.0 for name in PHASE_NAMES}
         self.jobs = max(1, int(jobs))
-        self.collect_metrics = collect_metrics
         self.policy = policy if policy is not None else RetryPolicy()
         self.keep_going = keep_going
         self.failure_log: List[FailedPoint] = []
         self._failed_keys: Dict[Tuple, FailedPoint] = {}
-        self.metrics_log: Dict[Tuple, Dict[str, object]] = {}
         if cache is None:
             cache = ResultCache(default_cache_dir() if use_cache else None)
         self.cache = cache
@@ -370,30 +364,34 @@ class ExperimentRunner:
 
     # -- simulation ------------------------------------------------------------
 
-    def _simulate(self, workload: str, spec: ConfigSpec) -> SimResult:
+    def _simulate(self, workload: str, spec: ConfigSpec,
+                  tracer=None) -> SimResult:
+        """Simulate one point: the only place a runner builds a Simulator.
+
+        Serial batches, :meth:`run_traced` and worker tasks all come
+        here.  A bundle that :meth:`run_batch` resolved for this trace is
+        shared; without one the Simulator builds its own."""
         params = spec.to_params()
-        tracer = None
-        if self.collect_metrics:
-            from ..obs import MetricsTracer  # deferred: keeps import light
-            tracer = MetricsTracer()
-        # Batch submissions resolve a shared precompute bundle per trace
-        # (see run_batch); a single-point run() has none here, and the
-        # Simulator builds its own.
         stats = Simulator(self.program(workload), self.trace(workload),
                           params, tracer=tracer,
                           precompute=self._precomputes.get(workload)).run()
-        if tracer is not None:
-            self.metrics_log[self._memo_key(workload,
-                                            spec)] = tracer.report()
         return SimResult(workload=workload, model=spec.model, stats=stats,
                          energy=energy_report(stats, params.energy))
 
-    def metrics_for(self, workload: str, model: ModelKind,
-                    **overrides) -> Optional[Dict[str, object]]:
-        """Structured metrics for a point simulated under
-        ``collect_metrics=True`` (None when it was never simulated here)."""
-        spec = ConfigSpec.from_overrides(model, **overrides)
-        return self.metrics_log.get(self._memo_key(workload, spec))
+    def _publish(self, workload: str, spec: ConfigSpec, result: SimResult,
+                 seconds: float) -> None:
+        """Checkpoint one simulated point: disk cache + memo, immediately.
+
+        Batches call this *as each point resolves* (streamed from the
+        parallel engine), not after the whole batch, so an interrupted
+        sweep keeps everything that completed before it died.
+        """
+        self.cache.put(self._disk_key(workload, spec), result)
+        key = self._memo_key(workload, spec)
+        self._results[key] = result
+        self._failed_keys.pop(key, None)
+        self._log_point(workload, spec.model, seconds, "sim", result=result,
+                        overrides=spec.setting_dict())
 
     def run_traced(self, workload: str, model: ModelKind, tracer,
                    spec: Optional[ConfigSpec] = None,
@@ -406,21 +404,13 @@ class ExperimentRunner:
         start = time.perf_counter()
         if spec is None:
             spec = ConfigSpec.from_overrides(model, **overrides)
-        params = spec.to_params()
-        stats = Simulator(self.program(workload), self.trace(workload),
-                          params, tracer=tracer).run()
-        result = SimResult(workload=workload, model=spec.model, stats=stats,
-                           energy=energy_report(stats, params.energy))
-        self.cache.put(self._disk_key(workload, spec), result)
-        self._results[self._memo_key(workload, spec)] = result
-        self._log_point(workload, spec.model, time.perf_counter() - start,
-                        "sim", result=result,
-                        overrides=spec.setting_dict())
+        result = self._simulate(workload, spec, tracer)
+        self._publish(workload, spec, result, time.perf_counter() - start)
         return result
 
     def run(self, workload: str, model: ModelKind,
             **overrides) -> SimResult:
-        """Simulate one point; memoised in-process and on disk.
+        """Resolve one point; memoised in-process and on disk.
 
         Thin wrapper: the overrides are validated and canonicalised into
         a :class:`~repro.config.ConfigSpec` (a typo fails here with a
@@ -430,59 +420,20 @@ class ExperimentRunner:
                              ConfigSpec.from_overrides(model, **overrides))
 
     def run_spec(self, workload: str, spec: ConfigSpec) -> SimResult:
-        """Simulate one spec-described point; memoised in-process and on
-        disk (both keys derive from the spec's canonical form)."""
+        """Resolve one spec-described point: a memo hit, or a one-point
+        :meth:`run_batch` (so the retry policy, ``failure_log`` and
+        ledger spans apply).  A point the batch leaves unresolved raises
+        :class:`BatchFailure`, with ``keep_going`` too."""
         key = self._memo_key(workload, spec)
-        cached = self._results.get(key)
-        if cached is not None:
-            return cached
-        if key in self._failed_keys:
-            # The point already exhausted its retry budget this session;
-            # surface the recorded failure instead of re-simulating.
-            raise BatchFailure([self._failed_keys[key]])
-        start = time.perf_counter()
-        disk_key = self._disk_key(workload, spec)
-        # Metrics collection needs a live simulation: skip the disk cache.
-        result = None if self.collect_metrics else self.cache.get(disk_key)
-        if result is not None:
-            self._log_point(workload, spec.model,
-                            time.perf_counter() - start, "cache",
-                            result=result, overrides=spec.setting_dict())
-        else:
-            result = self._simulate(workload, spec)
-            self.cache.put(disk_key, result)
-            self._log_point(workload, spec.model,
-                            time.perf_counter() - start, "sim",
-                            result=result, overrides=spec.setting_dict())
-        self._results[key] = result
+        result = self._results.get(key)
+        if result is None:
+            point = spec_point(workload, spec)
+            result = self.run_batch([point]).get(point)
+            if result is None:
+                raise BatchFailure([self._failed_keys[key]])
         return result
 
-    def run_with_params(self, workload: str, params: CoreParams) -> SimResult:
-        """Simulate with a fully custom (non-memoised) configuration."""
-        stats = Simulator(self.program(workload), self.trace(workload),
-                          params).run()
-        return SimResult(workload=workload, model=params.model, stats=stats,
-                         energy=energy_report(stats, params.energy))
-
     # -- batch fan-out -------------------------------------------------------
-
-    def _publish(self, timing: BatchTiming, out: Dict[SimPoint, SimResult],
-                 point: SimPoint, result: SimResult, seconds: float) -> None:
-        """Checkpoint one resolved point: disk cache + memo, immediately.
-
-        Called *as each point resolves* (streamed from the parallel
-        engine), not after the whole batch, so an interrupted sweep
-        keeps everything that completed before it died.
-        """
-        timing.sim_seconds += seconds
-        spec = point.spec
-        self.cache.put(self._disk_key(point.workload, spec), result)
-        key = self._memo_key(point.workload, spec)
-        self._results[key] = result
-        self._failed_keys.pop(key, None)
-        out[point] = result
-        self._log_point(point.workload, spec.model, seconds, "sim",
-                        result=result, overrides=spec.setting_dict())
 
     def _simulate_with_retry(self, point: SimPoint,
                              publish) -> Optional[FailedPoint]:
@@ -513,7 +464,9 @@ class ExperimentRunner:
 
     def run_batch(self, points: Iterable[SimPoint]) -> Dict[SimPoint,
                                                             SimResult]:
-        """Resolve a whole point set: memo -> disk cache -> parallel map.
+        """Resolve a point set: memo -> disk cache -> simulation (a
+        parallel map when ``jobs`` > 1).  This is the one way a point is
+        resolved; :meth:`run` is a memo hit or a one-point batch.
 
         Returns {point: SimResult}; every result is also memoised, so
         subsequent :meth:`run` calls for the same points are free.
@@ -579,21 +532,27 @@ class ExperimentRunner:
             timing.simulated = len(misses)
 
             def publish(point, result, seconds):
-                self._publish(timing, out, point, result, seconds)
+                timing.sim_seconds += seconds
+                out[point] = result
+                self._publish(point.workload, point.spec, result, seconds)
 
-            # Metrics collection happens in _simulate, so fall back to
-            # in-process simulation instead of the worker fan-out.
-            if self.jobs > 1 and len(misses) > 1 and not self.collect_metrics:
-                # Trace + precompute every miss workload once *here*, so
-                # workers map the persisted blobs instead of re-running
-                # the functional CPU or re-analysing the trace.
+            # A shared precompute bundle pays off only across configs:
+            # resolve one per trace with two or more misses.  A single
+            # point's Simulator builds its own tables and indexes the
+            # packed trace lazily.
+            per_trace = Counter(p.workload for p in misses)
+            if self.jobs > 1 and len(misses) > 1:
+                # Trace every miss workload once *here* (and precompute
+                # the shared ones), so workers map the persisted blobs
+                # instead of re-running the functional CPU or
+                # re-analysing the trace.
                 trace_paths: Dict[str, object] = {}
-                for workload in sorted({p.workload for p in misses}):
+                for workload, count in sorted(per_trace.items()):
                     path = self.ensure_trace(workload)
                     if path is not None:
-                        pre_path = self.ensure_precompute(workload)
-                        trace_paths[workload] = ((path, pre_path)
-                                                 if pre_path else path)
+                        trace_paths[workload] = (
+                            (path, self.ensure_precompute(workload))
+                            if count > 1 else path)
                 engine = ParallelEngine(jobs=self.jobs, scale=self.scale,
                                         progress=self.progress,
                                         policy=self.policy,
@@ -615,17 +574,16 @@ class ExperimentRunner:
                             detail="engine returned neither a result nor "
                                    "a failure record", attempts=0))
             else:
-                # Group the config cross-product by trace: resolve one
-                # shared precompute bundle per distinct workload, then run
-                # all of a trace's configs back-to-back against it (the
+                # Group the config cross-product by trace and run each
+                # trace's configs back-to-back against its bundle (the
                 # stable sort preserves submission order within a trace).
-                if not self.collect_metrics:
-                    for workload in sorted({p.workload for p in misses}):
+                for workload, count in sorted(per_trace.items()):
+                    if count > 1:
                         try:
                             self.precompute_for(workload)
                         except Exception:
                             pass    # each Simulator builds its own
-                    misses.sort(key=lambda p: p.workload)
+                misses.sort(key=lambda p: p.workload)
                 for point in misses:
                     failure = self._simulate_with_retry(point, publish)
                     if failure is not None:
@@ -668,10 +626,6 @@ class ExperimentRunner:
             raise BatchFailure(failures)
         return out
 
-    def prefetch(self, points: Iterable[SimPoint]) -> None:
-        """Warm the memo for a point set (parallel when ``jobs`` > 1)."""
-        self.run_batch(points)
-
     def run_suite(self, model: ModelKind,
                   workloads: Optional[Iterable[str]] = None,
                   spec: Optional[ConfigSpec] = None,
@@ -693,19 +647,6 @@ class ExperimentRunner:
         return {name: resolved[point] for name, point in points.items()
                 if point in resolved}
 
-    def run_matrix(self, models: Iterable[ModelKind],
-                   workloads: Optional[Iterable[str]] = None,
-                   **overrides) -> Dict[ModelKind, Dict[str, SimResult]]:
-        """Simulate several models across a workload list."""
-        names = list(workloads) if workloads is not None else list(ALL_NAMES)
-        models = list(models)
-        specs = {model: ConfigSpec.from_overrides(model, **overrides)
-                 for model in models}
-        self.prefetch(spec_point(name, spec)
-                      for spec in specs.values() for name in names)
-        return {model: self.run_suite(model, names, spec=spec)
-                for model, spec in specs.items()}
-
     def run_grid(self, grid: SpecGrid,
                  workloads: Optional[Iterable[str]] = None
                  ) -> Dict[SimPoint, SimResult]:
@@ -720,9 +661,6 @@ class ExperimentRunner:
                               for name in names for spec in grid.expand())
 
     # -- accounting ----------------------------------------------------------
-
-    def cache_size(self) -> int:
-        return len(self._results)
 
     def points_simulated(self) -> int:
         return sum(1 for p in self.point_log if p.source == "sim")

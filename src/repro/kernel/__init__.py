@@ -1,8 +1,8 @@
 """Functional simulation substrate: memory, interpreter CPU, dynamic traces."""
 
 from .memory import SparseMemory
-from .cpu import (ExecutionError, FunctionalCpu, alu_result, run_program,
-                  sign_extend, to_signed, to_unsigned)
+from .cpu import (ExecutionError, FunctionalCpu, alu_result, sign_extend,
+                  to_signed, to_unsigned)
 from .trace import (MAX_TRACE_INSTRUCTIONS, TraceEntry, TraceRecorder,
                     trace_summary)
 from .tracestore import (TRACE_FORMAT_VERSION, ColumnarTraceRecorder,
@@ -11,7 +11,7 @@ from .tracestore import (TRACE_FORMAT_VERSION, ColumnarTraceRecorder,
 
 __all__ = [
     "SparseMemory", "ExecutionError", "FunctionalCpu", "alu_result",
-    "run_program", "sign_extend", "to_signed", "to_unsigned",
+    "sign_extend", "to_signed", "to_unsigned",
     "MAX_TRACE_INSTRUCTIONS", "TraceEntry", "TraceRecorder", "trace_summary",
     "TRACE_FORMAT_VERSION", "ColumnarTraceRecorder", "PackedTrace",
     "TraceDecodeError", "TraceEncodeError", "load_trace", "pack_trace",

@@ -124,9 +124,6 @@ class FunctionalCpu:
 
     # -- register helpers ----------------------------------------------------
 
-    def read_reg(self, num: int) -> int:
-        return self.regs[num]
-
     def write_reg(self, num: int, value: int) -> None:
         if num != 0:
             self.regs[num] = value & WORD_MASK
@@ -234,10 +231,3 @@ class FunctionalCpu:
         rt = regs[instr.rt] if instr.rt is not None else 0
         imm = instr.imm if instr.imm is not None else 0
         self.write_reg(instr.dest_reg(), alu_result(instr.op, rs, rt, imm))
-
-
-def run_program(program: Program,
-                max_instructions: int = MAX_TRACE_INSTRUCTIONS
-                ) -> List[TraceEntry]:
-    """Convenience: execute ``program`` and return its dynamic trace."""
-    return FunctionalCpu(program).run_trace(max_instructions=max_instructions)

@@ -58,52 +58,18 @@ class TestRunner:
 
 class TestRunnerObservability:
     def test_run_traced_matches_untraced_stats(self, runner):
-        from repro.obs import RecordingTracer
+        from repro.obs import MetricsTracer, RecordingTracer
         plain = runner.run("bzip2", ModelKind.DMDP)
         tracer = RecordingTracer()
         traced = runner.run_traced("bzip2", ModelKind.DMDP, tracer)
         assert tracer.events
         assert traced.stats.to_dict() == plain.stats.to_dict()
+        metrics = MetricsTracer()
+        measured = runner.run_traced("bzip2", ModelKind.DMDP, metrics)
+        assert measured.stats.to_dict() == plain.stats.to_dict()
+        assert (metrics.report()["retired_instructions"]
+                == measured.stats.instructions)
         assert any(p.source == "sim" for p in runner.point_log)
-
-    def test_collect_metrics_keeps_report_per_point(self):
-        metrics_runner = ExperimentRunner(scale=0.05, use_cache=False,
-                                          collect_metrics=True)
-        result = metrics_runner.run("bzip2", ModelKind.DMDP)
-        report = metrics_runner.metrics_for("bzip2", ModelKind.DMDP)
-        assert report is not None
-        assert report["retired_instructions"] == result.stats.instructions
-        assert metrics_runner.metrics_for("bzip2",
-                                          ModelKind.BASELINE) is None
-
-    def test_collect_metrics_skips_disk_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        warm = ExperimentRunner(scale=0.05)
-        warm.run("bzip2", ModelKind.NOSQ)
-        collecting = ExperimentRunner(scale=0.05, collect_metrics=True)
-        collecting.run("bzip2", ModelKind.NOSQ)
-        assert collecting.points_simulated() == 1
-        assert collecting.metrics_for("bzip2", ModelKind.NOSQ) is not None
-
-    def test_collect_metrics_forces_serial_batch(self):
-        from repro.harness import SimPoint
-        collecting = ExperimentRunner(scale=0.05, jobs=4, use_cache=False,
-                                      collect_metrics=True)
-        points = [SimPoint("bzip2", m)
-                  for m in (ModelKind.BASELINE, ModelKind.NOSQ)]
-        results = collecting.run_batch(points)
-        assert len(results) == 2
-        for point in points:
-            assert collecting.metrics_for(point.workload,
-                                          point.model) is not None
-
-    def test_collect_metrics_does_not_perturb_stats(self):
-        plain = ExperimentRunner(scale=0.05, use_cache=False)
-        collecting = ExperimentRunner(scale=0.05, use_cache=False,
-                                      collect_metrics=True)
-        a = plain.run("tonto", ModelKind.DMDP)
-        b = collecting.run("tonto", ModelKind.DMDP)
-        assert a.stats.to_dict() == b.stats.to_dict()
 
 
 class TestReporting:

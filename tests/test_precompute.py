@@ -421,15 +421,38 @@ class TestRunnerBatching:
         assert timing.worker_precomputes_loaded >= 2
         assert timing.precomputes_built == 0
 
-    def test_single_point_run_stays_precompute_free(self, tmp_path):
-        # A per-point run neither resolves nor stores a shared bundle:
-        # its Simulator builds its own tables, and the sweep benchmark's
-        # warm_store leg depends on that staying honest.
+    @pytest.mark.parametrize("entry", ["run", "run_batch"])
+    def test_single_point_run_stays_precompute_free(self, tmp_path, entry):
+        # A single point neither resolves nor stores a shared bundle,
+        # whichever way it is submitted: its Simulator builds its own
+        # tables, and cold-point and the sweep benchmark's warm_store
+        # leg depend on that staying honest.
         runner = self.runner(tmp_path)
-        runner.run("mcf", ModelKind.DMDP)
+        if entry == "run":
+            runner.run("mcf", ModelKind.DMDP)
+        else:
+            point = make_point("mcf", ModelKind.DMDP)
+            assert point in runner.run_batch([point])
+        assert runner.batch_log[-1].simulated == 1
         assert runner.precomputes_built == 0
         assert runner.precomputes_loaded == 0
         assert runner.precompute_store.entry_count() == 0
+
+    def test_parallel_batch_shares_bundles_only_across_configs(
+            self, tmp_path):
+        # mcf has two configs and shares one bundle; lbm has one and
+        # builds its own tables, in the parent and in its worker.
+        runner = self.runner(tmp_path, jobs=2)
+        points = [make_point("mcf", ModelKind.DMDP),
+                  make_point("mcf", ModelKind.NOSQ),
+                  make_point("lbm", ModelKind.DMDP)]
+        out = runner.run_batch(points)
+        assert set(out) == set(points)
+        timing = runner.batch_log[-1]
+        assert timing.precomputes_built == 1
+        assert timing.worker_precomputes_built == 0
+        assert timing.worker_precomputes_loaded == 1
+        assert runner.precompute_store.entry_count() == 1
 
     def test_attach_precompute_bad_blob_falls_back(self, tmp_path):
         runner = self.runner(tmp_path)

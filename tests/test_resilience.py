@@ -283,6 +283,39 @@ class TestEngineRobustness:
         assert runner.failure_log[0].attempts == 2
         assert "permanent" in runner.failure_log[0].detail
 
+    def test_run_failure_takes_the_batch_path(self, tmp_path, monkeypatch):
+        """run() is a one-point batch: a failing point is retried under
+        the policy, lands in failure_log and raises BatchFailure, and a
+        later run() serves the recorded failure without simulating."""
+        from repro.uarch.pipeline import Simulator
+        policy = RetryPolicy(retries=2, backoff=0.0)
+        runner = runner_with(tmp_path, jobs=1, policy=policy)
+        doomed = runner.program("bzip2")
+        real = Simulator.run
+        calls = {"n": 0}
+
+        def run(self, *args, **kwargs):
+            if self.program is doomed:
+                calls["n"] += 1
+                raise RuntimeError("injected failure")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", run)
+        with pytest.raises(BatchFailure) as info:
+            runner.run("bzip2", ModelKind.NOSQ)
+        assert calls["n"] == policy.retries + 1
+        assert runner.batch_log[-1].retried == policy.retries
+        assert runner.batch_log[-1].failed == 1
+        [failure] = runner.failure_log
+        assert failure.point == make_point("bzip2", ModelKind.NOSQ)
+        assert failure.attempts == policy.retries + 1
+        assert "injected failure" in failure.detail
+        assert info.value.failures == [failure]
+        with pytest.raises(BatchFailure):
+            runner.run("bzip2", ModelKind.NOSQ)
+        assert calls["n"] == policy.retries + 1    # not simulated again
+        assert runner.run("tonto", ModelKind.NOSQ).stats.instructions > 0
+
 
 # -- checkpoint / resume -----------------------------------------------------
 

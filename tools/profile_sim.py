@@ -5,10 +5,13 @@ Runs the whole point -- functional tracing *and* timing simulation --
 under one profile, prints the top functions by cumulative time, and
 closes with a phase split (trace seconds vs. precompute seconds vs. sim
 seconds) so "the simulator is slow" can be attributed to the right loop.
-The point traces into a :class:`PackedTrace`, then builds its
-:class:`TracePrecompute` bundle (the branch outcomes, history and decode
-tables every Simulator takes) and hands it to the Simulator; bundle build
-and Simulator construction together are the "precompute" phase.
+The point runs the way ``repro run`` runs it: it traces into a
+:class:`PackedTrace`, and ``Simulator(program, trace, params)`` builds
+the point's own :class:`TracePrecompute` tables (branch outcomes,
+history, decode templates) and indexes the packed trace lazily.  The
+"precompute" phase is that Simulator construction.  (Only a batch that
+runs two or more configs of one trace shares a bundle; DESIGN.md
+section 14.)
 
     PYTHONPATH=src python tools/profile_sim.py mcf --model dmdp --top 25
     PYTHONPATH=src python tools/profile_sim.py lbm --output lbm.prof
@@ -33,8 +36,6 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.kernel import run_trace_packed                    # noqa: E402
-from repro.kernel.precompute import (TracePrecompute,
-                                     bpred_signature)       # noqa: E402
 from repro.uarch import ModelKind, model_params             # noqa: E402
 from repro.uarch.pipeline import Simulator                  # noqa: E402
 from repro.workloads import ALL_NAMES, get_workload         # noqa: E402
@@ -74,8 +75,7 @@ def main(argv=None) -> int:
     trace = run_trace_packed(program)
     trace_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    pre = TracePrecompute.build(trace, bpred_signature(params))
-    sim = Simulator(program, trace, params, precompute=pre)
+    sim = Simulator(program, trace, params)
     pre_seconds = time.perf_counter() - start
     if args.sim_only:
         profile.enable()
