@@ -105,6 +105,20 @@ class Opcode(enum.Enum):
     CMOVN = enum.auto()    # conditional move if predicate clear
 
 
+# Members bound to module names once, at import (DESIGN.md section 9):
+# the decode helpers below run per dynamic instruction in the functional
+# CPU, and a class-level ``Opcode.JAL`` costs several times a global name
+# load.
+(J, JAL, JR, JALR, BEQ, BNE, BLEZ, BGTZ, BLTZ, BGEZ) = (
+    Opcode.J, Opcode.JAL, Opcode.JR, Opcode.JALR, Opcode.BEQ, Opcode.BNE,
+    Opcode.BLEZ, Opcode.BGTZ, Opcode.BLTZ, Opcode.BGEZ)
+NOP, HALT, LUI, SLL, SRL, SRA, AGI = (Opcode.NOP, Opcode.HALT, Opcode.LUI,
+                                      Opcode.SLL, Opcode.SRL, Opcode.SRA,
+                                      Opcode.AGI)
+FU_ALU, FU_MUL, FU_FP, FU_BRANCH, FU_AGEN, FU_MEM, FU_NONE = (
+    FuClass.ALU, FuClass.MUL, FuClass.FP, FuClass.BRANCH, FuClass.AGEN,
+    FuClass.MEM, FuClass.NONE)
+
 LOAD_OPS = frozenset({Opcode.LW, Opcode.LH, Opcode.LHU, Opcode.LB, Opcode.LBU})
 STORE_OPS = frozenset({Opcode.SW, Opcode.SH, Opcode.SB})
 MEM_OPS = LOAD_OPS | STORE_OPS
@@ -129,18 +143,18 @@ MEM_SIZES = {
 def fu_class_for(op: Opcode) -> FuClass:
     """Functional-unit class used when an instruction executes."""
     if op in MEM_OPS:
-        return FuClass.MEM
+        return FU_MEM
     if op in CONTROL_OPS:
-        return FuClass.BRANCH
+        return FU_BRANCH
     if op in FP_OPS:
-        return FuClass.FP
+        return FU_FP
     if op in MUL_OPS:
-        return FuClass.MUL
-    if op is Opcode.AGI:
-        return FuClass.AGEN
-    if op in (Opcode.NOP, Opcode.HALT):
-        return FuClass.NONE
-    return FuClass.ALU
+        return FU_MUL
+    if op is AGI:
+        return FU_AGEN
+    if op in (NOP, HALT):
+        return FU_NONE
+    return FU_ALU
 
 
 @dataclass(frozen=True)
@@ -191,7 +205,7 @@ class Instruction:
 
     @property
     def is_indirect(self) -> bool:
-        return self.op in (Opcode.JR, Opcode.JALR)
+        return self.op in (JR, JALR)
 
     @property
     def is_fp(self) -> bool:
@@ -215,30 +229,30 @@ class Instruction:
 
     def dest_reg(self) -> Optional[int]:
         """The logical register written, or None."""
-        if self.op in (Opcode.JAL, Opcode.JALR):
+        if self.op in (JAL, JALR):
             return self.rd if self.rd is not None else 31
-        if self.is_store or self.is_control or self.op in (Opcode.NOP, Opcode.HALT):
+        if self.is_store or self.is_control or self.op in (NOP, HALT):
             return None
         return self.rd
 
     def source_regs(self) -> Tuple[int, ...]:
         """Logical registers read, in operand order."""
         op = self.op
-        if op in (Opcode.NOP, Opcode.HALT, Opcode.J, Opcode.JAL):
+        if op in (NOP, HALT, J, JAL):
             return ()
-        if op in (Opcode.JR, Opcode.JALR):
+        if op in (JR, JALR):
             return (self.rs,)
-        if op is Opcode.LUI:
+        if op is LUI:
             return ()
         if self.is_load:
             return (self.rs,)
         if self.is_store:
             return (self.rs, self.rt)  # base, data
-        if op in (Opcode.BLEZ, Opcode.BGTZ, Opcode.BLTZ, Opcode.BGEZ):
+        if op in (BLEZ, BGTZ, BLTZ, BGEZ):
             return (self.rs,)
-        if op in (Opcode.BEQ, Opcode.BNE):
+        if op in (BEQ, BNE):
             return (self.rs, self.rt)
-        if op in (Opcode.SLL, Opcode.SRL, Opcode.SRA):
+        if op in (SLL, SRL, SRA):
             return (self.rs,)
         if self.rt is not None:
             return (self.rs, self.rt)
@@ -254,14 +268,14 @@ def disassemble(instr: Instruction) -> str:
     """Render an instruction back to assembly-like text."""
     op = instr.op
     name = op.name.lower()
-    if op in (Opcode.NOP, Opcode.HALT):
+    if op in (NOP, HALT):
         return name
-    if op in (Opcode.J, Opcode.JAL):
+    if op in (J, JAL):
         tgt = instr.target_label or ("0x%x" % (instr.target or 0))
         return "%s %s" % (name, tgt)
-    if op is Opcode.JR:
+    if op is JR:
         return "jr %s" % register_name(instr.rs)
-    if op is Opcode.JALR:
+    if op is JALR:
         return "jalr %s, %s" % (register_name(instr.dest_reg()), register_name(instr.rs))
     if instr.is_load:
         return "%s %s, %d(%s)" % (
@@ -269,16 +283,16 @@ def disassemble(instr: Instruction) -> str:
     if instr.is_store:
         return "%s %s, %d(%s)" % (
             name, register_name(instr.rt), instr.imm, register_name(instr.rs))
-    if op in (Opcode.BEQ, Opcode.BNE):
+    if op in (BEQ, BNE):
         tgt = instr.target_label or ("0x%x" % (instr.target or 0))
         return "%s %s, %s, %s" % (
             name, register_name(instr.rs), register_name(instr.rt), tgt)
-    if op in (Opcode.BLEZ, Opcode.BGTZ, Opcode.BLTZ, Opcode.BGEZ):
+    if op in (BLEZ, BGTZ, BLTZ, BGEZ):
         tgt = instr.target_label or ("0x%x" % (instr.target or 0))
         return "%s %s, %s" % (name, register_name(instr.rs), tgt)
-    if op is Opcode.LUI:
+    if op is LUI:
         return "lui %s, %d" % (register_name(instr.rd), instr.imm)
-    if op in (Opcode.SLL, Opcode.SRL, Opcode.SRA):
+    if op in (SLL, SRL, SRA):
         return "%s %s, %s, %d" % (
             name, register_name(instr.rd), register_name(instr.rs), instr.imm)
     if instr.imm is not None:

@@ -14,10 +14,29 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..isa import Instruction, Opcode, Program, STACK_TOP
+from ..isa.instructions import SIGNED_LOADS
 from .memory import SparseMemory
 from .trace import MAX_TRACE_INSTRUCTIONS, TraceEntry, TraceRecorder
 
 WORD_MASK = 0xFFFFFFFF
+
+# Opcodes bound to module names once, at import (DESIGN.md section 9):
+# ``step`` and ``alu_result`` test an instruction's opcode against up to
+# 35 of them, and a class-level ``Opcode.ADD`` costs several times a
+# global name load.
+(ADD, SUB, AND, OR, XOR, NOR, SLT, SLTU, SLLV, SRLV, SRAV, MUL, MULH, DIV,
+ REM) = (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
+         Opcode.NOR, Opcode.SLT, Opcode.SLTU, Opcode.SLLV, Opcode.SRLV,
+         Opcode.SRAV, Opcode.MUL, Opcode.MULH, Opcode.DIV, Opcode.REM)
+SLL, SRL, SRA = Opcode.SLL, Opcode.SRL, Opcode.SRA
+ADDI, ANDI, ORI, XORI, SLTI, SLTIU, LUI = (
+    Opcode.ADDI, Opcode.ANDI, Opcode.ORI, Opcode.XORI, Opcode.SLTI,
+    Opcode.SLTIU, Opcode.LUI)
+FADD, FSUB, FMUL, FDIV = Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV
+BEQ, BNE, BLEZ, BGTZ, BLTZ, BGEZ = (Opcode.BEQ, Opcode.BNE, Opcode.BLEZ,
+                                    Opcode.BGTZ, Opcode.BLTZ, Opcode.BGEZ)
+J, JAL, JR, JALR, NOP, HALT = (Opcode.J, Opcode.JAL, Opcode.JR, Opcode.JALR,
+                               Opcode.NOP, Opcode.HALT)
 
 
 class ExecutionError(Exception):
@@ -53,58 +72,58 @@ def alu_result(op: Opcode, rs: int, rt: int, imm: int) -> int:
     the same semantics.  The result is NOT masked to 32 bits; register
     writes apply ``WORD_MASK``.
     """
-    if op in (Opcode.ADD, Opcode.FADD):
+    if op in (ADD, FADD):
         return rs + rt
-    if op in (Opcode.SUB, Opcode.FSUB):
+    if op in (SUB, FSUB):
         return rs - rt
-    if op is Opcode.AND:
+    if op is AND:
         return rs & rt
-    if op is Opcode.OR:
+    if op is OR:
         return rs | rt
-    if op is Opcode.XOR:
+    if op is XOR:
         return rs ^ rt
-    if op is Opcode.NOR:
+    if op is NOR:
         return ~(rs | rt)
-    if op is Opcode.SLT:
+    if op is SLT:
         return int(to_signed(rs) < to_signed(rt))
-    if op is Opcode.SLTU:
+    if op is SLTU:
         return int(rs < rt)
-    if op is Opcode.SLLV:
+    if op is SLLV:
         return rs << (rt & 0x1F)
-    if op is Opcode.SRLV:
+    if op is SRLV:
         return rs >> (rt & 0x1F)
-    if op is Opcode.SRAV:
+    if op is SRAV:
         return to_signed(rs) >> (rt & 0x1F)
-    if op in (Opcode.MUL, Opcode.FMUL):
+    if op in (MUL, FMUL):
         return to_signed(rs) * to_signed(rt)
-    if op is Opcode.MULH:
+    if op is MULH:
         return (to_signed(rs) * to_signed(rt)) >> 32
-    if op in (Opcode.DIV, Opcode.FDIV):
+    if op in (DIV, FDIV):
         divisor = to_signed(rt)
         return 0 if divisor == 0 else int(to_signed(rs) / divisor)
-    if op is Opcode.REM:
+    if op is REM:
         divisor = to_signed(rt)
         return 0 if divisor == 0 else to_signed(rs) - divisor * int(
             to_signed(rs) / divisor)
-    if op is Opcode.ADDI:
+    if op is ADDI:
         return rs + imm
-    if op is Opcode.ANDI:
+    if op is ANDI:
         return rs & (imm & 0xFFFF)
-    if op is Opcode.ORI:
+    if op is ORI:
         return rs | (imm & 0xFFFF)
-    if op is Opcode.XORI:
+    if op is XORI:
         return rs ^ (imm & 0xFFFF)
-    if op is Opcode.SLTI:
+    if op is SLTI:
         return int(to_signed(rs) < imm)
-    if op is Opcode.SLTIU:
+    if op is SLTIU:
         return int(rs < (imm & WORD_MASK))
-    if op is Opcode.LUI:
+    if op is LUI:
         return (imm & 0xFFFF) << 16
-    if op is Opcode.SLL:
+    if op is SLL:
         return rs << imm
-    if op is Opcode.SRL:
+    if op is SRL:
         return rs >> imm
-    if op is Opcode.SRA:
+    if op is SRA:
         return to_signed(rs) >> imm
     raise ExecutionError("unimplemented opcode %s" % op.name)
 
@@ -159,16 +178,16 @@ class FunctionalCpu:
         op = instr.op
         regs = self.regs
 
-        if op is Opcode.HALT:
+        if op is HALT:
             self.halted = True
-        elif op is Opcode.NOP:
+        elif op is NOP:
             pass
         elif instr.is_load:
             mem_addr = (regs[instr.rs] + instr.imm) & WORD_MASK
             mem_size = instr.mem_size
             raw = self.memory.read(mem_addr, mem_size)
             value = raw
-            if op in (Opcode.LH, Opcode.LB):
+            if op in SIGNED_LOADS:
                 raw = _sign_extend(raw, mem_size)
             self.write_reg(instr.rd, raw)
         elif instr.is_store:
@@ -181,17 +200,17 @@ class FunctionalCpu:
             taken = self._branch_taken(instr)
             if taken:
                 next_pc = instr.target
-        elif op is Opcode.J:
+        elif op is J:
             taken = True
             next_pc = instr.target
-        elif op is Opcode.JAL:
+        elif op is JAL:
             taken = True
             self.write_reg(instr.dest_reg(), pc + 4)
             next_pc = instr.target
-        elif op is Opcode.JR:
+        elif op is JR:
             taken = True
             next_pc = regs[instr.rs]
-        elif op is Opcode.JALR:
+        elif op is JALR:
             taken = True
             self.write_reg(instr.dest_reg(), pc + 4)
             next_pc = regs[instr.rs]
@@ -211,17 +230,17 @@ class FunctionalCpu:
         op = instr.op
         regs = self.regs
         a = to_signed(regs[instr.rs])
-        if op is Opcode.BEQ:
+        if op is BEQ:
             return regs[instr.rs] == regs[instr.rt]
-        if op is Opcode.BNE:
+        if op is BNE:
             return regs[instr.rs] != regs[instr.rt]
-        if op is Opcode.BLEZ:
+        if op is BLEZ:
             return a <= 0
-        if op is Opcode.BGTZ:
+        if op is BGTZ:
             return a > 0
-        if op is Opcode.BLTZ:
+        if op is BLTZ:
             return a < 0
-        if op is Opcode.BGEZ:
+        if op is BGEZ:
             return a >= 0
         raise ExecutionError("not a branch: %s" % instr)
 

@@ -90,11 +90,13 @@ class TraceRecorder:
 
         word_addr = (mem_addr or 0) & ~0x3
         bab = ((1 << (mem_size or 0)) - 1) << ((mem_addr or 0) & 0x3)
+        # Positional, in field order (index, pc, instr, next_pc, taken,
+        # mem_addr, mem_size, value, dep_store, dep_covers, silent,
+        # word_addr, bab, pinned by tests/test_tracestore.py): a keyword
+        # call costs about three times as much.
         self.entries.append(TraceEntry(
-            index=index, pc=pc, instr=instr, next_pc=next_pc, taken=taken,
-            mem_addr=mem_addr, mem_size=mem_size, value=value,
-            dep_store=dep_store, dep_covers=dep_covers, silent=silent,
-            word_addr=word_addr, bab=bab))
+            index, pc, instr, next_pc, taken, mem_addr, mem_size, value,
+            dep_store, dep_covers, silent, word_addr, bab))
 
     def __len__(self) -> int:
         return len(self.entries)

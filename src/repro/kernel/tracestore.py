@@ -140,20 +140,24 @@ class PackedTrace:
         mem_addr = self._mem_addr[index] if flags & F_HAS_ADDR else None
         mem_size = self._mem_size[index] if flags & F_HAS_SIZE else None
         dep = self._dep[index]
+        # Positional, in field order (index, pc, instr, next_pc, taken,
+        # mem_addr, mem_size, value, dep_store, dep_covers, silent,
+        # word_addr, bab, pinned by tests/test_tracestore.py): a keyword
+        # call costs about three times as much.
         return TraceEntry(
-            index=index,
-            pc=self._text_base + 4 * static,
-            instr=self._instructions[static],
-            next_pc=self._next_pc[index],
-            taken=bool(flags & F_TAKEN),
-            mem_addr=mem_addr,
-            mem_size=mem_size,
-            value=self._value[index] if flags & F_HAS_VALUE else None,
-            dep_store=None if dep == NO_DEP else dep,
-            dep_covers=bool(flags & F_DEP_COVERS),
-            silent=bool(flags & F_SILENT),
-            word_addr=(mem_addr or 0) & ~0x3,
-            bab=((1 << (mem_size or 0)) - 1) << ((mem_addr or 0) & 0x3))
+            index,
+            self._text_base + 4 * static,
+            self._instructions[static],
+            self._next_pc[index],
+            bool(flags & F_TAKEN),
+            mem_addr,
+            mem_size,
+            self._value[index] if flags & F_HAS_VALUE else None,
+            None if dep == NO_DEP else dep,
+            bool(flags & F_DEP_COVERS),
+            bool(flags & F_SILENT),
+            (mem_addr or 0) & ~0x3,
+            ((1 << (mem_size or 0)) - 1) << ((mem_addr or 0) & 0x3))
 
     def __iter__(self):
         for index in range(self._n):

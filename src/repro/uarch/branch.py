@@ -11,6 +11,10 @@ from typing import Optional
 
 from ..isa import Instruction, Opcode
 
+# Bound at import (DESIGN.md section 9): a class-level enum lookup runs
+# the metaclass's attribute hook on every call.
+J, JAL, JR, JALR = Opcode.J, Opcode.JAL, Opcode.JR, Opcode.JALR
+
 
 class GShare:
     """Classic gshare: 2-bit counters indexed by PC xor global history."""
@@ -88,13 +92,13 @@ class BranchPredictor:
                            taken: bool, target: int) -> bool:
         """Predict the control instruction at ``pc``; train; return hit."""
         op = instr.op
-        if op in (Opcode.J, Opcode.JAL):
+        if op in (J, JAL):
             # Direct jumps: target known at decode; JAL pushes the RAS.
-            if op is Opcode.JAL:
+            if op is JAL:
                 self.ras.push(pc + 4)
             return True
-        if op in (Opcode.JR, Opcode.JALR):
-            if op is Opcode.JALR:
+        if op in (JR, JALR):
+            if op is JALR:
                 self.ras.push(pc + 4)
             predicted = self.ras.pop()
             if predicted is None:

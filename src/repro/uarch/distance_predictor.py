@@ -27,6 +27,10 @@ from typing import List, Optional
 
 from .params import ConfidencePolicy, PredictorParams
 
+# Bound at import (DESIGN.md section 9): a class-level enum lookup runs
+# the metaclass's attribute hook on every call.
+BIASED = ConfidencePolicy.BIASED
+
 
 @dataclass
 class DistancePrediction:
@@ -123,7 +127,7 @@ class StoreDistancePredictor:
         entry.confidence = min(self.max_confidence, entry.confidence + 1)
 
     def _punish(self, entry: _Entry, policy: ConfidencePolicy) -> None:
-        if policy is ConfidencePolicy.BIASED:
+        if policy is BIASED:
             entry.confidence >>= 1
         else:
             entry.confidence = max(0, entry.confidence - 1)

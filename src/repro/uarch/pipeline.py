@@ -26,6 +26,7 @@ from collections import Counter, deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..isa import FuClass, Instruction, Opcode, Program, STACK_TOP
+from ..isa.instructions import SIGNED_LOADS
 from ..isa.registers import (NUM_ARCH_REGS, NUM_LOGICAL_REGS, REG_AGI,
                              REG_LDTMP, REG_PRED)
 from ..kernel.cpu import WORD_MASK, alu_result, sign_extend
@@ -46,14 +47,40 @@ from .tlb import Tlb
 from .tssbf import Tssbf, UntaggedSsbf
 from .uops import DynInstr, LoadInfo, StoreInfo, Uop, UopKind, UopState
 
+# Enum members bound to module names once, at import (DESIGN.md section
+# 9).  On CPython 3.11 a class-level lookup such as ``UopKind.LOAD`` runs
+# EnumType.__getattr__ through a slot wrapper, several times the cost of
+# a global name load, and cProfile books that time to the caller.
+BASELINE, NOSQ, DMDP, PERFECT = (ModelKind.BASELINE, ModelKind.NOSQ,
+                                 ModelKind.DMDP, ModelKind.PERFECT)
+(UOP_ALU, UOP_BRANCH, UOP_AGI, UOP_LOAD, UOP_STORE, UOP_CMP, UOP_CMOV,
+ UOP_SHIFTMASK) = (UopKind.ALU, UopKind.BRANCH, UopKind.AGI, UopKind.LOAD,
+                   UopKind.STORE, UopKind.CMP, UopKind.CMOV,
+                   UopKind.SHIFTMASK)
+WAITING, READY, ISSUED, DONE = (UopState.WAITING, UopState.READY,
+                                UopState.ISSUED, UopState.DONE)
+DIRECT, BYPASS, DELAYED, PREDICATED, FORWARDED = (
+    LoadKind.DIRECT, LoadKind.BYPASS, LoadKind.DELAYED, LoadKind.PREDICATED,
+    LoadKind.FORWARDED)
+INDEP_STORE, DIFF_STORE, CORRECT = (LowConfOutcome.INDEP_STORE,
+                                    LowConfOutcome.DIFF_STORE,
+                                    LowConfOutcome.CORRECT)
+BRANCH_MISPREDICT, MEM_DEP_VIOLATION = (SquashCause.BRANCH_MISPREDICT,
+                                        SquashCause.MEM_DEP_VIOLATION)
+FU_ALU, FU_MUL, FU_FP, FU_BRANCH, FU_AGEN, FU_MEM, FU_NONE = (
+    FuClass.ALU, FuClass.MUL, FuClass.FP, FuClass.BRANCH, FuClass.AGEN,
+    FuClass.MEM, FuClass.NONE)
+J, JR, JAL, JALR, NOP, HALT = (Opcode.J, Opcode.JR, Opcode.JAL, Opcode.JALR,
+                               Opcode.NOP, Opcode.HALT)
+
 _FU_ENERGY = {
-    FuClass.ALU: "alu_op",
-    FuClass.MUL: "mul_op",
-    FuClass.FP: "fp_op",
-    FuClass.BRANCH: "branch_op",
-    FuClass.AGEN: "agen_op",
-    FuClass.MEM: None,  # charged through the cache hierarchy
-    FuClass.NONE: None,
+    FU_ALU: "alu_op",
+    FU_MUL: "mul_op",
+    FU_FP: "fp_op",
+    FU_BRANCH: "branch_op",
+    FU_AGEN: "agen_op",
+    FU_MEM: None,  # charged through the cache hierarchy
+    FU_NONE: None,
 }
 
 
@@ -82,22 +109,22 @@ class _Decoded:
         self.rs = instr.rs
         self.rt = instr.rt
         self.rd = instr.rd
-        if self.fu is FuClass.MUL:
+        if self.fu is FU_MUL:
             self.latency = params.mul_latency
-        elif self.fu is FuClass.FP:
+        elif self.fu is FU_FP:
             self.latency = params.fp_latency
-        elif self.fu is FuClass.BRANCH:
+        elif self.fu is FU_BRANCH:
             self.latency = params.branch_latency
         else:
             self.latency = params.alu_latency
         # Kind and functional-unit class of the first MicroOp: a memory
         # op's address generation, or a non-memory instruction's only one.
         if self.is_mem:
-            self.uop_kind, self.uop_fu = UopKind.AGI, FuClass.AGEN
+            self.uop_kind, self.uop_fu = UOP_AGI, FU_AGEN
         elif self.is_control:
-            self.uop_kind, self.uop_fu = UopKind.BRANCH, FuClass.BRANCH
+            self.uop_kind, self.uop_fu = UOP_BRANCH, FU_BRANCH
         else:
-            self.uop_kind, self.uop_fu = UopKind.ALU, self.fu
+            self.uop_kind, self.uop_fu = UOP_ALU, self.fu
         if not self.is_mem:
             self.uop_estimate = 1
         elif self.is_store:
@@ -167,7 +194,7 @@ class Simulator:
         # The baseline keeps memory addresses in LSQ entries rather than
         # physical registers (paper Section IV-A.e): its AGI MicroOps draw
         # from an auxiliary register space sized like the ROB.
-        aux = params.rob_entries if params.model is ModelKind.BASELINE else 0
+        aux = params.rob_entries if params.model is BASELINE else 0
         self.prf = PhysRegFile(params.num_pregs, aux_regs=aux)
         self.ssn = SsnState()
         self.srb = StoreRegisterBuffer()
@@ -250,13 +277,13 @@ class Simulator:
         # Per-cycle issue budget template; building this dict from enum
         # keys every cycle dominated the issue stage, a copy is cheap.
         self._fu_budget_template: Dict[FuClass, int] = {
-            FuClass.ALU: params.alu_units,
-            FuClass.MUL: params.mul_units,
-            FuClass.FP: params.fp_units,
-            FuClass.BRANCH: params.branch_units,
-            FuClass.AGEN: params.agen_units,
-            FuClass.MEM: params.load_ports,
-            FuClass.NONE: params.alu_units,
+            FU_ALU: params.alu_units,
+            FU_MUL: params.mul_units,
+            FU_FP: params.fp_units,
+            FU_BRANCH: params.branch_units,
+            FU_AGEN: params.agen_units,
+            FU_MEM: params.load_ports,
+            FU_NONE: params.alu_units,
         }
 
         # Event-driven cycle-skipping state (see run()): what the retire
@@ -396,7 +423,7 @@ class Simulator:
                         and self.iq_occupancy + dec.uop_estimate
                         <= params.iq_entries
                         and len(prf.free) >= dec.uop_estimate + 1
-                        and not (self.model is ModelKind.BASELINE
+                        and not (self.model is BASELINE
                                  and dec.is_mem and len(prf.free_aux) < 2)):
                     return next_cycle
         # Fetch: blocked on an event (branch resolution, buffer drain) or
@@ -461,12 +488,6 @@ class Simulator:
         cycle = self.cycle
         pop = heapq.heappop
         push = heapq.heappush
-        done = UopState.DONE
-        waiting_state = UopState.WAITING
-        ready_state = UopState.READY
-        alu = UopKind.ALU
-        agi = UopKind.AGI
-        branch = UopKind.BRANCH
         ready_cycle = self.prf.ready_cycle
         waiters = self.waiters
         ready_heap = self.ready_heap
@@ -476,15 +497,15 @@ class Simulator:
             uop = pop(heap)[2]
             if uop.dead:
                 continue
-            uop.state = done
+            uop.state = DONE
             instr = uop.instr
             instr.pending_uops -= 1
             if tr is not None:
                 tr.on_writeback(uop, cycle)
             kind = uop.kind
-            if kind is alu or kind is agi:
+            if kind is UOP_ALU or kind is UOP_AGI:
                 pass
-            elif kind is branch:
+            elif kind is UOP_BRANCH:
                 # Only a mispredicted branch is ever the pending redirect.
                 if self.pending_branch is instr:
                     self._resolve_redirect(instr)
@@ -506,8 +527,8 @@ class Simulator:
                     continue
                 remaining = waiter.remaining_srcs - 1
                 waiter.remaining_srcs = remaining
-                if remaining == 0 and waiter.state is waiting_state:
-                    waiter.state = ready_state
+                if remaining == 0 and waiter.state is WAITING:
+                    waiter.state = READY
                     push(ready_heap, (waiter.seq, waiter))
 
     def _resolve_redirect(self, instr: DynInstr) -> None:
@@ -516,7 +537,7 @@ class Simulator:
         so branch and memory recoveries stay separable."""
         self.pending_branch = None
         self.fetch_blocked_until = self.cycle + self.params.frontend_depth
-        self.stats.squash_causes[SquashCause.BRANCH_MISPREDICT] += 1
+        self.stats.squash_causes[BRANCH_MISPREDICT] += 1
         if self._tr is not None:
             self._tr.on_redirect(instr.rob_id, self.cycle)
 
@@ -525,22 +546,22 @@ class Simulator:
         returns whether the MicroOp writes its destination register."""
         instr = uop.instr
         kind = uop.kind
-        if kind is UopKind.LOAD:
+        if kind is UOP_LOAD:
             # A cache access returned data: sample value and SSN_commit.
             li = instr.load
             te = instr.trace
             li.ssn_nvul = self.ssn.commit
             value = self.timing_mem.read(te.mem_addr, te.mem_size)
-            if li.mode is LoadKind.PREDICATED:
+            if li.mode is PREDICATED:
                 # Goes to the $ldtmp register; the CMOV pair selects later.
                 li.cache_value = value
             elif not li.value_from_store:
                 li.obtained_value = value
-        elif kind is UopKind.CMP:
+        elif kind is UOP_CMP:
             li = instr.load
             li.predicate = _covers(self.trace[li.dep_trace_index],
                                    instr.trace)
-        elif kind is UopKind.CMOV:
+        elif kind is UOP_CMOV:
             if not uop.cmov_selected:
                 return False
             li = instr.load
@@ -551,7 +572,7 @@ class Simulator:
             else:
                 li.obtained_value = li.cache_value
                 li.value_from_store = False
-        elif kind is UopKind.STORE:
+        elif kind is UOP_STORE:
             # Baseline: address + data now visible in the store queue.
             instr.store.sq_entry_done = True
             self._ee["lq_cam_search"] += 1
@@ -670,11 +691,11 @@ class Simulator:
         if dep is not None and dep in self.commit_cycle:
             in_flight = self.commit_cycle[dep] > instr.rename_cycle
         if not in_flight:
-            outcome = LowConfOutcome.INDEP_STORE
+            outcome = INDEP_STORE
         elif dep == li.dep_trace_index:
-            outcome = LowConfOutcome.CORRECT
+            outcome = CORRECT
         else:
-            outcome = LowConfOutcome.DIFF_STORE
+            outcome = DIFF_STORE
         self.stats.lowconf_outcome[outcome] += 1
 
     # -- committed architectural state (differential oracle support) -------
@@ -688,9 +709,9 @@ class Simulator:
             self._arch_write(isa_instr.dest_reg(),
                              self._arch_load_value(instr))
         elif (isa_instr.is_store or isa_instr.is_cond_branch
-              or op in (Opcode.J, Opcode.JR, Opcode.NOP, Opcode.HALT)):
+              or op in (J, JR, NOP, HALT)):
             pass  # memory evolves through timing_mem; no register writes
-        elif op in (Opcode.JAL, Opcode.JALR):
+        elif op in (JAL, JALR):
             self._arch_write(isa_instr.dest_reg(), te.pc + 4)
         else:
             regs = self.arch_regs
@@ -710,7 +731,7 @@ class Simulator:
             # violation, so the committed image is exact; the baseline
             # declares violations with stores still buffered, so the trace
             # value stands in for the post-recovery read.
-            if self.model is ModelKind.BASELINE:
+            if self.model is BASELINE:
                 raw = te.value
             else:
                 raw = self.timing_mem.read(te.mem_addr, te.mem_size)
@@ -718,7 +739,7 @@ class Simulator:
             raw = li.obtained_value
             if raw is None:
                 raw = self.timing_mem.read(te.mem_addr, te.mem_size)
-        if te.instr.op in (Opcode.LH, Opcode.LB):
+        if te.instr.op in SIGNED_LOADS:
             raw = sign_extend(raw, te.mem_size)
         return raw
 
@@ -740,7 +761,7 @@ class Simulator:
         self._ee["store_buffer_op"] += 1
         si.retired = True
         self.ssn.on_retire(si.ssn)
-        if self.model is not ModelKind.BASELINE:
+        if self.model is not BASELINE:
             self.tssbf.store_retire(te.word_addr, si.ssn, te.bab)
             self._ee["tssbf_access"] += 1
         else:
@@ -754,13 +775,13 @@ class Simulator:
         li = head.load
         te = head.trace
 
-        if self.model is ModelKind.PERFECT:
+        if self.model is PERFECT:
             if self._tr is not None:
                 self._tr.on_verify(te.index, self.cycle, "ok", "oracle",
                                    True)
             return "ok"
 
-        if self.model is ModelKind.BASELINE:
+        if self.model is BASELINE:
             if li.obtained_value != te.value:
                 dep = te.dep_store
                 if dep is not None:
@@ -875,9 +896,9 @@ class Simulator:
     def _squash_younger(self, retired_load: DynInstr) -> None:
         """Full recovery: flush everything younger than the violating load."""
         self.stats.energy_event("recovery_overhead")
-        self.stats.squash_causes[SquashCause.MEM_DEP_VIOLATION] += 1
+        self.stats.squash_causes[MEM_DEP_VIOLATION] += 1
         if self._tr is not None:
-            self._tr.on_squash(SquashCause.MEM_DEP_VIOLATION, self.cycle,
+            self._tr.on_squash(MEM_DEP_VIOLATION, self.cycle,
                                retired_load.rob_id,
                                [instr.rob_id for instr in self.rob])
         for instr in self.rob:
@@ -938,11 +959,6 @@ class Simulator:
         ready_heap = self.ready_heap
         heappush = heapq.heappush
         heappop = heapq.heappop
-        ready_state = UopState.READY
-        issued_state = UopState.ISSUED
-        store_kind = UopKind.STORE
-        load_kind = UopKind.LOAD
-        agi_kind = UopKind.AGI
 
         # Re-check previously blocked loads.
         if self.blocked_loads:
@@ -958,9 +974,9 @@ class Simulator:
 
         # Only the baseline (store-set ordering, forwarding stalls) and
         # NoSQ (delayed loads) hold a ready load back.
-        gated = self.model is ModelKind.BASELINE or self.model is ModelKind.NOSQ
+        gated = self.model is BASELINE or self.model is NOSQ
         # The baseline's loads search the store queue first.
-        access = None if self.model is ModelKind.BASELINE else self.hier.access
+        access = None if self.model is BASELINE else self.hier.access
         cycle = self.cycle
         event_heap = self.event_heap
         prf = self.prf
@@ -974,11 +990,11 @@ class Simulator:
         while budget > 0 and ready_heap:
             item = heappop(ready_heap)
             uop = item[1]
-            if uop.dead or uop.state is not ready_state:
+            if uop.dead or uop.state is not READY:
                 continue
             fu = uop.fu
             kind = uop.kind
-            if kind is store_kind:
+            if kind is UOP_STORE:
                 if store_ports <= 0:
                     deferred.append(item)
                     continue
@@ -987,7 +1003,7 @@ class Simulator:
                 if fu_budget[fu] <= 0:
                     deferred.append(item)
                     continue
-                if (kind is load_kind and gated
+                if (kind is UOP_LOAD and gated
                         and self._load_issue_blocked(uop)):
                     self.blocked_loads.append(uop)
                     continue
@@ -995,7 +1011,7 @@ class Simulator:
             budget -= 1
 
             # Start execution.
-            uop.state = issued_state
+            uop.state = ISSUED
             if tr is not None:
                 tr.on_issue(uop, cycle)
             issued += 1
@@ -1005,14 +1021,14 @@ class Simulator:
             energy = fu_energy[fu]
             if energy is not None:
                 ee[energy] += 1
-            if kind is load_kind:
+            if kind is UOP_LOAD:
                 if access is not None:
                     done = access(uop.instr.trace.mem_addr, cycle)
                 else:
                     done = self._start_baseline_load(uop)
                     if done is None:
                         continue  # re-blocked (forwarding stall)
-            elif kind is agi_kind:
+            elif kind is UOP_AGI:
                 address = uop.instr.trace.mem_addr
                 done = cycle + uop.latency + self.tlb.access_penalty(
                     address if address is not None else 0)
@@ -1037,10 +1053,10 @@ class Simulator:
     def _load_issue_blocked(self, uop: Uop) -> bool:
         """Model-specific conditions beyond register readiness."""
         li = uop.instr.load
-        if self.model is ModelKind.NOSQ and li.mode is LoadKind.DELAYED:
+        if self.model is NOSQ and li.mode is DELAYED:
             # Delayed until the predicted colliding store commits.
             return self.ssn.commit < li.ssn_byp
-        if self.model is ModelKind.BASELINE:
+        if self.model is BASELINE:
             # Store-set ordering: wait for the flagged store to execute.
             wait_id = li.storeset_wait
             if wait_id is not None:
@@ -1072,13 +1088,13 @@ class Simulator:
                 # Partial coverage: stall until that store commits, then
                 # retry through the cache.
                 li.forward_block = store_instr.rob_id
-                uop.state = UopState.READY
+                uop.state = READY
                 self.iq_occupancy += 1
                 self.blocked_loads.append(uop)
                 return None
             li.obtained_value = value
             li.value_from_store = True
-            li.mode = LoadKind.FORWARDED
+            li.mode = FORWARDED
             return self.cycle + self.params.sq_search_latency
         return self.hier.access(instr.trace.mem_addr, self.cycle)
 
@@ -1129,11 +1145,10 @@ class Simulator:
         waiters = self.waiters
         ready_heap = self.ready_heap
         heappush = heapq.heappush
-        ready_state = UopState.READY
         ee = self._ee
         tr = self._tr
         cycle = self.cycle
-        baseline = self.model is ModelKind.BASELINE
+        baseline = self.model is BASELINE
         agen_latency = params.agen_latency
         iq_occupancy = self.iq_occupancy
         renamed_uops = 0
@@ -1213,7 +1228,7 @@ class Simulator:
             if remaining:
                 uop.remaining_srcs = remaining
             else:
-                uop.state = ready_state
+                uop.state = READY
                 heappush(ready_heap, (seq, uop))
 
             if dec.is_mem:
@@ -1275,14 +1290,13 @@ class Simulator:
         if remaining:
             uop.remaining_srcs = remaining
         else:
-            uop.state = UopState.READY
+            uop.state = READY
             heapq.heappush(self.ready_heap, (seq, uop))
         return uop
 
-    def _rename_dest(self, instr: DynInstr, logical: int,
-                     aux: bool = False) -> int:
+    def _rename_dest(self, instr: DynInstr, logical: int) -> int:
         """Allocate a new physical register for a destination."""
-        preg = self.prf.allocate(aux=aux)
+        preg = self.prf.allocate()
         if preg is None:
             raise SimulationError("physical register underflow")
         prev = self.rename_map[logical]
@@ -1310,15 +1324,14 @@ class Simulator:
         instr.store = si
         self.inflight_store_by_id[instr.rob_id] = instr
 
-        if self.model is ModelKind.BASELINE:
+        if self.model is BASELINE:
             # The SQ-entry MicroOp makes address+data searchable.
-            self._new_uop(instr, UopKind.STORE, FuClass.MEM, 1,
+            self._new_uop(instr, UOP_STORE, FU_MEM, 1,
                           (addr_preg, data_preg), None)
             self._ee["sq_write"] += 1
             self.baseline_stores.append(instr)
-            prev = self.storesets.store_rename(te.pc, instr.rob_id)
+            self.storesets.store_rename(te.pc, instr.rob_id)
             self._ee["store_sets_access"] += 1
-            si.store_set_prev = prev
         else:
             # Store-queue-free: no access MicroOp.  The data and address
             # registers are read at commit, so their lifetimes extend
@@ -1334,18 +1347,18 @@ class Simulator:
         te = instr.trace
         model = self.model
 
-        if model is ModelKind.BASELINE:
-            li = LoadInfo(mode=LoadKind.DIRECT)
+        if model is BASELINE:
+            li = LoadInfo(mode=DIRECT)
             instr.load = li
             li.storeset_wait = self.storesets.load_rename(te.pc)
             self._ee["store_sets_access"] += 1
             dest = self._rename_dest(instr, dec.rd)
             instr.result_preg = dest
-            self._new_uop(instr, UopKind.LOAD, FuClass.MEM, 0,
+            self._new_uop(instr, UOP_LOAD, FU_MEM, 0,
                           (addr_preg,), dest)
             return
 
-        if model is ModelKind.PERFECT:
+        if model is PERFECT:
             self._crack_load_perfect(instr, addr_preg, dec)
             return
 
@@ -1353,7 +1366,7 @@ class Simulator:
         history = self._history[te.index]
         self._ee["distance_pred_access"] += 1
         prediction = self.sdp.predict(te.pc, history)
-        li = LoadInfo(mode=LoadKind.DIRECT, history=history)
+        li = LoadInfo(mode=DIRECT, history=history)
         instr.load = li
 
         entry = None
@@ -1378,7 +1391,7 @@ class Simulator:
             # direct cache access, verified by SVW at retire.
             dest = self._rename_dest(instr, dec.rd)
             instr.result_preg = dest
-            self._new_uop(instr, UopKind.LOAD, FuClass.MEM, 0,
+            self._new_uop(instr, UOP_LOAD, FU_MEM, 0,
                           (addr_preg,), dest)
             return
 
@@ -1388,12 +1401,12 @@ class Simulator:
         # cloaking in DMDP (alignment / sign extension) and are forced to
         # predication regardless of confidence; NoSQ instead inserts a
         # shift&mask fix-up and may still bypass them.
-        if model is ModelKind.DMDP and dec.is_partial:
+        if model is DMDP and dec.is_partial:
             self._crack_load_predicated(instr, entry, addr_preg, dec,
                                         low_confidence=not high_confidence)
         elif high_confidence:
             self._crack_load_bypass(instr, entry, addr_preg, dec)
-        elif model is ModelKind.NOSQ:
+        elif model is NOSQ:
             self._crack_load_delayed(instr, entry, addr_preg, dec)
         else:
             self._crack_load_predicated(instr, entry, addr_preg, dec)
@@ -1401,14 +1414,14 @@ class Simulator:
     def _crack_load_perfect(self, instr: DynInstr, addr_preg: int,
                             dec: _Decoded) -> None:
         te = instr.trace
-        li = LoadInfo(mode=LoadKind.DIRECT)
+        li = LoadInfo(mode=DIRECT)
         instr.load = li
         dep = te.dep_store
         dep_instr = self.inflight_store_by_id.get(dep) if dep is not None \
             else None
         if dep_instr is not None and not dep_instr.store.committed:
             # Oracle cloaking from the in-flight producing store.
-            li.mode = LoadKind.BYPASS
+            li.mode = BYPASS
             li.value_from_store = True
             li.obtained_value = te.value
             data_preg = dep_instr.store.data_preg
@@ -1419,7 +1432,7 @@ class Simulator:
         else:
             dest = self._rename_dest(instr, dec.rd)
             instr.result_preg = dest
-            self._new_uop(instr, UopKind.LOAD, FuClass.MEM, 0,
+            self._new_uop(instr, UOP_LOAD, FU_MEM, 0,
                           (addr_preg,), dest)
 
     def _crack_load_bypass(self, instr: DynInstr, entry, addr_preg: int,
@@ -1427,7 +1440,7 @@ class Simulator:
         """Memory cloaking (paper Fig. 7(c))."""
         te = instr.trace
         li = instr.load
-        li.mode = LoadKind.BYPASS
+        li.mode = BYPASS
         li.value_from_store = True
         self.stats.cloaked_loads += 1
         dep = self.trace[entry.trace_index]
@@ -1441,7 +1454,7 @@ class Simulator:
             # (paper Section IV-D); DMDP never cloaks partial words.
             dest = self._rename_dest(instr, dec.rd)
             instr.result_preg = dest
-            self._new_uop(instr, UopKind.SHIFTMASK, FuClass.ALU,
+            self._new_uop(instr, UOP_SHIFTMASK, FU_ALU,
                           self.params.alu_latency, (data_preg,), dest)
         else:
             self._rename_dest_shared(instr, dec.rd, data_preg)
@@ -1451,12 +1464,12 @@ class Simulator:
                             dec: _Decoded) -> None:
         """NoSQ low-confidence: wait for the predicted store to commit."""
         li = instr.load
-        li.mode = LoadKind.DELAYED
+        li.mode = DELAYED
         li.low_confidence = True
         self.stats.delayed_loads += 1
         dest = self._rename_dest(instr, dec.rd)
         instr.result_preg = dest
-        self._new_uop(instr, UopKind.LOAD, FuClass.MEM, 0,
+        self._new_uop(instr, UOP_LOAD, FU_MEM, 0,
                       (addr_preg,), dest)
 
     def _crack_load_predicated(self, instr: DynInstr, entry,
@@ -1465,7 +1478,7 @@ class Simulator:
         """DMDP predication insertion (paper Fig. 8)."""
         te = instr.trace
         li = instr.load
-        li.mode = LoadKind.PREDICATED
+        li.mode = PREDICATED
         li.low_confidence = low_confidence
         self.stats.predicated_loads += 1
 
@@ -1474,20 +1487,20 @@ class Simulator:
 
         # LW $33 <- cache.
         ldtmp_preg = self._rename_dest(instr, REG_LDTMP)
-        self._new_uop(instr, UopKind.LOAD, FuClass.MEM, 0,
+        self._new_uop(instr, UOP_LOAD, FU_MEM, 0,
                       (addr_preg,), ldtmp_preg)
         # CMP $34 <- (load addr == store addr), with shift/type info.
         pred_preg = self._rename_dest(instr, REG_PRED)
-        self._new_uop(instr, UopKind.CMP, FuClass.ALU,
+        self._new_uop(instr, UOP_CMP, FU_ALU,
                       self.params.alu_latency,
                       (addr_preg, store_addr_preg), pred_preg)
         # CMOV pair sharing one destination register.
         dest = self._rename_dest(instr, dec.rd)
-        cmov_store = self._new_uop(instr, UopKind.CMOV, FuClass.ALU,
+        cmov_store = self._new_uop(instr, UOP_CMOV, FU_ALU,
                                    self.params.alu_latency,
                                    (pred_preg, store_data_preg), dest)
         self._rename_dest_shared(instr, dec.rd, dest)
-        cmov_cache = self._new_uop(instr, UopKind.CMOV, FuClass.ALU,
+        cmov_cache = self._new_uop(instr, UOP_CMOV, FU_ALU,
                                    self.params.alu_latency,
                                    (pred_preg, ldtmp_preg), dest)
         instr.result_preg = dest

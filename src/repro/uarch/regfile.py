@@ -60,17 +60,14 @@ class PhysRegFile:
     def free_count(self) -> int:
         return len(self.free)
 
-    @property
-    def free_aux_count(self) -> int:
-        return len(self.free_aux)
-
-    def allocate(self, aux: bool = False) -> Optional[int]:
-        """Pop a free register (producer count set to 1, not ready)."""
-        pool = self.free_aux if aux else self.free
-        if not pool:
+    def allocate(self) -> Optional[int]:
+        """Pop a free data register (producer count set to 1, not ready).
+        The rename stage pops auxiliary registers from ``free_aux``
+        itself."""
+        if not self.free:
             self.alloc_stalls += 1
             return None
-        preg = pool.pop()
+        preg = self.free.pop()
         self.producer[preg] = 1
         self.consumer[preg] = 0
         self.ready_cycle[preg] = None

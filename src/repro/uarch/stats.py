@@ -15,6 +15,22 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 
+class StatCounter(Counter):
+    """A :class:`Counter` whose item assignment runs at dict speed.
+
+    ``Counter`` defines ``__delitem__`` in Python, and CPython keeps
+    ``__setitem__`` and ``__delitem__`` in one type slot, so every
+    ``c[k] += n`` on a ``Counter`` goes through a Python-level slot
+    wrapper, about twice a plain dict's cost on CPython 3.11 (DESIGN.md
+    section 9).  Taking dict's ``__delitem__`` back restores the C slot.
+    Everything else -- the ``Counter`` API, pickling, first-insertion
+    order (the order :func:`repro.energy.energy_report` sums in) -- is
+    unchanged; only ``del c[missing]`` now raises ``KeyError``.
+    """
+
+    __delitem__ = dict.__delitem__
+
+
 class LoadKind(enum.Enum):
     """How a load obtained its value (paper Fig. 2 terminology)."""
 
@@ -69,21 +85,22 @@ class SimStats:
 
     # Load classification and latency (cycles from rename to value ready,
     # clamped at zero as in the paper's Section II definition).
-    load_kind: Counter = field(default_factory=Counter)
-    load_exec_time: Counter = field(default_factory=Counter)  # kind -> cycles
+    load_kind: Counter = field(default_factory=StatCounter)
+    # kind -> cycles
+    load_exec_time: Counter = field(default_factory=StatCounter)
     load_exec_time_total: int = 0
     insn_exec_time_total: int = 0
 
     # Low-confidence load tracking (Fig. 5, Table V).
     lowconf_loads: int = 0
-    lowconf_outcome: Counter = field(default_factory=Counter)
+    lowconf_outcome: Counter = field(default_factory=StatCounter)
     lowconf_exec_time_total: int = 0
 
     # Memory dependence machinery.
     dep_predictions: int = 0            # loads predicted dependent
     dep_mispredictions: int = 0         # full-recovery violations
     # Squash/redirect accounting by cause (SquashCause -> count).
-    squash_causes: Counter = field(default_factory=Counter)
+    squash_causes: Counter = field(default_factory=StatCounter)
     reexecutions: int = 0
     reexec_stall_cycles: int = 0
     sb_full_stall_cycles: int = 0
@@ -99,7 +116,7 @@ class SimStats:
     l2_misses: int = 0
 
     # Raw energy events: name -> count (names match EnergyParams fields).
-    energy_events: Counter = field(default_factory=Counter)
+    energy_events: Counter = field(default_factory=StatCounter)
 
     # -- event helpers ------------------------------------------------------
 

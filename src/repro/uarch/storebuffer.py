@@ -23,6 +23,10 @@ from typing import List, Optional
 from .cachesim import MemoryHierarchy
 from .params import Consistency
 
+# Bound at import (DESIGN.md section 9): a class-level enum lookup runs
+# the metaclass's attribute hook on every call.
+TSO = Consistency.TSO
+
 
 @dataclass
 class StoreBufferEntry:
@@ -114,7 +118,7 @@ class StoreBuffer:
         """
         if not self.entries:
             return None
-        tso = self.consistency is Consistency.TSO
+        tso = self.consistency is TSO
         in_flight = 0
         earliest_done: Optional[int] = None
         unstarted = False
@@ -176,7 +180,7 @@ class StoreBuffer:
                     entry.word_addr, cycle, is_write=True)
                 in_flight += 1
 
-        if self.consistency is Consistency.TSO:
+        if self.consistency is TSO:
             completed = []
             while (self.entries and self.entries[0].started
                    and self.entries[0].done_cycle <= cycle):

@@ -23,6 +23,10 @@ from typing import List, Optional
 from .distance_predictor import DistancePrediction
 from .params import ConfidencePolicy, PredictorParams
 
+# Bound at import (DESIGN.md section 9): a class-level enum lookup runs
+# the metaclass's attribute hook on every call.
+BIASED = ConfidencePolicy.BIASED
+
 
 class _TageEntry:
     __slots__ = ("tag", "distance", "confidence", "useful")
@@ -145,7 +149,7 @@ class TageDistancePredictor:
         learnable = (actual_distance is not None
                      and 0 <= actual_distance <= self.params.max_distance)
         if entry is not None:
-            if policy is ConfidencePolicy.BIASED:
+            if policy is BIASED:
                 entry.confidence >>= 1
             else:
                 entry.confidence = max(0, entry.confidence - 1)

@@ -51,6 +51,11 @@ class UopState(enum.Enum):
     DONE = 3
 
 
+# Bound at import (DESIGN.md section 9): a class-level enum lookup runs
+# the metaclass's attribute hook on every call.
+WAITING = UopState.WAITING
+
+
 class Uop:
     """One MicroOp in flight."""
 
@@ -67,7 +72,7 @@ class Uop:
         self.srcs = srcs               # source physical registers
         self.dest = dest               # destination physical register
         self.instr = instr
-        self.state = UopState.WAITING
+        self.state = WAITING
         self.remaining_srcs = 0
         self.dead = False              # squashed; ignore all pending events
         # CMOV pair bookkeeping: does this CMOV actually write the register?
@@ -117,7 +122,7 @@ class StoreInfo:
     """Timing-model bookkeeping for one dynamic store."""
 
     __slots__ = ("ssn", "data_preg", "addr_preg", "holds", "sq_entry_done",
-                 "retired", "committed", "store_set_prev")
+                 "retired", "committed")
 
     def __init__(self, ssn: int, data_preg: int, addr_preg: int):
         self.ssn = ssn
@@ -129,7 +134,6 @@ class StoreInfo:
         self.sq_entry_done = False  # baseline: address+data visible in SQ
         self.retired = False
         self.committed = False
-        self.store_set_prev: Optional[int] = None  # older same-set store
 
 
 class DynInstr:

@@ -14,6 +14,7 @@ Three layers under test (DESIGN.md Section 12):
   when the store is warm.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from repro.harness.cache import PrecomputeStore, ResultCache, TraceStore
 from repro.harness.parallel import make_point
 from repro.harness.runner import ExperimentRunner
 from repro.kernel import (MAX_TRACE_INSTRUCTIONS, FunctionalCpu, PackedTrace,
-                          pack_trace, run_trace_packed)
+                          TraceEntry, pack_trace, run_trace_packed)
 from repro.kernel.precompute import TracePrecompute, bpred_signature
 from repro.uarch import ALL_MODELS, ModelKind, Simulator, model_params
 from repro.uarch.models import trace_program
@@ -62,6 +63,12 @@ def small_workload(name="mcf", fraction=0.1):
 
 
 class TestPackedTraceFidelity:
+    def test_fields_pin_trace_entry_field_order(self):
+        # PackedTrace and TraceRecorder build TraceEntry positionally in
+        # this order; a reordered field must fail here, not shuffle values.
+        assert tuple(f.name for f in dataclasses.fields(TraceEntry)) \
+            == FIELDS
+
     def test_randomized_programs_roundtrip_field_for_field(self):
         for index in range(NUM_RANDOM_PROGRAMS):
             program, trace = random_case(index)

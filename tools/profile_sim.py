@@ -19,6 +19,11 @@ section 14.)
 ``--sim-only`` restores the old behaviour of profiling
 ``Simulator.run()`` alone.
 
+Time spent in slot wrappers -- a class-level enum member lookup, item
+assignment on a ``Counter`` -- starts no frame and calls no built-in by
+name, so it shows up as the calling function's own time (``tottime``),
+not as a row of its own (DESIGN.md section 9).
+
 The same profile (plus phase split) can be captured for any CLI command
 with the global ``repro --profile`` flag.
 """
