@@ -11,12 +11,13 @@ and must satisfy:
    registers and memory image;
 2. **cross-model** -- all models agree with each other on final
    architectural state (a defense-in-depth net under oracle 1);
-3. **reference-stats** -- re-simulating from the packed
-   :class:`~repro.kernel.tracestore.PackedTrace` with cycle skipping off
-   yields byte-identical :class:`~repro.uarch.SimStats` to the
-   cycle-skipping run from the ``List[TraceEntry]`` form (the
-   trace-store fidelity contract and the cycle-skipping exactness
-   contract in one comparison).
+3. **reference-stats** -- re-simulating with cycle skipping off yields
+   byte-identical :class:`~repro.uarch.SimStats` to the cycle-skipping
+   run, over one :class:`~repro.kernel.tracestore.PackedTrace`.  The
+   first model's cycle-skipping run builds the trace's precompute bundle
+   and indexes the trace lazily; every later run shares the bundle and
+   indexes its dense entries, so one comparison checks cycle-skipping
+   exactness and lazy-vs-shared indexing.
 
 A divergence is reported as a :class:`Divergence` record; the set of
 records hashes to a stable :attr:`CheckReport.signature` so a minimized
@@ -120,7 +121,7 @@ class CheckReport:
 
 # -- test-only trace mutations ----------------------------------------------
 
-def _mutate_silent_store_value(entries: Sequence[TraceEntry]) -> None:
+def _mutate_silent_store_value(entries: List[TraceEntry]) -> None:
     """Corrupt every silent store's value (emulates a broken silent-store
     annotation: the entry still claims silence but writes a new value)."""
     for entry in entries:
@@ -129,7 +130,7 @@ def _mutate_silent_store_value(entries: Sequence[TraceEntry]) -> None:
             entry.value = (entry.value + 1) & mask
 
 
-def _mutate_store_addr(entries: Sequence[TraceEntry]) -> None:
+def _mutate_store_addr(entries: List[TraceEntry]) -> None:
     """Shift the first store one word over (emulates an AGU/encoding bug);
     the dependence annotations are left stale on purpose."""
     for entry in entries:
@@ -139,7 +140,7 @@ def _mutate_store_addr(entries: Sequence[TraceEntry]) -> None:
             break
 
 
-MUTATIONS: Dict[str, Callable[[Sequence[TraceEntry]], None]] = {
+MUTATIONS: Dict[str, Callable[[List[TraceEntry]], None]] = {
     "silent-store-value": _mutate_silent_store_value,
     "store-addr": _mutate_store_addr,
 }
@@ -187,7 +188,7 @@ def check_program(program, models=ALL_MODELS, mutation: Optional[str] = None,
     trace -- a deterministic stand-in for a real simulator bug.
     """
     cpu = FunctionalCpu(program)
-    entries = cpu.run_trace(max_instructions=max_instructions)
+    trace = cpu.run_trace(max_instructions=max_instructions)
     ref_regs = list(cpu.regs)
     ref_mem = cpu.memory.snapshot()
     if mutation is not None:
@@ -197,16 +198,19 @@ def check_program(program, models=ALL_MODELS, mutation: Optional[str] = None,
             raise ValueError("unknown mutation %r (choose from %s)"
                              % (mutation, ", ".join(sorted(MUTATIONS)))
                              ) from None
+        # Packed views are copies: mutate a list, then pack it again.
+        entries = list(trace)
         mutate(entries)
+        trace = PackedTrace.from_entries(program, entries)
 
     report = CheckReport(static_instructions=len(program.instructions),
-                         dynamic_instructions=len(entries),
-                         pathology=trace_pathology_stats(entries))
-    budget = max(_MIN_CYCLE_BUDGET, _CYCLES_PER_INSTRUCTION * len(entries))
+                         dynamic_instructions=len(trace),
+                         pathology=trace_pathology_stats(trace))
+    budget = max(_MIN_CYCLE_BUDGET, _CYCLES_PER_INSTRUCTION * len(trace))
     snapshots = {}
     stats_by_model = {}
     for model in models:
-        sim = Simulator(program, entries, model_params(model),
+        sim = Simulator(program, trace, model_params(model),
                         track_arch_state=True)
         try:
             stats_by_model[model] = sim.run(max_cycles=budget)
@@ -233,11 +237,10 @@ def check_program(program, models=ALL_MODELS, mutation: Optional[str] = None,
                 "final architectural state differs from %s"
                 % reference.value))
 
-    packed = PackedTrace.from_entries(program, entries)
     for model in models:
         if model not in stats_by_model:
             continue  # already reported as a hang above
-        sim = Simulator(program, packed, model_params(model))
+        sim = Simulator(program, trace, model_params(model))
         sim.tick_hook = _observe_every_cycle
         try:
             reference_stats = sim.run(max_cycles=budget)

@@ -10,8 +10,9 @@ performance work on the pipeline is a tracked artifact, not a claim:
 * :func:`measure_batched` times the multi-config ``batched`` leg: every
   model/config pair simulated against one shared
   :class:`~repro.kernel.precompute.TracePrecompute` bundle (bundle build
-  included) vs. fresh per-config Simulator construction, with SimStats
-  asserted byte-identical between the two;
+  included) vs. fresh per-config Simulator construction over a trace
+  object of its own, with SimStats asserted byte-identical between the
+  two;
 * :func:`calibrate` times a deterministic pure-Python kernel whose speed
   scales with the host interpreter, so throughput numbers recorded on one
   machine can be compared on another (CI runners vs. the machine that
@@ -125,8 +126,10 @@ def measure(workloads: Iterable[str] = BENCH_WORKLOADS,
     prepared = []
     for name in workloads:
         program = get_workload(name).build(_iterations(name, scale))
-        trace = FunctionalCpu(program).run_trace(
-            max_instructions=MAX_TRACE_INSTRUCTIONS)
+        # A list trace, as the committed reference was recorded on: every
+        # Simulator packs it and builds its own tables.
+        trace = list(FunctionalCpu(program).run_trace(
+            max_instructions=MAX_TRACE_INSTRUCTIONS))
         prepared.append((name, program, trace))
 
     out: Dict[str, Dict[str, float]] = {}
@@ -164,13 +167,15 @@ def measure_batched(workloads: Iterable[str] = BENCH_WORKLOADS,
     The *unbatched* leg constructs a fresh ``Simulator`` for every
     (model, config) pair -- each one re-deriving branch outcomes,
     history, decode templates, and the memory image from the packed
-    trace.  The *batched* leg analyses the trace once into a
+    trace.  A bundle lives on its trace, so each pair gets a trace object
+    of its own, decoded from one blob outside the timed region.  The
+    *batched* leg analyses one trace once into a
     :class:`~repro.kernel.precompute.TracePrecompute` bundle (build time
     charged to the leg) and shares it across all pairs, the way
     ``run_batch`` schedules a sweep.  SimStats must be byte-identical
     between legs; ``stats_identical`` records the comparison.
     """
-    from ..kernel.tracestore import run_trace_packed
+    from ..kernel.tracestore import PackedTrace, run_trace_packed
     from ..kernel.precompute import TracePrecompute, bpred_signature
 
     out: Dict[str, object] = {"workloads": {}, "configs_per_trace":
@@ -180,14 +185,18 @@ def measure_batched(workloads: Iterable[str] = BENCH_WORKLOADS,
     identical = True
     for name in workloads:
         program = get_workload(name).build(_iterations(name, scale))
-        packed = run_trace_packed(program)
+        blob = run_trace_packed(program).to_bytes()
         matrix = BATCH_GRID.expand()
 
         best_unbatched = float("inf")
         unbatched_stats = None
         for _ in range(max(1, repeats)):
+            traces = [PackedTrace.from_buffer(program, blob)
+                      for _ in matrix]
             start = time.perf_counter()
-            stats = [Simulator(program, packed, spec.to_params()).run()
+            # pop(): each trace and its bundle die with their Simulator.
+            stats = [Simulator(program, traces.pop(),
+                               spec.to_params()).run()
                      for spec in matrix]
             elapsed = time.perf_counter() - start
             if elapsed < best_unbatched:
@@ -197,11 +206,11 @@ def measure_batched(workloads: Iterable[str] = BENCH_WORKLOADS,
         best_batched = float("inf")
         batched_stats = None
         for _ in range(max(1, repeats)):
+            packed = PackedTrace.from_buffer(program, blob)
             start = time.perf_counter()
-            pre = TracePrecompute.build(
+            TracePrecompute.build(
                 packed, bpred_signature(model_params(ModelKind.BASELINE)))
-            stats = [Simulator(program, packed, spec.to_params(),
-                               precompute=pre).run()
+            stats = [Simulator(program, packed, spec.to_params()).run()
                      for spec in matrix]
             elapsed = time.perf_counter() - start
             if elapsed < best_batched:

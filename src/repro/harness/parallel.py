@@ -222,7 +222,7 @@ def _run_task(task):
         try:
             _WORKER_RUNNER.precompute_for(workload)
         except Exception:
-            pass    # each Simulator builds its own bundle
+            pass    # the first Simulator builds the bundle
     out = []
     for model, settings in configs:
         start = time.perf_counter()

@@ -116,7 +116,6 @@ class ExperimentRunner:
         self.progress = progress
         self._programs: Dict[str, Program] = {}
         self._traces: Dict[str, PackedTrace] = {}
-        self._precomputes: Dict[str, TracePrecompute] = {}
         self._bpred_sig: Optional[Tuple[int, int, int]] = None
         self._results: Dict[Tuple, SimResult] = {}
         self.point_log: List[PointTiming] = []
@@ -233,8 +232,6 @@ class ExperimentRunner:
         except Exception:
             return False
         self._traces[workload] = packed
-        # A bundle is tied to the trace object it was built for.
-        self._precomputes.pop(workload, None)
         self.counts["traces_loaded"] += 1
         return True
 
@@ -248,25 +245,25 @@ class ExperimentRunner:
 
     def _bpred_signature(self):
         """The default predictor geometry bundles are keyed by.  A point
-        that overrides any of it fails ``TracePrecompute.matches`` inside
-        the Simulator, which then builds a bundle for its own geometry."""
+        that overrides any of it finds no bundle for its own geometry on
+        the trace, and its Simulator builds one."""
         if self._bpred_sig is None:
             self._bpred_sig = bpred_signature(
                 model_params(ModelKind.BASELINE))
         return self._bpred_sig
 
     def precompute_for(self, workload: str) -> TracePrecompute:
-        """The shared whole-trace bundle: memo -> store -> build (+ put).
+        """The shared whole-trace bundle: trace -> store -> build (+ put).
 
-        Batch submissions resolve this once per distinct trace and every
-        config simulated against that trace shares the result; the
-        built/loaded counters back the sweep benchmark's
-        "exactly one precompute per trace" gate.
+        Batch submissions resolve this once per distinct trace; the
+        bundle lives on the trace, so every config simulated against
+        that trace shares it.  The built/loaded counters back the sweep
+        benchmark's "exactly one precompute per trace" gate.
         """
-        bundle = self._precomputes.get(workload)
+        trace = self.trace(workload)
+        signature = self._bpred_signature()
+        bundle = trace.bundles.get(signature)
         if bundle is None:
-            trace = self.trace(workload)
-            signature = self._bpred_signature()
             iterations = self.iterations(workload)
             start = time.perf_counter()
             bundle = self.precompute_store.load(
@@ -300,31 +297,37 @@ class ExperimentRunner:
                         event="corrupt-miss" if stale else "build",
                         bytes=self._blob_size(self.precompute_store.path_for(
                             workload, iterations, signature)))
-            self._precomputes[workload] = bundle
         return bundle
 
     def ensure_precompute(self, workload: str) -> Optional[str]:
         """Make sure the store holds this workload's bundle; returns its
         path (None without a persistent store), for worker fan-out."""
-        self.precompute_for(workload)
-        path = self.precompute_store.path_for(
-            workload, self.iterations(workload), self._bpred_signature())
+        bundle = self.precompute_for(workload)
+        iterations = self.iterations(workload)
+        path = self.precompute_store.path_for(workload, iterations,
+                                              bundle.signature)
         if path is None:
             return None
+        if not path.exists():
+            # A Simulator built this bundle and left it on the trace.
+            start = time.perf_counter()
+            self.precompute_store.put(workload, iterations, bundle)
+            self.phase_seconds["trace store I/O"] += (time.perf_counter()
+                                                      - start)
         return str(path)
 
     def attach_precompute(self, workload: str, path: str) -> bool:
         """Adopt a precompute blob produced by another process.
 
-        Returns True when the blob decoded against this runner's trace;
-        any failure leaves the memo empty so :meth:`precompute_for`
-        falls back to rebuilding (a stale blob never kills a worker)."""
+        Returns True when the blob decoded against this runner's trace
+        (the bundle then lives on it); any failure leaves the trace
+        without one so :meth:`precompute_for` falls back to rebuilding
+        (a stale blob never kills a worker)."""
         try:
-            bundle = load_precompute(path, self.trace(workload),
-                                     self._bpred_signature())
+            load_precompute(path, self.trace(workload),
+                            self._bpred_signature())
         except Exception:
             return False
-        self._precomputes[workload] = bundle
         self.counts["precomputes_loaded"] += 1
         return True
 
@@ -369,12 +372,12 @@ class ExperimentRunner:
         """Simulate one point: the only place a runner builds a Simulator.
 
         Serial batches, :meth:`run_traced` and worker tasks all come
-        here.  A bundle that :meth:`run_batch` resolved for this trace is
-        shared; without one the Simulator builds its own."""
+        here.  A bundle already on the trace (resolved by
+        :meth:`run_batch`, or left by an earlier run) is shared; without
+        one the Simulator builds it and leaves it on the trace."""
         params = spec.to_params()
         stats = Simulator(self.program(workload), self.trace(workload),
-                          params, tracer=tracer,
-                          precompute=self._precomputes.get(workload)).run()
+                          params, tracer=tracer).run()
         return SimResult(workload=workload, model=spec.model, stats=stats,
                          energy=energy_report(stats, params.energy))
 
@@ -538,8 +541,8 @@ class ExperimentRunner:
 
             # A shared precompute bundle pays off only across configs:
             # resolve one per trace with two or more misses.  A single
-            # point's Simulator builds its own tables and indexes the
-            # packed trace lazily.
+            # point's Simulator uses a bundle an earlier run left on the
+            # trace, or builds one and indexes the packed trace lazily.
             per_trace = Counter(p.workload for p in misses)
             if self.jobs > 1 and len(misses) > 1:
                 # Trace every miss workload once *here* (and precompute
@@ -582,7 +585,7 @@ class ExperimentRunner:
                         try:
                             self.precompute_for(workload)
                         except Exception:
-                            pass    # each Simulator builds its own
+                            pass    # the first Simulator builds it
                 misses.sort(key=lambda p: p.workload)
                 for point in misses:
                     failure = self._simulate_with_retry(point, publish)

@@ -148,14 +148,16 @@ def _run_point_legacy(workload: str, spec: ConfigSpec,
 
     Reproduces what a fresh worker did before the trace store existed,
     so the ``legacy`` leg is an honest baseline rather than a strawman.
+    The recorded trace is materialised into a ``List[TraceEntry]``, the
+    form a worker held then and the RSS probe compares against.
     """
     wspec = get_workload(workload)
     iterations = None
     if scale is not None:
         iterations = max(1, int(round(wspec.default_scale * scale)))
     program = wspec.build(iterations)
-    trace = FunctionalCpu(program).run_trace(
-        max_instructions=MAX_TRACE_INSTRUCTIONS)
+    trace = list(FunctionalCpu(program).run_trace(
+        max_instructions=MAX_TRACE_INSTRUCTIONS))
     params = spec.to_params()
     stats = Simulator(program, trace, params).run()
     energy_report(stats, params.energy)

@@ -3,8 +3,7 @@
 from .memory import SparseMemory
 from .cpu import (ExecutionError, FunctionalCpu, alu_result, sign_extend,
                   to_signed, to_unsigned)
-from .trace import (MAX_TRACE_INSTRUCTIONS, TraceEntry, TraceRecorder,
-                    trace_summary)
+from .trace import MAX_TRACE_INSTRUCTIONS, TraceEntry, trace_summary
 from .tracestore import (TRACE_FORMAT_VERSION, ColumnarTraceRecorder,
                          PackedTrace, TraceDecodeError, TraceEncodeError,
                          load_trace, pack_trace, run_trace_packed)
@@ -12,7 +11,7 @@ from .tracestore import (TRACE_FORMAT_VERSION, ColumnarTraceRecorder,
 __all__ = [
     "SparseMemory", "ExecutionError", "FunctionalCpu", "alu_result",
     "sign_extend", "to_signed", "to_unsigned",
-    "MAX_TRACE_INSTRUCTIONS", "TraceEntry", "TraceRecorder", "trace_summary",
+    "MAX_TRACE_INSTRUCTIONS", "TraceEntry", "trace_summary",
     "TRACE_FORMAT_VERSION", "ColumnarTraceRecorder", "PackedTrace",
     "TraceDecodeError", "TraceEncodeError", "load_trace", "pack_trace",
     "run_trace_packed",

@@ -2,7 +2,8 @@
 
 Executes :class:`~repro.isa.Program` objects instruction by instruction with
 exact architectural semantics and optionally records a dynamic trace with
-oracle memory-dependence annotations (see :mod:`repro.kernel.trace`).
+oracle memory-dependence annotations into packed columns (see
+:mod:`repro.kernel.trace` and :mod:`repro.kernel.tracestore`).
 
 The timing simulator never re-executes semantics; it consumes the trace this
 CPU produces, which is the standard trace-driven simulation split (DESIGN.md
@@ -16,7 +17,8 @@ from typing import List, Optional
 from ..isa import Instruction, Opcode, Program, STACK_TOP
 from ..isa.instructions import SIGNED_LOADS
 from .memory import SparseMemory
-from .trace import MAX_TRACE_INSTRUCTIONS, TraceEntry, TraceRecorder
+from .trace import MAX_TRACE_INSTRUCTIONS
+from .tracestore import ColumnarTraceRecorder, PackedTrace
 
 WORD_MASK = 0xFFFFFFFF
 
@@ -150,7 +152,7 @@ class FunctionalCpu:
     # -- execution -------------------------------------------------------------
 
     def run(self, max_instructions: int = MAX_TRACE_INSTRUCTIONS,
-            recorder: Optional[TraceRecorder] = None) -> int:
+            recorder: Optional[ColumnarTraceRecorder] = None) -> int:
         """Run until HALT or the instruction cap; returns instructions run."""
         while not self.halted:
             if self.instruction_count >= max_instructions:
@@ -161,13 +163,20 @@ class FunctionalCpu:
         return self.instruction_count
 
     def run_trace(self, max_instructions: int = MAX_TRACE_INSTRUCTIONS
-                  ) -> List[TraceEntry]:
-        """Run to completion and return the dynamic trace."""
-        recorder = TraceRecorder()
-        self.run(max_instructions=max_instructions, recorder=recorder)
-        return recorder.entries
+                  ) -> PackedTrace:
+        """Run to completion and return the dynamic trace, recorded
+        straight into packed columns."""
+        return self._record_trace(max_instructions)
 
-    def step(self, recorder: Optional[TraceRecorder] = None) -> None:
+    def _record_trace(self, max_instructions: int) -> PackedTrace:
+        # The body of both run_trace and tracestore.run_trace_packed.
+        # Neither calls the other: perfbench times each by name, and a
+        # nested call would count one trace twice.
+        recorder = ColumnarTraceRecorder(self.program)
+        self.run(max_instructions=max_instructions, recorder=recorder)
+        return recorder.finish()
+
+    def step(self, recorder: Optional[ColumnarTraceRecorder] = None) -> None:
         """Execute one instruction."""
         instr = self.program.instruction_at(self.pc)
         pc = self.pc

@@ -8,10 +8,10 @@ the trace content and the branch-predictor geometry).
 
 :class:`TracePrecompute` derives it from
 :class:`~repro.kernel.tracestore.PackedTrace` columns in one pure-Python
-pass, and it is the only place the Simulator gets it from: a sweep
-builds one bundle per trace and shares it across every configuration
-and worker that simulates the trace, and a single run builds its own.
-The bundle holds:
+pass, and it is the only place the Simulator gets it from: the first
+run of a trace builds the bundle and leaves it on the trace, and every
+later run of that trace object shares it, as does every configuration
+and worker of a sweep that loads it from the store.  The bundle holds:
 
 * ``mispredicted`` -- per-entry branch-outcome flags from a sequential
   :class:`~repro.uarch.branch.BranchPredictor` replay;
@@ -29,19 +29,23 @@ bitmap + history; the decode index re-derives from the trace columns)
 so the harness can persist them next to the trace blob -- see
 ``PrecomputeStore`` in :mod:`repro.harness.cache`.
 
-The bundle is tied to one trace object and one branch-predictor
-*signature* (table bits, BTB entries, history bits): a Simulator handed
-a bundle for another trace, or a configuration that overrides any of
-the geometry, fails :meth:`matches` and builds a bundle of its own, so
-sharing can never change results.  Byte-identity of SimStats across
-the list, packed, and shared-bundle runs is golden-pinned in
-``tests/test_precompute.py``.
+A bundle lives on the trace it was built or loaded for: constructing
+one files it in ``trace.bundles`` under its branch-predictor
+*signature* (table bits, BTB entries, history bits), where Simulators
+look it up.  Another trace object -- even a byte-equal one -- carries
+none, and a configuration that overrides any of the geometry finds none
+under its own signature, so sharing can never change results.  The
+bundle refers back to its trace weakly, so a dropped trace, its bundles
+and any mapping it holds are freed by reference counting.  Byte-identity
+of SimStats across list runs and first and later runs of a packed trace
+is golden-pinned in ``tests/test_precompute.py``.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
+import weakref
 import zlib
 from array import array
 from typing import Dict, List, Optional, Tuple
@@ -78,7 +82,7 @@ class TracePrecompute:
 
     def __init__(self, trace, signature: Tuple[int, int, int],
                  mispredicted: List[bool], history: List[int]):
-        self.trace = trace
+        self._trace = weakref.ref(trace)    # the trace holds the bundle
         self.signature = tuple(signature)
         self.n = len(trace)
         self._mispredicted = mispredicted
@@ -87,6 +91,12 @@ class TracePrecompute:
         self._dec_memo: Dict[Tuple[int, int, int, int], list] = {}
         self._entries: Optional[list] = None
         self._base_mem: Optional[SparseMemory] = None
+        trace.bundles[self.signature] = self
+
+    @property
+    def trace(self):
+        """The packed trace this bundle was built or loaded for."""
+        return self._trace()
 
     # -- construction --------------------------------------------------------
 
@@ -131,19 +141,6 @@ class TracePrecompute:
                     state = ((state << 1) | taken) & mask
         return cls(trace, signature, mispredicted, history)
 
-    # -- validity ------------------------------------------------------------
-
-    def matches(self, trace, params) -> bool:
-        """Usable for this (trace, configuration) pair?
-
-        Only the very trace object the bundle was built or loaded for,
-        under the same predictor geometry: any other trace (even one of
-        the same length) or a config that overrides the geometry gets
-        ``False``, and the Simulator builds a bundle of its own.
-        """
-        return (trace is self.trace
-                and bpred_signature(params) == self.signature)
-
     # -- Simulator-facing tables (materialised once, shared) -----------------
 
     def mispredicted_list(self) -> List[bool]:
@@ -162,10 +159,11 @@ class TracePrecompute:
         index = self._dec_memo.get(key)
         if index is None:
             from ..uarch.pipeline import _Decoded  # deferred: layering
-            instrs = self.trace.program.instructions
+            trace = self.trace
+            instrs = trace.program.instructions
             dec_static = [None] * len(instrs)
             index = [None] * self.n
-            for i, si in enumerate(self.trace.static_column()):
+            for i, si in enumerate(trace.static_column()):
                 dec = dec_static[si]
                 if dec is None:
                     dec = dec_static[si] = _Decoded(instrs[si], params)
@@ -176,9 +174,10 @@ class TracePrecompute:
     def entry_list(self) -> list:
         """Every entry materialised into a plain list, once per bundle.
 
-        Fetch walks every entry anyway, so Simulators sharing a bundle
-        index this list directly -- C-speed ``list[i]`` on the hot path
-        instead of a packed view's per-access Python call."""
+        Fetch walks every entry anyway, so Simulators that find the
+        bundle on their trace index this list directly -- C-speed
+        ``list[i]`` on the hot path instead of a packed view's per-access
+        Python call."""
         if self._entries is None:
             self._entries = list(self.trace)
         return self._entries

@@ -1,6 +1,8 @@
 """Dynamic instruction traces and oracle memory-dependence annotation.
 
-The functional CPU emits one :class:`TraceEntry` per retired instruction.
+The functional CPU records one :class:`TraceEntry` per retired instruction
+(into the columns of a :class:`~repro.kernel.tracestore.PackedTrace`, which
+materialises entries on demand).
 Each dynamic load additionally carries its *oracle dependence*: the dynamic
 index of the youngest store that wrote any byte the load reads, and whether
 that single store covers the whole loaded region.  The timing simulator uses
@@ -12,7 +14,7 @@ re-execution time, exactly as in the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Sequence
 
 from ..isa import Instruction
 
@@ -59,50 +61,7 @@ class TraceEntry:
         return self.instr.is_mem
 
 
-class TraceRecorder:
-    """Accumulates TraceEntries and tracks per-byte last writers.
-
-    ``_last_writer`` maps byte address -> dynamic index of the last store
-    that wrote it, which yields the oracle dependence annotation.
-    """
-
-    def __init__(self) -> None:
-        self.entries: List[TraceEntry] = []
-        self._last_writer: Dict[int, int] = {}
-
-    def record(self, pc: int, instr: Instruction, next_pc: int, taken: bool,
-               mem_addr: Optional[int] = None, mem_size: Optional[int] = None,
-               value: Optional[int] = None, silent: bool = False) -> None:
-        index = len(self.entries)
-        dep_store: Optional[int] = None
-        dep_covers = False
-
-        if instr.is_load and mem_addr is not None:
-            writers = [self._last_writer.get(mem_addr + i)
-                       for i in range(mem_size or 0)]
-            known = [w for w in writers if w is not None]
-            if known:
-                dep_store = max(known)
-                dep_covers = all(w == dep_store for w in writers)
-        elif instr.is_store and mem_addr is not None:
-            for i in range(mem_size or 0):
-                self._last_writer[mem_addr + i] = index
-
-        word_addr = (mem_addr or 0) & ~0x3
-        bab = ((1 << (mem_size or 0)) - 1) << ((mem_addr or 0) & 0x3)
-        # Positional, in field order (index, pc, instr, next_pc, taken,
-        # mem_addr, mem_size, value, dep_store, dep_covers, silent,
-        # word_addr, bab, pinned by tests/test_tracestore.py): a keyword
-        # call costs about three times as much.
-        self.entries.append(TraceEntry(
-            index, pc, instr, next_pc, taken, mem_addr, mem_size, value,
-            dep_store, dep_covers, silent, word_addr, bab))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def trace_summary(entries: List[TraceEntry]) -> Dict[str, int]:
+def trace_summary(entries: Sequence[TraceEntry]) -> Dict[str, int]:
     """Basic mix statistics over a trace (used in tests and examples)."""
     loads = sum(1 for e in entries if e.is_load)
     stores = sum(1 for e in entries if e.is_store)

@@ -1,9 +1,11 @@
 """Columnar binary trace encoding + lazy ``PackedTrace`` views.
 
-A dynamic trace is a list of :class:`~repro.kernel.trace.TraceEntry`
-objects -- at full scale, millions of Python objects per workload, each
-re-materialised from scratch in every worker process of a sweep.  This
-module packs a trace into parallel fixed-width columns::
+A dynamic trace is a sequence of :class:`~repro.kernel.trace.TraceEntry`
+records -- at full scale, millions per workload.  As Python objects each
+costs a few hundred bytes and is re-materialised from scratch in every
+worker process of a sweep, so the functional CPU records a trace straight
+into parallel fixed-width columns (:class:`ColumnarTraceRecorder`, the
+one recorder)::
 
     header | static u32*n | next_pc u32*n | mem_addr u32*n | value u32*n
            | dep_store u32*n | flags u8*n | mem_size u8*n
@@ -11,9 +13,9 @@ module packs a trace into parallel fixed-width columns::
 Instruction operands are resolved through the *static* instruction index
 (``pc == text_base + 4*static``) into the live :class:`~repro.isa.Program`,
 so the encoding carries no pickled :class:`~repro.isa.Instruction` objects
-and a blob is ~14 bytes per dynamic instruction instead of a few hundred.
-Derived fields are recomputed at view time from the same formulas the
-recorder uses (``word_addr``, ``bab``); nullability is tracked in per-entry
+and a blob is ~22 bytes per dynamic instruction (20 bytes of u32 columns
+plus 2 of u8) instead of a few hundred.  Derived fields are recomputed at
+view time (``word_addr``, ``bab``); nullability is tracked in per-entry
 flag bits, and ``dep_store`` uses an explicit sentinel.
 
 :class:`PackedTrace` wraps the columns as a lazy sequence satisfying the
@@ -44,7 +46,6 @@ from array import array
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..isa import Program
-from .cpu import FunctionalCpu
 from .trace import MAX_TRACE_INSTRUCTIONS, TraceEntry
 
 # Bump whenever the binary layout (or the meaning of any column) changes;
@@ -96,12 +97,16 @@ class PackedTrace:
 
     Satisfies the Simulator's trace interface (``len``, integer and slice
     indexing, iteration) and exposes the raw columns the precompute pass
-    scans.
+    scans.  ``bundles`` maps a predictor signature to the
+    :class:`~repro.kernel.precompute.TracePrecompute` bundle built or
+    loaded for this trace, which every run of the trace shares (DESIGN.md
+    section 14).
     """
 
     __slots__ = ("program", "_n", "_static", "_next_pc", "_mem_addr",
                  "_value", "_dep", "_flags", "_mem_size", "_instructions",
-                 "_text_base", "_mmap", "source_path")
+                 "_text_base", "_mmap", "source_path", "bundles",
+                 "__weakref__")
 
     def __init__(self, program: Program, static: Column, next_pc: Column,
                  mem_addr: Column, value: Column, dep: Column,
@@ -121,6 +126,7 @@ class PackedTrace:
         self._text_base = program.text_base
         self._mmap = mm               # keeps the mapping alive with the views
         self.source_path = source_path
+        self.bundles: Dict[tuple, object] = {}
 
     # -- sequence interface --------------------------------------------------
 
@@ -337,12 +343,11 @@ def _flag_bits(taken, silent, dep_covers, mem_addr, mem_size, value) -> int:
 
 
 class ColumnarTraceRecorder:
-    """Drop-in :class:`~repro.kernel.trace.TraceRecorder` that records
-    straight into columns.
+    """Records a functional run straight into :class:`PackedTrace` columns.
 
-    Skips building (and then discarding) millions of ``TraceEntry``
-    objects on the cold path; the oracle-dependence annotation mirrors
-    ``TraceRecorder.record`` exactly (property-tested field-for-field in
+    ``_last_writer`` maps byte address -> dynamic index of the last store
+    that wrote it, which yields the oracle dependence annotation
+    (checked field-for-field against a test-local reference in
     tests/test_tracestore.py).
     """
 
@@ -401,11 +406,11 @@ class ColumnarTraceRecorder:
 def run_trace_packed(program: Program,
                      max_instructions: int = MAX_TRACE_INSTRUCTIONS
                      ) -> PackedTrace:
-    """Trace ``program`` directly into packed columns (no object list)."""
-    recorder = ColumnarTraceRecorder(program)
-    FunctionalCpu(program).run(max_instructions=max_instructions,
-                               recorder=recorder)
-    return recorder.finish()
+    """Trace ``program`` into packed columns, for callers that keep no
+    :class:`~repro.kernel.cpu.FunctionalCpu` (the same recording as
+    ``FunctionalCpu.run_trace``)."""
+    from .cpu import FunctionalCpu   # deferred: cpu imports the recorder
+    return FunctionalCpu(program)._record_trace(max_instructions)
 
 
 def pack_trace(program: Program,

@@ -7,12 +7,13 @@ per-model configurations of paper Section V and a one-call runner.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import Dict, Optional, Sequence
 
 from ..isa import Program
-from ..kernel import FunctionalCpu
+from ..kernel import FunctionalCpu, PackedTrace
 from ..kernel.trace import MAX_TRACE_INSTRUCTIONS, TraceEntry
-from .params import CoreParams, ModelKind, model_params
+from .params import CoreParams, ModelKind, _check_override_names
 from .pipeline import Simulator
 from .stats import SimStats
 
@@ -22,34 +23,36 @@ ALL_MODELS = (ModelKind.BASELINE, ModelKind.NOSQ, ModelKind.DMDP,
 
 def trace_program(program: Program,
                   max_instructions: int = MAX_TRACE_INSTRUCTIONS
-                  ) -> List[TraceEntry]:
+                  ) -> PackedTrace:
     """Run the functional simulator and return the dynamic trace."""
     return FunctionalCpu(program).run_trace(max_instructions=max_instructions)
 
 
-def run_model(program: Program, trace: List[TraceEntry], model: ModelKind,
-              params: Optional[CoreParams] = None, **overrides) -> SimStats:
+def run_model(program: Program, trace: Sequence[TraceEntry],
+              model: ModelKind, params: Optional[CoreParams] = None,
+              **overrides) -> SimStats:
     """Simulate ``trace`` under one store-load communication model.
 
     ``params`` supplies a base configuration (its ``model`` and confidence
     policy are overridden to the canonical ones for ``model``); keyword
-    overrides are applied on top.
+    overrides are applied on top.  An unknown override name raises
+    :class:`~repro.uarch.params.ConfigError` with a did-you-mean hint
+    either way.
     """
-    if params is None:
-        params = model_params(model, **overrides)
-    else:
-        params = params.with_model(model)
-        if overrides:
-            import dataclasses
-            params = dataclasses.replace(params, **overrides)
+    params = (CoreParams() if params is None else params).with_model(model)
+    if overrides:
+        _check_override_names(overrides)
+        params = replace(params, **overrides)
     return Simulator(program, trace, params).run()
 
 
 def run_all_models(program: Program,
-                   trace: Optional[List[TraceEntry]] = None,
+                   trace: Optional[Sequence[TraceEntry]] = None,
                    models=ALL_MODELS,
                    **overrides) -> Dict[ModelKind, SimStats]:
-    """Simulate the same trace under every requested model."""
+    """Simulate the same trace under every requested model.  Over a
+    packed trace the models share one precompute bundle: the first run
+    builds it and leaves it on the trace."""
     if trace is None:
         trace = trace_program(program)
     return {model: run_model(program, trace, model, **overrides)

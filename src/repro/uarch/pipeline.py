@@ -159,8 +159,7 @@ class Simulator:
 
     def __init__(self, program: Program, trace: Sequence[TraceEntry],
                  params: CoreParams, track_arch_state: bool = False,
-                 tracer: Optional[PipelineTracer] = None,
-                 precompute=None):
+                 tracer: Optional[PipelineTracer] = None):
         self.program = program
         self.trace = trace
         self.params = params
@@ -219,23 +218,23 @@ class Simulator:
         # depend only on the trace and the predictor geometry (the front
         # end is deterministic on the committed path, so squash/refetch
         # replays identical predictions), and they always come from one
-        # TracePrecompute bundle.  A caller's shared bundle is honoured
-        # only for the very trace it was built from under this
-        # configuration's predictor signature; otherwise this run builds
-        # its own.
+        # TracePrecompute bundle, which lives on the packed trace under
+        # its predictor signature.
         packed = pack_trace(program, trace)
-        pre = precompute
-        if pre is not None and pre.matches(packed, params):
-            # Fetch walks every entry, so runs sharing a bundle index its
-            # dense entry list: plain-list indexing keeps a Python call
-            # out of the hot loop.
+        signature = bpred_signature(params)
+        pre = packed.bundles.get(signature)
+        if pre is not None:
+            # Another run built or loaded this bundle, so the trace is
+            # shared: fetch walks every entry, and plain-list indexing of
+            # the bundle's dense entries keeps a Python call out of the
+            # hot loop.
             self.trace = pre.entry_list()
         else:
-            # One run indexes the trace as given: a list is already
+            # The first run builds the bundle, leaves it on the trace for
+            # the next, and indexes the trace as given: a list is already
             # dense, and lazy packed views keep memory at the in-flight
             # window.
-            pre = TracePrecompute.build(packed, bpred_signature(params))
-        self._pre = pre
+            pre = TracePrecompute.build(packed, signature)
         self._mispredicted = pre.mispredicted_list()
         self._history = pre.history_list()
         self._dec_by_index = pre.decode_index(params)
@@ -1568,7 +1567,7 @@ class Simulator:
                                    self.ssn.commit)
 
 
-def simulate(program: Program, trace: List[TraceEntry],
+def simulate(program: Program, trace: Sequence[TraceEntry],
              params: CoreParams,
              tracer: Optional[PipelineTracer] = None) -> SimStats:
     """Run the timing model once and return its statistics."""

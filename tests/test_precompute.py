@@ -7,9 +7,10 @@ Four layers under test (DESIGN.md Section 14):
   reference computed here from ``TraceEntry`` objects, before and after
   a serialisation round trip, plus the decode index and base memory;
 * the golden bar -- SimStats must be byte-identical whether a point is
-  simulated from the list trace, the packed trace, or the packed trace
-  plus a shared bundle, on every model; a bundle is adopted only for
-  the trace and predictor geometry it was built for;
+  simulated from the list trace, from a packed trace's first run (which
+  builds its bundle and indexes lazily) or from a later run that shares
+  that bundle, on every model; a bundle lives on the trace it was built
+  or loaded for, under its predictor geometry, and is freed with it;
 * the blob -- serialisation round-trips through bytes and through a
   file, and every corruption (truncated, flipped byte, bad magic,
   format bump, wrong trace, wrong signature) raises
@@ -20,7 +21,9 @@ Four layers under test (DESIGN.md Section 14):
 """
 
 import copy
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -29,7 +32,7 @@ from repro.harness.cache import PrecomputeStore, ResultCache, TraceStore
 from repro.harness.parallel import make_point
 from repro.harness.runner import ExperimentRunner
 from repro.kernel import (FunctionalCpu, MAX_TRACE_INSTRUCTIONS,
-                          PackedTrace, pack_trace)
+                          PackedTrace, load_trace, pack_trace)
 from repro.kernel.precompute import (PRECOMPUTE_FORMAT_VERSION,
                                      PrecomputeDecodeError, TracePrecompute,
                                      bpred_signature, load_precompute,
@@ -51,17 +54,23 @@ def small_workload(name="mcf", fraction=0.1):
 
 
 def packed_case(name="mcf", fraction=0.1):
+    """A program, its trace as a list, and the recorded packed trace."""
     program = small_workload(name, fraction)
-    trace = FunctionalCpu(program).run_trace(
+    packed = FunctionalCpu(program).run_trace(
         max_instructions=MAX_TRACE_INSTRUCTIONS)
-    return program, trace, pack_trace(program, trace)
+    return program, list(packed), packed
 
 
 def random_case(index):
     rng = random.Random(SEED + index)
     program = build_random_program(rng)
-    trace = FunctionalCpu(program).run_trace(max_instructions=200_000)
-    return program, trace, pack_trace(program, trace)
+    packed = FunctionalCpu(program).run_trace(max_instructions=200_000)
+    return program, list(packed), packed
+
+
+def twin(program, packed):
+    """Another trace object with the same content and no bundles."""
+    return PackedTrace.from_buffer(program, packed.to_bytes())
 
 
 def random_packed(index):
@@ -136,22 +145,52 @@ class TestBundleTables:
                 assert_tables(TracePrecompute.build(packed, signature),
                               reference_tables(trace, signature))
 
-    def test_matches_rejects_overridden_predictor_geometry(self):
+    def test_bundles_live_on_their_trace_by_signature(self):
         _program, _trace, packed = packed_case()
+        assert packed.bundles == {}
         bundle = TracePrecompute.build(packed, DEFAULT_SIG)
-        params = model_params(ModelKind.BASELINE)
-        assert bundle.matches(packed, params)
-        overridden = model_params(ModelKind.BASELINE,
-                                  bpred_table_bits=DEFAULT_SIG[0] + 1)
-        assert not bundle.matches(packed, overridden)
+        assert packed.bundles == {DEFAULT_SIG: bundle}
+        assert bundle.trace is packed
+        other = (DEFAULT_SIG[0] + 1,) + DEFAULT_SIG[1:]
+        second = TracePrecompute.build(packed, other)
+        assert packed.bundles == {DEFAULT_SIG: bundle, other: second}
+        # A decoded bundle lands on its trace too, replacing the built one.
+        loaded = TracePrecompute.from_buffer(packed, bundle.to_bytes())
+        assert packed.bundles == {DEFAULT_SIG: loaded, other: second}
 
-    def test_matches_requires_the_bundles_own_trace(self):
+    def test_twin_trace_carries_no_bundle(self):
         program, _trace, packed = packed_case()
         bundle = TracePrecompute.build(packed, DEFAULT_SIG)
-        params = model_params(ModelKind.BASELINE)
-        twin = PackedTrace.from_buffer(program, packed.to_bytes())
-        assert len(twin) == len(packed)
-        assert not bundle.matches(twin, params)
+        other = twin(program, packed)
+        assert len(other) == len(packed)
+        assert other.bundles == {}
+        sim = Simulator(program, other, model_params(ModelKind.BASELINE))
+        assert sim.trace is other                # built its own, lazily
+        assert other.bundles[DEFAULT_SIG] is not bundle
+        assert packed.bundles == {DEFAULT_SIG: bundle}
+
+    def test_dropped_trace_frees_its_bundles_and_mapping(self, tmp_path):
+        # No reference cycle: with the cyclic collector off, dropping a
+        # mapped trace after a run frees the trace, the bundle the run
+        # left on it, and the mapping (cold-point's fresh runner per
+        # point relies on this).
+        program, _trace, packed = packed_case()
+        path = tmp_path / "mcf.trc"
+        path.write_bytes(packed.to_bytes())
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            loaded = load_trace(path, program)
+            assert loaded._mmap is not None
+            sim = Simulator(program, loaded, model_params(ModelKind.DMDP))
+            sim.run()
+            refs = [weakref.ref(obj) for obj in
+                    (loaded, loaded.bundles[DEFAULT_SIG], loaded._mmap)]
+            del sim, loaded
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            if collecting:
+                gc.enable()
 
     def test_decode_index_memoised_per_latency_signature(self):
         _program, _trace, packed = packed_case()
@@ -181,35 +220,60 @@ class TestGoldenBatchedIdentity:
     def test_stats_identical_list_packed_batched(self, model):
         program, trace, packed = packed_case()
         params = model_params(model)
-        bundle = TracePrecompute.build(packed, bpred_signature(params))
         from_list = Simulator(program, trace, params).run().to_dict()
-        from_packed = Simulator(program, packed, params).run().to_dict()
-        sim = Simulator(program, bundle.trace, params, precompute=bundle)
-        assert sim._pre is bundle
-        assert from_packed == from_list
-        assert sim.run().to_dict() == from_list
+        first = Simulator(program, packed, params)
+        assert first.trace is packed             # built the bundle: lazy
+        later = Simulator(program, packed, params)
+        assert type(later.trace) is list         # shares it: dense
+        assert first.run().to_dict() == from_list
+        assert later.run().to_dict() == from_list
+
+    def test_four_models_over_one_trace_build_one_bundle(self, monkeypatch):
+        # short-programs, run_all_models and the fuzz oracles run every
+        # model over one recorded trace: the first run builds the bundle
+        # and indexes lazily, the other three share it and its dense
+        # entry list, and every model's stats match its list-trace run.
+        program, trace, packed = packed_case()
+        built = []
+        build = TracePrecompute.build.__func__
+        monkeypatch.setattr(TracePrecompute, "build", classmethod(
+            lambda cls, *args: built.append(args) or build(cls, *args)))
+        sims = [Simulator(program, packed, model_params(model))
+                for model in ALL_MODELS]
+        assert len(built) == 1
+        assert sims[0].trace is packed
+        dense = packed.bundles[DEFAULT_SIG].entry_list()
+        assert all(sim.trace is dense for sim in sims[1:])
+        assert type(dense) is list
+        for model, sim in zip(ALL_MODELS, sims):
+            assert (sim.run().to_dict() == Simulator(
+                program, trace, model_params(model)).run().to_dict()), model
 
     def test_bundle_reuse_across_configs_is_identical(self):
-        # The whole point of batching: one bundle, many configs.
+        # The whole point of batching: one bundle, many configs.  Each
+        # plain run gets a trace of its own, so it builds its own bundle.
         program, _trace, packed = packed_case()
-        bundle = TracePrecompute.build(packed, DEFAULT_SIG)
+        TracePrecompute.build(packed, DEFAULT_SIG)
         for model in (ModelKind.BASELINE, ModelKind.DMDP):
             for overrides in ({}, {"store_buffer_entries": 8}):
                 params = model_params(model, **overrides)
-                plain = Simulator(program, packed, params).run().to_dict()
-                shared = Simulator(program, bundle.trace, params,
-                                   precompute=bundle).run().to_dict()
-                assert shared == plain
+                plain = Simulator(program, twin(program, packed),
+                                  params).run().to_dict()
+                shared = Simulator(program, packed, params)
+                assert type(shared.trace) is list
+                assert shared.run().to_dict() == plain
 
     def test_overridden_geometry_falls_back_and_stays_identical(self):
         program, trace, packed = packed_case()
         bundle = TracePrecompute.build(packed, DEFAULT_SIG)
         params = model_params(ModelKind.DMDP,
                               bpred_table_bits=DEFAULT_SIG[0] - 2)
-        sim = Simulator(program, bundle.trace, params, precompute=bundle)
-        # The Simulator built a bundle for its own predictor geometry.
-        assert sim._pre is not bundle
-        assert sim._pre.signature == bpred_signature(params)
+        sim = Simulator(program, packed, params)
+        # The Simulator built a bundle for its own predictor geometry and
+        # left it beside the default one.
+        own = packed.bundles[bpred_signature(params)]
+        assert own is not bundle and packed.bundles[DEFAULT_SIG] is bundle
+        assert sim.trace is packed
         assert (sim._mispredicted, sim._history) == reference_tables(
             trace, bpred_signature(params))
         assert (sim.run().to_dict()
@@ -225,10 +289,11 @@ class TestGoldenBatchedIdentity:
         trace_b[flipped].value ^= 1
         packed_b = pack_trace(program, trace_b)
         bundle_a = TracePrecompute.build(packed_a, DEFAULT_SIG)
+        assert len(packed_b) == len(packed_a)
         params = model_params(ModelKind.DMDP)
-        sim = Simulator(program, packed_b, params, precompute=bundle_a)
-        assert sim._pre is not bundle_a
-        assert sim._pre.trace is packed_b
+        sim = Simulator(program, packed_b, params)
+        assert packed_b.bundles[DEFAULT_SIG] is not bundle_a
+        assert packed_b.bundles[DEFAULT_SIG].trace is packed_b
         assert sim.trace[flipped].value == trace_b[flipped].value
         assert sim.trace[flipped].value != trace_a[flipped].value
         assert (sim.run().to_dict()
@@ -237,14 +302,15 @@ class TestGoldenBatchedIdentity:
     def test_loaded_bundle_is_identical_to_built(self, tmp_path):
         program, _trace, packed = packed_case()
         params = model_params(ModelKind.DMDP)
-        built = TracePrecompute.build(packed, DEFAULT_SIG)
+        built = TracePrecompute.build(twin(program, packed), DEFAULT_SIG)
         path = tmp_path / "mcf.pre"
         write_precompute(path, built)
         loaded = load_precompute(path, packed, DEFAULT_SIG)
-        sim = Simulator(program, loaded.trace, params, precompute=loaded)
-        assert sim._pre is loaded
-        assert (sim.run().to_dict()
-                == Simulator(program, packed, params).run().to_dict())
+        assert packed.bundles == {DEFAULT_SIG: loaded}
+        sim = Simulator(program, packed, params)
+        assert sim.trace is loaded.entry_list()
+        assert (sim.run().to_dict() == Simulator(
+            program, twin(program, packed), params).run().to_dict())
 
 
 class TestSerialization:
@@ -424,9 +490,9 @@ class TestRunnerBatching:
     @pytest.mark.parametrize("entry", ["run", "run_batch"])
     def test_single_point_run_stays_precompute_free(self, tmp_path, entry):
         # A single point neither resolves nor stores a shared bundle,
-        # whichever way it is submitted: its Simulator builds its own
-        # tables, and cold-point and the sweep benchmark's warm_store
-        # leg depend on that staying honest.
+        # whichever way it is submitted: its Simulator builds the bundle
+        # and leaves it on the trace, and cold-point and the sweep
+        # benchmark's warm_store leg depend on that staying honest.
         runner = self.runner(tmp_path)
         if entry == "run":
             runner.run("mcf", ModelKind.DMDP)
@@ -437,6 +503,7 @@ class TestRunnerBatching:
         assert runner.precomputes_built == 0
         assert runner.precomputes_loaded == 0
         assert runner.precompute_store.entry_count() == 0
+        assert list(runner.trace("mcf").bundles) == [DEFAULT_SIG]
 
     def test_parallel_batch_shares_bundles_only_across_configs(
             self, tmp_path):
@@ -453,6 +520,26 @@ class TestRunnerBatching:
         assert timing.worker_precomputes_built == 0
         assert timing.worker_precomputes_loaded == 1
         assert runner.precompute_store.entry_count() == 1
+
+    def test_bundle_left_by_a_single_run_ships_to_workers(self, tmp_path):
+        # ensure_precompute keeps its contract when a Simulator built the
+        # trace's bundle first: it stores the bundle, and the workers of
+        # a two-config batch load it and build none.
+        runner = self.runner(tmp_path, jobs=2)
+        runner.run("mcf", ModelKind.DMDP)
+        bundle = runner.trace("mcf").bundles[DEFAULT_SIG]
+        assert runner.precompute_store.entry_count() == 0
+        points = [make_point("mcf", ModelKind.NOSQ),
+                  make_point("mcf", ModelKind.BASELINE)]
+        assert set(runner.run_batch(points)) == set(points)
+        timing = runner.batch_log[-1]
+        assert timing.precomputes_built == 0
+        assert timing.worker_precomputes_built == 0
+        assert timing.worker_precomputes_loaded == 1
+        path = runner.precompute_store.path_for(
+            "mcf", runner.iterations("mcf"), DEFAULT_SIG)
+        assert path.exists()
+        assert path.read_bytes() == bundle.to_bytes()
 
     def test_attach_precompute_bad_blob_falls_back(self, tmp_path):
         runner = self.runner(tmp_path)

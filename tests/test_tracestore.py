@@ -3,9 +3,10 @@
 Three layers under test (DESIGN.md Section 12):
 
 * the encoding -- ``PackedTrace`` must reproduce every ``TraceEntry``
-  field exactly, both from a materialised list and when traced directly
-  into columnar form, across randomized programs covering loads/stores
-  of all sizes, partial-word overlaps, silent stores, and branches;
+  field exactly, both when packed from a list and when the functional
+  CPU records into columns (checked against a test-local list recorder),
+  across randomized programs covering loads/stores of all sizes,
+  partial-word overlaps, silent stores, and branches;
 * the golden bar -- ``Simulator`` statistics must be byte-identical
   whether it consumes the list or the packed representation;
 * the store -- corrupted/truncated/mismatched blobs read as clean
@@ -16,9 +17,11 @@ Three layers under test (DESIGN.md Section 12):
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
+import repro.kernel.tracestore as tracestore_mod
 from repro.harness.cache import PrecomputeStore, ResultCache, TraceStore
 from repro.harness.parallel import make_point
 from repro.harness.runner import ExperimentRunner
@@ -50,10 +53,43 @@ def assert_entries_identical(packed, entries):
 
 
 def random_case(index):
+    """A random program and its trace as a list of entries."""
     rng = random.Random(SEED + index)
     program = build_random_program(rng)
     trace = FunctionalCpu(program).run_trace(max_instructions=200_000)
-    return program, trace
+    return program, list(trace)
+
+
+class ReferenceRecorder:
+    """Test-local list recorder: one ``TraceEntry`` per retired
+    instruction, with the oracle dependence annotation written
+    independently of ``ColumnarTraceRecorder``."""
+
+    def __init__(self):
+        self.entries = []
+        self.writer = {}        # byte address -> index of its last store
+
+    def record(self, pc, instr, next_pc, taken, mem_addr=None,
+               mem_size=None, value=None, silent=False):
+        index = len(self.entries)
+        dep_store, dep_covers = None, False
+        if mem_addr is not None:
+            span = range(mem_addr, mem_addr + mem_size)
+            if instr.is_load:
+                writers = {self.writer.get(addr) for addr in span}
+                known = writers - {None}
+                if known:
+                    dep_store = max(known)
+                    dep_covers = writers == {dep_store}
+            elif instr.is_store:
+                for addr in span:
+                    self.writer[addr] = index
+        self.entries.append(TraceEntry(
+            index=index, pc=pc, instr=instr, next_pc=next_pc, taken=taken,
+            mem_addr=mem_addr, mem_size=mem_size, value=value,
+            dep_store=dep_store, dep_covers=dep_covers, silent=silent,
+            word_addr=(mem_addr or 0) & ~0x3,
+            bab=((1 << (mem_size or 0)) - 1) << ((mem_addr or 0) & 0x3)))
 
 
 def small_workload(name="mcf", fraction=0.1):
@@ -64,8 +100,8 @@ def small_workload(name="mcf", fraction=0.1):
 
 class TestPackedTraceFidelity:
     def test_fields_pin_trace_entry_field_order(self):
-        # PackedTrace and TraceRecorder build TraceEntry positionally in
-        # this order; a reordered field must fail here, not shuffle values.
+        # PackedTrace builds TraceEntry positionally in this order; a
+        # reordered field must fail here, not shuffle values.
         assert tuple(f.name for f in dataclasses.fields(TraceEntry)) \
             == FIELDS
 
@@ -75,14 +111,27 @@ class TestPackedTraceFidelity:
             packed = pack_trace(program, trace)
             assert_entries_identical(packed, trace)
 
-    def test_columnar_recorder_matches_list_recorder(self):
-        # Tracing directly into columns must produce the same bytes as
-        # packing the list-recorded trace after the fact.
-        for index in range(4):
-            program, trace = random_case(index)
-            direct = run_trace_packed(program)
-            assert direct.to_bytes() == pack_trace(program,
-                                                   trace).to_bytes()
+    def test_recorder_matches_test_local_reference(self):
+        # The columnar recorder is the only recorder: every field it
+        # records must match an independent list recorder, and packing
+        # that list must give the recorded bytes.
+        partial = silent = 0
+        for index in range(6):
+            program = build_random_program(random.Random(SEED + index))
+            reference = ReferenceRecorder()
+            FunctionalCpu(program).run(max_instructions=200_000,
+                                       recorder=reference)
+            recorded = FunctionalCpu(program).run_trace(
+                max_instructions=200_000)
+            assert_entries_identical(recorded, reference.entries)
+            blob = pack_trace(program, reference.entries).to_bytes()
+            assert recorded.to_bytes() == blob
+            assert run_trace_packed(program).to_bytes() == blob
+            partial += sum(1 for e in reference.entries if e.is_load
+                           and e.dep_store is not None and not e.dep_covers)
+            silent += sum(1 for e in reference.entries
+                          if e.is_store and e.silent)
+        assert partial and silent
 
     def test_disk_roundtrip_via_mmap(self, tmp_path):
         from repro.kernel import load_trace
@@ -139,7 +188,7 @@ class TestColumnAccessorEdgeCases:
             .text
         main: halt
         """)
-        trace = FunctionalCpu(program).run_trace()
+        trace = list(FunctionalCpu(program).run_trace())
         assert len(trace) == 1
         packed = pack_trace(program, trace)
         assert list(packed.static_column())[:1] == [0]
@@ -153,7 +202,7 @@ class TestColumnAccessorEdgeCases:
         from repro.kernel import ExecutionError
         program, trace = random_case(5)
         cap = len(trace)
-        capped = FunctionalCpu(program).run_trace(max_instructions=cap)
+        capped = list(FunctionalCpu(program).run_trace(max_instructions=cap))
         assert len(capped) == cap                # boundary: == cap is fine
         packed = pack_trace(program, capped)
         assert_entries_identical(packed, capped)
@@ -189,9 +238,9 @@ class TestGoldenIdentity:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.value)
     def test_stats_identical_packed_vs_list(self, model):
         program = small_workload()
-        trace = FunctionalCpu(program).run_trace(
+        packed = FunctionalCpu(program).run_trace(
             max_instructions=MAX_TRACE_INSTRUCTIONS)
-        packed = pack_trace(program, trace)
+        trace = list(packed)
         from_list = Simulator(program, trace, model_params(model)).run()
         from_packed = Simulator(program, packed, model_params(model)).run()
         assert from_packed.to_dict() == from_list.to_dict()
@@ -394,6 +443,34 @@ class TestRunnerIntegration:
         runner.run_batch(points)
         assert runner.worker_retraces == 2
         assert runner.batch_log[-1].worker_retraces == 2
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("one functional entry point called the other")
+
+
+class TestFunctionalEntryPoints:
+    """perfbench times ``FunctionalCpu.run_trace`` and
+    ``run_trace_packed`` by name: if one called the other, a traced run
+    would count each trace twice.  Each must record on its own."""
+
+    def test_run_trace_records_without_run_trace_packed(self, monkeypatch):
+        program, trace = random_case(0)
+        original = tracestore_mod.run_trace_packed
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("repro")
+                    and getattr(module, "run_trace_packed", None)
+                    is original):
+                monkeypatch.setattr(module, "run_trace_packed", _refuse)
+        recorded = FunctionalCpu(program).run_trace()
+        assert isinstance(recorded, PackedTrace)
+        assert_entries_identical(recorded, trace)
+
+    def test_run_trace_packed_records_without_run_trace(self, monkeypatch):
+        program, trace = random_case(0)
+        monkeypatch.setattr(FunctionalCpu, "run_trace", _refuse)
+        assert_entries_identical(tracestore_mod.run_trace_packed(program),
+                                 trace)
 
 
 class TestTraceCaps:

@@ -7,6 +7,7 @@ from repro.kernel.trace import TraceEntry
 from repro.uarch import (
     ALL_MODELS,
     ConfidencePolicy,
+    ConfigError,
     ModelKind,
     baseline_params,
     run_all_models,
@@ -57,6 +58,16 @@ class TestModelFacade:
         stats = run_model(prog, trace, ModelKind.DMDP,
                           params=baseline_params(), rob_entries=32)
         assert stats.instructions == len(trace)
+
+    @pytest.mark.parametrize("params", [None, baseline_params()],
+                             ids=["defaults", "on_params"])
+    def test_run_model_rejects_typoed_override(self, params):
+        # A typo gets a did-you-mean ConfigError whether or not a base
+        # configuration is given, before any simulation starts.
+        prog = tiny_program()
+        with pytest.raises(ConfigError, match="did you mean.*rob_entries"):
+            run_model(prog, trace_program(prog), ModelKind.DMDP,
+                      params=params, rob_entrees=512)
 
     def test_run_all_models(self):
         results = run_all_models(tiny_program())

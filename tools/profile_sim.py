@@ -9,8 +9,8 @@ The point runs the way ``repro run`` runs it: it traces into a
 :class:`PackedTrace`, and ``Simulator(program, trace, params)`` builds
 the point's own :class:`TracePrecompute` tables (branch outcomes,
 history, decode templates) and indexes the packed trace lazily.  The
-"precompute" phase is that Simulator construction.  (Only a batch that
-runs two or more configs of one trace shares a bundle; DESIGN.md
+"precompute" phase is that Simulator construction.  (The bundle stays
+on the trace, so later runs of the same trace object share it; DESIGN.md
 section 14.)
 
     PYTHONPATH=src python tools/profile_sim.py mcf --model dmdp --top 25
