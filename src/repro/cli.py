@@ -1049,7 +1049,8 @@ def _phase_attribution(stats) -> List:
     """Split a profile's wall time into the pipeline's coarse phases.
 
     Attributes the cumulative time of each phase's entry point --
-    functional tracing (``FunctionalCpu.run``), whole-trace precompute
+    functional tracing (``FunctionalCpu._record_trace``, the body of both
+    tracing entry points), whole-trace precompute
     (the bundle build/load in ``kernel/precompute.py``, shared or built
     inside ``Simulator.__init__``), timing simulation
     (``Simulator.run``), and trace-store I/O (``load_trace`` /
@@ -1063,7 +1064,7 @@ def _phase_attribution(stats) -> List:
     for (filename, _line, funcname), entry in stats.stats.items():
         cumulative = entry[3]
         path = filename.replace("\\", "/")
-        if path.endswith("kernel/cpu.py") and funcname == "run":
+        if path.endswith("kernel/cpu.py") and funcname == "_record_trace":
             phases["functional tracing"] += cumulative
         elif (path.endswith("kernel/precompute.py")
                 and funcname in ("build", "load_precompute")):

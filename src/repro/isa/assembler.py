@@ -451,7 +451,13 @@ def _instruction(builder: ProgramBuilder, line: str) -> None:
     elif mnem == "jr":
         builder.jr(operands[0])
     elif mnem == "jalr":
-        builder.jalr(operands[0])
+        # MIPS forms: ``jalr rs`` links $ra, ``jalr rd, rs`` links rd.
+        if len(operands) == 1:
+            builder.jalr(operands[0])
+        elif len(operands) == 2:
+            builder.jalr(operands[1], rd=operands[0])
+        else:
+            raise AssemblerError("jalr takes rs or rd, rs")
     elif mnem == "li":
         builder.li(operands[0], _parse_int(operands[1]))
     elif mnem == "la":

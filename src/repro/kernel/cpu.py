@@ -1,31 +1,37 @@
 """Functional (architectural) simulator for the MIPS-like ISA.
 
-Executes :class:`~repro.isa.Program` objects instruction by instruction with
-exact architectural semantics and optionally records a dynamic trace with
-oracle memory-dependence annotations into packed columns (see
-:mod:`repro.kernel.trace` and :mod:`repro.kernel.tracestore`).
+:class:`FunctionalCpu` executes a :class:`~repro.isa.Program` with exact
+architectural semantics and records its dynamic trace, with oracle
+memory-dependence annotations, into packed columns (see
+:mod:`repro.kernel.trace` and :mod:`repro.kernel.tracestore`).  The timing
+simulator never re-executes semantics; it consumes that trace, which is
+the standard trace-driven simulation split (DESIGN.md Section 3).
 
-The timing simulator never re-executes semantics; it consumes the trace this
-CPU produces, which is the standard trace-driven simulation split (DESIGN.md
-Section 3).
+The interpreter is pre-decoded: each static instruction becomes one
+handler, a closure over its operands that executes the instruction,
+writes the trace columns it sets and returns the next pc.  One loop runs
+the handlers, indexed by ``(pc - text_base) >> 2``.  ALU results come
+from one per-opcode table, :data:`ALU_SEMANTICS`, which the timing
+simulator's architectural-state tracker uses too.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from operator import eq, ne
+from typing import Callable, Dict, List
 
 from ..isa import Instruction, Opcode, Program, STACK_TOP
 from ..isa.instructions import SIGNED_LOADS
 from .memory import SparseMemory
 from .trace import MAX_TRACE_INSTRUCTIONS
-from .tracestore import ColumnarTraceRecorder, PackedTrace
+from .tracestore import (F_DEP_COVERS, F_HAS_ADDR, F_HAS_SIZE, F_HAS_VALUE,
+                         F_SILENT, F_TAKEN, ColumnarTraceRecorder,
+                         PackedTrace)
 
 WORD_MASK = 0xFFFFFFFF
 
 # Opcodes bound to module names once, at import (DESIGN.md section 9):
-# ``step`` and ``alu_result`` test an instruction's opcode against up to
-# 35 of them, and a class-level ``Opcode.ADD`` costs several times a
-# global name load.
+# a class-level ``Opcode.ADD`` costs several times a global name load.
 (ADD, SUB, AND, OR, XOR, NOR, SLT, SLTU, SLLV, SRLV, SRAV, MUL, MULH, DIV,
  REM) = (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
          Opcode.NOR, Opcode.SLT, Opcode.SLTU, Opcode.SLLV, Opcode.SRLV,
@@ -37,12 +43,23 @@ ADDI, ANDI, ORI, XORI, SLTI, SLTIU, LUI = (
 FADD, FSUB, FMUL, FDIV = Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV
 BEQ, BNE, BLEZ, BGTZ, BLTZ, BGEZ = (Opcode.BEQ, Opcode.BNE, Opcode.BLEZ,
                                     Opcode.BGTZ, Opcode.BLTZ, Opcode.BGEZ)
-J, JAL, JR, JALR, NOP, HALT = (Opcode.J, Opcode.JAL, Opcode.JR, Opcode.JALR,
-                               Opcode.NOP, Opcode.HALT)
+NOP, HALT = Opcode.NOP, Opcode.HALT
+
+# Flags of every memory entry; a store adds F_SILENT, a load F_DEP_COVERS.
+_MEM_FLAGS = F_HAS_ADDR | F_HAS_SIZE | F_HAS_VALUE
 
 
 class ExecutionError(Exception):
     """Raised for runaway programs or invalid execution states."""
+
+
+class _Halt(Exception):
+    """Raised by HALT's handler to leave the run loop: one raise per run
+    costs less than a halted test per instruction."""
+
+
+def _halt(i: int) -> int:
+    raise _Halt
 
 
 def to_signed(value: int) -> int:
@@ -63,75 +80,81 @@ def sign_extend(value: int, size: int) -> int:
     return to_unsigned(value - (1 << bits)) if value & sign else value
 
 
-_sign_extend = sign_extend
+def _div(rs: int, rt: int, imm: int) -> int:
+    divisor = to_signed(rt)
+    return 0 if divisor == 0 else int(to_signed(rs) / divisor)
 
 
-def alu_result(op: Opcode, rs: int, rt: int, imm: int) -> int:
-    """Architectural result of an ALU opcode on 32-bit operand values.
+def _rem(rs: int, rt: int, imm: int) -> int:
+    divisor = to_signed(rt)
+    return 0 if divisor == 0 else to_signed(rs) - divisor * int(
+        to_signed(rs) / divisor)
 
-    Pure function shared by :class:`FunctionalCpu` and the timing
-    simulator's architectural-state tracker, so both compute results from
-    the same semantics.  The result is NOT masked to 32 bits; register
-    writes apply ``WORD_MASK``.
-    """
-    if op in (ADD, FADD):
-        return rs + rt
-    if op in (SUB, FSUB):
-        return rs - rt
-    if op is AND:
-        return rs & rt
-    if op is OR:
-        return rs | rt
-    if op is XOR:
-        return rs ^ rt
-    if op is NOR:
-        return ~(rs | rt)
-    if op is SLT:
-        return int(to_signed(rs) < to_signed(rt))
-    if op is SLTU:
-        return int(rs < rt)
-    if op is SLLV:
-        return rs << (rt & 0x1F)
-    if op is SRLV:
-        return rs >> (rt & 0x1F)
-    if op is SRAV:
-        return to_signed(rs) >> (rt & 0x1F)
-    if op in (MUL, FMUL):
-        return to_signed(rs) * to_signed(rt)
-    if op is MULH:
-        return (to_signed(rs) * to_signed(rt)) >> 32
-    if op in (DIV, FDIV):
-        divisor = to_signed(rt)
-        return 0 if divisor == 0 else int(to_signed(rs) / divisor)
-    if op is REM:
-        divisor = to_signed(rt)
-        return 0 if divisor == 0 else to_signed(rs) - divisor * int(
-            to_signed(rs) / divisor)
-    if op is ADDI:
-        return rs + imm
-    if op is ANDI:
-        return rs & (imm & 0xFFFF)
-    if op is ORI:
-        return rs | (imm & 0xFFFF)
-    if op is XORI:
-        return rs ^ (imm & 0xFFFF)
-    if op is SLTI:
-        return int(to_signed(rs) < imm)
-    if op is SLTIU:
-        return int(rs < (imm & WORD_MASK))
-    if op is LUI:
-        return (imm & 0xFFFF) << 16
-    if op is SLL:
-        return rs << imm
-    if op is SRL:
-        return rs >> imm
-    if op is SRA:
-        return to_signed(rs) >> imm
-    raise ExecutionError("unimplemented opcode %s" % op.name)
+
+# Architectural result of each ALU opcode on 32-bit operand values
+# ``(rs, rt, imm)``; a missing operand reads as 0.  The result is NOT
+# masked to 32 bits: register writes apply ``WORD_MASK``.
+ALU_SEMANTICS: Dict[Opcode, Callable[[int, int, int], int]] = {
+    ADD: lambda rs, rt, imm: rs + rt,
+    FADD: lambda rs, rt, imm: rs + rt,
+    SUB: lambda rs, rt, imm: rs - rt,
+    FSUB: lambda rs, rt, imm: rs - rt,
+    AND: lambda rs, rt, imm: rs & rt,
+    OR: lambda rs, rt, imm: rs | rt,
+    XOR: lambda rs, rt, imm: rs ^ rt,
+    NOR: lambda rs, rt, imm: ~(rs | rt),
+    SLT: lambda rs, rt, imm: int(to_signed(rs) < to_signed(rt)),
+    SLTU: lambda rs, rt, imm: int(rs < rt),
+    SLLV: lambda rs, rt, imm: rs << (rt & 0x1F),
+    SRLV: lambda rs, rt, imm: rs >> (rt & 0x1F),
+    SRAV: lambda rs, rt, imm: to_signed(rs) >> (rt & 0x1F),
+    MUL: lambda rs, rt, imm: to_signed(rs) * to_signed(rt),
+    FMUL: lambda rs, rt, imm: to_signed(rs) * to_signed(rt),
+    MULH: lambda rs, rt, imm: (to_signed(rs) * to_signed(rt)) >> 32,
+    DIV: _div,
+    FDIV: _div,
+    REM: _rem,
+    ADDI: lambda rs, rt, imm: rs + imm,
+    ANDI: lambda rs, rt, imm: rs & (imm & 0xFFFF),
+    ORI: lambda rs, rt, imm: rs | (imm & 0xFFFF),
+    XORI: lambda rs, rt, imm: rs ^ (imm & 0xFFFF),
+    SLTI: lambda rs, rt, imm: int(to_signed(rs) < imm),
+    SLTIU: lambda rs, rt, imm: int(rs < (imm & WORD_MASK)),
+    LUI: lambda rs, rt, imm: (imm & 0xFFFF) << 16,
+    SLL: lambda rs, rt, imm: rs << imm,
+    SRL: lambda rs, rt, imm: rs >> imm,
+    SRA: lambda rs, rt, imm: to_signed(rs) >> imm,
+}
+
+# Whether each conditional branch is taken, on its (rs, rt) values.
+# Register values are unsigned, so "signed < 0" is "bit 31 set".
+_BRANCH_TAKEN: Dict[Opcode, Callable[[int, int], bool]] = {
+    BEQ: eq,
+    BNE: ne,
+    BLEZ: lambda rs, rt: rs == 0 or rs >= 0x8000_0000,
+    BGTZ: lambda rs, rt: 0 < rs < 0x8000_0000,
+    BLTZ: lambda rs, rt: rs >= 0x8000_0000,
+    BGEZ: lambda rs, rt: rs < 0x8000_0000,
+}
+
+
+def _youngest_writer(writers):
+    """``(dep, covers)`` over the per-byte writers of a load: the youngest
+    store that wrote one of its bytes (None if none did) and whether
+    that store wrote every byte."""
+    known = [w for w in writers if w is not None]
+    if not known:
+        return None, False
+    dep = max(known)
+    return dep, writers.count(dep) == len(writers)
 
 
 class FunctionalCpu:
-    """Architectural interpreter with optional trace recording."""
+    """Architectural interpreter that records its dynamic trace.
+
+    After a run, ``regs``, ``memory``, ``pc``, ``halted`` and
+    ``instruction_count`` hold the architectural state reached.
+    """
 
     def __init__(self, program: Program):
         self.program = program
@@ -143,29 +166,12 @@ class FunctionalCpu:
         self.halted = False
         self.instruction_count = 0
 
-    # -- register helpers ----------------------------------------------------
-
-    def write_reg(self, num: int, value: int) -> None:
-        if num != 0:
-            self.regs[num] = value & WORD_MASK
-
     # -- execution -------------------------------------------------------------
-
-    def run(self, max_instructions: int = MAX_TRACE_INSTRUCTIONS,
-            recorder: Optional[ColumnarTraceRecorder] = None) -> int:
-        """Run until HALT or the instruction cap; returns instructions run."""
-        while not self.halted:
-            if self.instruction_count >= max_instructions:
-                raise ExecutionError(
-                    "instruction cap %d reached at pc=0x%x"
-                    % (max_instructions, self.pc))
-            self.step(recorder)
-        return self.instruction_count
 
     def run_trace(self, max_instructions: int = MAX_TRACE_INSTRUCTIONS
                   ) -> PackedTrace:
-        """Run to completion and return the dynamic trace, recorded
-        straight into packed columns."""
+        """Run to HALT and return the dynamic trace, recorded straight
+        into packed columns."""
         return self._record_trace(max_instructions)
 
     def _record_trace(self, max_instructions: int) -> PackedTrace:
@@ -173,89 +179,181 @@ class FunctionalCpu:
         # Neither calls the other: perfbench times each by name, and a
         # nested call would count one trace twice.
         recorder = ColumnarTraceRecorder(self.program)
-        self.run(max_instructions=max_instructions, recorder=recorder)
-        return recorder.finish()
-
-    def step(self, recorder: Optional[ColumnarTraceRecorder] = None) -> None:
-        """Execute one instruction."""
-        instr = self.program.instruction_at(self.pc)
+        handlers = self._decode(recorder)
+        static, next_pc = recorder.static, recorder.next_pc
+        text_base = self.program.text_base
+        n_static = len(handlers)
+        limit = max_instructions - self.instruction_count
         pc = self.pc
-        next_pc = pc + 4
-        taken = False
-        mem_addr = mem_size = value = None
-        silent = False
-        op = instr.op
-        regs = self.regs
-
-        if op is HALT:
+        count = 0       # entries recorded by this run
+        try:
+            while not self.halted:
+                if count >= limit:
+                    raise ExecutionError(
+                        "instruction cap %d reached at pc=0x%x"
+                        % (max_instructions, pc))
+                stop = min(limit, recorder.grow())
+                # ``count`` is the dynamic index of the entry being run,
+                # which every handler takes as its argument.
+                for count in range(count, stop):
+                    index = (pc - text_base) >> 2
+                    if pc & 3 or not 0 <= index < n_static:
+                        raise ExecutionError(self._bad_pc(pc, count))
+                    static[count] = index
+                    pc = handlers[index](count)
+                    next_pc[count] = pc
+                count = stop
+        except _Halt:
+            pc += 4
+            next_pc[count] = pc
+            count += 1
             self.halted = True
-        elif op is NOP:
-            pass
-        elif instr.is_load:
-            mem_addr = (regs[instr.rs] + instr.imm) & WORD_MASK
-            mem_size = instr.mem_size
-            raw = self.memory.read(mem_addr, mem_size)
-            value = raw
-            if op in SIGNED_LOADS:
-                raw = _sign_extend(raw, mem_size)
-            self.write_reg(instr.rd, raw)
-        elif instr.is_store:
-            mem_addr = (regs[instr.rs] + instr.imm) & WORD_MASK
-            mem_size = instr.mem_size
-            value = regs[instr.rt] & ((1 << (8 * mem_size)) - 1)
-            silent = self.memory.read(mem_addr, mem_size) == value
-            self.memory.write(mem_addr, value, mem_size)
-        elif instr.is_cond_branch:
-            taken = self._branch_taken(instr)
-            if taken:
-                next_pc = instr.target
-        elif op is J:
-            taken = True
-            next_pc = instr.target
-        elif op is JAL:
-            taken = True
-            self.write_reg(instr.dest_reg(), pc + 4)
-            next_pc = instr.target
-        elif op is JR:
-            taken = True
-            next_pc = regs[instr.rs]
-        elif op is JALR:
-            taken = True
-            self.write_reg(instr.dest_reg(), pc + 4)
-            next_pc = regs[instr.rs]
-        else:
-            self._alu(instr)
+        finally:
+            self.pc = pc
+            self.instruction_count += count
+        return recorder.finish(count)
 
-        self.pc = next_pc
-        self.instruction_count += 1
-        if recorder is not None:
-            recorder.record(pc, instr, next_pc, taken,
-                            mem_addr=mem_addr, mem_size=mem_size,
-                            value=value, silent=silent)
+    def _bad_pc(self, pc: int, count: int) -> str:
+        program = self.program
+        return ("dynamic instruction %d: pc 0x%x is %s the text segment "
+                "0x%x-0x%x" % (
+                    self.instruction_count + count, pc,
+                    "misaligned in" if pc & 3 else "outside",
+                    program.text_base,
+                    program.text_base + program.text_size))
 
-    # -- semantics ----------------------------------------------------------------
+    # -- pre-decode ------------------------------------------------------------
 
-    def _branch_taken(self, instr: Instruction) -> bool:
-        op = instr.op
+    def _decode(self, recorder: ColumnarTraceRecorder) -> List[Callable]:
+        """One handler per static instruction: ``handler(i)`` executes
+        the instruction as dynamic entry ``i``, writes the columns it
+        sets (the recorder's defaults cover the rest) and returns the
+        next pc.  The handlers close over this run's columns, so each
+        run decodes; a CPU runs to its HALT once, so that is once per
+        CPU."""
         regs = self.regs
-        a = to_signed(regs[instr.rs])
-        if op is BEQ:
-            return regs[instr.rs] == regs[instr.rt]
-        if op is BNE:
-            return regs[instr.rs] != regs[instr.rt]
-        if op is BLEZ:
-            return a <= 0
-        if op is BGTZ:
-            return a > 0
-        if op is BLTZ:
-            return a < 0
-        if op is BGEZ:
-            return a >= 0
-        raise ExecutionError("not a branch: %s" % instr)
+        sink = [0] * 32         # writes to $zero land here
+        read, write = self.memory.read, self.memory.write
+        # The dependence oracle: word number -> dynamic index of the
+        # store that wrote all four bytes, or a list of per-byte writers
+        # (None for a byte no store wrote) once a sub-word store split
+        # the word.  A load's dep_store is its bytes' youngest writer,
+        # with F_DEP_COVERS when that store wrote all of them.
+        writer: Dict[int, object] = {}
+        writer_get = writer.get
+        flags, mem_addr, values, deps, mem_size = (
+            recorder.flags, recorder.mem_addr, recorder.value, recorder.dep,
+            recorder.mem_size)
 
-    def _alu(self, instr: Instruction) -> None:
-        regs = self.regs
-        rs = regs[instr.rs] if instr.rs is not None else 0
-        rt = regs[instr.rt] if instr.rt is not None else 0
-        imm = instr.imm if instr.imm is not None else 0
-        self.write_reg(instr.dest_reg(), alu_result(instr.op, rs, rt, imm))
+        def alu(instr: Instruction, npc: int) -> Callable:
+            semantics = ALU_SEMANTICS.get(instr.op)
+            if semantics is None:
+                raise ExecutionError("unimplemented opcode %s at pc 0x%x"
+                                     % (instr.op.name, npc - 4))
+            rd = instr.dest_reg()
+            dst = regs if rd else sink
+            rs, rt, imm = instr.rs or 0, instr.rt or 0, instr.imm or 0
+
+            def handler(i):
+                dst[rd] = semantics(regs[rs], regs[rt], imm) & WORD_MASK
+                return npc
+            return handler
+
+        def load(instr: Instruction, npc: int) -> Callable:
+            rd, rs, imm, size = instr.rd, instr.rs, instr.imm, instr.mem_size
+            dst = regs if rd else sink
+            signed = instr.op in SIGNED_LOADS
+
+            def handler(i):
+                addr = (regs[rs] + imm) & WORD_MASK
+                raw = read(addr, size)
+                dst[rd] = sign_extend(raw, size) if signed else raw
+                writers = writer_get(addr >> 2)
+                if writers is None:
+                    flags[i] = _MEM_FLAGS
+                elif type(writers) is int:
+                    deps[i] = writers
+                    flags[i] = _MEM_FLAGS | F_DEP_COVERS
+                else:
+                    offset = addr & 3
+                    dep, covers = _youngest_writer(
+                        writers[offset:offset + size])
+                    if dep is not None:
+                        deps[i] = dep
+                    flags[i] = _MEM_FLAGS | F_DEP_COVERS if covers \
+                        else _MEM_FLAGS
+                mem_addr[i] = addr
+                values[i] = raw
+                mem_size[i] = size
+                return npc
+            return handler
+
+        def store(instr: Instruction, npc: int) -> Callable:
+            rt, rs, imm, size = instr.rt, instr.rs, instr.imm, instr.mem_size
+            mask = (1 << (8 * size)) - 1
+
+            def handler(i):
+                addr = (regs[rs] + imm) & WORD_MASK
+                value = regs[rt] & mask
+                silent = read(addr, size) == value
+                write(addr, value, size)
+                if size == 4:
+                    writer[addr >> 2] = i
+                else:
+                    key = addr >> 2
+                    writers = writer_get(key)
+                    if type(writers) is not list:
+                        writers = writer[key] = [writers] * 4
+                    offset = addr & 3
+                    writers[offset:offset + size] = [i] * size
+                mem_addr[i] = addr
+                values[i] = value
+                mem_size[i] = size
+                flags[i] = _MEM_FLAGS | F_SILENT if silent else _MEM_FLAGS
+                return npc
+            return handler
+
+        def branch(instr: Instruction, npc: int) -> Callable:
+            taken = _BRANCH_TAKEN[instr.op]
+            rs, rt, target = instr.rs or 0, instr.rt or 0, instr.target
+
+            def handler(i):
+                if taken(regs[rs], regs[rt]):
+                    flags[i] = F_TAKEN
+                    return target
+                return npc
+            return handler
+
+        def jump(instr: Instruction, npc: int) -> Callable:
+            rd = instr.dest_reg() or 0      # J and JR link nothing
+            dst = regs if rd else sink
+            rs, target = instr.rs or 0, instr.target
+            indirect = instr.is_indirect
+
+            def handler(i):
+                # Read rs before the link write: JALR may have rd == rs.
+                next_pc = regs[rs] if indirect else target
+                dst[rd] = npc
+                flags[i] = F_TAKEN
+                return next_pc
+            return handler
+
+        handlers = []
+        text_base = self.program.text_base
+        for index, instr in enumerate(self.program.instructions):
+            npc = text_base + 4 * index + 4
+            if instr.op is HALT:
+                handlers.append(_halt)
+            elif instr.op is NOP:
+                handlers.append(lambda i, npc=npc: npc)
+            elif instr.is_load:
+                handlers.append(load(instr, npc))
+            elif instr.is_store:
+                handlers.append(store(instr, npc))
+            elif instr.is_cond_branch:
+                handlers.append(branch(instr, npc))
+            elif instr.is_jump:
+                handlers.append(jump(instr, npc))
+            else:
+                handlers.append(alu(instr, npc))
+        return handlers

@@ -7,12 +7,15 @@ memory image" the timing simulator keeps at commit time.
 
 from __future__ import annotations
 
+from struct import Struct
 from typing import Dict, Iterable, Tuple
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
 ADDRESS_MASK = 0xFFFFFFFF
+
+_WORD = Struct("<I")
 
 
 class MemoryError_(Exception):
@@ -58,12 +61,13 @@ class SparseMemory:
         """Read ``size`` bytes at ``address`` as an unsigned little-endian int."""
         if address % size:
             raise MemoryError_("misaligned %d-byte read at 0x%x" % (size, address))
-        if size == 4 and (address & PAGE_MASK) <= PAGE_SIZE - 4:
+        if size == 4:
+            # Word-aligned words never straddle a page: one unpack
+            # instead of four read_byte calls.
             page = self._pages.get((address & ADDRESS_MASK) >> PAGE_SHIFT)
             if page is None:
                 return 0
-            offset = address & PAGE_MASK
-            return int.from_bytes(page[offset:offset + 4], "little")
+            return _WORD.unpack_from(page, address & PAGE_MASK)[0]
         return int.from_bytes(self.read_bytes(address, size), "little")
 
     def write(self, address: int, value: int, size: int) -> None:
@@ -71,10 +75,8 @@ class SparseMemory:
         if address % size:
             raise MemoryError_("misaligned %d-byte write at 0x%x" % (size, address))
         if size == 4:
-            # Word-aligned words never straddle a page: one slice store
-            # instead of four write_byte calls.
             page, offset = self._page_for(address)
-            page[offset:offset + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
+            _WORD.pack_into(page, offset, value & 0xFFFFFFFF)
             return
         mask = (1 << (8 * size)) - 1
         self.write_bytes(address, (value & mask).to_bytes(size, "little"))

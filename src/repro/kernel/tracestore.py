@@ -3,9 +3,9 @@
 A dynamic trace is a sequence of :class:`~repro.kernel.trace.TraceEntry`
 records -- at full scale, millions per workload.  As Python objects each
 costs a few hundred bytes and is re-materialised from scratch in every
-worker process of a sweep, so the functional CPU records a trace straight
-into parallel fixed-width columns (:class:`ColumnarTraceRecorder`, the
-one recorder)::
+worker process of a sweep, so the functional CPU's pre-decoded handlers
+write a trace straight into parallel fixed-width columns (held by a
+:class:`ColumnarTraceRecorder`)::
 
     header | static u32*n | next_pc u32*n | mem_addr u32*n | value u32*n
            | dep_store u32*n | flags u8*n | mem_size u8*n
@@ -70,6 +70,9 @@ F_HAS_VALUE = 32   # value is not None
 # dep_store column sentinel for "no producing store" (trace indices are
 # capped at MAX_TRACE_INSTRUCTIONS, far below 2**32 - 1).
 NO_DEP = 0xFFFFFFFF
+
+# Entries a recorder allocates first; it doubles from there.
+_FIRST_CHUNK = 1024
 
 _U32_MAX = 0xFFFFFFFF
 
@@ -343,64 +346,47 @@ def _flag_bits(taken, silent, dep_covers, mem_addr, mem_size, value) -> int:
 
 
 class ColumnarTraceRecorder:
-    """Records a functional run straight into :class:`PackedTrace` columns.
+    """The columns of one functional run, which the pre-decoded handlers
+    of :meth:`~repro.kernel.cpu.FunctionalCpu.run_trace` write in place.
 
-    ``_last_writer`` maps byte address -> dynamic index of the last store
-    that wrote it, which yields the oracle dependence annotation
-    (checked field-for-field against a test-local reference in
-    tests/test_tracestore.py).
+    Every column grows in chunks pre-filled with the value of an entry
+    that is not a memory access (0, and ``NO_DEP`` in ``dep``), so a
+    handler writes only the columns its instruction sets.  The recorded
+    bytes are checked against a test-local reference interpreter in
+    tests/test_functional_reference.py.
     """
 
     def __init__(self, program: Program):
         self.program = program
-        self._text_base = program.text_base
-        self._last_writer: Dict[int, int] = {}
-        self._static = array(_U32)
-        self._next_pc = array(_U32)
-        self._mem_addr = array(_U32)
-        self._value = array(_U32)
-        self._dep = array(_U32)
-        self._flags = bytearray()
-        self._mem_size = bytearray()
+        self.static = array(_U32)
+        self.next_pc = array(_U32)
+        self.mem_addr = array(_U32)
+        self.value = array(_U32)
+        self.dep = array(_U32)
+        self.flags = bytearray()
+        self.mem_size = bytearray()
 
-    def record(self, pc: int, instr, next_pc: int, taken: bool,
-               mem_addr: Optional[int] = None,
-               mem_size: Optional[int] = None,
-               value: Optional[int] = None, silent: bool = False) -> None:
-        index = len(self._static)
-        dep = NO_DEP
-        dep_covers = False
-        if instr.is_load and mem_addr is not None:
-            writers = [self._last_writer.get(mem_addr + i)
-                       for i in range(mem_size or 0)]
-            known = [w for w in writers if w is not None]
-            if known:
-                dep = max(known)
-                dep_covers = all(w == dep for w in writers)
-        elif instr.is_store and mem_addr is not None:
-            last_writer = self._last_writer
-            for i in range(mem_size or 0):
-                last_writer[mem_addr + i] = index
+    def grow(self) -> int:
+        """Double the capacity (at least ``_FIRST_CHUNK`` entries) in
+        place, so the handlers' references stay valid; returns it."""
+        chunk = max(_FIRST_CHUNK, len(self.static))
+        zeros = bytes(4 * chunk)
+        for column in (self.static, self.next_pc, self.mem_addr,
+                       self.value):
+            column.frombytes(zeros)
+        self.dep.frombytes(b"\xff" * (4 * chunk))    # NO_DEP in any byte order
+        self.flags.extend(bytes(chunk))
+        self.mem_size.extend(bytes(chunk))
+        return len(self.static)
 
-        offset = pc - self._text_base
-        if offset < 0 or offset & 0x3:
-            raise TraceEncodeError("pc 0x%x outside the text segment" % pc)
-        self._static.append(offset >> 2)
-        self._next_pc.append(_u32(next_pc, "next_pc"))
-        self._mem_addr.append(_u32(mem_addr or 0, "mem_addr"))
-        self._value.append(_u32(value or 0, "value"))
-        self._dep.append(dep)
-        self._flags.append(_flag_bits(taken, silent, dep_covers,
-                                      mem_addr, mem_size, value))
-        self._mem_size.append(mem_size or 0)
-
-    def __len__(self) -> int:
-        return len(self._static)
-
-    def finish(self) -> PackedTrace:
-        return PackedTrace(self.program, self._static, self._next_pc,
-                           self._mem_addr, self._value, self._dep,
-                           bytes(self._flags), bytes(self._mem_size))
+    def finish(self, count: int) -> PackedTrace:
+        """The first ``count`` entries as a trace."""
+        for column in (self.static, self.next_pc, self.mem_addr,
+                       self.value, self.dep, self.flags, self.mem_size):
+            del column[count:]
+        return PackedTrace(self.program, self.static, self.next_pc,
+                           self.mem_addr, self.value, self.dep,
+                           bytes(self.flags), bytes(self.mem_size))
 
 
 def run_trace_packed(program: Program,

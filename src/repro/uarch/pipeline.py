@@ -29,7 +29,7 @@ from ..isa import FuClass, Instruction, Opcode, Program, STACK_TOP
 from ..isa.instructions import SIGNED_LOADS
 from ..isa.registers import (NUM_ARCH_REGS, NUM_LOGICAL_REGS, REG_AGI,
                              REG_LDTMP, REG_PRED)
-from ..kernel.cpu import WORD_MASK, alu_result, sign_extend
+from ..kernel.cpu import ALU_SEMANTICS, WORD_MASK, sign_extend
 from ..kernel.trace import TraceEntry
 from ..kernel.precompute import TracePrecompute, bpred_signature
 from ..kernel.tracestore import F_TAKEN, pack_trace
@@ -718,7 +718,7 @@ class Simulator:
             rt = regs[isa_instr.rt] if isa_instr.rt is not None else 0
             imm = isa_instr.imm if isa_instr.imm is not None else 0
             self._arch_write(isa_instr.dest_reg(),
-                             alu_result(op, rs, rt, imm))
+                             ALU_SEMANTICS[op](rs, rt, imm))
 
     def _arch_load_value(self, instr: DynInstr) -> int:
         li = instr.load

@@ -177,3 +177,24 @@ class TestCacheCommand:
         assert (info["entries"], info["trace blobs"],
                 info["precompute blobs"], info["ledgers"]) == \
             ("0", "0", "0", "0")
+
+
+class TestProfilePhases:
+    def test_functional_tracing_is_attributed(self):
+        # --profile splits time by entry point name; tracing must land
+        # in its phase, not in "other (harness)".
+        import cProfile
+        import pstats
+
+        from repro.cli import _phase_attribution
+        from repro.kernel import FunctionalCpu, run_trace_packed
+        from repro.workloads import get_workload
+        program = get_workload("mcf").build(2)
+        profile = cProfile.Profile()
+        profile.enable()
+        FunctionalCpu(program).run_trace()
+        run_trace_packed(program)
+        profile.disable()
+        phases = {label: seconds for label, seconds, _share
+                  in _phase_attribution(pstats.Stats(profile))}
+        assert phases["functional tracing"] > 0

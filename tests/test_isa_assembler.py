@@ -10,6 +10,7 @@ from repro.isa import (
     Program,
     ProgramBuilder,
     assemble,
+    disassemble,
 )
 
 
@@ -171,6 +172,29 @@ class TestTextAssembler:
         ops = [i.op for i in prog.instructions]
         assert ops[0] is Opcode.LUI      # big li
         assert Opcode.BEQ in ops         # b expands to beq
+
+    def test_jalr_forms(self):
+        # MIPS: ``jalr rs`` links $ra, ``jalr rd, rs`` links rd.
+        prog = assemble("""
+            .text
+        main:   jalr $t0
+                jalr $t0, $t9
+                jalr $ra, $ra
+                halt
+        """)
+        one, two, same = prog.instructions[:3]
+        assert (one.op, one.rd, one.rs) == (Opcode.JALR, 31, 8)
+        assert (two.rd, two.rs) == (8, 25)
+        assert (same.rd, same.rs) == (31, 31)
+        with pytest.raises(AssemblerError):
+            assemble(".text\nmain: jalr $t0, $t1, $t2\n")
+
+    def test_jalr_disassembly_assembles_back(self):
+        prog = assemble(".text\nmain: jalr $t0\n jalr $s1, $t9\n"
+                        " jalr $ra, $ra\n halt\n")
+        text = "\n".join([".text", "main:"] + [
+            "  " + disassemble(instr) for instr in prog.instructions])
+        assert assemble(text).instructions == prog.instructions
 
 
 class TestProgramHelpers:

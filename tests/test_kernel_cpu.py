@@ -4,11 +4,12 @@ import pytest
 
 from repro.isa import ProgramBuilder, assemble
 from repro.kernel import ExecutionError, FunctionalCpu, to_signed, to_unsigned
+from repro.kernel.memory import MemoryError_
 
 
 def run_asm(source, max_instructions=100_000):
     cpu = FunctionalCpu(assemble(source))
-    cpu.run(max_instructions=max_instructions)
+    cpu.run_trace(max_instructions=max_instructions)
     return cpu
 
 
@@ -247,3 +248,142 @@ class TestControlFlow:
         """)
         assert cpu.instruction_count == 3
         assert cpu.halted
+
+    def test_jalr_links_rd_and_jumps_to_rs(self):
+        cpu = run_asm("""
+            .text
+        main:  la   $t9, f
+               jalr $s1, $t9
+               li   $t1, 7
+               halt
+        f:     li   $t0, 3
+               jr   $s1
+        """)
+        assert reg(cpu, "$t0") == 3
+        assert reg(cpu, "$t1") == 7
+        assert reg(cpu, "$s1") == cpu.program.labels["main"] + 12
+        assert reg(cpu, "$ra") == 0
+
+    def test_jalr_reads_rs_before_linking_when_rd_is_rs(self):
+        # ``jalr $ra`` (rd == rs == $ra) jumps to the old $ra, then
+        # links: MIPS reads rs first.
+        cpu = FunctionalCpu(assemble("""
+            .text
+        main:  la   $ra, f
+               jalr $ra
+               li   $t0, 1
+               halt
+        f:     li   $t1, 2
+               jr   $ra
+        """))
+        trace = cpu.run_trace()
+        jalr = trace[2]
+        assert jalr.next_pc == cpu.program.labels["f"] and jalr.taken
+        assert reg(cpu, "$t1") == 2
+        assert reg(cpu, "$t0") == 1          # returned through the link
+        assert reg(cpu, "$ra") == jalr.pc + 4
+
+    def test_jalr_to_zero_links_nothing(self):
+        cpu = run_asm("""
+            .text
+        main:  la   $t9, f
+               jalr $zero, $t9
+               halt
+        f:     halt
+        """)
+        assert cpu.regs[0] == 0
+        assert cpu.pc == cpu.program.labels["f"] + 4
+
+
+class TestLeavingTheText:
+    """A pc outside the text segment, or not word-aligned, is an
+    ExecutionError that names the pc and the dynamic instruction."""
+
+    def test_jr_into_data(self):
+        cpu = FunctionalCpu(assemble("""
+            .data
+        buf:   .word 0
+            .text
+        main:  la $t0, buf
+               jr $t0
+        """))
+        with pytest.raises(ExecutionError,
+                           match=r"dynamic instruction 3: pc 0x10000000 "
+                                 r"is outside the text segment"):
+            cpu.run_trace()
+        assert cpu.pc == 0x1000_0000
+        assert cpu.instruction_count == 3 and not cpu.halted
+
+    def test_misaligned_jump_target(self):
+        cpu = FunctionalCpu(assemble("""
+            .text
+        main:  la   $t0, main
+               addi $t0, $t0, 2
+               jr   $t0
+        """))
+        with pytest.raises(ExecutionError,
+                           match=r"dynamic instruction 4: pc 0x400002 "
+                                 r"is misaligned in the text segment"):
+            cpu.run_trace()
+
+    def test_program_without_halt_runs_off_the_end(self):
+        cpu = FunctionalCpu(assemble("""
+            .text
+        main:  nop
+        """))
+        with pytest.raises(ExecutionError,
+                           match=r"dynamic instruction 1: pc 0x400004 "
+                                 r"is outside the text segment"):
+            cpu.run_trace()
+
+
+class TestEdges:
+    def test_instruction_cap_message_and_state(self):
+        cpu = FunctionalCpu(assemble("""
+            .text
+        main: j main
+        """))
+        with pytest.raises(ExecutionError,
+                           match=r"^instruction cap 100 reached at "
+                                 r"pc=0x400000$"):
+            cpu.run_trace(max_instructions=100)
+        assert cpu.instruction_count == 100 and not cpu.halted
+
+    @pytest.mark.parametrize("access", ["lw $t1, 2($t0)", "lh $t1, 1($t0)",
+                                        "sw $t1, 2($t0)", "sh $t1, 3($t0)"])
+    def test_misaligned_access_raises(self, access):
+        cpu = FunctionalCpu(assemble("""
+            .data
+        buf:  .word 0, 0
+            .text
+        main: la $t0, buf
+              li $t1, 5
+              %s
+              halt
+        """ % access))
+        with pytest.raises(MemoryError_, match="misaligned"):
+            cpu.run_trace()
+        assert cpu.instruction_count == 3
+        assert cpu.pc == cpu.program.labels["main"] + 12
+        assert cpu.memory.read(cpu.program.data_base, 4) == 0
+
+    def test_unimplemented_opcode_fails_before_running(self):
+        from repro.isa import Instruction, Opcode, Program
+        program = Program(instructions=(Instruction(Opcode.NOP),
+                                        Instruction(Opcode.AGI, rd=8, rs=9,
+                                                    imm=4)),
+                          data=b"", labels={})
+        cpu = FunctionalCpu(program)
+        with pytest.raises(ExecutionError,
+                           match="unimplemented opcode AGI at pc 0x400004"):
+            cpu.run_trace()
+        assert cpu.instruction_count == 0 and cpu.pc == 0x400000
+
+    def test_halted_cpu_records_an_empty_trace(self):
+        cpu = run_asm("""
+            .text
+        main: halt
+        """)
+        assert cpu.halted and cpu.pc == 0x400004
+        assert len(cpu.run_trace()) == 0
+        assert cpu.instruction_count == 1

@@ -4,7 +4,8 @@ Three layers under test (DESIGN.md Section 12):
 
 * the encoding -- ``PackedTrace`` must reproduce every ``TraceEntry``
   field exactly, both when packed from a list and when the functional
-  CPU records into columns (checked against a test-local list recorder),
+  CPU records into columns (checked against the test-local reference
+  interpreter and its list recorder),
   across randomized programs covering loads/stores of all sizes,
   partial-word overlaps, silent stores, and branches;
 * the golden bar -- ``Simulator`` statistics must be byte-identical
@@ -32,6 +33,7 @@ from repro.uarch import ALL_MODELS, ModelKind, Simulator, model_params
 from repro.uarch.models import trace_program
 from repro.workloads import get_workload
 
+from .reference_cpu import reference_trace
 from .test_differential_oracle import SEED, build_random_program
 
 NUM_RANDOM_PROGRAMS = 12
@@ -60,38 +62,6 @@ def random_case(index):
     return program, list(trace)
 
 
-class ReferenceRecorder:
-    """Test-local list recorder: one ``TraceEntry`` per retired
-    instruction, with the oracle dependence annotation written
-    independently of ``ColumnarTraceRecorder``."""
-
-    def __init__(self):
-        self.entries = []
-        self.writer = {}        # byte address -> index of its last store
-
-    def record(self, pc, instr, next_pc, taken, mem_addr=None,
-               mem_size=None, value=None, silent=False):
-        index = len(self.entries)
-        dep_store, dep_covers = None, False
-        if mem_addr is not None:
-            span = range(mem_addr, mem_addr + mem_size)
-            if instr.is_load:
-                writers = {self.writer.get(addr) for addr in span}
-                known = writers - {None}
-                if known:
-                    dep_store = max(known)
-                    dep_covers = writers == {dep_store}
-            elif instr.is_store:
-                for addr in span:
-                    self.writer[addr] = index
-        self.entries.append(TraceEntry(
-            index=index, pc=pc, instr=instr, next_pc=next_pc, taken=taken,
-            mem_addr=mem_addr, mem_size=mem_size, value=value,
-            dep_store=dep_store, dep_covers=dep_covers, silent=silent,
-            word_addr=(mem_addr or 0) & ~0x3,
-            bab=((1 << (mem_size or 0)) - 1) << ((mem_addr or 0) & 0x3)))
-
-
 def small_workload(name="mcf", fraction=0.1):
     spec = get_workload(name)
     iterations = max(1, int(round(spec.default_scale * fraction)))
@@ -112,25 +82,23 @@ class TestPackedTraceFidelity:
             assert_entries_identical(packed, trace)
 
     def test_recorder_matches_test_local_reference(self):
-        # The columnar recorder is the only recorder: every field it
-        # records must match an independent list recorder, and packing
-        # that list must give the recorded bytes.
+        # The pre-decoded CPU records into columns: every field it
+        # records must match the test-local reference interpreter's list
+        # recorder, and packing that list must give the recorded bytes.
         partial = silent = 0
         for index in range(6):
             program = build_random_program(random.Random(SEED + index))
-            reference = ReferenceRecorder()
-            FunctionalCpu(program).run(max_instructions=200_000,
-                                       recorder=reference)
+            _cpu, entries = reference_trace(program,
+                                            max_instructions=200_000)
             recorded = FunctionalCpu(program).run_trace(
                 max_instructions=200_000)
-            assert_entries_identical(recorded, reference.entries)
-            blob = pack_trace(program, reference.entries).to_bytes()
+            assert_entries_identical(recorded, entries)
+            blob = pack_trace(program, entries).to_bytes()
             assert recorded.to_bytes() == blob
             assert run_trace_packed(program).to_bytes() == blob
-            partial += sum(1 for e in reference.entries if e.is_load
+            partial += sum(1 for e in entries if e.is_load
                            and e.dep_store is not None and not e.dep_covers)
-            silent += sum(1 for e in reference.entries
-                          if e.is_store and e.silent)
+            silent += sum(1 for e in entries if e.is_store and e.silent)
         assert partial and silent
 
     def test_disk_roundtrip_via_mmap(self, tmp_path):
@@ -476,8 +444,8 @@ class TestFunctionalEntryPoints:
 class TestTraceCaps:
     def test_single_cap_constant_everywhere(self):
         import inspect
-        for func in (FunctionalCpu.run, FunctionalCpu.run_trace,
-                     run_trace_packed, trace_program):
+        for func in (FunctionalCpu.run_trace, run_trace_packed,
+                     trace_program):
             defaults = {
                 name: parameter.default
                 for name, parameter in
