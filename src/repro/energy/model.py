@@ -14,6 +14,7 @@ from exact event-count differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Dict
 
@@ -66,14 +67,14 @@ def energy_report(stats: SimStats,
         params = EnergyParams()
     valid = _valid_events(params)
     by_event: Dict[str, float] = {}
-    total = 0.0
     for event, count in stats.energy_events.items():
         if event not in valid:
             raise KeyError("unknown energy event %r" % event)
-        cost = getattr(params, event) * count
-        by_event[event] = cost
-        total += cost
-    return EnergyReport(total=total, cycles=stats.cycles, by_event=by_event)
+        by_event[event] = getattr(params, event) * count
+    # fsum rounds the exact sum once, so the total does not depend on the
+    # order in which the simulator first counted each event.
+    return EnergyReport(total=math.fsum(by_event.values()),
+                        cycles=stats.cycles, by_event=by_event)
 
 
 def edp(stats: SimStats, params: EnergyParams = None) -> float:

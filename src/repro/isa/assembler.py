@@ -360,6 +360,14 @@ _LOADS = {"lw", "lh", "lhu", "lb", "lbu"}
 _STORES = {"sw", "sh", "sb"}
 _BRANCH2 = {"beq", "bne", "blt", "bge", "bgt", "ble"}
 _BRANCH1 = {"blez", "bgtz", "bltz", "bgez", "beqz", "bnez"}
+# Operand count of every fixed-form mnemonic (jalr takes one or two).
+_OPERAND_COUNTS = {
+    **dict.fromkeys(_THREE_REG | _TWO_REG_IMM | _BRANCH2, 3),
+    **dict.fromkeys(_LOADS | _STORES | _BRANCH1 | {"lui", "li", "la", "move"},
+                    2),
+    **dict.fromkeys(("b", "j", "jal", "jr"), 1),
+    **dict.fromkeys(("nop", "halt"), 0),
+}
 
 
 def _parse_int(text: str) -> int:
@@ -424,6 +432,10 @@ def _instruction(builder: ProgramBuilder, line: str) -> None:
     parts = line.split(None, 1)
     mnem = parts[0].lower()
     operands = [p.strip() for p in parts[1].split(",")] if len(parts) > 1 else []
+    expected = _OPERAND_COUNTS.get(mnem)
+    if expected is not None and len(operands) != expected:
+        raise AssemblerError("%s takes %d operand%s, got %d" % (
+            mnem, expected, "" if expected == 1 else "s", len(operands)))
 
     if mnem in _THREE_REG:
         method = {"and": "and_", "or": "or_"}.get(mnem, mnem)
@@ -457,7 +469,8 @@ def _instruction(builder: ProgramBuilder, line: str) -> None:
         elif len(operands) == 2:
             builder.jalr(operands[1], rd=operands[0])
         else:
-            raise AssemblerError("jalr takes rs or rd, rs")
+            raise AssemblerError("jalr takes 1 or 2 operands (rs or rd, rs), "
+                                 "got %d" % len(operands))
     elif mnem == "li":
         builder.li(operands[0], _parse_int(operands[1]))
     elif mnem == "la":

@@ -16,6 +16,7 @@ PAGE_MASK = PAGE_SIZE - 1
 ADDRESS_MASK = 0xFFFFFFFF
 
 _WORD = Struct("<I")
+_HALF = Struct("<H")
 
 
 class MemoryError_(Exception):
@@ -61,22 +62,32 @@ class SparseMemory:
         """Read ``size`` bytes at ``address`` as an unsigned little-endian int."""
         if address % size:
             raise MemoryError_("misaligned %d-byte read at 0x%x" % (size, address))
-        if size == 4:
-            # Word-aligned words never straddle a page: one unpack
-            # instead of four read_byte calls.
+        if size == 4 or size == 2 or size == 1:
+            # An aligned access of a word or less never straddles a page:
+            # read it in place instead of one read_byte call per byte.
             page = self._pages.get((address & ADDRESS_MASK) >> PAGE_SHIFT)
             if page is None:
                 return 0
-            return _WORD.unpack_from(page, address & PAGE_MASK)[0]
+            offset = address & PAGE_MASK
+            if size == 4:
+                return _WORD.unpack_from(page, offset)[0]
+            if size == 2:
+                return _HALF.unpack_from(page, offset)[0]
+            return page[offset]
         return int.from_bytes(self.read_bytes(address, size), "little")
 
     def write(self, address: int, value: int, size: int) -> None:
         """Write ``size`` low-order bytes of ``value`` at ``address``."""
         if address % size:
             raise MemoryError_("misaligned %d-byte write at 0x%x" % (size, address))
-        if size == 4:
+        if size == 4 or size == 2 or size == 1:
             page, offset = self._page_for(address)
-            _WORD.pack_into(page, offset, value & 0xFFFFFFFF)
+            if size == 4:
+                _WORD.pack_into(page, offset, value & 0xFFFFFFFF)
+            elif size == 2:
+                _HALF.pack_into(page, offset, value & 0xFFFF)
+            else:
+                page[offset] = value & 0xFF
             return
         mask = (1 << (8 * size)) - 1
         self.write_bytes(address, (value & mask).to_bytes(size, "little"))

@@ -272,6 +272,12 @@ class Simulator:
         self.commit_cycle: Dict[int, int] = {}    # trace index -> cycle
 
         self._ee = self.stats.energy_events
+        # Per-MicroOp energy events, counted per stage call in plain ints
+        # and an exact dict (issued MicroOps per FU class) and written into
+        # energy_events once, at the end of run() (DESIGN.md section 9).
+        self._fu_issued: Dict[FuClass, int] = dict.fromkeys(_FU_ENERGY, 0)
+        self._rf_reads = 0
+        self._rf_writes = 0
 
         # Per-cycle issue budget template; building this dict from enum
         # keys every cycle dominated the issue stage, a copy is cheap.
@@ -376,7 +382,31 @@ class Simulator:
                 self.cycle += 1
         stats.cycles = self.cycle
         stats.instructions = total
+        self._write_uop_energy()
         return stats
+
+    def _write_uop_energy(self) -> None:
+        """Write the per-MicroOp energy events into ``energy_events``.
+
+        Every MicroOp is renamed and dispatched once (``stats.uops``),
+        every instruction takes one ROB entry (``stats.instructions``),
+        and every issue is counted once under its FU class.  A zero count
+        adds no key.
+        """
+        stats = self.stats
+        fu_issued = self._fu_issued
+        counts = {"rename": stats.uops, "iq_dispatch": stats.uops,
+                  "rob_entry": stats.instructions,
+                  "iq_issue": sum(fu_issued.values()),
+                  "rf_read": self._rf_reads, "rf_write": self._rf_writes}
+        for fu, issued in fu_issued.items():
+            event = _FU_ENERGY[fu]
+            if event is not None:
+                counts[event] = issued
+        ee = self._ee
+        for event, count in counts.items():
+            if count:
+                ee[event] = count
 
     # -- event-driven cycle skipping ---------------------------------------
 
@@ -490,8 +520,8 @@ class Simulator:
         ready_cycle = self.prf.ready_cycle
         waiters = self.waiters
         ready_heap = self.ready_heap
-        ee = self._ee
         tr = self._tr
+        writes = 0
         while heap and heap[0][0] <= cycle:
             uop = pop(heap)[2]
             if uop.dead:
@@ -514,7 +544,7 @@ class Simulator:
             if dest is None:
                 continue
             # The destination becomes ready; wake its waiting consumers.
-            ee["rf_write"] += 1
+            writes += 1
             # Cycles only move forward and nothing marks a register ready
             # ahead of time, so this is the register's latest ready cycle.
             ready_cycle[dest] = cycle
@@ -529,6 +559,7 @@ class Simulator:
                 if remaining == 0 and waiter.state is WAITING:
                     waiter.state = READY
                     push(ready_heap, (waiter.seq, waiter))
+        self._rf_writes += writes
 
     def _resolve_redirect(self, instr: DynInstr) -> None:
         """A mispredicted branch resolved: refill the front end after the
@@ -592,7 +623,6 @@ class Simulator:
         consumer = prf.consumer
         committed_map = self.committed_map
         stats = self.stats
-        ee = self._ee
         cycle = self.cycle
         tr = self._tr
         arch_regs = self.arch_regs
@@ -640,7 +670,6 @@ class Simulator:
             # by reference counting rather than the cyclic collector.
             head.uops = ()
             retired += 1
-            ee["rob_entry"] += 1
             if arch_regs is not None:
                 self._arch_update(head)
             if dec.is_control:
@@ -981,10 +1010,10 @@ class Simulator:
         prf = self.prf
         producer = prf.producer
         consumer = prf.consumer
-        ee = self._ee
-        fu_energy = _FU_ENERGY
+        fu_issued = self._fu_issued
         tr = self._tr
         issued = 0
+        reads = 0
         deferred: List[Tuple[int, Uop]] = []
         while budget > 0 and ready_heap:
             item = heappop(ready_heap)
@@ -1014,12 +1043,9 @@ class Simulator:
             if tr is not None:
                 tr.on_issue(uop, cycle)
             issued += 1
+            fu_issued[fu] += 1
             srcs = uop.srcs
-            ee["iq_issue"] += 1
-            ee["rf_read"] += len(srcs)
-            energy = fu_energy[fu]
-            if energy is not None:
-                ee[energy] += 1
+            reads += len(srcs)
             if kind is UOP_LOAD:
                 if access is not None:
                     done = access(uop.instr.trace.mem_addr, cycle)
@@ -1045,6 +1071,7 @@ class Simulator:
                 if count == 1 and not producer[src]:
                     prf.release(src)
         self.iq_occupancy -= issued
+        self._rf_reads += reads
 
         for item in deferred:
             heappush(ready_heap, item)
@@ -1210,8 +1237,6 @@ class Simulator:
                       instr)
             instr.uops.append(uop)
             instr.pending_uops = 1
-            ee["rename"] += 1
-            ee["iq_dispatch"] += 1
             # Consumer counting and wakeup registration.
             remaining = 0
             for src in srcs:
@@ -1267,9 +1292,6 @@ class Simulator:
         uop = Uop(seq, kind, fu, latency, srcs, dest, instr)
         instr.uops.append(uop)
         instr.pending_uops += 1
-        ee = self._ee
-        ee["rename"] += 1
-        ee["iq_dispatch"] += 1
         prf = self.prf
         ready_cycle = prf.ready_cycle
         consumer = prf.consumer

@@ -24,8 +24,8 @@ class StatCounter(Counter):
     wrapper, about twice a plain dict's cost on CPython 3.11 (DESIGN.md
     section 9).  Taking dict's ``__delitem__`` back restores the C slot.
     Everything else -- the ``Counter`` API, pickling, first-insertion
-    order (the order :func:`repro.energy.energy_report` sums in) -- is
-    unchanged; only ``del c[missing]`` now raises ``KeyError``.
+    order -- is unchanged; only ``del c[missing]`` now raises
+    ``KeyError``.
     """
 
     __delitem__ = dict.__delitem__

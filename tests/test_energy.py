@@ -24,6 +24,17 @@ class TestEnergyReport:
         assert report.total == pytest.approx(expected)
         assert report.by_event["alu_op"] == pytest.approx(10 * params.alu_op)
 
+    def test_total_does_not_depend_on_event_order(self):
+        """Summed left to right, these costs give 0.6000000000000001 in
+        one order and 0.6 in the other."""
+        params = EnergyParams(rename=0.1, iq_dispatch=0.2, iq_issue=0.3)
+        events = ["rename", "iq_dispatch", "iq_issue"]
+        forward = stats_with(dict.fromkeys(events, 1))
+        backward = stats_with(dict.fromkeys(reversed(events), 1))
+        assert list(forward.energy_events) != list(backward.energy_events)
+        assert (energy_report(forward, params).total
+                == energy_report(backward, params).total == 0.6)
+
     def test_default_params(self):
         stats = stats_with({"alu_op": 1})
         assert energy_report(stats).total == EnergyParams().alu_op

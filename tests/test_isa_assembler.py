@@ -156,6 +156,21 @@ class TestTextAssembler:
         with pytest.raises(AssemblerError):
             assemble(".text\nmain: lw $t0, nope\n")
 
+    @pytest.mark.parametrize("line, mnem, expected, given", [
+        ("add $t0, $t1", "add", 3, 2),
+        ("lw $t0", "lw", 2, 1),
+        ("beq $t0, $t1", "beq", 3, 2),
+        ("addi $t0", "addi", 3, 1),
+    ])
+    def test_wrong_operand_count_names_line_and_counts(self, line, mnem,
+                                                       expected, given):
+        with pytest.raises(AssemblerError) as err:
+            assemble(".text\nmain: %s\n halt\n" % line)
+        message = str(err.value)
+        assert message.startswith("line 2: %s takes %d operand"
+                                  % (mnem, expected))
+        assert "got %d" % given in message
+
     def test_unknown_directive(self):
         with pytest.raises(AssemblerError):
             assemble(".quux 3\nmain: halt\n")

@@ -106,6 +106,72 @@ class TestAlignedWordFastPath:
         assert not list(mem.touched_pages())
 
 
+def _bytewise_read(mem, address, size):
+    """Sized read through the per-byte path, the reference for read()."""
+    return int.from_bytes(mem.read_bytes(address, size), "little")
+
+
+def _bytewise_write(mem, address, value, size):
+    """Sized write through the per-byte path, the reference for write()."""
+    mask = (1 << (8 * size)) - 1
+    mem.write_bytes(address, (value & mask).to_bytes(size, "little"))
+
+
+class TestAlignedSubWordPath:
+    """Aligned 1- and 2-byte read/write index the page in place; they must
+    match the per-byte path in values, pages and snapshots."""
+
+    # The last byte and halfword of a page, the first of the next one, and
+    # values wider than the access (masked), zero and negative.
+    WRITES = [(PAGE_SIZE - 1, 0x1AB, 1), (PAGE_SIZE - 2, 0x12345, 2),
+              (PAGE_SIZE, -1, 1), (PAGE_SIZE + 2, 0xFFFF_BEEF, 2),
+              (3 * PAGE_SIZE - 2, 0, 2), (0x40, -2, 2)]
+
+    def test_writes_match_bytewise_reference(self):
+        fast, ref = SparseMemory(), SparseMemory()
+        for address, value, size in self.WRITES:
+            fast.write(address, value, size)
+            _bytewise_write(ref, address, value, size)
+            assert fast.snapshot() == ref.snapshot()
+            assert sorted(fast.touched_pages()) == sorted(ref.touched_pages())
+        for address, _, size in self.WRITES:
+            for width in (1, 2):
+                at = address - address % width
+                assert fast.read(at, width) == _bytewise_read(ref, at, width)
+        assert fast.read(PAGE_SIZE - 2, 2) == 0x2345
+        assert fast.read(PAGE_SIZE, 2) == 0x00FF
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_read_of_untouched_page_allocates_nothing(self, size):
+        mem = SparseMemory()
+        assert mem.read(0x9000, size) == 0
+        assert mem.read(PAGE_SIZE - size, size) == 0
+        assert not list(mem.touched_pages())
+
+    def test_misaligned_halfword_checked_first(self):
+        mem = SparseMemory()
+        with pytest.raises(MemoryError_):
+            mem.write(PAGE_SIZE - 1, 0xFFFF, 2)
+        assert not list(mem.touched_pages())
+
+    @given(st.lists(st.tuples(st.integers(PAGE_SIZE - 8, PAGE_SIZE + 8),
+                              st.integers(-(1 << 33), 1 << 33),
+                              st.sampled_from([1, 2, 4])),
+                    min_size=1, max_size=30))
+    @settings(max_examples=100)
+    def test_mixed_accesses_match_bytewise_reference(self, writes):
+        fast, ref = SparseMemory(), SparseMemory()
+        for address, value, size in writes:
+            address -= address % size
+            fast.write(address, value, size)
+            _bytewise_write(ref, address, value, size)
+            for width in (1, 2, 4):
+                at = address - address % width
+                assert fast.read(at, width) == _bytewise_read(ref, at, width)
+        assert fast.snapshot() == ref.snapshot()
+        assert sorted(fast.touched_pages()) == sorted(ref.touched_pages())
+
+
 class TestProperties:
     @given(st.integers(0, 0xFFFF_FFF0), st.integers(0, 0xFFFF_FFFF))
     @settings(max_examples=200)

@@ -1,11 +1,29 @@
 """Focused behavioural tests of pipeline mechanisms (front end, energy
 event routing, structural limits, call/return timing)."""
 
+import os
+from collections import Counter
+
 import pytest
 
+from repro.fuzz import load_artifact, materialize
 from repro.isa import ProgramBuilder
 from repro.kernel import FunctionalCpu
 from repro.uarch import ModelKind, Simulator, model_params
+from repro.uarch import pipeline
+from repro.uarch.stats import SimStats, SquashCause, StatCounter
+
+# The corpus entry's full (unminimized) program squashes on memory-order
+# violations under every model but Perfect.
+SQUASHING_PROGRAM = os.path.join(
+    os.path.dirname(__file__), "corpus",
+    "fuzz-partial-overlap-103-partial-overlap.json")
+
+# Counted per MicroOp (or per instruction, for rob_entry) and written into
+# energy_events once, at the end of Simulator.run().
+PER_UOP_EVENTS = ("rename", "iq_dispatch", "iq_issue", "rf_read",
+                  "rf_write", "rob_entry", "alu_op", "mul_op", "fp_op",
+                  "branch_op", "agen_op")
 
 
 def simulate(prog, model=ModelKind.DMDP, **overrides):
@@ -121,9 +139,45 @@ class TestEnergyEventRouting:
         assert dmdp.energy_events["sq_cam_search"] == 0
 
     def test_front_end_energy_counted(self):
-        stats, _ = simulate(straightline_kernel())
-        assert stats.energy_events["fetch_decode"] >= stats.instructions
-        assert stats.energy_events["rename"] == stats.uops
+        for model in ModelKind:
+            stats, _ = simulate(straightline_kernel(), model)
+            events = stats.energy_events
+            assert events["fetch_decode"] >= stats.instructions
+            assert events["rename"] == events["iq_dispatch"] == stats.uops
+            assert events["rob_entry"] == stats.instructions
+
+    @pytest.mark.parametrize("model", list(ModelKind),
+                             ids=lambda model: model.value)
+    def test_per_uop_events_written_once_per_run(self, model, monkeypatch):
+        """The per-MicroOp events are summed outside energy_events and
+        written into it once per run, squashes and refetches included."""
+        monkeypatch.setattr(pipeline, "SimStats", lambda: SimStats(
+            energy_events=_AssignmentCounter()))
+        kernel_stats, _ = simulate(_mini_mem_kernel(), model)
+        assert kernel_stats.loads and kernel_stats.stores
+        assert kernel_stats.branches
+        ir = load_artifact(SQUASHING_PROGRAM).ir
+        squashing_stats, _ = simulate(materialize(ir), model)
+        if model is not ModelKind.PERFECT:
+            assert squashing_stats.squash_causes[
+                SquashCause.MEM_DEP_VIOLATION]
+        for stats in (kernel_stats, squashing_stats):
+            assignments = stats.energy_events.assignments
+            for event in PER_UOP_EVENTS:
+                assert assignments[event] <= 1, (event, assignments[event])
+            assert assignments["rename"] == assignments["rf_read"] == 1
+
+
+class _AssignmentCounter(StatCounter):
+    """A StatCounter that counts item assignments per key."""
+
+    def __init__(self):
+        self.assignments = Counter()
+        super().__init__()
+
+    def __setitem__(self, key, count):
+        self.assignments[key] += 1
+        super().__setitem__(key, count)
 
 
 def _mini_mem_kernel(iterations=150):
