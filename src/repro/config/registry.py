@@ -50,10 +50,6 @@ class SlotInfo:
     description: str
     types: Mapping[str, type]        # field name -> resolved scalar type
 
-    @property
-    def field_names(self) -> Tuple[str, ...]:
-        return tuple(self.types)
-
 
 def _resolve_types(dc: type, exclude=frozenset()) -> Dict[str, type]:
     hints = typing.get_type_hints(dc, vars(params_mod))

@@ -5,10 +5,10 @@ point: a model kind plus a sorted tuple of ``(dotted-key, JSON scalar)``
 settings that differ from that model's canonical defaults.  It is the
 shared currency of the harness -- :class:`~repro.harness.runner.
 ExperimentRunner` memo keys, :class:`~repro.harness.cache.ResultCache`
-disk keys, :class:`~repro.harness.parallel.ParallelEngine` task tuples,
-and the CLI's ``--set`` flags all carry specs, so one canonical form
-replaces the ad-hoc ``**overrides`` dicts (and the memo-key/disk-key
-serialization drift they caused).
+disk keys, the runner's fan-out task payloads, and the CLI's ``--set``
+flags all carry specs, so one canonical form replaces the ad-hoc
+``**overrides`` dicts (and the memo-key/disk-key serialization drift
+they caused).
 
 Guarantees:
 

@@ -10,7 +10,7 @@ harness (:mod:`.campaign`).  ``repro fuzz`` is the CLI face.
 
 from .artifacts import (ARTIFACT_FORMAT, Artifact, StaleArtifactError,
                         from_finding, load_artifact, write_artifact)
-from .campaign import ORACLE, CampaignFinding, CampaignReport, run_campaign
+from .campaign import CampaignFinding, CampaignReport, run_campaign
 from .generator import (BiasProfile, PROFILES, ProgramSpec,
                         build_random_program, generate_ir,
                         generator_version, get_profile, ir_from_json,
@@ -23,7 +23,7 @@ from .oracles import (CheckReport, Divergence, MUTATIONS, check_ir,
 __all__ = [
     "ARTIFACT_FORMAT", "Artifact", "BiasProfile", "CampaignFinding",
     "CampaignReport", "CheckReport", "DEFAULT_MAX_CHECKS", "Divergence",
-    "MUTATIONS", "MinimizeResult", "ORACLE", "PROFILES", "ProgramSpec",
+    "MUTATIONS", "MinimizeResult", "PROFILES", "ProgramSpec",
     "StaleArtifactError", "build_random_program", "check_ir",
     "check_program", "from_finding", "generate_ir", "generator_version",
     "get_profile", "ir_from_json", "ir_to_json", "load_artifact",

@@ -2,15 +2,17 @@
 
 A campaign is ``iterations`` seeded programs per bias profile, each run
 through the full oracle stack (:func:`~repro.fuzz.oracles.check_ir`) on
-every model.  Campaigns ride the existing
-:class:`~repro.harness.parallel.ParallelEngine` via its ``task_fn``
-hook: one engine task per program, the serialized
-:class:`~repro.fuzz.generator.ProgramSpec` riding in the task's
-trace-path slot, so crash isolation, wall-clock timeouts, retries with
-backoff, and :class:`~repro.harness.resilience.FailedPoint` accounting
-all come for free.  Workers regenerate the program from its spec (IRs
-are cheap to produce and expensive to ship) and return the
-:class:`~repro.fuzz.oracles.CheckReport` as a plain dict.
+every model.  With ``jobs`` > 1 each program is one
+:class:`~repro.harness.parallel.ParallelEngine` task: its name is the
+program id and its payload the serialized
+:class:`~repro.fuzz.generator.ProgramSpec` (with the model list and the
+mutation), so crash isolation, wall-clock timeouts, retries with
+backoff, and one :class:`~repro.harness.resilience.FailedPoint` per
+exhausted program all come from the engine.  Workers regenerate the
+program from its spec (IRs are cheap to produce and expensive to ship)
+and return the :class:`~repro.fuzz.oracles.CheckReport` as a plain
+dict.  Programs the engine hands back (workers could not spawn) are
+checked in-process, as every program is with ``jobs`` <= 1.
 
 Divergences are minimized *in the parent* (they are rare; the campaign
 fan-out stays busy with generation + checking) and archived as
@@ -28,8 +30,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..harness.parallel import ParallelEngine, SimPoint
-from ..harness.reporting import format_failure_table, format_table
+from ..harness.parallel import ParallelEngine
+from ..harness.reporting import format_table
 from ..harness.resilience import FailedPoint, RetryPolicy
 from ..uarch import ALL_MODELS, ModelKind
 from . import artifacts as artifacts_mod
@@ -38,48 +40,20 @@ from .minimize import DEFAULT_MAX_CHECKS, MinimizeResult, minimize
 from .oracles import CheckReport, check_ir
 
 
-class _OracleKind:
-    """Stands in the ``ModelKind`` slot of engine points for fuzz tasks.
-
-    The engine's failure table prints ``point.model.value``; a fuzz
-    point's "model" is the whole oracle stack, so this quacks like a
-    ModelKind and survives pickling with equality intact.
-    """
-
-    value = "oracle"
-
-    def __eq__(self, other):
-        return isinstance(other, _OracleKind)
-
-    def __hash__(self):
-        return hash("oracle")
-
-    def __repr__(self):
-        return "ORACLE"
-
-
-ORACLE = _OracleKind()
-
-
-def _fuzz_task_fn(task):
+def _check_program(program_id: str, payload_json: str):
     """Engine task body (module-level: must pickle into workers).
 
-    ``task`` is ``(program_id, payload_json, configs)`` -- the spec JSON
-    rides in the trace-path slot.  Returns the engine's standard
-    ``(workload, outcomes, counts)`` payload with the check report as
-    the per-point result dict and no counts.
+    ``payload_json`` holds the program's spec, the models and the
+    mutation.  Returns the engine's ``(outcomes, counts)`` pair: the
+    outcome is ``(check report dict, seconds)``, and there are no counts.
     """
-    workload, payload_json, configs = task
     payload = json.loads(payload_json)
     spec = ProgramSpec.from_dict(payload["spec"])
     models = [ModelKind(name) for name in payload["models"]]
     start = time.perf_counter()
     report = check_ir(spec.generate(), models=models,
                       mutation=payload.get("mutation"))
-    seconds = time.perf_counter() - start
-    outcomes = [(model, overrides, report.to_dict(), seconds)
-                for model, overrides in configs]
-    return (workload, outcomes, {})
+    return (report.to_dict(), time.perf_counter() - start), {}
 
 
 @dataclass
@@ -107,6 +81,7 @@ class CampaignReport:
     mutation: Optional[str] = None
     programs: int = 0
     findings: List[CampaignFinding] = field(default_factory=list)
+    # One per program that exhausted its retries, named by program id.
     failed: List[FailedPoint] = field(default_factory=list)
     wall_seconds: float = 0.0
     check_seconds: float = 0.0
@@ -151,7 +126,10 @@ class CampaignReport:
                 ["diverging program", "signature", "min instrs",
                  "artifact"], rows))
         if self.failed:
-            lines.append(format_failure_table(self.failed))
+            lines.append(format_table(
+                ["program", "kind", "attempts", "error"],
+                [[f.point, f.kind, f.attempts, f.reason[:60]]
+                 for f in self.failed], title="Failed fuzz programs"))
         verdict = ("CLEAN" if self.ok else
                    "%d divergence(s), %d failed task(s)"
                    % (len(self.findings), len(self.failed)))
@@ -205,32 +183,33 @@ def run_campaign(profiles: Sequence[Union[str, BiasProfile]],
                                                 model_list],
              "mutation": mutation})
         for spec in specs}
-    by_id = {spec.program_id: spec for spec in specs}
     reports: Dict[str, CheckReport] = {}
 
-    if jobs <= 1:
-        for spec in specs:
-            task = (spec.program_id, payloads[spec.program_id],
-                    [(ORACLE, ())])
-            _, outcomes, _ = _fuzz_task_fn(task)
-            _, _, result, seconds = outcomes[0]
-            reports[spec.program_id] = CheckReport.from_dict(result)
-            report.check_seconds += seconds
-    else:
-        engine = ParallelEngine(jobs=jobs, progress=progress,
-                                policy=policy, task_fn=_fuzz_task_fn,
-                                trace_paths=payloads, ledger=ledger)
-        points = [SimPoint(spec.program_id, ORACLE, ()) for spec in specs]
-        results = engine.run_points(points)
-        for point, (result, seconds) in results.items():
-            reports[point.workload] = CheckReport.from_dict(result)
-            report.check_seconds += seconds
-        report.failed = list(engine.failures)
+    def record(program_id, outcome):
+        result, seconds = outcome
+        reports[program_id] = CheckReport.from_dict(result)
+        report.check_seconds += seconds
 
-    # Aggregate pathology distributions per profile (means over programs).
+    serial = list(payloads)
+    if jobs > 1:
+        engine = ParallelEngine(_check_program, record, jobs=jobs,
+                                progress=progress, policy=policy,
+                                ledger=ledger)
+        serial = engine.run((program_id, payload, 1)
+                            for program_id, payload in payloads.items())
+        report.failed = engine.failures
+    for program_id in serial:
+        record(program_id, _check_program(program_id,
+                                          payloads[program_id])[0])
+
+    # Aggregate pathology distributions per profile (means over
+    # programs), summed in program order whatever order checks finished.
     sums: Dict[str, Dict[str, float]] = {}
-    for program_id, check in reports.items():
-        name = by_id[program_id].profile.name
+    for spec in specs:
+        check = reports.get(spec.program_id)
+        if check is None:
+            continue
+        name = spec.profile.name
         report.programs_by_profile[name] = \
             report.programs_by_profile.get(name, 0) + 1
         bucket = sums.setdefault(name, {})
@@ -272,4 +251,4 @@ def run_campaign(profiles: Sequence[Union[str, BiasProfile]],
     return report
 
 
-__all__ = ["ORACLE", "CampaignFinding", "CampaignReport", "run_campaign"]
+__all__ = ["CampaignFinding", "CampaignReport", "run_campaign"]

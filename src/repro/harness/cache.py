@@ -288,14 +288,6 @@ class ResultCache(BlobStore):
             "spec": spec.to_dict(),
         })
 
-    def key_for(self, workload: str, iterations: int, model,
-                overrides: dict) -> str:
-        """Legacy overrides-dict key surface; derives the key from the
-        equivalent ConfigSpec so both entry points share one entry."""
-        from ..config import ConfigSpec
-        spec = ConfigSpec.from_overrides(model, **overrides)
-        return self.key_for_spec(workload, iterations, spec)
-
     # -- storage ------------------------------------------------------------
 
     def get(self, key: str):

@@ -1,14 +1,15 @@
-"""Parallel fan-out of simulation points over supervised worker processes.
+"""Supervised worker processes: named tasks in, outcomes out.
 
-Simulation points are embarrassingly parallel (each is one deterministic
-``Simulator`` run), so a batch of (workload, model, overrides) points is
-grouped by workload -- one task per workload -- and mapped over worker
-processes.  Each task carries the path of the workload's packed trace
-blob (persisted by the parent before fan-out), which the worker ``mmap``s
-read-only and reuses for every configuration: workers never re-run the
-functional CPU unless the blob fails to decode under them.  Results come back with per-point
-wall-clock timings; ordering is restored by point key, so a parallel
-batch is byte-identical to a serial one.
+The engine knows nothing about simulation.  A task is ``(name, payload,
+size)``: ``name`` labels ledger spans, progress lines and failures,
+``payload`` is pickled to the worker, and ``size`` is the number of
+points the task stands for (the ``points`` of its ``task.queued`` and
+``task.completed`` spans).  The caller's ``task_fn(name, payload)`` is a
+module-level function that runs in the worker and returns ``(outcomes,
+counts)``; ``outcomes`` goes back to the caller untouched, and
+``counts`` maps :class:`BatchTiming` field names to what the task did
+itself.  The runner's simulation tasks (one per workload) and the fuzz
+campaign's checks (one per program) both run this way.
 
 Unlike a ``multiprocessing.Pool`` (whose ``imap_unordered`` re-raises
 the first worker exception -- or hangs forever on a hard worker death --
@@ -21,30 +22,30 @@ per task with its own result pipe:
   exponential backoff;
 * a task that exceeds the policy's wall-clock ``timeout`` is terminated
   and retried the same way;
-* a task that exhausts its retries is recorded as
-  :class:`~repro.harness.resilience.FailedPoint` entries (captured
-  traceback included) instead of aborting the batch;
-* if worker processes cannot be started at all, the engine degrades to
-  in-process serial execution (``degraded`` flag) rather than failing;
-* every completed task is streamed to the optional ``on_result``
-  callback *as it resolves*, which is how the runner checkpoints
-  partial sweeps to the disk cache.
-
-Workers run their own in-process :class:`ExperimentRunner` with the disk
-cache disabled: the parent filters cache hits *before* fanning out and is
-the only writer, which keeps cache publication single-sourced.
+* a task that exhausts its retries is recorded as one
+  :class:`~repro.harness.resilience.FailedPoint` named by the task
+  (captured traceback included) instead of aborting the batch;
+* if a worker process cannot be started, the engine stops launching,
+  lets the running tasks finish, sets ``degraded`` and hands every task
+  it did not run back to the caller, which resolves them in-process;
+* every completed task's outcomes are streamed to ``on_result`` *as it
+  resolves*, which is how the runner checkpoints partial sweeps to the
+  disk cache;
+* a worker exits on its own once its parent is gone, so a sweep killed
+  by SIGTERM, SIGKILL or the OOM killer leaves no orphans behind.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 import traceback
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields
 from multiprocessing.connection import wait as _conn_wait
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..config import ConfigSpec
 from ..obs.ledger import NULL_LEDGER, SPAN_SCHEMA
@@ -56,23 +57,30 @@ from .resilience import FailedPoint, FaultInjector, RetryPolicy
 class SimPoint:
     """One simulation configuration: a (workload, config spec) pair.
 
-    ``overrides`` holds the spec's canonical settings -- sorted
-    ``(dotted-key, scalar)`` pairs, departures from the model's defaults
-    only -- so points are hashable and two constructions of the same
-    configuration compare equal.  Build points with :func:`make_point`
-    (legacy keyword overrides) or :func:`spec_point` (a ready
-    :class:`~repro.config.ConfigSpec`); both validate and canonicalise.
+    The point canonicalises itself once, at construction: bare override
+    names become dotted keys, settings equal to the model's defaults are
+    dropped, the rest are sorted, and ``model`` becomes a ``ModelKind``.
+    So points are hashable, and every construction of one configuration
+    -- :func:`make_point` (legacy keyword overrides), :func:`spec_point`
+    (a ready :class:`~repro.config.ConfigSpec`) or a hand-built point
+    with bare names -- compares equal.  A typoed name raises
+    :class:`~repro.uarch.params.ConfigError` here, in the parent.
     """
 
     workload: str
     model: ModelKind
     overrides: Tuple[Tuple[str, object], ...] = ()
 
+    def __post_init__(self):
+        spec = ConfigSpec.from_overrides(self.model, **dict(self.overrides))
+        object.__setattr__(self, "model", spec.model)
+        object.__setattr__(self, "overrides", spec.settings)
+
     @property
     def spec(self) -> ConfigSpec:
-        """The point's configuration as a ConfigSpec (re-canonicalised,
-        so even a hand-built point with legacy bare names resolves)."""
-        return ConfigSpec.from_overrides(self.model, **dict(self.overrides))
+        """The point's configuration (its settings are canonical already,
+        so the trusting constructor suffices)."""
+        return ConfigSpec(self.model, self.overrides)
 
 
 def make_point(workload: str, model: ModelKind, **overrides) -> SimPoint:
@@ -82,11 +90,12 @@ def make_point(workload: str, model: ModelKind, **overrides) -> SimPoint:
     here -- in the parent, before any worker spawns -- with a did-you-mean
     hint; the stored settings are the spec's canonical form.
     """
-    return spec_point(workload, ConfigSpec.from_overrides(model, **overrides))
+    return SimPoint(workload, model, tuple(overrides.items()))
 
 
 def spec_point(workload: str, spec: ConfigSpec) -> SimPoint:
-    """Build a point from a ready ConfigSpec."""
+    """Build a point from a ready ConfigSpec (canonical settings
+    canonicalise to themselves)."""
     return SimPoint(workload, spec.model, spec.settings)
 
 
@@ -122,7 +131,7 @@ class BatchTiming:
     precomputes_loaded: int = 0      # trace bundles loaded from the store
     worker_precomputes_built: int = 0    # bundles workers rebuilt locally
     worker_precomputes_loaded: int = 0   # bundles workers loaded
-    degraded: bool = False           # workers could not spawn: ran inline
+    degraded: bool = False           # workers could not spawn
 
     def add(self, counts) -> None:
         """Add a ``{field: count}`` mapping to this record's fields;
@@ -181,88 +190,38 @@ _WORKER_FIELDS = {"traces_generated": "worker_retraces",
 
 # -- worker side -----------------------------------------------------------
 
-_WORKER_RUNNER = None
+def _exit_with_parent() -> None:
+    """End this worker once its parent is gone.
+
+    A worker whose parent dies (SIGTERM, SIGKILL, an OOM kill) is
+    re-parented, so ``os.getppid()`` stops matching the pid seen at
+    start; a daemon thread polls for that and exits the process, which
+    needs no signal handler in the parent."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
-def _init_worker(scale: Optional[float]) -> None:
-    """Build the per-process runner (traces persist across same-workload
-    points handed to this worker)."""
-    global _WORKER_RUNNER
-    from .runner import ExperimentRunner
-    _WORKER_RUNNER = ExperimentRunner(scale=scale, jobs=1, use_cache=False)
+def _worker_entry(conn, task_fn, name, payload) -> None:
+    """Process target: run one task, ship ('ok', result) or ('error', tb).
 
-
-def _run_task(task):
-    """Simulate every configuration of one workload; returns timings.
-
-    When the parent supplied a packed-trace path, adopt that blob (an
-    ``mmap`` of the store's copy) before simulating; if it fails to
-    decode -- deleted, truncated, format-bumped under us -- fall back to
-    re-tracing rather than failing the task.  A task with two or more
-    configurations shares one precompute bundle, the rule
-    :meth:`ExperimentRunner.run_batch` applies: the parent then ships a
-    ``(trace_path, precompute_path)`` pair, and a bundle that fails to
-    decode (or was not shipped) is rebuilt locally.  A single
-    configuration builds its own tables.  Every configuration is
-    simulated through the runner's ``_simulate``; retries are the
-    engine's alone.  Returns ``(workload, outcomes, counts)``:
-    ``counts`` maps :class:`BatchTiming` field names to what this task
-    did itself -- functional traces it had to run (``worker_retraces``,
-    whose absence the sweep benchmark asserts) and precompute bundles
-    it built or loaded -- leaving out zeros.
-    """
-    workload, blob, configs = task
-    trace_path, pre_path = blob if isinstance(blob, tuple) else (blob, None)
-    before = Counter(_WORKER_RUNNER.counts)
-    if trace_path is not None:
-        _WORKER_RUNNER.attach_trace(workload, trace_path)
-    if len(configs) > 1 and (
-            pre_path is None
-            or not _WORKER_RUNNER.attach_precompute(workload, pre_path)):
-        try:
-            _WORKER_RUNNER.precompute_for(workload)
-        except Exception:
-            pass    # the first Simulator builds the bundle
-    out = []
-    for model, settings in configs:
-        start = time.perf_counter()
-        # Settings are already canonical (the parent built the task from
-        # point specs), so the trusting constructor suffices.
-        result = _WORKER_RUNNER._simulate(workload,
-                                          ConfigSpec(model, settings))
-        out.append((model, settings, result,
-                    time.perf_counter() - start))
-    done = _WORKER_RUNNER.counts - before
-    return (workload, out, {field: done[name]
-                            for name, field in _WORKER_FIELDS.items()
-                            if done[name]})
-
-
-def _worker_entry(conn, task, scale, task_fn=None) -> None:
-    """Process target: run one task, ship ('ok', payload) or ('error', tb).
-
-    The fault-injection hook fires before the simulation so an injected
+    The fault-injection hook fires before the task body so an injected
     ``kill`` exits without sending anything (the parent observes a dead
     sentinel), an injected ``raise`` travels back as a captured
     traceback, and an injected ``sleep`` wedges the task so the parent's
     timeout enforcement can be exercised.
-
-    ``task_fn`` overrides the default simulate-one-workload body with a
-    caller-supplied (picklable, module-level) function -- the fuzz
-    campaign rides the engine this way -- and must return the same
-    ``(workload, outcomes, counts)`` payload shape as :func:`_run_task`
-    (``counts`` may be empty).
     """
+    _exit_with_parent()
     try:
         injector = FaultInjector.from_env()
         if injector is not None:
-            injector.on_task(task[0])
-        if task_fn is not None:
-            payload = task_fn(task)
-        else:
-            _init_worker(scale)
-            payload = _run_task(task)
-        conn.send(("ok", payload))
+            injector.on_task(name)
+        conn.send(("ok", task_fn(name, payload)))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -278,41 +237,38 @@ def _worker_entry(conn, task, scale, task_fn=None) -> None:
 class _TaskState:
     """Supervision record for one in-flight or pending task."""
 
-    task: tuple    # (workload, blob path(s), [(model, spec settings), ...])
+    name: str
+    payload: object
+    size: int
     failures: int = 0                # attempts that have failed so far
     proc: object = None
     conn: object = None
     started: float = 0.0
     deadline: Optional[float] = None
     not_before: float = 0.0          # backoff gate for the next attempt
-    last_error: str = ""
     pid: Optional[int] = None        # survives proc teardown, for the ledger
-
-    @property
-    def workload(self) -> str:
-        return self.task[0]
 
 
 @dataclass
 class ParallelEngine:
-    """Maps batches of :class:`SimPoint` over supervised worker processes.
+    """Runs named tasks in supervised worker processes.
 
-    After :meth:`run_points` returns, ``failures`` holds one
-    :class:`FailedPoint` per unresolved point, ``counts`` holds the
+    ``task_fn(name, payload)`` runs in the worker and returns
+    ``(outcomes, counts)``; it must be picklable (module-level).
+    ``on_result(name, outcomes)`` receives each task's outcomes in the
+    parent as the task completes.  After :meth:`run` returns,
+    ``failures`` holds one :class:`FailedPoint` per task that exhausted
+    its retries (its ``point`` is the task name), ``counts`` holds the
     batch's :class:`BatchTiming` counts (``retried`` and ``timed_out``
-    recovery actions, and what the workers traced and precomputed), and
-    ``degraded`` reports whether the engine fell back to in-process
-    serial execution because workers could not be spawned.
+    recovery actions, and the tasks' own counts), and ``degraded``
+    reports that a worker could not be spawned.
     """
 
+    task_fn: Callable
+    on_result: Callable
     jobs: int = 1
-    scale: Optional[float] = None
     progress: object = None          # optional callable(str)
     policy: Optional[RetryPolicy] = None
-    on_result: Optional[Callable] = None   # callable(point, result, secs)
-    # workload -> packed blob path, or (trace path, precompute path) pair
-    trace_paths: Optional[Dict[str, object]] = None
-    task_fn: Optional[Callable] = None     # custom task body (picklable)
     ledger: object = None            # LedgerSink (None -> NULL_LEDGER)
     failures: List[FailedPoint] = field(default_factory=list)
     counts: Counter = field(default_factory=Counter)
@@ -322,79 +278,51 @@ class ParallelEngine:
         if self.progress is not None:
             self.progress(message)
 
-    def run_points(self, points: List[SimPoint]
-                   ) -> Dict[SimPoint, Tuple[object, float]]:
-        """Simulate every point; returns {point: (SimResult, seconds)}.
+    def run(self, tasks: Iterable[Tuple[str, object, int]]) -> List[str]:
+        """Run every ``(name, payload, size)`` task in a worker.
 
-        Points whose task exhausted its retries are absent from the
-        returned dict and recorded in ``self.failures`` instead.
+        Returns the names of the tasks it did not run, in submission
+        order: empty unless a worker could not be spawned, in which case
+        every pending task and every task backing off before a retry is
+        handed back for the caller to resolve in-process.
         """
         self.failures = []
         self.counts = Counter()
         self.degraded = False
-        if not points:
-            return {}
-        # Task tuples carry canonical spec settings, never raw overrides
-        # dicts; ``origin`` maps each canonical config back to the exact
-        # point object the caller supplied (which may predate
-        # canonicalisation, e.g. a hand-built SimPoint with bare names).
-        by_workload: Dict[str, List[Tuple[ModelKind, tuple]]] = {}
-        origin: Dict[Tuple[str, ModelKind, tuple], SimPoint] = {}
-        for point in points:
-            if isinstance(point.model, ModelKind):
-                spec = point.spec
-                config = (spec.model, spec.settings)
-            else:
-                # Custom task_fn batches (e.g. the fuzz campaign) ride
-                # the engine with stand-in models; their configs pass
-                # through untouched.
-                config = (point.model, point.overrides)
-            by_workload.setdefault(point.workload, []).append(config)
-            origin[(point.workload,) + config] = point
-        paths = self.trace_paths or {}
-        tasks = [(workload, paths.get(workload), configs)
-                 for workload, configs in sorted(by_workload.items())]
-        results: Dict[SimPoint, Tuple[object, float]] = {}
+        states = [_TaskState(name, payload, size)
+                  for name, payload, size in tasks]
         policy = self.policy if self.policy is not None else RetryPolicy()
         injector = FaultInjector.from_env()
         ledger = self.ledger if self.ledger is not None else NULL_LEDGER
         if ledger.enabled:
-            for workload, _, configs in tasks:
-                ledger.emit("task.queued", task=workload,
-                            points=len(configs))
+            for state in states:
+                ledger.emit("task.queued", task=state.name,
+                            points=state.size)
 
-        jobs = max(1, int(self.jobs))          # clamp: jobs<1 means serial
-        workers = min(jobs, len(tasks))
-        pending = deque(_TaskState(task=task) for task in tasks)
+        workers = max(1, int(self.jobs))       # clamp: jobs<1 means one
+        pending = deque(states)
         waiting: List[_TaskState] = []         # backing off before retry
         running: List[_TaskState] = []
 
-        def publish(state: _TaskState, payload) -> None:
-            workload = state.workload
-            _, outcomes, counts = payload
+        def publish(state: _TaskState, result) -> None:
+            outcomes, counts = result
             self.counts.update(counts)
             if ledger.enabled:
-                ledger.emit("task.completed", task=workload,
+                ledger.emit("task.completed", task=state.name,
                             attempt=state.failures + 1,
-                            points=len(outcomes),
+                            points=state.size,
                             wall_seconds=round(
                                 time.monotonic() - state.started, 6),
                             pid=state.pid, **counts)
-            for model, settings, result, seconds in outcomes:
-                point = origin.get((workload, model, settings),
-                                   SimPoint(workload, model, settings))
-                results[point] = (result, seconds)
-                if self.on_result is not None:
-                    self.on_result(point, result, seconds)
-            self._say("  simulated %-10s (%d point%s)%s"
-                      % (workload, len(outcomes),
-                         "s" if len(outcomes) != 1 else "",
+            self.on_result(state.name, outcomes)
+            self._say("  finished %-10s (%d point%s)%s"
+                      % (state.name, state.size,
+                         "s" if state.size != 1 else "",
                          "  [attempt %d]" % (state.failures + 1)
                          if state.failures else ""))
 
         def fail(state: _TaskState, kind: str, detail: str) -> None:
             state.failures += 1
-            state.last_error = detail
             if kind == "timeout":
                 self.counts["timed_out"] += 1
             if state.failures <= policy.retries:
@@ -404,51 +332,25 @@ class ParallelEngine:
                 waiting.append(state)
                 if ledger.enabled:
                     stripped = detail.strip()
-                    ledger.emit("task.retry", task=state.workload,
+                    ledger.emit("task.retry", task=state.name,
                                 attempt=state.failures, cause=kind,
                                 delay_seconds=round(delay, 6),
                                 detail=(stripped.splitlines()[-1]
                                         if stripped else None))
                 self._say("  %s %-10s -- retry %d/%d"
-                          % (kind, state.workload, state.failures,
+                          % (kind, state.name, state.failures,
                              policy.retries))
                 return
             if ledger.enabled:
-                ledger.emit("task.failed", task=state.workload,
+                ledger.emit("task.failed", task=state.name,
                             attempts=state.failures, cause=kind,
                             detail=detail or None)
-            for model, settings in state.task[2]:
-                point = origin.get((state.workload, model, settings),
-                                   SimPoint(state.workload, model, settings))
-                self.failures.append(FailedPoint(
-                    point=point, kind=kind, detail=detail,
-                    attempts=state.failures))
+            self.failures.append(FailedPoint(
+                point=state.name, kind=kind, detail=detail,
+                attempts=state.failures))
             self._say("  %s %-10s -- giving up after %d attempt%s"
-                      % (kind, state.workload, state.failures,
+                      % (kind, state.name, state.failures,
                          "s" if state.failures != 1 else ""))
-
-        def run_inline(state: _TaskState) -> None:
-            """Serial fallback: same retry semantics, no preemption, so
-            the policy timeout is not enforced here."""
-            state.started = time.monotonic()
-            state.pid = os.getpid()
-            if ledger.enabled:
-                ledger.emit("task.spawned", task=state.workload,
-                            attempt=state.failures + 1, pid=state.pid,
-                            mode="inline")
-            try:
-                if injector is not None:
-                    injector.on_task(state.workload)
-                if self.task_fn is not None:
-                    payload = self.task_fn(state.task)
-                else:
-                    if (_WORKER_RUNNER is None
-                            or _WORKER_RUNNER.scale != self.scale):
-                        _init_worker(self.scale)
-                    payload = _run_task(state.task)
-                publish(state, payload)
-            except Exception:
-                fail(state, "error", traceback.format_exc())
 
         def reap(state: _TaskState, kind: str, detail: str) -> None:
             running.remove(state)
@@ -466,7 +368,7 @@ class ParallelEngine:
             recv, send = multiprocessing.Pipe(duplex=False)
             proc = multiprocessing.Process(
                 target=_worker_entry,
-                args=(send, state.task, self.scale, self.task_fn),
+                args=(send, self.task_fn, state.name, state.payload),
                 daemon=True)
             try:
                 if injector is not None and injector.fail_spawn():
@@ -475,11 +377,10 @@ class ParallelEngine:
             except (OSError, ValueError):
                 recv.close()
                 send.close()
-                if not self.degraded:
-                    self.degraded = True
-                    self._say("  worker spawn failed -- degrading to "
-                              "in-process serial execution")
-                run_inline(state)
+                pending.appendleft(state)       # it never ran
+                self.degraded = True
+                self._say("  worker spawn failed -- handing the unstarted "
+                          "tasks back")
                 return
             send.close()             # child owns the write end now
             state.proc = proc
@@ -490,30 +391,22 @@ class ParallelEngine:
                               if policy.timeout else None)
             running.append(state)
             if ledger.enabled:
-                ledger.emit("task.spawned", task=state.workload,
+                ledger.emit("task.spawned", task=state.name,
                             attempt=state.failures + 1, pid=state.pid,
                             mode="worker")
 
-        while pending or waiting or running:
+        while running or (not self.degraded and (pending or waiting)):
             now = time.monotonic()
             # Backed-off tasks whose delay elapsed go back in line.
             for state in [s for s in waiting if s.not_before <= now]:
                 waiting.remove(state)
                 pending.append(state)
-            while pending and (self.degraded or len(running) < workers):
-                state = pending.popleft()
-                if self.degraded:
-                    delay = state.not_before - time.monotonic()
-                    if delay > 0:
-                        time.sleep(delay)
-                    run_inline(state)
-                else:
-                    launch(state)
+            while pending and not self.degraded and len(running) < workers:
+                launch(pending.popleft())
             if not running:
-                if waiting and not pending:
-                    now = time.monotonic()
-                    time.sleep(max(0.0,
-                                   min(s.not_before for s in waiting) - now))
+                if waiting and not self.degraded:
+                    time.sleep(max(0.0, min(s.not_before for s in waiting)
+                                   - time.monotonic()))
                 continue
 
             # Sleep until a result arrives, a worker dies, a timeout
@@ -538,15 +431,15 @@ class ParallelEngine:
                          % state.proc.exitcode)
                     continue
                 if message is not None:
-                    status, payload = message
+                    status, result = message
                     running.remove(state)
                     state.conn.close()
                     state.proc.join()
                     state.proc = state.conn = None
                     if status == "ok":
-                        publish(state, payload)
+                        publish(state, result)
                     else:
-                        fail(state, "error", payload)
+                        fail(state, "error", result)
                 elif not state.proc.is_alive():
                     reap(state, "crash",
                          "worker exited with code %s before returning "
@@ -555,4 +448,6 @@ class ParallelEngine:
                     reap(state, "timeout",
                          "task exceeded the %.1fs wall-clock budget"
                          % policy.timeout)
-        return results
+        unrun = {state.name for state in pending}
+        unrun.update(state.name for state in waiting)
+        return [state.name for state in states if state.name in unrun]

@@ -81,6 +81,10 @@ class RetryPolicy:
 class FailedPoint:
     """One simulation point that exhausted its retry budget.
 
+    The engine records one per task, with the task's name as ``point``
+    (a program id in a fuzz campaign); the runner turns each into one
+    record per simulation point of the task.
+
     ``kind`` is ``"crash"`` (worker died without returning), ``"timeout"``
     (task exceeded the wall-clock budget and was terminated), ``"error"``
     (the task raised; ``detail`` holds the captured traceback), or
@@ -88,7 +92,7 @@ class FailedPoint:
     a defensive catch-all that should never fire).
     """
 
-    point: object                    # SimPoint (untyped: avoids cycle)
+    point: object                    # SimPoint, or an engine task name
     kind: str
     detail: str
     attempts: int = 1
@@ -185,12 +189,8 @@ class FaultInjector:
         spec = os.environ.get(FAULT_SPEC_ENV, "").strip()
         if not spec:
             return None
-        rules = [_parse_rule(i, part)
-                 for i, part in enumerate(filter(None,
-                                                 (p.strip() for p in
-                                                  spec.split(";"))))]
         state = os.environ.get(FAULT_STATE_ENV, "").strip()
-        return cls(rules, Path(state) if state else None)
+        return cls(parse_fault_spec(spec), Path(state) if state else None)
 
     # -- once bookkeeping --------------------------------------------------
 

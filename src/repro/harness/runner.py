@@ -5,8 +5,9 @@ them under arbitrary model/parameter combinations with three cache layers:
 2. a persistent on-disk result cache (:mod:`repro.harness.cache`), keyed
    by a content hash of (workload, iterations, model, overrides, code
    version), so warm pytest/benchmark sessions skip simulation entirely,
-3. a parallel fan-out engine (:mod:`repro.harness.parallel`) that maps
-   batches of points over multiprocessing workers.
+3. a parallel fan-out that groups a batch's misses by workload into
+   tasks for the supervised worker processes of
+   :mod:`repro.harness.parallel` (:func:`_simulate_task` is their body).
 
 Functional traces get the same treatment: :meth:`ExperimentRunner.trace`
 returns a packed :class:`~repro.kernel.tracestore.PackedTrace`, resolved
@@ -27,7 +28,7 @@ from __future__ import annotations
 import time
 import traceback
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import ConfigSpec, SpecGrid, describe_points
@@ -42,8 +43,8 @@ from ..uarch.pipeline import Simulator
 from ..workloads import ALL_NAMES, get_workload
 from .cache import (PrecomputeStore, ResultCache, TraceStore,
                     default_cache_dir)
-from .parallel import (BatchTiming, ParallelEngine, PointTiming, SimPoint,
-                       spec_point)
+from .parallel import (_WORKER_FIELDS, BatchTiming, ParallelEngine,
+                       PointTiming, SimPoint, spec_point)
 from .resilience import BatchFailure, FailedPoint, RetryPolicy
 
 
@@ -465,6 +466,85 @@ class ExperimentRunner:
             publish(point, result, time.perf_counter() - start)
             return None
 
+    def _resolve_serially(self, points: List[SimPoint], publish,
+                          failures: List[FailedPoint]) -> None:
+        """Simulate points in this process, grouped by trace.
+
+        A shared precompute bundle pays off only across configs: resolve
+        one per trace with two or more points.  A single point's
+        Simulator uses a bundle an earlier run left on the trace, or
+        builds one and indexes the packed trace lazily.  Each trace's
+        configs run back to back (the stable sort keeps submission order
+        within a trace), every point retries on its own, and without
+        ``keep_going`` the first exhausted point stops the rest.
+        """
+        per_trace = Counter(p.workload for p in points)
+        for workload, count in sorted(per_trace.items()):
+            if count > 1:
+                try:
+                    self.precompute_for(workload)
+                except Exception:
+                    pass    # the first Simulator builds it
+        for point in sorted(points, key=lambda p: p.workload):
+            failure = self._simulate_with_retry(point, publish)
+            if failure is not None:
+                failures.append(failure)
+                if not self.keep_going:
+                    break   # fail fast; survivors are cached
+
+    def _fan_out(self, points: List[SimPoint], publish, timing: BatchTiming,
+                 failures: List[FailedPoint]) -> List[SimPoint]:
+        """Simulate points in worker processes, one task per workload.
+
+        With a persistent trace store, the parent traces each workload
+        once (and precomputes the ones with two or more configs) and
+        ships the blob paths, so workers map them instead of re-running
+        the functional CPU or re-analysing the trace; without one,
+        workers trace for themselves.  A task that exhausts its retries
+        becomes one :class:`FailedPoint` per point.  Returns the points
+        of the tasks the engine handed back unrun (workers could not
+        spawn), for the serial path.
+        """
+        groups: Dict[str, List[SimPoint]] = {}
+        for point in points:
+            groups.setdefault(point.workload, []).append(point)
+        tasks = []
+        for workload, group in sorted(groups.items()):
+            trace_path = precompute_path = None
+            if self.trace_store.root is not None:
+                trace_path = self.ensure_trace(workload)
+                if len(group) > 1:
+                    precompute_path = self.ensure_precompute(workload)
+            configs = [(p.model, p.overrides) for p in group]
+            tasks.append((workload, (self.scale, trace_path,
+                                     precompute_path, configs), len(group)))
+
+        resolved = set()
+
+        def on_result(workload, outcomes):
+            for model, settings, result, seconds in outcomes:
+                point = SimPoint(workload, model, settings)
+                resolved.add(point)
+                publish(point, result, seconds)
+
+        engine = ParallelEngine(_simulate_task, on_result, jobs=self.jobs,
+                                progress=self.progress, policy=self.policy,
+                                ledger=self.ledger)
+        handed_back = [p for name in engine.run(tasks) for p in groups[name]]
+        self.counts.update(engine.counts)
+        timing.degraded = engine.degraded
+        for failure in engine.failures:
+            failures.extend(replace(failure, point=point)
+                            for point in groups[failure.point])
+        # Defensive: a point the engine neither resolved, recorded as
+        # failed nor handed back is reported, never KeyError'd.
+        accounted = resolved.union(handed_back, (f.point for f in failures))
+        failures.extend(FailedPoint(
+            point=point, kind="lost",
+            detail="engine returned neither a result nor a failure record",
+            attempts=0) for point in points if point not in accounted)
+        return handed_back
+
     def run_batch(self, points: Iterable[SimPoint]) -> Dict[SimPoint,
                                                             SimResult]:
         """Resolve a point set: memo -> disk cache -> simulation (a
@@ -539,60 +619,11 @@ class ExperimentRunner:
                 out[point] = result
                 self._publish(point.workload, point.spec, result, seconds)
 
-            # A shared precompute bundle pays off only across configs:
-            # resolve one per trace with two or more misses.  A single
-            # point's Simulator uses a bundle an earlier run left on the
-            # trace, or builds one and indexes the packed trace lazily.
-            per_trace = Counter(p.workload for p in misses)
+            serial = misses
             if self.jobs > 1 and len(misses) > 1:
-                # Trace every miss workload once *here* (and precompute
-                # the shared ones), so workers map the persisted blobs
-                # instead of re-running the functional CPU or
-                # re-analysing the trace.
-                trace_paths: Dict[str, object] = {}
-                for workload, count in sorted(per_trace.items()):
-                    path = self.ensure_trace(workload)
-                    if path is not None:
-                        trace_paths[workload] = (
-                            (path, self.ensure_precompute(workload))
-                            if count > 1 else path)
-                engine = ParallelEngine(jobs=self.jobs, scale=self.scale,
-                                        progress=self.progress,
-                                        policy=self.policy,
-                                        on_result=publish,
-                                        trace_paths=trace_paths or None,
-                                        ledger=self.ledger)
-                resolved = engine.run_points(misses)
-                fresh_failures.extend(engine.failures)
-                self.counts.update(engine.counts)
-                timing.degraded = engine.degraded
-                # Defensive: a point the engine neither resolved nor
-                # recorded as failed is reported, never KeyError'd.
-                accounted = set(resolved)
-                accounted.update(f.point for f in fresh_failures)
-                for point in misses:
-                    if point not in accounted:
-                        fresh_failures.append(FailedPoint(
-                            point=point, kind="lost",
-                            detail="engine returned neither a result nor "
-                                   "a failure record", attempts=0))
-            else:
-                # Group the config cross-product by trace and run each
-                # trace's configs back-to-back against its bundle (the
-                # stable sort preserves submission order within a trace).
-                for workload, count in sorted(per_trace.items()):
-                    if count > 1:
-                        try:
-                            self.precompute_for(workload)
-                        except Exception:
-                            pass    # the first Simulator builds it
-                misses.sort(key=lambda p: p.workload)
-                for point in misses:
-                    failure = self._simulate_with_retry(point, publish)
-                    if failure is not None:
-                        fresh_failures.append(failure)
-                        if not self.keep_going:
-                            break   # fail fast; survivors are cached
+                serial = self._fan_out(misses, publish, timing,
+                                       fresh_failures)
+            self._resolve_serially(serial, publish, fresh_failures)
 
         if fresh_failures:
             self.failure_log.extend(fresh_failures)
@@ -670,6 +701,47 @@ class ExperimentRunner:
 
     def points_from_cache(self) -> int:
         return sum(1 for p in self.point_log if p.source == "cache")
+
+
+def _simulate_task(workload: str, payload) -> Tuple[list, Dict[str, int]]:
+    """Worker task body: simulate every configuration of one workload.
+
+    ``payload`` is ``(scale, trace_path, precompute_path, configs)``,
+    ``configs`` a list of ``(model, canonical settings)`` pairs.  The
+    worker builds its own runner for the payload's scale, with the stores
+    disabled: the parent filters cache hits before fanning out and is the
+    only writer.  A shipped trace blob is adopted (an ``mmap`` of the
+    store's copy); one that fails to decode -- deleted, truncated,
+    format-bumped under us -- is re-traced rather than failing the task.
+    Two or more configurations share one precompute bundle, the rule the
+    serial path applies: a shipped bundle that fails to decode (or none
+    shipped) is rebuilt here.  Returns ``(outcomes, counts)``: one
+    ``(model, settings, result, seconds)`` per configuration, and what
+    this task did itself under :class:`BatchTiming` field names --
+    functional traces it had to run (``worker_retraces``, whose absence
+    the sweep benchmark asserts) and precompute bundles it built or
+    loaded -- leaving out zeros.
+    """
+    scale, trace_path, precompute_path, configs = payload
+    runner = ExperimentRunner(scale=scale, jobs=1, use_cache=False)
+    if trace_path is not None:
+        runner.attach_trace(workload, trace_path)
+    if len(configs) > 1 and (
+            precompute_path is None
+            or not runner.attach_precompute(workload, precompute_path)):
+        try:
+            runner.precompute_for(workload)
+        except Exception:
+            pass    # the first Simulator builds the bundle
+    outcomes = []
+    for model, settings in configs:
+        start = time.perf_counter()
+        result = runner._simulate(workload, ConfigSpec(model, settings))
+        outcomes.append((model, settings, result,
+                         time.perf_counter() - start))
+    return outcomes, {field: runner.counts[name]
+                      for name, field in _WORKER_FIELDS.items()
+                      if runner.counts[name]}
 
 
 # A process-wide runner shared by the benchmark files.

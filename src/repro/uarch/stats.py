@@ -159,12 +159,6 @@ class SimStats:
         return self.load_exec_time_total / self.loads if self.loads else 0.0
 
     @property
-    def avg_insn_exec_time(self) -> float:
-        if not self.instructions:
-            return 0.0
-        return self.insn_exec_time_total / self.instructions
-
-    @property
     def avg_lowconf_exec_time(self) -> float:
         if not self.lowconf_loads:
             return 0.0

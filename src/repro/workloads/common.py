@@ -83,12 +83,6 @@ def emit_half_table(b: ProgramBuilder, label: str,
     b.half(*values)
 
 
-def counted_loop(b: ProgramBuilder, label: str, count_reg: str,
-                 limit_reg: str) -> None:
-    """Open a counted loop; close it with :func:`end_counted_loop`."""
-    b.label(label)
-
-
 def end_counted_loop(b: ProgramBuilder, label: str, count_reg: str,
                      limit_reg: str) -> None:
     b.addi(count_reg, count_reg, 1)

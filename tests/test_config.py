@@ -30,7 +30,7 @@ from repro.config import (
     suggest_keys,
 )
 from repro.harness import ExperimentRunner, ResultCache, spec_point
-from repro.harness.parallel import make_point
+from repro.harness.parallel import SimPoint, make_point
 from repro.obs.ledger import JsonlLedger, read_ledger, validate_span
 from repro.uarch import (
     CacheParams,
@@ -352,15 +352,18 @@ class TestKeyCanonicalization:
     @given(model=st.sampled_from(ALL_MODELS), payload=_overrides_st)
     def test_legacy_key_for_matches_spec_key(self, model, payload):
         spec = ConfigSpec.create(model, payload)
-        assert (self.cache.key_for("w", 3, model, payload)
+        legacy = ConfigSpec.from_overrides(model, **payload)
+        assert (self.cache.key_for_spec("w", 3, legacy)
                 == self.cache.key_for_spec("w", 3, spec))
 
     def test_key_for_is_order_insensitive(self):
         fwd = {"core.rob_entries": 512, "core.consistency": "rmo"}
         rev = {"core.consistency": Consistency.RMO,
                "core.rob_entries": 512.0}
-        assert (self.cache.key_for("w", 3, ModelKind.DMDP, fwd)
-                == self.cache.key_for("w", 3, ModelKind.DMDP, rev))
+        assert (self.cache.key_for_spec(
+                    "w", 3, ConfigSpec.from_overrides(ModelKind.DMDP, **fwd))
+                == self.cache.key_for_spec(
+                    "w", 3, ConfigSpec.from_overrides(ModelKind.DMDP, **rev)))
 
     def test_iterations_and_workload_still_distinguish(self):
         spec = ConfigSpec.create(ModelKind.DMDP)
@@ -409,6 +412,23 @@ class TestGridRuns:
         spec = ConfigSpec.from_overrides(ModelKind.DMDP, rob_entries=512)
         assert make_point("mcf", ModelKind.DMDP, rob_entries=512) \
             == spec_point("mcf", spec)
+
+    def test_hand_built_point_equals_its_make_point_twin(self, monkeypatch):
+        """A point canonicalises once, at construction: bare names become
+        dotted keys, and ``spec`` trusts the stored settings."""
+        point = SimPoint("bzip2", ModelKind.DMDP,
+                         (("store_buffer_entries", 8),))
+        assert point == make_point("bzip2", ModelKind.DMDP,
+                                   store_buffer_entries=8)
+        assert point.overrides == (("core.store_buffer_entries", 8),)
+        assert SimPoint("bzip2", "dmdp").model is ModelKind.DMDP
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("spec re-validated the point")
+
+        monkeypatch.setattr(ConfigSpec, "from_overrides", refuse)
+        assert point.spec == ConfigSpec(ModelKind.DMDP,
+                                        (("core.store_buffer_entries", 8),))
 
     def test_make_point_typo_fails_before_any_worker(self):
         with pytest.raises(ConfigError):

@@ -122,8 +122,8 @@ def test_campaign_survives_killed_worker(monkeypatch, tmp_path):
 
 
 def test_campaign_records_exhausted_tasks(monkeypatch, tmp_path):
-    """A persistently-raising task lands in report.failed (with the
-    oracle pseudo-model) instead of aborting the campaign."""
+    """A persistently-raising task lands in report.failed, named by its
+    program id, instead of aborting the campaign."""
     fault_env(monkeypatch, tmp_path,
               "raise:workload=fuzz-colliding-20180604")
     report = run_campaign(["colliding"], iterations=2, jobs=2,
@@ -131,8 +131,28 @@ def test_campaign_records_exhausted_tasks(monkeypatch, tmp_path):
                           policy=RetryPolicy(retries=0, backoff=0.0))
     assert not report.ok
     assert len(report.failed) == 1
-    assert report.failed[0].point.workload == "fuzz-colliding-20180604"
-    assert report.failed[0].point.model.value == "oracle"
+    assert report.failed[0].point == "fuzz-colliding-20180604"
     # The untouched program still completed.
     assert report.programs_by_profile == {"colliding": 1}
-    assert "failed task" in report.format()
+    text = report.format()
+    assert "failed task" in text
+    assert "fuzz-colliding-20180604" in text and "oracle" not in text
+
+
+def test_campaign_checks_handed_back_programs_in_process(monkeypatch,
+                                                         tmp_path):
+    """When workers cannot spawn, the engine hands every program back and
+    the campaign checks them in-process, as a serial campaign does: the
+    worker-only ``raise`` fault never fires, and the reports match."""
+    serial = run_campaign(["colliding"], iterations=3, jobs=1,
+                          artifacts_dir=None)
+    fault_env(monkeypatch, tmp_path,
+              "nospawn;raise:workload=fuzz-colliding-20180604")
+    degraded = run_campaign(["colliding"], iterations=3, jobs=2,
+                            artifacts_dir=None, policy=FAST)
+    assert degraded.ok and not degraded.failed
+    assert degraded.programs_by_profile == serial.programs_by_profile
+    assert degraded.pathology_by_profile == serial.pathology_by_profile
+    # Everything but the timing line renders identically.
+    assert (degraded.format().splitlines()[:-1]
+            == serial.format().splitlines()[:-1])

@@ -8,6 +8,7 @@ cache must satisfy a repeat session without a single simulation.
 
 import pytest
 
+from repro.config import ConfigSpec
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.parallel import SimPoint, make_point
@@ -93,6 +94,24 @@ def test_code_version_invalidates_cache(tmp_path):
     assert same.points_simulated() == 0
 
 
+def test_fan_out_without_a_store_traces_only_in_workers():
+    """With the trace store disabled there is no blob to ship, so the
+    parent traces nothing before fan-out: each worker traces its own
+    workload once, and the stats match a serial run."""
+    points = [make_point(w, m) for w in WORKLOADS
+              for m in (ModelKind.NOSQ, ModelKind.DMDP)]
+    parallel = ExperimentRunner(scale=SCALE, jobs=2, use_cache=False)
+    results = parallel.run_batch(points)
+    timing = parallel.batch_log[-1]
+    assert timing.traces_generated == 0
+    assert timing.worker_retraces == 2
+    serial = ExperimentRunner(scale=SCALE, jobs=1, use_cache=False)
+    expected = serial.run_batch(points)
+    for point in points:
+        assert (results[point].stats.to_dict()
+                == expected[point].stats.to_dict())
+
+
 def test_run_batch_deduplicates_points(tmp_path):
     runner = runner_with(tmp_path, "dedup")
     point = make_point("bzip2", ModelKind.DMDP)
@@ -119,8 +138,8 @@ def test_no_cache_runner_leaves_disk_untouched(tmp_path, monkeypatch):
 
 def test_overrides_key_is_order_insensitive(tmp_path):
     cache = ResultCache(root=tmp_path, version="v")
-    key_a = cache.key_for("bzip2", 50, ModelKind.DMDP,
-                          {"rob_entries": 128, "store_buffer_entries": 16})
-    key_b = cache.key_for("bzip2", 50, ModelKind.DMDP,
-                          {"store_buffer_entries": 16, "rob_entries": 128})
+    key_a = cache.key_for_spec("bzip2", 50, ConfigSpec.from_overrides(
+        ModelKind.DMDP, rob_entries=128, store_buffer_entries=16))
+    key_b = cache.key_for_spec("bzip2", 50, ConfigSpec.from_overrides(
+        ModelKind.DMDP, store_buffer_entries=16, rob_entries=128))
     assert key_a == key_b

@@ -243,7 +243,7 @@ class TestRunnerSpans:
         assert kinds.count("task.completed") == 2
         assert kinds.count("point.completed") == len(POINTS)
         for span in sink.of("task.spawned"):
-            assert span["mode"] in ("worker", "inline")
+            assert span["mode"] == "worker"
         for span in sink.of("task.completed"):
             assert span["attempt"] == 1
             assert span["points"] == 2
@@ -260,7 +260,12 @@ class TestRunnerSpans:
         assert timing.degraded
         assert timing.simulated == len(POINTS) and timing.failed == 0
         assert sink.of("sweep.end")[0]["degraded"] is True
-        assert {s["mode"] for s in sink.of("task.spawned")} == {"inline"}
+        # Handed-back tasks resolve on the serial path: no task runs
+        # in-process, and every point completes as a serial point does.
+        assert not sink.of("task.spawned")
+        assert not sink.of("task.completed")
+        assert len(sink.of("point.completed")) == len(POINTS)
+        assert {s["source"] for s in sink.of("point.completed")} == {"sim"}
         assert "degraded batches      1" in format_run_report(
             runner.point_log, runner.batch_log)
 

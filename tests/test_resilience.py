@@ -12,6 +12,8 @@ Faults are injected deterministically through ``REPRO_FAULT_SPEC`` (see
 worker process) can observe that the fault already fired.
 """
 
+import json
+import multiprocessing
 import os
 import pickle
 import re
@@ -22,6 +24,7 @@ import time
 
 import pytest
 
+from repro.config import ConfigSpec
 from repro.harness.cache import FORMAT_VERSION, ResultCache
 from repro.harness.parallel import BatchTiming, ParallelEngine, make_point
 from repro.harness.reporting import format_failure_table, format_run_report
@@ -35,6 +38,17 @@ SCALE = 0.05
 POINTS = [make_point(w, m) for w in ("bzip2", "tonto")
           for m in (ModelKind.NOSQ, ModelKind.DMDP)]
 FAST = RetryPolicy(retries=2, backoff=0.0)
+DMDP_SPEC = ConfigSpec.from_overrides(ModelKind.DMDP)
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+
+def _double(name, payload):
+    """An engine task body with no simulation in it (module-level, so
+    it pickles into workers); a None payload raises."""
+    if payload is None:
+        raise ValueError("no payload for %s" % name)
+    return payload * 2, {}
 
 
 def fault_env(monkeypatch, tmp_path, spec):
@@ -210,15 +224,67 @@ class TestCrashIsolation:
 
     def test_degrades_to_serial_when_workers_cannot_spawn(
             self, monkeypatch, tmp_path, serial_reference):
+        """Workers cannot spawn: the engine hands every task back and the
+        batch resolves the points on the serial path, in this runner."""
         fault_env(monkeypatch, tmp_path, "nospawn")
-        engine = ParallelEngine(jobs=2, scale=SCALE, policy=FAST)
-        results = engine.run_points(list(POINTS))
-        assert engine.degraded
-        assert not engine.failures
-        assert set(results) == set(POINTS)
+        runner = runner_with(tmp_path)
+        results = runner.run_batch(POINTS)
+        timing = runner.batch_log[-1]
+        assert timing.degraded
+        assert timing.failed == 0 and not runner.failure_log
+        assert timing.simulated == len(POINTS)
+        assert timing.traces_generated == 2      # once per workload, here
+        assert timing.worker_retraces == 0
+        assert_identical_to_serial(results, serial_reference)
+
+
+_DEGRADED_BATCH = """
+import json
+import sys
+sys.path.insert(0, %(src)r)
+from repro.harness.parallel import make_point
+from repro.harness.resilience import RetryPolicy
+from repro.harness.runner import ExperimentRunner
+from repro.uarch import ModelKind
+
+runner = ExperimentRunner(scale=%(scale)r, jobs=2, use_cache=False,
+                          policy=RetryPolicy(retries=2, backoff=0.0))
+points = [make_point(w, m) for w in ("bzip2", "tonto")
+          for m in (ModelKind.NOSQ, ModelKind.DMDP)]
+results = runner.run_batch(points)
+timing = runner.batch_log[-1]
+print(json.dumps({
+    "stats": {"%%s/%%s" %% (p.workload, p.model.value):
+              json.dumps(results[p].stats.to_dict(), sort_keys=True)
+              for p in points},
+    "degraded": timing.degraded,
+    "traces_generated": timing.traces_generated,
+    "worker_retraces": timing.worker_retraces}))
+"""
+
+
+class TestDegradedBatch:
+    def test_worker_faults_never_fire_in_the_parent(self, tmp_path,
+                                                    serial_reference):
+        """Under ``nospawn`` a worker-only ``kill`` must not reach the
+        parent: the handed-back points resolve on the serial path, which
+        runs no fault hook.  The batch runs in a subprocess, so a parent
+        that does exit (code 17) fails this test, not the test run."""
+        env = dict(os.environ,
+                   REPRO_FAULT_SPEC="nospawn;kill:workload=bzip2,once",
+                   REPRO_FAULT_STATE_DIR=str(tmp_path / "faults"))
+        script = _DEGRADED_BATCH % {"src": SRC, "scale": SCALE}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["degraded"] is True
+        assert report["traces_generated"] == 2
+        assert report["worker_retraces"] == 0
         for point in POINTS:
-            assert (results[point][0].stats.to_dict()
-                    == serial_reference[point])
+            name = "%s/%s" % (point.workload, point.model.value)
+            assert report["stats"][name] == json.dumps(
+                serial_reference[point], sort_keys=True)
 
 
 # -- engine robustness -------------------------------------------------------
@@ -226,30 +292,54 @@ class TestCrashIsolation:
 class TestEngineRobustness:
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_is_clamped(self, jobs):
-        engine = ParallelEngine(jobs=jobs, scale=SCALE, policy=FAST)
-        points = POINTS[:2]
-        results = engine.run_points(list(points))
-        assert set(results) == set(points)
+        got = {}
+        engine = ParallelEngine(_double, got.__setitem__, jobs=jobs,
+                                policy=FAST)
+        assert engine.run([("a", 1, 1), ("b", 2, 1)]) == []
+        assert got == {"a": 2, "b": 4}
+        assert not engine.failures and not engine.degraded
+
+    def test_spawn_failure_hands_unstarted_tasks_back(self, monkeypatch):
+        """A spawn that fails mid-batch stops launching: the running tasks
+        still finish, and every task not run -- pending, or backing off
+        before a retry -- comes back by name, in submission order."""
+        real_start = multiprocessing.Process.start
+        started = []
+
+        def start_twice(self):
+            if len(started) == 2:
+                raise OSError("no more processes")
+            started.append(self)
+            real_start(self)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", start_twice)
+        got = {}
+        engine = ParallelEngine(_double, got.__setitem__, jobs=3,
+                                policy=FAST)
+        tasks = [("a", 1, 1), ("b", None, 1), ("c", 3, 1), ("d", 4, 1)]
+        assert engine.run(tasks) == ["b", "c", "d"]
+        assert engine.degraded
+        assert got == {"a": 2}
+        assert engine.counts["retried"] == 1     # b failed once, then waited
         assert not engine.failures
 
     def test_partial_engine_result_reported_not_keyerror(self, monkeypatch,
                                                          tmp_path):
-        """A (hypothetical) engine that loses a point without recording a
-        failure must yield a 'lost' FailedPoint, not a KeyError."""
-        def partial_run_points(self, points):
-            kept = points[0]
-            runner = ExperimentRunner(scale=SCALE, jobs=1, use_cache=False)
-            result = runner.run_batch([kept])[kept]
-            self.on_result(kept, result, 0.0)
-            return {kept: (result, 0.0)}
+        """A (hypothetical) engine that loses a task without recording a
+        failure or handing it back must yield 'lost' FailedPoints, not a
+        KeyError."""
+        def partial_run(self, tasks):
+            name, payload, _ = list(tasks)[0]
+            self.on_result(name, self.task_fn(name, payload)[0])
+            return []
 
-        monkeypatch.setattr(ParallelEngine, "run_points",
-                            partial_run_points)
+        monkeypatch.setattr(ParallelEngine, "run", partial_run)
         runner = runner_with(tmp_path, keep_going=True)
         results = runner.run_batch(POINTS)
-        assert len(results) == 1
+        assert set(results) == {p for p in POINTS if p.workload == "bzip2"}
         lost = [f for f in runner.failure_log if f.kind == "lost"]
-        assert len(lost) == len(POINTS) - 1
+        assert {f.point for f in lost} == {p for p in POINTS
+                                           if p.workload == "tonto"}
 
     def test_serial_path_retries_transient_errors(self, tmp_path,
                                                   monkeypatch):
@@ -319,38 +409,51 @@ class TestEngineRobustness:
 
 # -- checkpoint / resume -----------------------------------------------------
 
-_SWEEP_DRIVER = """
+_SWEEP_SCRIPT = """
 import sys
 sys.path.insert(0, %(src)r)
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import make_point
 from repro.harness.runner import ExperimentRunner
+from repro.obs.ledger import JsonlLedger
 from repro.uarch import ModelKind
 
 runner = ExperimentRunner(scale=%(scale)r, jobs=2,
-                          cache=ResultCache(root=%(cache)r))
+                          cache=ResultCache(root=%(cache)r),
+                          ledger=JsonlLedger(%(ledger)r))
 points = [make_point(w, m) for w in ("bzip2", "tonto")
           for m in (ModelKind.NOSQ, ModelKind.DMDP)]
 runner.run_batch(points)
 """
 
 
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"
+
+
 class TestCheckpointResume:
     def test_sigterm_mid_sweep_resumes_from_cache(self, tmp_path):
-        """Kill a sweep once its first workload is checkpointed; the
-        re-run simulates only the unfinished points."""
+        """Kill a sweep once its first workload is checkpointed: its
+        workers exit with it, and the re-run simulates only the
+        unfinished points."""
         cache_root = tmp_path / "cache"
+        ledger = tmp_path / "sweep.jsonl"
         env = dict(os.environ)
         env.update({
             # tonto wedges forever, so only bzip2 can complete.
             "REPRO_FAULT_SPEC": "sleep:workload=tonto,seconds=120",
             "REPRO_FAULT_STATE_DIR": str(tmp_path / "faults"),
         })
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        driver = _SWEEP_DRIVER % {
-            "src": src, "scale": SCALE, "cache": str(cache_root)}
-        proc = subprocess.Popen([sys.executable, "-c", driver], env=env)
+        script = _SWEEP_SCRIPT % {"src": SRC, "scale": SCALE,
+                                  "cache": str(cache_root),
+                                  "ledger": str(ledger)}
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env)
         try:
             cache = ResultCache(root=cache_root)
             deadline = time.monotonic() + 60.0
@@ -366,6 +469,16 @@ class TestCheckpointResume:
                 proc.kill()
                 proc.wait()
         assert proc.returncode != 0   # died mid-flight, as intended
+        # The unfinished ledger names every worker the sweep spawned;
+        # none may outlive it (the wedged tonto worker would sleep on).
+        with open(str(ledger) + ".tmp") as handle:
+            spans = [json.loads(line) for line in handle if line.strip()]
+        pids = {s["pid"] for s in spans if s["kind"] == "task.spawned"}
+        assert pids
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(map(_running, pids)):
+            time.sleep(0.1)
+        assert not [pid for pid in pids if _running(pid)]
 
         resumed = ExperimentRunner(scale=SCALE, jobs=2,
                                    cache=ResultCache(root=cache_root))
@@ -429,7 +542,7 @@ class TestSharedRunner:
 class TestCacheRobustness:
     def entry(self, tmp_path):
         cache = ResultCache(root=tmp_path / "cache", version="v1")
-        key = cache.key_for("bzip2", 50, ModelKind.DMDP, {})
+        key = cache.key_for_spec("bzip2", 50, DMDP_SPEC)
         return cache, key
 
     def test_size_bytes_skips_vanished_entries(self, tmp_path,
@@ -478,7 +591,7 @@ class TestCacheRobustness:
         monkeypatch.setattr(cache_module, "FORMAT_VERSION",
                             FORMAT_VERSION + 1)
         bumped = ResultCache(root=tmp_path / "cache", version="v1")
-        new_key = bumped.key_for("bzip2", 50, ModelKind.DMDP, {})
+        new_key = bumped.key_for_spec("bzip2", 50, DMDP_SPEC)
         assert new_key != key
         assert bumped.get(new_key) is None           # miss, no crash
         bumped.put(new_key, {"stats": 2})            # repaired going forward

@@ -23,6 +23,7 @@ import sys
 import pytest
 
 import repro.kernel.tracestore as tracestore_mod
+from repro.config import ConfigSpec
 from repro.harness.cache import PrecomputeStore, ResultCache, TraceStore
 from repro.harness.parallel import make_point
 from repro.harness.runner import ExperimentRunner
@@ -291,10 +292,11 @@ class TestTraceStore:
         # must conservatively invalidate them too.
         from repro.kernel import tracestore
         cache = ResultCache(root=tmp_path / "cache", version="v1")
-        old_key = cache.key_for("bzip2", 50, ModelKind.DMDP, {})
+        spec = ConfigSpec.from_overrides(ModelKind.DMDP)
+        old_key = cache.key_for_spec("bzip2", 50, spec)
         monkeypatch.setattr(tracestore, "TRACE_FORMAT_VERSION",
                             tracestore.TRACE_FORMAT_VERSION + 1)
-        assert cache.key_for("bzip2", 50, ModelKind.DMDP, {}) != old_key
+        assert cache.key_for_spec("bzip2", 50, spec) != old_key
 
     def test_functional_version_in_key(self, tmp_path):
         a = TraceStore(root=tmp_path / "t", version="v1")
@@ -322,7 +324,8 @@ class TestTraceStore:
         packed = pack_trace(program, trace)
         if kind == "result":
             store = ResultCache(root=None)
-            key = store.key_for("x", 1, ModelKind.DMDP, {})
+            key = store.key_for_spec(
+                "x", 1, ConfigSpec.from_overrides(ModelKind.DMDP))
             assert store.put(key, {"stats": 1}) is None
             assert store.get(key) is None
             assert store._path(key) is None
