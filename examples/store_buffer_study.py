@@ -10,32 +10,44 @@ store-heavy ``lbm`` kernel under DMDP, and compares TSO with RMO draining.
 """
 
 from repro import ModelKind
-from repro.harness import ExperimentRunner
+from repro.config import ConfigSpec
+from repro.harness import ExperimentRunner, SimPoint
 from repro.harness.reporting import format_table
-from repro.uarch import Consistency
+
+WORKLOAD = "lbm"
+SIZES = (8, 16, 32, 64)
+MODELS = (ModelKind.NOSQ, ModelKind.DMDP)
+
+
+def point(model, settings):
+    """``WORKLOAD`` under ``model`` with dotted registry settings."""
+    return SimPoint(WORKLOAD, ConfigSpec.create(model, settings))
 
 
 def main():
     runner = ExperimentRunner()
-    workload = "lbm"
+    by_size = {size: point(ModelKind.DMDP,
+                           {"core.store_buffer_entries": size})
+               for size in SIZES}
+    by_consistency = {(consistency, model):
+                      point(model, {"core.consistency": consistency})
+                      for consistency in ("tso", "rmo") for model in MODELS}
+    # One batch resolves both studies' points.
+    results = runner.run_batch(list(by_size.values())
+                               + list(by_consistency.values()))
 
     # --- Fig. 14: size sweep under TSO --------------------------------
     rows = []
-    base_ipc = None
-    for size in (8, 16, 32, 64):
-        result = runner.run(workload, ModelKind.DMDP,
-                            store_buffer_entries=size)
-        if size == 16:
-            base_ipc = result.ipc
-        rows.append([size, result.ipc,
+    base_ipc = results[by_size[16]].ipc
+    for size in SIZES:
+        result = results[by_size[size]]
+        rows.append([size, result.ipc, result.ipc / base_ipc,
                      result.stats.sb_full_stall_cycles,
                      result.stats.reexec_stall_cycles])
-    for row in rows:
-        row.insert(2, row[1] / base_ipc)
     print(format_table(
         ["SB entries", "IPC", "vs 16-entry", "SB-full stalls",
          "re-exec stalls"],
-        rows, title="%s: DMDP store-buffer size sweep (TSO)" % workload))
+        rows, title="%s: DMDP store-buffer size sweep (TSO)" % WORKLOAD))
     print()
     print("Bigger buffers absorb store-miss bursts (fewer SB-full retire")
     print("stalls); the paper reports lbm gaining the most (Fig. 14).")
@@ -43,14 +55,13 @@ def main():
 
     # --- Section VI-g: TSO vs RMO -------------------------------------
     rows = []
-    for consistency in (Consistency.TSO, Consistency.RMO):
-        for model in (ModelKind.NOSQ, ModelKind.DMDP):
-            result = runner.run(workload, model, consistency=consistency)
-            rows.append([consistency.value, model.value, result.ipc,
-                         result.stats.sb_full_stall_cycles])
+    for (consistency, model), sim_point in by_consistency.items():
+        result = results[sim_point]
+        rows.append([consistency, model.value, result.ipc,
+                     result.stats.sb_full_stall_cycles])
     print(format_table(
         ["consistency", "model", "IPC", "SB-full stalls"],
-        rows, title="%s: consistency model comparison" % workload))
+        rows, title="%s: consistency model comparison" % WORKLOAD))
     print()
     print("RMO drains the buffer out of order, overlapping store misses;")
     print("DMDP's advantage over NoSQ persists under both models")

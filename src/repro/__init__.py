@@ -24,7 +24,6 @@ from .uarch import (
     ModelKind,
     SimStats,
     Simulator,
-    baseline_params,
     model_params,
     run_all_models,
     run_model,
@@ -60,7 +59,7 @@ __all__ = [
     "Program", "ProgramBuilder", "assemble",
     "FunctionalCpu",
     "ALL_MODELS", "CoreParams", "ModelKind", "SimStats", "Simulator",
-    "baseline_params", "model_params", "run_all_models", "run_model",
+    "model_params", "run_all_models", "run_model",
     "EnergyReport", "edp", "energy_report",
     "ALL_NAMES", "FP_NAMES", "INT_NAMES", "WORKLOADS", "get_workload",
     "BatchFailure", "ExperimentRunner", "RetryPolicy",

@@ -92,7 +92,7 @@ from .config import ConfigSpec, ConfigError
 from .harness import (BatchFailure, ExperimentRunner, LedgerDir,
                       PrecomputeStore, ResultCache, RetryPolicy, SimPoint,
                       TraceStore, default_cache_dir, default_ledger_dir,
-                      hotloop, spec_point, sweepbench)
+                      hotloop, sweepbench)
 from .harness.experiments import ALL_EXPERIMENTS
 from .harness.reporting import (format_failure_table, format_run_report,
                                 format_table)
@@ -109,72 +109,24 @@ def _model(name: str) -> ModelKind:
             % (name, ", ".join(m.value for m in ModelKind)))
 
 
-def _settings(args) -> dict:
-    """Fold the legacy convenience flags, ``--energy-cost``, and generic
-    ``--set slot.field=value`` assignments into one dotted-settings dict.
+def _spec(args, model: ModelKind) -> ConfigSpec:
+    """The validated ConfigSpec for ``model`` under this invocation's
+    ``--set slot.field=value`` assignments.
 
-    ``--set`` values stay strings; :func:`_spec` parses them via the
-    registry (``parse_strings=True``), so a typoed key or ill-typed value
-    fails with a did-you-mean error before any work starts.
+    Values stay strings until the registry parses them
+    (``parse_strings=True``), so a typoed key or ill-typed value fails
+    with a did-you-mean error before any work starts.
     """
-    out = {}
-    if getattr(args, "store_buffer", None) is not None:
-        out["core.store_buffer_entries"] = args.store_buffer
-    if getattr(args, "rob", None) is not None:
-        out["core.rob_entries"] = args.rob
-    if getattr(args, "width", None) is not None:
-        for field in ("fetch_width", "rename_width", "issue_width",
-                      "retire_width"):
-            out["core.%s" % field] = args.width
-    if getattr(args, "pregs", None) is not None:
-        out["core.num_pregs"] = args.pregs
-    if getattr(args, "rmo", False):
-        out["core.consistency"] = "rmo"
-    if getattr(args, "tage", False):
-        out["core.use_tage_predictor"] = True
-    costs = _energy_costs(args)
-    if costs is not None:
-        out.update(costs)
-    for assignment in getattr(args, "assignments", None) or ():
+    settings = {}
+    for assignment in args.assignments or ():
         key, sep, value = assignment.partition("=")
         key = key.strip()
         if not sep or not key:
             raise argparse.ArgumentTypeError(
                 "bad --set %r (expected SLOT.FIELD=VALUE, e.g. "
                 "--set core.rob_entries=512)" % assignment)
-        out[key] = value
-    return out
-
-
-def _spec(args, model: ModelKind) -> ConfigSpec:
-    """The validated ConfigSpec for this invocation's flags."""
-    return ConfigSpec.create(model, _settings(args), parse_strings=True)
-
-
-def _energy_costs(args):
-    """Fold repeated ``--energy-cost NAME=VALUE`` flags into dotted
-    ``energy.NAME`` settings (None when no flag was given)."""
-    specs = getattr(args, "energy_cost", None)
-    if not specs:
-        return None
-    import dataclasses
-
-    from .uarch.params import EnergyParams
-    valid = {f.name for f in dataclasses.fields(EnergyParams)}
-    costs = {}
-    for spec in specs:
-        name, sep, value = spec.partition("=")
-        name = name.strip().replace("-", "_")
-        if not sep or name not in valid:
-            raise argparse.ArgumentTypeError(
-                "bad --energy-cost %r (expected NAME=VALUE with NAME one "
-                "of %s)" % (spec, ", ".join(sorted(valid))))
-        try:
-            costs["energy.%s" % name] = float(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                "bad --energy-cost value %r (not a number)" % value)
-    return costs
+        settings[key] = value
+    return ConfigSpec.create(model, settings, parse_strings=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="one workload under all four models")
     compare.add_argument("workload", choices=ALL_NAMES)
     _add_set_flag(compare)
-    _add_energy_flags(compare)
+    _add_energy_flag(compare)
 
     run = sub.add_parser("run", help="one workload under one model")
     run.add_argument("workload", choices=ALL_NAMES)
@@ -243,13 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: stdout)")
     run.add_argument("--metrics", default=None, metavar="PATH",
                      help="write the structured metrics report (JSON)")
-    _add_config_flags(run)
-    _add_energy_flags(run)
+    _add_set_flag(run)
+    _add_energy_flag(run)
 
     suite = sub.add_parser("suite", help="a model across the whole suite")
     suite.add_argument("--model", type=_model, default=ModelKind.DMDP)
-    _add_config_flags(suite)
-    _add_energy_flags(suite)
+    _add_set_flag(suite)
+    _add_energy_flag(suite)
 
     config_cmd = sub.add_parser("config",
                                 help="inspect the config-space registry "
@@ -413,15 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_energy_flags(parser) -> None:
+def _add_energy_flag(parser) -> None:
     parser.add_argument("--energy", action="store_true",
                         help="report energy/EDP per point (the Fig. 15 "
-                             "event-cost model) alongside IPC")
-    parser.add_argument("--energy-cost", dest="energy_cost",
-                        action="append", default=None, metavar="NAME=VALUE",
-                        help="override one EnergyParams per-event cost "
-                             "(repeatable), e.g. --energy-cost "
-                             "sq_cam_search=3.5")
+                             "event-cost model) alongside IPC; set "
+                             "per-event costs with --set energy.NAME=VALUE")
 
 
 def _add_set_flag(parser) -> None:
@@ -430,21 +378,6 @@ def _add_set_flag(parser) -> None:
                         help="set any registered parameter (repeatable), "
                              "e.g. --set predictor.tssbf_entries=64; see "
                              "'repro config list' for the vocabulary")
-
-
-def _add_config_flags(parser) -> None:
-    parser.add_argument("--store-buffer", type=int, default=None,
-                        help="store buffer entries")
-    parser.add_argument("--rob", type=int, default=None, help="ROB entries")
-    parser.add_argument("--width", type=int, default=None,
-                        help="fetch/rename/issue/retire width")
-    parser.add_argument("--pregs", type=int, default=None,
-                        help="physical registers")
-    parser.add_argument("--rmo", action="store_true",
-                        help="relaxed memory order store buffer")
-    parser.add_argument("--tage", action="store_true",
-                        help="TAGE-structured distance predictor")
-    _add_set_flag(parser)
 
 
 def _runner(args) -> ExperimentRunner:
@@ -511,10 +444,7 @@ def cmd_list(args, out) -> int:
 
 def cmd_compare(args, out) -> int:
     runner = _runner(args)
-    settings = _settings(args)
-    points = {model: spec_point(args.workload,
-                                ConfigSpec.create(model, settings,
-                                                  parse_strings=True))
+    points = {model: SimPoint(args.workload, _spec(args, model))
               for model in ALL_MODELS}
     resolved = runner.run_batch(points.values())
     with_energy = getattr(args, "energy", False)
@@ -551,7 +481,7 @@ def cmd_compare(args, out) -> int:
 
 def cmd_run(args, out) -> int:
     runner = _runner(args)
-    spec = _spec(args, args.model)
+    point = SimPoint(args.workload, _spec(args, args.model))
     tracing = args.trace is not None or args.metrics is not None
     if tracing:
         from .obs import (MetricsTracer, RecordingTracer, TraceWindow,
@@ -564,12 +494,10 @@ def cmd_run(args, out) -> int:
             return 2
         tracer = (RecordingTracer(window=window) if args.trace is not None
                   else MetricsTracer())
-        result = runner.run_traced(args.workload, args.model, tracer,
-                                   spec=spec)
+        result = runner.run_traced(point, tracer)
     else:
         # Route through run_batch so the retry policy applies and a
         # failure renders as a table instead of a stack trace.
-        point = spec_point(args.workload, spec)
         result = runner.run_batch([point]).get(point)
         if result is None:
             return _report_failures(runner, out)
@@ -633,7 +561,7 @@ def cmd_run(args, out) -> int:
 
 def cmd_suite(args, out) -> int:
     runner = _runner(args)
-    results = runner.run_suite(args.model, spec=_spec(args, args.model))
+    results = runner.run_suite(_spec(args, args.model))
     with_energy = getattr(args, "energy", False)
     rows = []
     for name in ALL_NAMES:
@@ -1019,12 +947,13 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return _dispatch(command, args, out)
     except argparse.ArgumentTypeError as exc:
         # Value errors raised during command execution (e.g. a bad
-        # --energy-cost spec) render as usage errors, not tracebacks.
+        # --set assignment) render as usage errors, not tracebacks.
         print("error: %s" % exc, file=out)
         return 2
     except ConfigError as exc:
-        # A typoed --set key / ill-typed value: the did-you-mean message
-        # is the whole story -- usage error, before any worker spawned.
+        # A typoed --set key / ill-typed value or an unknown workload:
+        # the message is the whole story -- usage error, before any
+        # sweep started.
         print("error: %s" % exc, file=out)
         return 2
     except BatchFailure as exc:

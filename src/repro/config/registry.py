@@ -152,11 +152,10 @@ def suggest_keys(key: str) -> Tuple[str, Tuple[str, ...]]:
 
 
 def suggest_overrides(names) -> Tuple[str, Tuple[str, ...]]:
-    """Did-you-mean hint for unknown ``model_params(**overrides)`` names.
+    """Did-you-mean hint for unknown ``model_params(**fields)`` names.
 
     Candidates are the top-level CoreParams fields plus every dotted slot
-    field, so ``tssbf_entries`` suggests ``predictor.tssbf_entries`` (set
-    it via ``predictor=PredictorParams(tssbf_entries=...)`` or ``--set``).
+    field, so ``tssbf_entries`` suggests ``predictor.tssbf_entries``.
     """
     suggestions: List[str] = []
     for name in names:

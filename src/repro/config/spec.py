@@ -6,9 +6,7 @@ settings that differ from that model's canonical defaults.  It is the
 shared currency of the harness -- :class:`~repro.harness.runner.
 ExperimentRunner` memo keys, :class:`~repro.harness.cache.ResultCache`
 disk keys, the runner's fan-out task payloads, and the CLI's ``--set``
-flags all carry specs, so one canonical form replaces the ad-hoc
-``**overrides`` dicts (and the memo-key/disk-key serialization drift
-they caused).
+flags all carry specs: one canonical form names every configuration.
 
 Guarantees:
 
@@ -31,20 +29,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from ..uarch.params import ConfigError, CoreParams, ModelKind
 from . import registry
-from .registry import SLOTS, coerce_value, decode_value, split_key
+from .registry import coerce_value, decode_value, split_key
 
 __all__ = ["ConfigSpec", "SpecGrid", "describe_points"]
 
 Setting = Tuple[str, object]
-
-# Fields of CoreParams that are whole slots (their settings are dotted
-# through the slot name); everything else is a bare ``core`` scalar.
-_SLOT_FIELDS = frozenset(name for name in SLOTS if name != "core")
 
 # Per-model canonical defaults, for default-dropping.  Keyed by ModelKind.
 _MODEL_DEFAULTS: Dict[ModelKind, CoreParams] = {}
@@ -73,50 +67,15 @@ def _normalize(model: ModelKind, raw: Mapping[str, object],
     return tuple(sorted(settings.items()))
 
 
-def _expand_overrides(overrides: Mapping[str, object]) -> Dict[str, object]:
-    """Bare legacy override names -> dotted settings.
-
-    Accepts the historic ``model_params(**overrides)`` vocabulary: bare
-    CoreParams scalar names (``rob_entries=512``), whole-slot dataclass
-    values (``predictor=PredictorParams(...)``, expanded per-field), and
-    already-dotted keys.  Unknown names raise the same did-you-mean
-    ConfigError as :func:`~repro.uarch.params.model_params`.
-    """
-    dotted: Dict[str, object] = {}
-    core_fields = registry.SLOTS["core"].types
-    for key, value in overrides.items():
-        if "." in key:
-            dotted[key] = value
-        elif key in _SLOT_FIELDS:
-            slot = registry.SLOTS[key]
-            if not isinstance(value, slot.dataclass_type):
-                raise ConfigError(
-                    "override %r expects a %s instance (or dotted %s.FIELD "
-                    "settings), got %r"
-                    % (key, slot.dataclass_type.__name__, key, value),
-                    key=key)
-            for f in fields(slot.dataclass_type):
-                dotted["%s.%s" % (key, f.name)] = getattr(value, f.name)
-        elif key in core_fields:
-            dotted["core.%s" % key] = value
-        else:
-            hint, suggestions = registry.suggest_overrides([key])
-            raise ConfigError("unknown parameter override %r%s"
-                              % (key, hint), key=key,
-                              suggestions=suggestions)
-    return dotted
-
-
 @dataclass(frozen=True)
 class ConfigSpec:
     """A validated, canonical, hashable simulator configuration.
 
     ``settings`` is a sorted tuple of ``(dotted-key, canonical scalar)``
     pairs holding only departures from the model's defaults.  Construct
-    via :meth:`create` / :meth:`from_overrides` (which validate and
-    canonicalise); the raw constructor trusts its arguments and is meant
-    for rebuilding a spec from already-canonical settings (e.g. inside a
-    worker process from a task tuple).
+    via :meth:`create` (which validates and canonicalises); the raw
+    constructor trusts its arguments and is meant for rebuilding a spec
+    from already-canonical settings.
     """
 
     model: ModelKind
@@ -132,12 +91,6 @@ class ConfigSpec:
         model = ModelKind(model)
         return cls(model, _normalize(model, dict(settings),
                                      parse_strings=parse_strings))
-
-    @classmethod
-    def from_overrides(cls, model: ModelKind, **overrides) -> "ConfigSpec":
-        """Build a spec from legacy ``model_params``-style overrides."""
-        model = ModelKind(model)
-        return cls(model, _normalize(model, _expand_overrides(overrides)))
 
     # -- materialisation ---------------------------------------------------
 

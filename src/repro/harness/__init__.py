@@ -6,11 +6,10 @@ from .cache import (LedgerDir, PrecomputeStore, ResultCache, TraceStore,
 from .resilience import (BatchFailure, FailedPoint, FaultInjector,
                          RetryPolicy, parse_fault_spec)
 from .parallel import (BatchTiming, ParallelEngine, PointTiming, SimPoint,
-                       make_point, spec_point)
+                       make_point)
 from .runner import ExperimentRunner, SimResult, shared_runner
-from .reporting import (format_failure_table, format_point_log,
-                        format_run_report, format_table, geomean, percent,
-                        shape_check, speedup)
+from .reporting import (format_failure_table, format_run_report,
+                        format_table, geomean, percent)
 from .experiments import ALL_EXPERIMENTS, ExperimentResult
 from . import hotloop, paper_data, sweepbench
 
@@ -22,9 +21,8 @@ __all__ = [
     "BatchFailure", "FailedPoint", "FaultInjector", "RetryPolicy",
     "parse_fault_spec",
     "BatchTiming", "ParallelEngine", "PointTiming", "SimPoint", "make_point",
-    "spec_point",
-    "format_failure_table", "format_point_log", "format_run_report",
-    "format_table", "geomean", "percent", "shape_check", "speedup",
+    "format_failure_table", "format_run_report", "format_table", "geomean",
+    "percent",
     "ALL_EXPERIMENTS", "ExperimentResult", "hotloop", "paper_data",
     "sweepbench",
 ]

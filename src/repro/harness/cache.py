@@ -1,8 +1,8 @@
 """Persistent on-disk stores: simulation results, packed traces,
 precompute bundles, and the sweep-ledger directory.
 
-Every (workload, iteration count, model, parameter overrides, code version)
-point maps to a content-hash key; the :class:`SimResult` for that point is
+Every (workload, iteration count, config spec, code version) point maps
+to a content-hash key; the :class:`SimResult` for that point is
 pickled under ``<cache_dir>/<key[:2]>/<key>.pkl``.  A warm run therefore
 skips tracing *and* simulation entirely, which is what makes repeated
 pytest/benchmark sessions cheap (see DESIGN.md Section 8).
@@ -270,8 +270,8 @@ class ResultCache(BlobStore):
 
         The spec's canonical dict (model + default-dropped settings) is
         the sole configuration material, so any two constructions of the
-        same parameters -- bare overrides, dotted ``--set`` flags, a grid
-        expansion -- hit one entry.  ``config_format`` versions the spec
+        same parameters -- dotted ``--set`` flags, an ``ABLATIONS`` entry,
+        a grid expansion -- hit one entry.  ``config_format`` versions the spec
         vocabulary itself: bump it alongside CONFIG_FORMAT_VERSION when
         the canonical settings encoding changes incompatibly.
         """

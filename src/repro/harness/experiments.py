@@ -1,6 +1,11 @@
 """One function per paper figure/table: runs the sweep, returns the data
 and a rendered ASCII report with paper-vs-measured columns.
 
+Each experiment names its configurations as ``(model, ablation)`` pairs,
+``ablation`` being an entry of :data:`repro.config.ABLATIONS` (None for
+the model's defaults), and resolves its whole point set with one
+``run_batch``.
+
 Index (see DESIGN.md Section 5):
 
 ==========  ==========================================================
@@ -22,14 +27,24 @@ ablation_*  confidence policy, silent stores, register file, issue
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..uarch import Consistency, ConfidencePolicy, LoadKind, LowConfOutcome, ModelKind
+from ..config import ablation_spec
+from ..uarch import LoadKind, LowConfOutcome, ModelKind
 from ..workloads import ALL_NAMES, FP_NAMES, INT_NAMES
 from . import paper_data
-from .parallel import make_point
+from .parallel import SimPoint
 from .reporting import format_table, geomean, percent, suite_geomeans
-from .runner import ExperimentRunner
+from .resilience import BatchFailure
+from .runner import ExperimentRunner, SimResult
+
+BASELINE, NOSQ, DMDP, PERFECT = (ModelKind.BASELINE, ModelKind.NOSQ,
+                                 ModelKind.DMDP, ModelKind.PERFECT)
+
+# A configuration an experiment runs: a model and the name of the
+# ABLATIONS entry applied on top of its defaults (None: none).
+Config = Tuple[ModelKind, Optional[str]]
+Cell = Callable[..., SimResult]
 
 
 @dataclass
@@ -65,17 +80,63 @@ def _suite_split(names: Sequence[str]):
             [n for n in names if n in FP_NAMES])
 
 
-def _prefetch(runner: ExperimentRunner, names: Sequence[str],
-              combos: Sequence) -> None:
-    """Submit one experiment's full point set as a batch (parallel map).
+def _resolve(runner: ExperimentRunner, names: Sequence[str],
+             configs: Sequence[Config]) -> Cell:
+    """Resolve one experiment's whole point set in one batch.
 
-    ``combos`` is a sequence of (model, overrides-dict) pairs; the cross
-    product with ``names`` is the experiment's point set.  Subsequent
-    ``runner.run`` calls resolve from the memo, so the per-row assembly
-    code below stays serial and simple.
+    The point set is ``names`` x ``configs``.  Returns ``cell(workload,
+    model, ablation=None)``, the result of one point.  A point the batch
+    left unresolved (under ``keep_going``) raises :class:`BatchFailure`
+    here: a table with a missing cell cannot render.
     """
-    runner.run_batch(make_point(name, model, **overrides)
-                     for name in names for model, overrides in combos)
+    points = {(name, model, ablation):
+              SimPoint(name, ablation_spec(ablation, model))
+              for name in names for model, ablation in configs}
+    resolved = runner.run_batch(points.values())
+    missing = set(points.values()).difference(resolved)
+    if missing:
+        raise BatchFailure([failure for failure in runner.failure_log
+                            if failure.point in missing])
+
+    def cell(name: str, model: ModelKind,
+             ablation: Optional[str] = None) -> SimResult:
+        return resolved[points[name, model, ablation]]
+    return cell
+
+
+def _suite_gain(aggregates: Dict[str, float], prefix: str,
+                ratios: Dict[str, float], names: Sequence[str],
+                sign: float = 1.0) -> None:
+    """Record the INT and FP geomeans of ``ratios`` as percent gains,
+    under ``"<prefix> INT (%)"`` and ``"<prefix> FP (%)"``."""
+    for suite, members in zip(("INT", "FP"), _suite_split(names)):
+        if members:
+            aggregates["%s %s (%%)" % (prefix, suite)] = sign * percent(
+                geomean([ratios[n] for n in members]))
+
+
+def _dmdp_over_nosq(cell: Cell, names: Sequence[str],
+                    ablation: Optional[str] = None) -> Dict[str, float]:
+    """Per-workload DMDP/NoSQ IPC ratio under one configuration."""
+    return {name: cell(name, DMDP, ablation).ipc
+            / cell(name, NOSQ, ablation).ipc for name in names}
+
+
+def _gain_pair(runner: ExperimentRunner, names: Sequence[str],
+               ablation: str, labels: Sequence[str]):
+    """DMDP over NoSQ at the defaults and under ``ablation``: the shared
+    body of the Section VI-g ablations.  Returns the cell lookup, the
+    per-workload rows and the suite-gain aggregates."""
+    cell = _resolve(runner, names, [(model, config)
+                                    for config in (None, ablation)
+                                    for model in (NOSQ, DMDP)])
+    ratios = [_dmdp_over_nosq(cell, names, config)
+              for config in (None, ablation)]
+    aggregates: Dict[str, float] = {}
+    for label, by_name in zip(labels, ratios):
+        _suite_gain(aggregates, "%s dmdp/nosq" % label, by_name, names)
+    rows = [[name, ratios[0][name], ratios[1][name]] for name in names]
+    return cell, rows, aggregates
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +148,11 @@ def fig02_load_distribution(runner: ExperimentRunner,
                             ) -> ExperimentResult:
     """Paper Fig. 2: how NoSQ loads obtain their values."""
     names = _names(workloads)
-    _prefetch(runner, names, [(ModelKind.NOSQ, {})])
+    cell = _resolve(runner, names, [(NOSQ, None)])
     rows = []
     high_delay = []
     for name in names:
-        stats = runner.run(name, ModelKind.NOSQ).stats
+        stats = cell(name, NOSQ).stats
         dist = stats.load_distribution()
         delayed = dist[LoadKind.DELAYED.value]
         rows.append([name, dist[LoadKind.DIRECT.value],
@@ -113,11 +174,11 @@ def fig03_delayed_vs_bypassing(runner: ExperimentRunner,
                                ) -> ExperimentResult:
     """Paper Fig. 3: delayed loads take far longer than bypassing loads."""
     names = _names(workloads)
-    _prefetch(runner, names, [(ModelKind.NOSQ, {})])
+    cell = _resolve(runner, names, [(NOSQ, None)])
     rows = []
     ratios = []
     for name in names:
-        stats = runner.run(name, ModelKind.NOSQ).stats
+        stats = cell(name, NOSQ).stats
         delayed = stats.avg_load_exec_time_by_kind(LoadKind.DELAYED)
         bypass = stats.avg_load_exec_time_by_kind(LoadKind.BYPASS)
         if delayed is None or bypass is None or bypass == 0:
@@ -144,11 +205,11 @@ def fig05_lowconf_breakdown(runner: ExperimentRunner,
                             ) -> ExperimentResult:
     """Paper Fig. 5: outcomes of low-confidence dependence predictions."""
     names = _names(workloads)
-    _prefetch(runner, names, [(ModelKind.NOSQ, {})])
+    cell = _resolve(runner, names, [(NOSQ, None)])
     rows = []
     total = {k: 0 for k in LowConfOutcome}
     for name in names:
-        stats = runner.run(name, ModelKind.NOSQ).stats
+        stats = cell(name, NOSQ).stats
         counts = {k: stats.lowconf_outcome.get(k, 0) for k in LowConfOutcome}
         n = max(1, sum(counts.values()))
         for k in LowConfOutcome:
@@ -186,37 +247,30 @@ def fig12_speedup(runner: ExperimentRunner,
                   ) -> ExperimentResult:
     """Paper Fig. 12: IPC normalised to the baseline."""
     names = _names(workloads)
-    _prefetch(runner, names, [(model, {}) for model in
-                              (ModelKind.BASELINE, ModelKind.NOSQ,
-                               ModelKind.DMDP, ModelKind.PERFECT)])
+    cell = _resolve(runner, names, [(model, None) for model in
+                                    (BASELINE, NOSQ, DMDP, PERFECT)])
     int_names, fp_names = _suite_split(names)
     per_model: Dict[ModelKind, Dict[str, float]] = {}
     rows = []
     for name in names:
-        base = runner.run(name, ModelKind.BASELINE).ipc
+        base = cell(name, BASELINE).ipc
         row = [name]
-        for model in (ModelKind.NOSQ, ModelKind.DMDP, ModelKind.PERFECT):
-            ratio = runner.run(name, model).ipc / base
+        for model in (NOSQ, DMDP, PERFECT):
+            ratio = cell(name, model).ipc / base
             per_model.setdefault(model, {})[name] = ratio
             row.append(ratio)
         rows.append(row)
 
     aggregates = {}
-    for model, label in ((ModelKind.NOSQ, "nosq"), (ModelKind.DMDP, "dmdp"),
-                         (ModelKind.PERFECT, "perfect")):
+    for model in (NOSQ, DMDP, PERFECT):
         means = suite_geomeans(per_model[model], int_names, fp_names)
         if int_names:
-            aggregates["%s geomean INT" % label] = means["int"]
+            aggregates["%s geomean INT" % model.value] = means["int"]
         if fp_names:
-            aggregates["%s geomean FP" % label] = means["fp"]
-    if int_names:
-        aggregates["dmdp over nosq INT (%)"] = percent(
-            geomean([per_model[ModelKind.DMDP][n]
-                     / per_model[ModelKind.NOSQ][n] for n in int_names]))
-    if fp_names:
-        aggregates["dmdp over nosq FP (%)"] = percent(
-            geomean([per_model[ModelKind.DMDP][n]
-                     / per_model[ModelKind.NOSQ][n] for n in fp_names]))
+            aggregates["%s geomean FP" % model.value] = means["fp"]
+    _suite_gain(aggregates, "dmdp over nosq",
+                {n: per_model[DMDP][n] / per_model[NOSQ][n] for n in names},
+                names)
     paper = paper_data.FIG12_GEOMEAN_IPC
     return ExperimentResult(
         exp_id="fig12",
@@ -237,13 +291,12 @@ def table4_load_exec_time(runner: ExperimentRunner,
                           ) -> ExperimentResult:
     """Paper Table IV: average execution time of all loads."""
     names = _names(workloads)
-    _prefetch(runner, names, [(ModelKind.BASELINE, {}),
-                              (ModelKind.DMDP, {})])
+    cell = _resolve(runner, names, [(BASELINE, None), (DMDP, None)])
     rows = []
     base_sum = dmdp_sum = 0.0
     for name in names:
-        base = runner.run(name, ModelKind.BASELINE).stats.avg_load_exec_time
-        dmdp = runner.run(name, ModelKind.DMDP).stats.avg_load_exec_time
+        base = cell(name, BASELINE).stats.avg_load_exec_time
+        dmdp = cell(name, DMDP).stats.avg_load_exec_time
         base_sum += base
         dmdp_sum += dmdp
         paper = paper_data.TABLE4_LOAD_EXEC_TIME.get(name, (None, None))
@@ -272,12 +325,12 @@ def table5_lowconf_exec_time(runner: ExperimentRunner,
                              ) -> ExperimentResult:
     """Paper Table V: low-confidence load execution time, NoSQ vs DMDP."""
     names = _names(workloads)
-    _prefetch(runner, names, [(ModelKind.NOSQ, {}), (ModelKind.DMDP, {})])
+    cell = _resolve(runner, names, [(NOSQ, None), (DMDP, None)])
     rows = []
     savings = []
     for name in names:
-        nosq = runner.run(name, ModelKind.NOSQ).stats
-        dmdp = runner.run(name, ModelKind.DMDP).stats
+        nosq = cell(name, NOSQ).stats
+        dmdp = cell(name, DMDP).stats
         n_t = nosq.avg_lowconf_exec_time
         d_t = dmdp.avg_lowconf_exec_time
         if nosq.lowconf_loads < 5 or dmdp.lowconf_loads < 5:
@@ -304,11 +357,11 @@ def table6_mpki(runner: ExperimentRunner,
                 ) -> ExperimentResult:
     """Paper Table VI: memory dependence mispredictions per 1k insns."""
     names = _names(workloads)
-    _prefetch(runner, names, [(ModelKind.NOSQ, {}), (ModelKind.DMDP, {})])
+    cell = _resolve(runner, names, [(NOSQ, None), (DMDP, None)])
     rows = []
     for name in names:
-        nosq = runner.run(name, ModelKind.NOSQ).stats.dep_mpki
-        dmdp = runner.run(name, ModelKind.DMDP).stats.dep_mpki
+        nosq = cell(name, NOSQ).stats.dep_mpki
+        dmdp = cell(name, DMDP).stats.dep_mpki
         rows.append([name, nosq, dmdp])
     return ExperimentResult(
         exp_id="table6",
@@ -328,11 +381,11 @@ def table7_reexec_stalls(runner: ExperimentRunner,
                          ) -> ExperimentResult:
     """Paper Table VII: retire-stall cycles per 1k committed instructions."""
     names = _names(workloads)
-    _prefetch(runner, names, [(ModelKind.NOSQ, {}), (ModelKind.DMDP, {})])
+    cell = _resolve(runner, names, [(NOSQ, None), (DMDP, None)])
     rows = []
     for name in names:
-        nosq = runner.run(name, ModelKind.NOSQ).stats
-        dmdp = runner.run(name, ModelKind.DMDP).stats
+        nosq = cell(name, NOSQ).stats
+        dmdp = cell(name, DMDP).stats
         rows.append([name, nosq.reexec_stalls_per_kilo,
                      dmdp.reexec_stalls_per_kilo,
                      nosq.reexecutions, dmdp.reexecutions])
@@ -355,18 +408,16 @@ def fig14_store_buffer(runner: ExperimentRunner,
                        ) -> ExperimentResult:
     """Paper Fig. 14: DMDP IPC with 32/64-entry SB over a 16-entry SB."""
     names = _names(workloads)
-    _prefetch(runner, names,
-              [(ModelKind.DMDP, {"store_buffer_entries": size})
-               for size in (16, 32, 64)])
-    int_names, fp_names = _suite_split(names)
+    sizes = {16: None, 32: "store_buffer_32", 64: "store_buffer_64"}
+    cell = _resolve(runner, names,
+                    [(DMDP, ablation) for ablation in sizes.values()])
     rows = []
     ratio32: Dict[str, float] = {}
     ratio64: Dict[str, float] = {}
     stalls = {16: 0.0, 32: 0.0, 64: 0.0}
     for name in names:
-        runs = {size: runner.run(name, ModelKind.DMDP,
-                                 store_buffer_entries=size)
-                for size in (16, 32, 64)}
+        runs = {size: cell(name, DMDP, ablation)
+                for size, ablation in sizes.items()}
         base = runs[16].ipc
         ratio32[name] = runs[32].ipc / base
         ratio64[name] = runs[64].ipc / base
@@ -376,12 +427,7 @@ def fig14_store_buffer(runner: ExperimentRunner,
         rows.append([name, ratio32[name], ratio64[name]])
     aggregates = {}
     for label, ratios in (("32-entry", ratio32), ("64-entry", ratio64)):
-        if int_names:
-            aggregates["%s speedup INT (%%)" % label] = percent(
-                geomean([ratios[n] for n in int_names]))
-        if fp_names:
-            aggregates["%s speedup FP (%%)" % label] = percent(
-                geomean([ratios[n] for n in fp_names]))
+        _suite_gain(aggregates, "%s speedup" % label, ratios, names)
     n = max(1, len(names))
     for size in (16, 32, 64):
         aggregates["SB-full stalls/k (%d)" % size] = stalls[size] / n
@@ -400,23 +446,17 @@ def fig15_edp(runner: ExperimentRunner,
               ) -> ExperimentResult:
     """Paper Fig. 15: DMDP energy-delay product normalised to NoSQ."""
     names = _names(workloads)
-    _prefetch(runner, names, [(ModelKind.NOSQ, {}), (ModelKind.DMDP, {})])
-    int_names, fp_names = _suite_split(names)
+    cell = _resolve(runner, names, [(NOSQ, None), (DMDP, None)])
     rows = []
     edp_ratio: Dict[str, float] = {}
     for name in names:
-        nosq = runner.run(name, ModelKind.NOSQ)
-        dmdp = runner.run(name, ModelKind.DMDP)
+        nosq = cell(name, NOSQ)
+        dmdp = cell(name, DMDP)
         ratios = dmdp.energy.normalized_to(nosq.energy)
         edp_ratio[name] = ratios["edp"]
         rows.append([name, ratios["energy"], ratios["delay"], ratios["edp"]])
     aggregates = {}
-    if int_names:
-        aggregates["EDP saving INT (%)"] = -percent(
-            geomean([edp_ratio[n] for n in int_names]))
-    if fp_names:
-        aggregates["EDP saving FP (%)"] = -percent(
-            geomean([edp_ratio[n] for n in fp_names]))
+    _suite_gain(aggregates, "EDP saving", edp_ratio, names, sign=-1.0)
     return ExperimentResult(
         exp_id="fig15",
         title="Fig. 15 -- DMDP energy / delay / EDP normalised to NoSQ",
@@ -426,41 +466,16 @@ def fig15_edp(runner: ExperimentRunner,
                "slightly up from predication, delay down everywhere"])
 
 
-def _dmdp_vs_nosq(runner: ExperimentRunner, names: Sequence[str],
-                  **overrides) -> Dict[str, float]:
-    _prefetch(runner, names, [(ModelKind.NOSQ, overrides),
-                              (ModelKind.DMDP, overrides)])
-    out = {}
-    for name in names:
-        nosq = runner.run(name, ModelKind.NOSQ, **overrides).ipc
-        dmdp = runner.run(name, ModelKind.DMDP, **overrides).ipc
-        out[name] = dmdp / nosq
-    return out
-
-
 def ablation_issue_width(runner: ExperimentRunner,
                          workloads: Optional[Sequence[str]] = None
                          ) -> ExperimentResult:
     """Paper Section VI-g: 4-wide core shrinks the DMDP-over-NoSQ gain."""
     names = _names(workloads)
-    int_names, fp_names = _suite_split(names)
-    narrow = dict(fetch_width=4, rename_width=4, issue_width=4,
-                  retire_width=4)
-    wide_r = _dmdp_vs_nosq(runner, names)
-    narrow_r = _dmdp_vs_nosq(runner, names, **narrow)
-    lowconf8 = sum(runner.run(n, ModelKind.DMDP).stats.lowconf_loads
+    cell, rows, aggregates = _gain_pair(runner, names, "narrow_width_4",
+                                        ("8-issue", "4-issue"))
+    lowconf8 = sum(cell(n, DMDP).stats.lowconf_loads for n in names)
+    lowconf4 = sum(cell(n, DMDP, "narrow_width_4").stats.lowconf_loads
                    for n in names)
-    lowconf4 = sum(runner.run(n, ModelKind.DMDP, **narrow).stats.lowconf_loads
-                   for n in names)
-    rows = [[name, wide_r[name], narrow_r[name]] for name in names]
-    aggregates = {}
-    for label, ratios in (("8-issue", wide_r), ("4-issue", narrow_r)):
-        if int_names:
-            aggregates["%s dmdp/nosq INT (%%)" % label] = percent(
-                geomean([ratios[n] for n in int_names]))
-        if fp_names:
-            aggregates["%s dmdp/nosq FP (%%)" % label] = percent(
-                geomean([ratios[n] for n in fp_names]))
     if lowconf8:
         aggregates["low-conf load drop at 4-issue (%)"] = \
             100.0 * (1 - lowconf4 / lowconf8)
@@ -477,19 +492,8 @@ def ablation_rob(runner: ExperimentRunner,
                  workloads: Optional[Sequence[str]] = None
                  ) -> ExperimentResult:
     """Paper Section VI-g: a 512-entry ROB increases the DMDP gain."""
-    names = _names(workloads)
-    int_names, fp_names = _suite_split(names)
-    small = _dmdp_vs_nosq(runner, names)
-    large = _dmdp_vs_nosq(runner, names, rob_entries=512)
-    rows = [[name, small[name], large[name]] for name in names]
-    aggregates = {}
-    for label, ratios in (("256 ROB", small), ("512 ROB", large)):
-        if int_names:
-            aggregates["%s dmdp/nosq INT (%%)" % label] = percent(
-                geomean([ratios[n] for n in int_names]))
-        if fp_names:
-            aggregates["%s dmdp/nosq FP (%%)" % label] = percent(
-                geomean([ratios[n] for n in fp_names]))
+    _, rows, aggregates = _gain_pair(runner, _names(workloads), "rob_512",
+                                     ("256 ROB", "512 ROB"))
     return ExperimentResult(
         exp_id="ablation_rob",
         title="Section VI-g -- DMDP over NoSQ, 256 vs 512-entry ROB",
@@ -503,19 +507,8 @@ def ablation_rmo(runner: ExperimentRunner,
                  workloads: Optional[Sequence[str]] = None
                  ) -> ExperimentResult:
     """Paper Section VI-g: the gain persists under RMO consistency."""
-    names = _names(workloads)
-    int_names, fp_names = _suite_split(names)
-    tso = _dmdp_vs_nosq(runner, names)
-    rmo = _dmdp_vs_nosq(runner, names, consistency=Consistency.RMO)
-    rows = [[name, tso[name], rmo[name]] for name in names]
-    aggregates = {}
-    for label, ratios in (("TSO", tso), ("RMO", rmo)):
-        if int_names:
-            aggregates["%s dmdp/nosq INT (%%)" % label] = percent(
-                geomean([ratios[n] for n in int_names]))
-        if fp_names:
-            aggregates["%s dmdp/nosq FP (%%)" % label] = percent(
-                geomean([ratios[n] for n in fp_names]))
+    _, rows, aggregates = _gain_pair(runner, _names(workloads), "rmo",
+                                     ("TSO", "RMO"))
     return ExperimentResult(
         exp_id="ablation_rmo",
         title="Section VI-g -- DMDP over NoSQ under TSO vs RMO",
@@ -529,18 +522,17 @@ def ablation_regfile(runner: ExperimentRunner,
                      ) -> ExperimentResult:
     """Paper Section VI-f: halving the register file trims the DMDP gain."""
     names = _names(workloads)
-    _prefetch(runner, names,
-              [(model, {"num_pregs": pregs})
-               for model in (ModelKind.BASELINE, ModelKind.DMDP)
-               for pregs in (320, 160)])
+    regfiles = {320: None, 160: "pregs_160"}
+    cell = _resolve(runner, names, [(model, ablation)
+                                    for model in (BASELINE, DMDP)
+                                    for ablation in regfiles.values()])
     rows = []
     gains = {320: [], 160: []}
     for name in names:
         row = [name]
-        for pregs in (320, 160):
-            base = runner.run(name, ModelKind.BASELINE,
-                              num_pregs=pregs).ipc
-            dmdp = runner.run(name, ModelKind.DMDP, num_pregs=pregs).ipc
+        for pregs, ablation in regfiles.items():
+            base = cell(name, BASELINE, ablation).ipc
+            dmdp = cell(name, DMDP, ablation).ipc
             ratio = dmdp / base
             gains[pregs].append(ratio)
             row.append(ratio)
@@ -563,16 +555,12 @@ def ablation_confidence(runner: ExperimentRunner,
                         ) -> ExperimentResult:
     """Paper Section IV-E: biased (divide-by-2) vs balanced (-1) update."""
     names = _names(workloads)
-    _prefetch(runner, names,
-              [(ModelKind.DMDP, {}),
-               (ModelKind.DMDP,
-                {"confidence_policy": ConfidencePolicy.BALANCED})])
+    cell = _resolve(runner, names, [(DMDP, None),
+                                    (DMDP, "balanced_confidence")])
     rows = []
     for name in names:
-        biased = runner.run(name, ModelKind.DMDP).stats
-        balanced = runner.run(
-            name, ModelKind.DMDP,
-            confidence_policy=ConfidencePolicy.BALANCED).stats
+        biased = cell(name, DMDP).stats
+        balanced = cell(name, DMDP, "balanced_confidence").stats
         rows.append([name, biased.dep_mpki, balanced.dep_mpki,
                      biased.predicated_loads, balanced.predicated_loads])
     n = max(1, len(rows))
@@ -595,14 +583,12 @@ def ablation_silent_store(runner: ExperimentRunner,
                           ) -> ExperimentResult:
     """Paper Section IV-C.a / VI-a: silent-store-aware predictor updates."""
     names = _names(workloads)
-    _prefetch(runner, names,
-              [(ModelKind.DMDP, {}),
-               (ModelKind.DMDP, {"silent_store_aware": False})])
+    cell = _resolve(runner, names, [(DMDP, None),
+                                    (DMDP, "silent_store_unaware")])
     rows = []
     for name in names:
-        aware = runner.run(name, ModelKind.DMDP).stats
-        naive = runner.run(name, ModelKind.DMDP,
-                           silent_store_aware=False).stats
+        aware = cell(name, DMDP).stats
+        naive = cell(name, DMDP, "silent_store_unaware").stats
         rows.append([name, aware.reexecutions, naive.reexecutions,
                      aware.dep_mpki, naive.dep_mpki,
                      aware.ipc / naive.ipc if naive.ipc else 0.0])
@@ -622,26 +608,17 @@ def ext_tage_predictor(runner: ExperimentRunner,
     """Extension (paper Section VII): a TAGE-structured store distance
     predictor, as suggested for Perais & Seznec's distance predictor."""
     names = _names(workloads)
-    _prefetch(runner, names,
-              [(ModelKind.DMDP, {}),
-               (ModelKind.DMDP, {"use_tage_predictor": True})])
-    int_names, fp_names = _suite_split(names)
+    cell = _resolve(runner, names, [(DMDP, None), (DMDP, "tage_distance")])
     rows = []
     ratios = {}
     for name in names:
-        base = runner.run(name, ModelKind.DMDP).stats
-        tage = runner.run(name, ModelKind.DMDP,
-                          use_tage_predictor=True).stats
+        base = cell(name, DMDP).stats
+        tage = cell(name, DMDP, "tage_distance").stats
         ratios[name] = tage.ipc / base.ipc if base.ipc else 0.0
         rows.append([name, base.ipc, tage.ipc, ratios[name],
                      base.dep_mpki, tage.dep_mpki])
     aggregates = {}
-    if int_names:
-        aggregates["tage/base IPC INT (%)"] = percent(
-            geomean([ratios[n] for n in int_names]))
-    if fp_names:
-        aggregates["tage/base IPC FP (%)"] = percent(
-            geomean([ratios[n] for n in fp_names]))
+    _suite_gain(aggregates, "tage/base IPC", ratios, names)
     return ExperimentResult(
         exp_id="ext_tage",
         title="Extension -- TAGE-structured store distance predictor (DMDP)",
@@ -656,19 +633,13 @@ def ext_untagged_ssbf(runner: ExperimentRunner,
                       workloads: Optional[Sequence[str]] = None
                       ) -> ExperimentResult:
     """Ablation: the tagged SSBF vs Roth's original untagged filter."""
-    from ..uarch import PredictorParams
     names = _names(workloads)
-    _prefetch(runner, names,
-              [(ModelKind.DMDP, {}),
-               (ModelKind.DMDP,
-                {"predictor": PredictorParams(tssbf_tagged=False)})])
+    cell = _resolve(runner, names, [(DMDP, None), (DMDP, "untagged_ssbf")])
     rows = []
     tagged_rx = untagged_rx = 0
     for name in names:
-        tagged = runner.run(name, ModelKind.DMDP).stats
-        untagged = runner.run(
-            name, ModelKind.DMDP,
-            predictor=PredictorParams(tssbf_tagged=False)).stats
+        tagged = cell(name, DMDP).stats
+        untagged = cell(name, DMDP, "untagged_ssbf").stats
         tagged_rx += tagged.reexecutions
         untagged_rx += untagged.reexecutions
         rows.append([name, tagged.reexecutions, untagged.reexecutions,

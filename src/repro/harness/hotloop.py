@@ -105,13 +105,6 @@ def calibrate(repeats: int = 3, loops: int = 120_000) -> float:
     return best
 
 
-def _iterations(workload: str, scale: Optional[float]) -> int:
-    spec = get_workload(workload)
-    if scale is None:
-        return spec.default_scale
-    return max(1, int(round(spec.default_scale * scale)))
-
-
 def measure(workloads: Iterable[str] = BENCH_WORKLOADS,
             models: Optional[Iterable[ModelKind]] = None,
             scale: Optional[float] = None, repeats: int = 1,
@@ -125,7 +118,8 @@ def measure(workloads: Iterable[str] = BENCH_WORKLOADS,
     models = list(models) if models is not None else list(ModelKind)
     prepared = []
     for name in workloads:
-        program = get_workload(name).build(_iterations(name, scale))
+        workload = get_workload(name)
+        program = workload.build(workload.iterations(scale))
         # A list trace, as the committed reference was recorded on: every
         # Simulator packs it and builds its own tables.
         trace = list(FunctionalCpu(program).run_trace(
@@ -184,7 +178,8 @@ def measure_batched(workloads: Iterable[str] = BENCH_WORKLOADS,
     total_batched = 0.0
     identical = True
     for name in workloads:
-        program = get_workload(name).build(_iterations(name, scale))
+        workload = get_workload(name)
+        program = workload.build(workload.iterations(scale))
         blob = run_trace_packed(program).to_bytes()
         matrix = BATCH_GRID.expand()
 

@@ -47,56 +47,42 @@ from dataclasses import dataclass, field, fields
 from multiprocessing.connection import wait as _conn_wait
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..config import ConfigSpec
+from ..config import ConfigError, ConfigSpec
 from ..obs.ledger import NULL_LEDGER, SPAN_SCHEMA
 from ..uarch import ModelKind
+from ..workloads import ALL_NAMES, WORKLOADS
 from .resilience import FailedPoint, FaultInjector, RetryPolicy
 
 
 @dataclass(frozen=True)
 class SimPoint:
-    """One simulation configuration: a (workload, config spec) pair.
+    """One simulation point: a workload under a configuration spec.
 
-    The point canonicalises itself once, at construction: bare override
-    names become dotted keys, settings equal to the model's defaults are
-    dropped, the rest are sorted, and ``model`` becomes a ``ModelKind``.
-    So points are hashable, and every construction of one configuration
-    -- :func:`make_point` (legacy keyword overrides), :func:`spec_point`
-    (a ready :class:`~repro.config.ConfigSpec`) or a hand-built point
-    with bare names -- compares equal.  A typoed name raises
-    :class:`~repro.uarch.params.ConfigError` here, in the parent.
+    Points are hashable and compare by value, so the runner keys its
+    memo, its failure records and a batch's results by the point itself.
+    The spec is canonical already (:meth:`ConfigSpec.create` validated
+    it); the workload name is checked here, in the parent, so a typo
+    raises :class:`~repro.uarch.params.ConfigError` before any sweep
+    starts.
     """
 
     workload: str
-    model: ModelKind
-    overrides: Tuple[Tuple[str, object], ...] = ()
+    spec: ConfigSpec
 
     def __post_init__(self):
-        spec = ConfigSpec.from_overrides(self.model, **dict(self.overrides))
-        object.__setattr__(self, "model", spec.model)
-        object.__setattr__(self, "overrides", spec.settings)
+        if self.workload not in WORKLOADS:
+            raise ConfigError("unknown workload %r (choose from %s)"
+                              % (self.workload, ", ".join(ALL_NAMES)),
+                              key=self.workload)
 
     @property
-    def spec(self) -> ConfigSpec:
-        """The point's configuration (its settings are canonical already,
-        so the trusting constructor suffices)."""
-        return ConfigSpec(self.model, self.overrides)
+    def model(self) -> ModelKind:
+        return self.spec.model
 
 
-def make_point(workload: str, model: ModelKind, **overrides) -> SimPoint:
-    """Build a validated point from legacy keyword overrides.
-
-    A typoed override name raises :class:`~repro.uarch.params.ConfigError`
-    here -- in the parent, before any worker spawns -- with a did-you-mean
-    hint; the stored settings are the spec's canonical form.
-    """
-    return SimPoint(workload, model, tuple(overrides.items()))
-
-
-def spec_point(workload: str, spec: ConfigSpec) -> SimPoint:
-    """Build a point from a ready ConfigSpec (canonical settings
-    canonicalise to themselves)."""
-    return SimPoint(workload, spec.model, spec.settings)
+def make_point(workload: str, model: ModelKind) -> SimPoint:
+    """The point for ``workload`` under ``model``'s default configuration."""
+    return SimPoint(workload, ConfigSpec.create(model))
 
 
 @dataclass

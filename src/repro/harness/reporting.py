@@ -24,10 +24,6 @@ def geomean(values: Iterable[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def speedup(new: float, old: float) -> float:
-    return new / old if old else 0.0
-
-
 def percent(ratio: float) -> float:
     """1.0717 -> 7.17 (percentage points of improvement)."""
     return 100.0 * (ratio - 1.0)
@@ -90,15 +86,6 @@ def suite_geomeans(per_workload: Dict[str, float],
     }
 
 
-def format_point_log(points: Sequence[PointTiming],
-                     limit: Optional[int] = None) -> str:
-    """Per-point wall-clock table: what was simulated vs cache-hit."""
-    rows = [[p.workload, p.model.value, p.source, "%.3f" % p.seconds]
-            for p in (points if limit is None else points[-limit:])]
-    return format_table(["workload", "model", "source", "seconds"], rows,
-                        title="Per-point timing")
-
-
 def format_run_report(points: Sequence[PointTiming],
                       batches: Sequence[BatchTiming] = ()) -> str:
     """Aggregate progress/speedup summary for one runner's session.
@@ -158,17 +145,3 @@ def format_failure_table(failures: Sequence[FailedPoint]) -> str:
     return format_table(["workload", "model", "kind", "attempts", "error"],
                         rows, title="Failed simulation points")
 
-
-def shape_check(measured: float, paper: float,
-                tolerance_sign_only: bool = True) -> str:
-    """Qualitative agreement marker for EXPERIMENTS.md.
-
-    The reproduction runs a different substrate on synthetic workloads, so
-    the check is directional: do the measured and paper values agree in
-    sign (who wins)?  '+' agreement, '-' disagreement, '~' both near zero.
-    """
-    if abs(measured) < 0.25 and abs(paper) < 0.25:
-        return "~"
-    if measured * paper > 0:
-        return "+"
-    return "-"

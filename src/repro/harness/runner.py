@@ -3,7 +3,7 @@ them under arbitrary model/parameter combinations with three cache layers:
 
 1. an in-process memo (same runner, same point -> same object),
 2. a persistent on-disk result cache (:mod:`repro.harness.cache`), keyed
-   by a content hash of (workload, iterations, model, overrides, code
+   by a content hash of (workload, iterations, config spec, code
    version), so warm pytest/benchmark sessions skip simulation entirely,
 3. a parallel fan-out that groups a batch's misses by workload into
    tasks for the supervised worker processes of
@@ -17,10 +17,10 @@ re-tracing (DESIGN.md section 12).
 
 :meth:`ExperimentRunner.run_batch` is the one way a point is resolved.
 Figure/table functions submit their whole point set through it (collect
-points -> parallel map -> assemble), and individual :meth:`run` calls
-then resolve from the memo; a :meth:`run` that misses the memo is a
-one-point batch.  Every resolved point is logged with its wall-clock
-cost and provenance ("sim" vs "cache") for the reporting layer.
+points -> parallel map -> assemble) and read the returned dict; a
+:meth:`run` that misses the memo is a one-point batch.  Every resolved
+point is logged with its wall-clock cost and provenance ("sim" vs
+"cache") for the reporting layer.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from ..workloads import ALL_NAMES, get_workload
 from .cache import (PrecomputeStore, ResultCache, TraceStore,
                     default_cache_dir)
 from .parallel import (_WORKER_FIELDS, BatchTiming, ParallelEngine,
-                       PointTiming, SimPoint, spec_point)
+                       PointTiming, SimPoint, make_point)
 from .resilience import BatchFailure, FailedPoint, RetryPolicy
 
 
@@ -101,7 +101,7 @@ class ExperimentRunner:
         self.policy = policy if policy is not None else RetryPolicy()
         self.keep_going = keep_going
         self.failure_log: List[FailedPoint] = []
-        self._failed_keys: Dict[Tuple, FailedPoint] = {}
+        self._failed: Dict[SimPoint, FailedPoint] = {}
         if cache is None:
             cache = ResultCache(default_cache_dir() if use_cache else None)
         self.cache = cache
@@ -118,7 +118,7 @@ class ExperimentRunner:
         self._programs: Dict[str, Program] = {}
         self._traces: Dict[str, PackedTrace] = {}
         self._bpred_sig: Optional[Tuple[int, int, int]] = None
-        self._results: Dict[Tuple, SimResult] = {}
+        self._results: Dict[SimPoint, SimResult] = {}
         self.point_log: List[PointTiming] = []
         self.batch_log: List[BatchTiming] = []
         # Lifetime counts under BatchTiming field names (plus
@@ -142,18 +142,12 @@ class ExperimentRunner:
 
     def iterations(self, workload: str) -> int:
         """Resolved iteration count (part of the persistent cache key)."""
-        spec = get_workload(workload)
-        if self.scale is None:
-            return spec.default_scale
-        return max(1, int(round(spec.default_scale * self.scale)))
+        return get_workload(workload).iterations(self.scale)
 
     def program(self, workload: str) -> Program:
         if workload not in self._programs:
-            spec = get_workload(workload)
-            iterations = None
-            if self.scale is not None:
-                iterations = self.iterations(workload)
-            self._programs[workload] = spec.build(iterations)
+            self._programs[workload] = get_workload(workload).build(
+                self.iterations(workload))
         return self._programs[workload]
 
     def trace(self, workload: str) -> PackedTrace:
@@ -334,25 +328,19 @@ class ExperimentRunner:
 
     # -- cache plumbing ------------------------------------------------------
 
-    def _memo_key(self, workload: str, spec: ConfigSpec) -> Tuple:
-        # The spec *is* the canonical configuration (validated, sorted,
-        # default-dropped), so memo and disk keys share one form: two
-        # constructions of the same parameters -- bare overrides, dotted
-        # --set flags, a grid expansion -- agree on both keys.
-        return (workload, spec)
+    def _disk_key(self, point: SimPoint) -> str:
+        return self.cache.key_for_spec(
+            point.workload, self.iterations(point.workload), point.spec)
 
-    def _disk_key(self, workload: str, spec: ConfigSpec) -> str:
-        return self.cache.key_for_spec(workload, self.iterations(workload),
-                                       spec)
-
-    def _log_point(self, workload: str, model: ModelKind, seconds: float,
-                   source: str, result=None, overrides=None) -> None:
+    def _log_point(self, point: SimPoint, seconds: float, source: str,
+                   result=None) -> None:
+        workload, model = point.workload, point.model
         self.point_log.append(PointTiming(workload, model, seconds, source))
         if self.ledger.enabled:
             fields = {"workload": workload, "model": model.value,
                       "source": source, "seconds": round(seconds, 6)}
-            if overrides:
-                fields["overrides"] = overrides
+            if point.spec.settings:
+                fields["overrides"] = point.spec.setting_dict()
             if result is not None:
                 # energy/edp are the exact floats energy_report produced
                 # (JSON round-trips doubles losslessly), so ledger spans
@@ -368,21 +356,22 @@ class ExperimentRunner:
 
     # -- simulation ------------------------------------------------------------
 
-    def _simulate(self, workload: str, spec: ConfigSpec,
-                  tracer=None) -> SimResult:
+    def _simulate(self, point: SimPoint, tracer=None) -> SimResult:
         """Simulate one point: the only place a runner builds a Simulator.
 
         Serial batches, :meth:`run_traced` and worker tasks all come
         here.  A bundle already on the trace (resolved by
         :meth:`run_batch`, or left by an earlier run) is shared; without
         one the Simulator builds it and leaves it on the trace."""
-        params = spec.to_params()
-        stats = Simulator(self.program(workload), self.trace(workload),
-                          params, tracer=tracer).run()
-        return SimResult(workload=workload, model=spec.model, stats=stats,
+        params = point.spec.to_params()
+        stats = Simulator(self.program(point.workload),
+                          self.trace(point.workload), params,
+                          tracer=tracer).run()
+        return SimResult(workload=point.workload, model=point.model,
+                         stats=stats,
                          energy=energy_report(stats, params.energy))
 
-    def _publish(self, workload: str, spec: ConfigSpec, result: SimResult,
+    def _publish(self, point: SimPoint, result: SimResult,
                  seconds: float) -> None:
         """Checkpoint one simulated point: disk cache + memo, immediately.
 
@@ -390,51 +379,35 @@ class ExperimentRunner:
         parallel engine), not after the whole batch, so an interrupted
         sweep keeps everything that completed before it died.
         """
-        self.cache.put(self._disk_key(workload, spec), result)
-        key = self._memo_key(workload, spec)
-        self._results[key] = result
-        self._failed_keys.pop(key, None)
-        self._log_point(workload, spec.model, seconds, "sim", result=result,
-                        overrides=spec.setting_dict())
+        self.cache.put(self._disk_key(point), result)
+        self._results[point] = result
+        self._failed.pop(point, None)
+        self._log_point(point, seconds, "sim", result=result)
 
-    def run_traced(self, workload: str, model: ModelKind, tracer,
-                   spec: Optional[ConfigSpec] = None,
-                   **overrides) -> SimResult:
+    def run_traced(self, point: SimPoint, tracer) -> SimResult:
         """Simulate one point with an explicit tracer attached.
 
         Always simulates (a cached result has no event stream); the stats
         are still pushed to the disk cache since tracing does not perturb
-        them.  Pass either a ready ``spec`` or legacy overrides."""
+        them."""
         start = time.perf_counter()
-        if spec is None:
-            spec = ConfigSpec.from_overrides(model, **overrides)
-        result = self._simulate(workload, spec, tracer)
-        self._publish(workload, spec, result, time.perf_counter() - start)
+        result = self._simulate(point, tracer)
+        self._publish(point, result, time.perf_counter() - start)
         return result
 
-    def run(self, workload: str, model: ModelKind,
-            **overrides) -> SimResult:
-        """Resolve one point; memoised in-process and on disk.
-
-        Thin wrapper: the overrides are validated and canonicalised into
-        a :class:`~repro.config.ConfigSpec` (a typo fails here with a
-        did-you-mean hint) and :meth:`run_spec` does the work.
-        """
-        return self.run_spec(workload,
-                             ConfigSpec.from_overrides(model, **overrides))
-
-    def run_spec(self, workload: str, spec: ConfigSpec) -> SimResult:
-        """Resolve one spec-described point: a memo hit, or a one-point
-        :meth:`run_batch` (so the retry policy, ``failure_log`` and
-        ledger spans apply).  A point the batch leaves unresolved raises
-        :class:`BatchFailure`, with ``keep_going`` too."""
-        key = self._memo_key(workload, spec)
-        result = self._results.get(key)
+    def run(self, workload: str, model: ModelKind) -> SimResult:
+        """Resolve ``workload`` under ``model``'s default configuration:
+        a memo hit, or a one-point :meth:`run_batch` (so the retry
+        policy, ``failure_log`` and ledger spans apply).  A point the
+        batch leaves unresolved raises :class:`BatchFailure`, with
+        ``keep_going`` too.  Other configurations go through
+        :meth:`run_batch`."""
+        point = make_point(workload, model)
+        result = self._results.get(point)
         if result is None:
-            point = spec_point(workload, spec)
             result = self.run_batch([point]).get(point)
             if result is None:
-                raise BatchFailure([self._failed_keys[key]])
+                raise BatchFailure([self._failed[point]])
         return result
 
     # -- batch fan-out -------------------------------------------------------
@@ -448,13 +421,12 @@ class ExperimentRunner:
         budget is spent.  (No preemption in-process, so the policy's
         wall-clock timeout is not enforced here.)
         """
-        spec = point.spec
         attempts = 0
         while True:
             attempts += 1
             start = time.perf_counter()
             try:
-                result = self._simulate(point.workload, spec)
+                result = self._simulate(point)
             except Exception:
                 detail = traceback.format_exc()
                 if attempts > self.policy.retries:
@@ -515,15 +487,13 @@ class ExperimentRunner:
                 trace_path = self.ensure_trace(workload)
                 if len(group) > 1:
                     precompute_path = self.ensure_precompute(workload)
-            configs = [(p.model, p.overrides) for p in group]
             tasks.append((workload, (self.scale, trace_path,
-                                     precompute_path, configs), len(group)))
+                                     precompute_path, group), len(group)))
 
         resolved = set()
 
         def on_result(workload, outcomes):
-            for model, settings, result, seconds in outcomes:
-                point = SimPoint(workload, model, settings)
+            for point, result, seconds in outcomes:
                 resolved.add(point)
                 publish(point, result, seconds)
 
@@ -552,7 +522,7 @@ class ExperimentRunner:
         resolved; :meth:`run` is a memo hit or a one-point batch.
 
         Returns {point: SimResult}; every result is also memoised, so
-        subsequent :meth:`run` calls for the same points are free.
+        later batches and :meth:`run` calls for the same points are free.
         Completed points are published to the disk cache as they
         resolve (checkpointing), so an interrupted sweep resumes from
         the cache on the next run.  Points that exhaust their retry
@@ -585,28 +555,24 @@ class ExperimentRunner:
                 continue
             seen.add(point)
             timing.points += 1
-            spec = point.spec
-            key = self._memo_key(point.workload, spec)
-            cached = self._results.get(key)
+            cached = self._results.get(point)
             if cached is not None:
                 timing.memo_hits += 1
                 out[point] = cached
                 continue
-            if key in self._failed_keys:
+            if point in self._failed:
                 # Exhausted its retries earlier this session; don't burn
                 # another full retry budget on it in every later batch.
-                failures.append(self._failed_keys[key])
+                failures.append(self._failed[point])
                 continue
             start = time.perf_counter()
-            result = self.cache.get(self._disk_key(point.workload, spec))
+            result = self.cache.get(self._disk_key(point))
             if result is not None:
                 timing.cache_hits += 1
-                self._results[key] = result
+                self._results[point] = result
                 out[point] = result
-                self._log_point(point.workload, spec.model,
-                                time.perf_counter() - start, "cache",
-                                result=result,
-                                overrides=spec.setting_dict())
+                self._log_point(point, time.perf_counter() - start,
+                                "cache", result=result)
             else:
                 misses.append(point)
 
@@ -617,7 +583,7 @@ class ExperimentRunner:
             def publish(point, result, seconds):
                 timing.sim_seconds += seconds
                 out[point] = result
-                self._publish(point.workload, point.spec, result, seconds)
+                self._publish(point, result, seconds)
 
             serial = misses
             if self.jobs > 1 and len(misses) > 1:
@@ -628,9 +594,7 @@ class ExperimentRunner:
         if fresh_failures:
             self.failure_log.extend(fresh_failures)
             for failure in fresh_failures:
-                self._failed_keys[self._memo_key(
-                    failure.point.workload,
-                    failure.point.spec)] = failure
+                self._failed[failure.point] = failure
             failures.extend(fresh_failures)
         timing.failed = len(failures)
         timing.add(self.counts - counts_before)
@@ -660,23 +624,16 @@ class ExperimentRunner:
             raise BatchFailure(failures)
         return out
 
-    def run_suite(self, model: ModelKind,
-                  workloads: Optional[Iterable[str]] = None,
-                  spec: Optional[ConfigSpec] = None,
-                  **overrides) -> Dict[str, SimResult]:
-        """Simulate one model across a workload list (default: all 21).
-
-        Pass either a ready ``spec`` (whose model must match) or legacy
-        keyword overrides.  With ``keep_going`` the dict is partial:
-        failed workloads are absent (see :attr:`failure_log`) instead of
+    def run_suite(self, spec: ConfigSpec,
+                  workloads: Optional[Iterable[str]] = None
+                  ) -> Dict[str, SimResult]:
+        """Simulate one configuration across a workload list (default:
+        all 21).  With ``keep_going`` the dict is partial: failed
+        workloads are absent (see :attr:`failure_log`) instead of
         raising.
         """
-        if spec is None:
-            spec = ConfigSpec.from_overrides(model, **overrides)
-        elif overrides:
-            raise TypeError("run_suite: pass a spec or overrides, not both")
         names = list(workloads) if workloads is not None else list(ALL_NAMES)
-        points = {name: spec_point(name, spec) for name in names}
+        points = {name: SimPoint(name, spec) for name in names}
         resolved = self.run_batch(points.values())
         return {name: resolved[point] for name, point in points.items()
                 if point in resolved}
@@ -691,7 +648,7 @@ class ExperimentRunner:
         ledger's ``sweep.begin`` records the whole grid.
         """
         names = list(workloads) if workloads is not None else list(ALL_NAMES)
-        return self.run_batch(spec_point(name, spec)
+        return self.run_batch(SimPoint(name, spec)
                               for name in names for spec in grid.expand())
 
     # -- accounting ----------------------------------------------------------
@@ -699,15 +656,12 @@ class ExperimentRunner:
     def points_simulated(self) -> int:
         return sum(1 for p in self.point_log if p.source == "sim")
 
-    def points_from_cache(self) -> int:
-        return sum(1 for p in self.point_log if p.source == "cache")
-
 
 def _simulate_task(workload: str, payload) -> Tuple[list, Dict[str, int]]:
     """Worker task body: simulate every configuration of one workload.
 
-    ``payload`` is ``(scale, trace_path, precompute_path, configs)``,
-    ``configs`` a list of ``(model, canonical settings)`` pairs.  The
+    ``payload`` is ``(scale, trace_path, precompute_path, points)``,
+    the workload's :class:`SimPoint` list.  The
     worker builds its own runner for the payload's scale, with the stores
     disabled: the parent filters cache hits before fanning out and is the
     only writer.  A shipped trace blob is adopted (an ``mmap`` of the
@@ -716,17 +670,17 @@ def _simulate_task(workload: str, payload) -> Tuple[list, Dict[str, int]]:
     Two or more configurations share one precompute bundle, the rule the
     serial path applies: a shipped bundle that fails to decode (or none
     shipped) is rebuilt here.  Returns ``(outcomes, counts)``: one
-    ``(model, settings, result, seconds)`` per configuration, and what
+    ``(point, result, seconds)`` per point, and what
     this task did itself under :class:`BatchTiming` field names --
     functional traces it had to run (``worker_retraces``, whose absence
     the sweep benchmark asserts) and precompute bundles it built or
     loaded -- leaving out zeros.
     """
-    scale, trace_path, precompute_path, configs = payload
+    scale, trace_path, precompute_path, points = payload
     runner = ExperimentRunner(scale=scale, jobs=1, use_cache=False)
     if trace_path is not None:
         runner.attach_trace(workload, trace_path)
-    if len(configs) > 1 and (
+    if len(points) > 1 and (
             precompute_path is None
             or not runner.attach_precompute(workload, precompute_path)):
         try:
@@ -734,11 +688,10 @@ def _simulate_task(workload: str, payload) -> Tuple[list, Dict[str, int]]:
         except Exception:
             pass    # the first Simulator builds the bundle
     outcomes = []
-    for model, settings in configs:
+    for point in points:
         start = time.perf_counter()
-        result = runner._simulate(workload, ConfigSpec(model, settings))
-        outcomes.append((model, settings, result,
-                         time.perf_counter() - start))
+        result = runner._simulate(point)
+        outcomes.append((point, result, time.perf_counter() - start))
     return outcomes, {field: runner.counts[name]
                       for name, field in _WORKER_FIELDS.items()
                       if runner.counts[name]}

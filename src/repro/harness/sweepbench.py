@@ -56,7 +56,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..config import ConfigSpec, SpecGrid
+from ..config import SpecGrid
 from ..energy import energy_report
 from ..kernel import FunctionalCpu
 from ..kernel.trace import MAX_TRACE_INSTRUCTIONS
@@ -65,6 +65,7 @@ from ..uarch.pipeline import Simulator
 from ..workloads import get_workload
 from .cache import ResultCache, TraceStore
 from .hotloop import SCHEMA, calibrate, write_report  # shared report idiom
+from .parallel import SimPoint, make_point
 from .runner import ExperimentRunner
 
 # Same memory-bound pair the hot-loop benchmark pins (the sweeps' floor).
@@ -134,15 +135,14 @@ _LEG_DESCRIPTIONS = {
 }
 
 
-def bench_points() -> List[Tuple[str, ConfigSpec]]:
+def bench_points() -> List[SimPoint]:
     """The benchmark matrix: workload-major over the grid's expansion."""
-    return [(workload, spec)
+    return [SimPoint(workload, spec)
             for workload in BENCH_WORKLOADS
             for spec in BENCH_GRID.expand()]
 
 
-def _run_point_legacy(workload: str, spec: ConfigSpec,
-                      scale: Optional[float]) -> float:
+def _run_point_legacy(point: SimPoint, scale: Optional[float]) -> float:
     """One pre-store point session: a list trace, simulated without a
     shared bundle (the Simulator packs it and builds its own tables).
 
@@ -151,14 +151,11 @@ def _run_point_legacy(workload: str, spec: ConfigSpec,
     The recorded trace is materialised into a ``List[TraceEntry]``, the
     form a worker held then and the RSS probe compares against.
     """
-    wspec = get_workload(workload)
-    iterations = None
-    if scale is not None:
-        iterations = max(1, int(round(wspec.default_scale * scale)))
-    program = wspec.build(iterations)
+    wspec = get_workload(point.workload)
+    program = wspec.build(wspec.iterations(scale))
     trace = list(FunctionalCpu(program).run_trace(
         max_instructions=MAX_TRACE_INSTRUCTIONS))
-    params = spec.to_params()
+    params = point.spec.to_params()
     stats = Simulator(program, trace, params).run()
     energy_report(stats, params.energy)
     return stats.ipc
@@ -175,7 +172,7 @@ def _leg_runner(scale: Optional[float], store_root: Optional[Path],
 def _run_leg(leg: str, scale: Optional[float],
              store_root: Optional[Path], cache_root: Optional[Path],
              repeats: int = 1, progress=None
-             ) -> Tuple[Dict[str, object], Dict[tuple, float]]:
+             ) -> Tuple[Dict[str, object], Dict[SimPoint, float]]:
     """Run the full point matrix, one fresh runner per point.
 
     With ``repeats`` > 1 the whole matrix is timed best-of-N (the legs
@@ -193,7 +190,7 @@ def _run_leg(leg: str, scale: Optional[float],
     Returns the leg's payload entry and its per-point IPC map (used to
     assert every leg resolves byte-identical statistics).
     """
-    ipc: Dict[tuple, float] = {}
+    ipc: Dict[SimPoint, float] = {}
     traces = 0
     loaded = 0
     simulated = 0
@@ -202,12 +199,9 @@ def _run_leg(leg: str, scale: Optional[float],
     wall = float("inf")
     for attempt in range(max(1, repeats)):
         if leg == "batched":
-            from .parallel import spec_point
-            points = [spec_point(workload, spec)
-                      for workload, spec in bench_points()]
             start = time.perf_counter()
             runner = _leg_runner(scale, store_root, cache_root)
-            resolved = runner.run_batch(points)
+            resolved = runner.run_batch(bench_points())
             wall = min(wall, time.perf_counter() - start)
             if attempt == 0:
                 traces += runner.functional_traces
@@ -216,27 +210,23 @@ def _run_leg(leg: str, scale: Optional[float],
                 pre_built += runner.precomputes_built
                 pre_loaded += runner.precomputes_loaded
             for point, result in resolved.items():
-                ipc[(point.workload, point.model.value,
-                     point.overrides)] = result.ipc
+                ipc[point] = result.ipc
             continue
         start = time.perf_counter()
-        for workload, spec in bench_points():
+        for point in bench_points():
             if leg == "legacy":
-                point_ipc = _run_point_legacy(workload, spec, scale)
+                point_ipc = _run_point_legacy(point, scale)
                 if attempt == 0:
                     traces += 1
                     simulated += 1
             else:
                 runner = _leg_runner(scale, store_root, cache_root)
-                point_ipc = runner.run_spec(workload, spec).ipc
+                point_ipc = runner.run_batch([point])[point].ipc
                 if attempt == 0:
                     traces += runner.functional_traces
                     loaded += runner.traces_loaded
                     simulated += runner.points_simulated()
-            # Every leg keys its IPC map by the spec's canonical settings
-            # (the same key the batched leg's SimPoints carry), so the
-            # byte-identity assertion compares like with like.
-            ipc[(workload, spec.model.value, spec.settings)] = point_ipc
+            ipc[point] = point_ipc
         wall = min(wall, time.perf_counter() - start)
     if progress is not None:
         progress("  leg %-10s %6.2fs  %2d traces  %2d sims"
@@ -272,10 +262,8 @@ def measure_ledger_overhead(scale: Optional[float],
     noise.
     """
     from ..obs.ledger import JsonlLedger
-    from .parallel import spec_point
 
-    points = [spec_point(workload, spec)
-              for workload, spec in bench_points()]
+    points = bench_points()
     runs: List[Dict[str, object]] = []
     ratios: List[float] = []
     spans = 0
@@ -331,8 +319,7 @@ def _rss_probe_child(conn, mode: str, scale: Optional[float],
     import resource
     try:
         if mode == "legacy":
-            _run_point_legacy("mcf", ConfigSpec.create(ModelKind.DMDP),
-                              scale)
+            _run_point_legacy(make_point("mcf", ModelKind.DMDP), scale)
         else:
             runner = _leg_runner(scale, Path(store_root), None)
             runner.run("mcf", ModelKind.DMDP)

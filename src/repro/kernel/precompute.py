@@ -261,12 +261,6 @@ class TracePrecompute:
         return cls(trace, found, mis, col.tolist())
 
 
-def write_precompute(path, bundle: TracePrecompute) -> None:
-    """Serialise to ``path`` (callers wanting atomicity write-and-rename)."""
-    with open(path, "wb") as handle:
-        handle.write(bundle.to_bytes())
-
-
 def load_precompute(path, trace,
                     signature: Optional[Tuple[int, int, int]] = None
                     ) -> TracePrecompute:

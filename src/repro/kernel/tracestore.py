@@ -108,14 +108,13 @@ class PackedTrace:
 
     __slots__ = ("program", "_n", "_static", "_next_pc", "_mem_addr",
                  "_value", "_dep", "_flags", "_mem_size", "_instructions",
-                 "_text_base", "_mmap", "source_path", "bundles",
+                 "_text_base", "_mmap", "bundles",
                  "__weakref__")
 
     def __init__(self, program: Program, static: Column, next_pc: Column,
                  mem_addr: Column, value: Column, dep: Column,
                  flags: Column, mem_size: Column,
-                 mm: Optional[mmap.mmap] = None,
-                 source_path: Optional[str] = None):
+                 mm: Optional[mmap.mmap] = None):
         self.program = program
         self._n = len(static)
         self._static = static
@@ -128,7 +127,6 @@ class PackedTrace:
         self._instructions = program.instructions
         self._text_base = program.text_base
         self._mmap = mm               # keeps the mapping alive with the views
-        self.source_path = source_path
         self.bundles: Dict[tuple, object] = {}
 
     # -- sequence interface --------------------------------------------------
@@ -206,10 +204,6 @@ class PackedTrace:
         clear)."""
         return self._mem_size
 
-    def nbytes(self) -> int:
-        """Encoded payload size (the per-worker residency, vs. objects)."""
-        return _HEADER.size + 20 * self._n + 2 * _pad(self._n)
-
     # -- construction ---------------------------------------------------------
 
     @classmethod
@@ -262,8 +256,7 @@ class PackedTrace:
 
     @classmethod
     def from_buffer(cls, program: Program, buf,
-                    mm: Optional[mmap.mmap] = None,
-                    source_path: Optional[str] = None) -> "PackedTrace":
+                    mm: Optional[mmap.mmap] = None) -> "PackedTrace":
         """Decode a blob; zero-copy column views when the buffer allows it."""
         view = memoryview(buf)
         if len(view) < _HEADER.size:
@@ -305,7 +298,7 @@ class PackedTrace:
         flags = payload[byte_base:byte_base + n]
         mem_size = payload[byte_base + padded:byte_base + padded + n]
         return cls(program, u32[0], u32[1], u32[2], u32[3], u32[4],
-                   flags, mem_size, mm=mm, source_path=source_path)
+                   flags, mem_size, mm=mm)
 
 
 def _pad(n: int) -> int:
@@ -424,10 +417,9 @@ def load_trace(path, program: Program) -> PackedTrace:
                 mm = None
             if mm is not None:
                 try:
-                    return PackedTrace.from_buffer(program, mm, mm=mm,
-                                                   source_path=path)
+                    return PackedTrace.from_buffer(program, mm, mm=mm)
                 except Exception:
                     mm.close()
                     raise
         data = handle.read()
-    return PackedTrace.from_buffer(program, data, source_path=path)
+    return PackedTrace.from_buffer(program, data)

@@ -9,7 +9,6 @@ from .params import (
     EnergyParams,
     ModelKind,
     PredictorParams,
-    baseline_params,
     model_params,
 )
 from .stats import LoadKind, LowConfOutcome, SimStats, SquashCause
@@ -24,14 +23,13 @@ from .tage_predictor import TageDistancePredictor
 from .storesets import StoreSets
 from .storebuffer import StoreBuffer, StoreBufferEntry
 from .uops import DynInstr, LoadInfo, StoreInfo, Uop, UopKind, UopState
-from .pipeline import SimulationError, Simulator, simulate
+from .pipeline import SimulationError, Simulator
 from .models import ALL_MODELS, run_all_models, run_model, trace_program
 
 __all__ = [
     "CacheParams", "ConfidencePolicy", "ConfigError", "Consistency",
     "CoreParams",
-    "EnergyParams", "ModelKind", "PredictorParams", "baseline_params",
-    "model_params",
+    "EnergyParams", "ModelKind", "PredictorParams", "model_params",
     "LoadKind", "LowConfOutcome", "SimStats", "SquashCause",
     "BranchPredictor", "Btb", "GShare", "ReturnAddressStack",
     "Dram", "MemoryHierarchy", "SetAssocCache", "Tlb",
@@ -40,6 +38,6 @@ __all__ = [
     "StoreDistancePredictor", "TageDistancePredictor",
     "StoreSets", "StoreBuffer", "StoreBufferEntry",
     "DynInstr", "LoadInfo", "StoreInfo", "Uop", "UopKind", "UopState",
-    "SimulationError", "Simulator", "simulate",
+    "SimulationError", "Simulator",
     "ALL_MODELS", "run_all_models", "run_model", "trace_program",
 ]

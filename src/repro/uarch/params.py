@@ -19,8 +19,8 @@ class ConfigError(ValueError):
     """An invalid simulator configuration: an unknown parameter name or an
     out-of-range/ill-typed value.
 
-    Raised at *construction* time -- by :func:`model_params` /
-    :func:`baseline_params` for unknown override names, by the parameter
+    Raised at *construction* time -- by :func:`model_params` for
+    unknown field names, by the parameter
     dataclasses' own ``__post_init__`` checks, and by the
     :mod:`repro.config` spec layer -- so a typo fails fast with a
     did-you-mean message instead of surfacing as a ``TypeError`` five
@@ -270,16 +270,9 @@ def _check_override_names(overrides) -> None:
         key=unknown[0], suggestions=suggestions)
 
 
-def baseline_params(**overrides) -> CoreParams:
-    """The paper's 8-wide baseline configuration, with optional overrides."""
-    if not overrides:
-        return CoreParams()
-    _check_override_names(overrides)
-    return replace(CoreParams(), **overrides)
-
-
 def model_params(model: ModelKind, **overrides) -> CoreParams:
-    """Canonical parameters for one of the four evaluated models."""
+    """Canonical parameters for one of the four evaluated models, with
+    optional CoreParams fields replaced by name."""
     params = CoreParams().with_model(model)
     if not overrides:
         return params

@@ -1588,9 +1588,3 @@ class Simulator:
         self.tssbf.invalidate_line(line_addr, self.params.l1d.line_bytes,
                                    self.ssn.commit)
 
-
-def simulate(program: Program, trace: Sequence[TraceEntry],
-             params: CoreParams,
-             tracer: Optional[PipelineTracer] = None) -> SimStats:
-    """Run the timing model once and return its statistics."""
-    return Simulator(program, trace, params, tracer=tracer).run()

@@ -13,7 +13,7 @@ human-readable description of the signature it reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from ..isa import Program, ProgramBuilder
 
@@ -31,6 +31,13 @@ class WorkloadSpec:
     def build(self, scale: int = None) -> Program:
         """Assemble the kernel; ``scale`` roughly controls iteration count."""
         return self.builder(self.default_scale if scale is None else scale)
+
+    def iterations(self, scale: Optional[float] = None) -> int:
+        """The iteration count ``repro --scale`` builds: ``default_scale``
+        times ``scale``, rounded, at least 1 (None keeps the default)."""
+        if scale is None:
+            return self.default_scale
+        return max(1, int(round(self.default_scale * scale)))
 
 
 def lcg_sequence(n: int, modulus: int, seed: int = 12345,

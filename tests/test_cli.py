@@ -27,12 +27,15 @@ class TestParser:
             build_parser().parse_args(["run", "bzip2", "--model", "magic"])
 
     def test_config_flags(self):
-        args = build_parser().parse_args(
-            ["run", "bzip2", "--rob", "512", "--width", "4", "--rmo",
-             "--tage", "--store-buffer", "32", "--pregs", "160"])
-        assert args.rob == 512 and args.width == 4
-        assert args.rmo and args.tage
-        assert args.store_buffer == 32 and args.pregs == 160
+        # --set is the one configuration flag of run, suite and compare.
+        for argv in (["run", "bzip2"], ["suite"], ["compare", "bzip2"]):
+            args = build_parser().parse_args(
+                argv + ["--set", "core.rob_entries=512",
+                        "--set", "energy.sq_cam_search=3.5"])
+            assert args.assignments == ["core.rob_entries=512",
+                                        "energy.sq_cam_search=3.5"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "bzip2", "--rob", "512"])
 
 
 class TestCommands:
@@ -49,7 +52,8 @@ class TestCommands:
 
     def test_run_with_overrides(self):
         code, text = run_cli("--scale", "0.05", "run", "bzip2",
-                             "--model", "dmdp", "--rob", "128")
+                             "--model", "dmdp",
+                             "--set", "core.rob_entries=128")
         assert code == 0
         assert "ipc" in text
         assert "load mix" in text
@@ -59,6 +63,20 @@ class TestCommands:
                              "--workloads", "bzip2")
         assert code == 0
         assert "Table VI" in text and "bzip2" in text
+
+    def test_experiment_unknown_workload_is_a_usage_error(self, tmp_path):
+        from repro.obs.ledger import read_ledger
+        ledger = tmp_path / "run.jsonl"
+        code, text = run_cli("--scale", "0.05", "--no-cache",
+                             "--ledger", str(ledger), "experiment", "fig02",
+                             "--workloads", "bzip,tonto")
+        assert code == 2
+        error, written = text.splitlines()
+        assert error.startswith("error: unknown workload 'bzip' ")
+        assert "bzip2" in error and "tonto" in error
+        assert written.startswith("ledger written to")
+        kinds = [span["kind"] for span in read_ledger(ledger, validate=True)]
+        assert not [kind for kind in kinds if kind.startswith("sweep.")]
 
 
 class TestObservabilityCommands:

@@ -1,10 +1,10 @@
 """Tests for the config-space registry (DESIGN.md Section 16).
 
 The contract: every config-construction path -- CLI ``--set`` flags,
-``make_point`` overrides, sweep grids -- goes through one validated,
+``ABLATIONS`` entries, sweep grids -- goes through one validated,
 canonical :class:`~repro.config.ConfigSpec`, so a typo fails fast with a
-did-you-mean hint, equal parameters always produce equal memo keys,
-disk keys, and spec hashes, and a spec survives a JSON round trip.
+did-you-mean hint, equal parameters always produce equal points, disk
+keys, and spec hashes, and a spec survives a JSON round trip.
 """
 
 import io
@@ -29,8 +29,9 @@ from repro.config import (
     split_key,
     suggest_keys,
 )
-from repro.harness import ExperimentRunner, ResultCache, spec_point
+from repro.harness import ExperimentRunner, ResultCache
 from repro.harness.parallel import SimPoint, make_point
+from repro.kernel import FunctionalCpu
 from repro.obs.ledger import JsonlLedger, read_ledger, validate_span
 from repro.uarch import (
     CacheParams,
@@ -40,6 +41,8 @@ from repro.uarch import (
     PredictorParams,
     model_params,
 )
+from repro.uarch.pipeline import Simulator
+from repro.workloads import get_workload
 
 ALL_MODELS = list(ModelKind)
 
@@ -191,8 +194,8 @@ class TestParamsBoundaries:
 
 class TestConfigSpec:
     def test_defaults_are_dropped(self):
-        spec = ConfigSpec.from_overrides(ModelKind.DMDP,
-                                         store_buffer_entries=16)
+        spec = ConfigSpec.create(ModelKind.DMDP,
+                                 {"core.store_buffer_entries": 16})
         assert spec.settings == ()
         assert spec == ConfigSpec.create(ModelKind.DMDP)
 
@@ -203,19 +206,10 @@ class TestConfigSpec:
         assert ConfigSpec.create(ModelKind.BASELINE, biased).settings == (
             ("core.confidence_policy", "biased"),)
 
-    def test_whole_slot_override_expands_per_field(self):
-        spec = ConfigSpec.from_overrides(
-            ModelKind.DMDP, predictor=PredictorParams(tssbf_tagged=False))
-        assert spec.settings == (("predictor.tssbf_tagged", False),)
-
-    def test_whole_slot_override_type_checked(self):
-        with pytest.raises(ConfigError):
-            ConfigSpec.from_overrides(ModelKind.DMDP, predictor=42)
-
     def test_unknown_override_fails_with_hint(self):
         with pytest.raises(ConfigError) as err:
-            ConfigSpec.from_overrides(ModelKind.DMDP, rob_entrees=512)
-        assert "rob_entries" in str(err.value)
+            ConfigSpec.create(ModelKind.DMDP, {"core.rob_entrees": 512})
+        assert "core.rob_entries" in str(err.value)
 
     def test_round_trip_all_models_and_ablations(self):
         specs = [ConfigSpec.create(model) for model in ALL_MODELS]
@@ -234,8 +228,9 @@ class TestConfigSpec:
             assert seen[1] == params and seen[0] == spec
 
     def test_equal_params_equal_hash_across_construction_paths(self):
-        a = ConfigSpec.from_overrides(ModelKind.NOSQ, rob_entries=512,
-                                      consistency=Consistency.RMO)
+        a = ConfigSpec.create(ModelKind.NOSQ,
+                              {"core.rob_entries": 512,
+                               "core.consistency": Consistency.RMO})
         b = ConfigSpec.create(ModelKind.NOSQ,
                               {"core.consistency": "rmo",
                                "core.rob_entries": 512.0})
@@ -248,7 +243,7 @@ class TestConfigSpec:
         assert a != b and a.spec_hash != b.spec_hash
 
     def test_canonical_json_is_deterministic(self):
-        spec = ablation_spec("confidence_4bit", ModelKind.DMDP)
+        spec = ablation_spec("narrow_width_4", ModelKind.DMDP)
         text = spec.canonical_json()
         assert text == ConfigSpec.from_json(text).canonical_json()
         assert json.loads(text)["model"] == "dmdp"
@@ -331,7 +326,6 @@ _overrides_st = st.fixed_dictionaries(
 
 class TestKeyCanonicalization:
     cache = ResultCache(root=None, version="pinned-for-test")
-    runner = ExperimentRunner(scale=0.05, use_cache=False)
 
     @hyp_settings(max_examples=200, deadline=None)
     @given(model=st.sampled_from(ALL_MODELS), a=_overrides_st,
@@ -342,28 +336,20 @@ class TestKeyCanonicalization:
         same_params = spec_a.to_params() == spec_b.to_params()
         assert (spec_a == spec_b) == same_params
         assert (spec_a.spec_hash == spec_b.spec_hash) == same_params
-        memo_equal = (self.runner._memo_key("w", spec_a)
-                      == self.runner._memo_key("w", spec_b))
+        # The runner's memo is keyed by the point itself.
+        memo_equal = (SimPoint("bzip2", spec_a) == SimPoint("bzip2", spec_b))
         disk_equal = (self.cache.key_for_spec("w", 3, spec_a)
                       == self.cache.key_for_spec("w", 3, spec_b))
         assert memo_equal == disk_equal == same_params
-
-    @hyp_settings(max_examples=100, deadline=None)
-    @given(model=st.sampled_from(ALL_MODELS), payload=_overrides_st)
-    def test_legacy_key_for_matches_spec_key(self, model, payload):
-        spec = ConfigSpec.create(model, payload)
-        legacy = ConfigSpec.from_overrides(model, **payload)
-        assert (self.cache.key_for_spec("w", 3, legacy)
-                == self.cache.key_for_spec("w", 3, spec))
 
     def test_key_for_is_order_insensitive(self):
         fwd = {"core.rob_entries": 512, "core.consistency": "rmo"}
         rev = {"core.consistency": Consistency.RMO,
                "core.rob_entries": 512.0}
         assert (self.cache.key_for_spec(
-                    "w", 3, ConfigSpec.from_overrides(ModelKind.DMDP, **fwd))
+                    "w", 3, ConfigSpec.create(ModelKind.DMDP, fwd))
                 == self.cache.key_for_spec(
-                    "w", 3, ConfigSpec.from_overrides(ModelKind.DMDP, **rev)))
+                    "w", 3, ConfigSpec.create(ModelKind.DMDP, rev)))
 
     def test_iterations_and_workload_still_distinguish(self):
         spec = ConfigSpec.create(ModelKind.DMDP)
@@ -402,37 +388,37 @@ class TestGridRuns:
                                {"core.store_buffer_entries": [8]})
         via_grid = runner.run_grid(grid, workloads=["bzip2"])
         (point, grid_result), = via_grid.items()
-        fresh = ExperimentRunner(scale=0.05, jobs=1, use_cache=False)
-        legacy = fresh.run("bzip2", ModelKind.NOSQ, store_buffer_entries=8)
-        assert legacy.stats.to_dict() == grid_result.stats.to_dict()
-        assert point == make_point("bzip2", ModelKind.NOSQ,
-                                   store_buffer_entries=8)
+        # The uarch layer's own field-name path, below the config layer.
+        workload = get_workload("bzip2")
+        program = workload.build(workload.iterations(0.05))
+        direct = Simulator(program, FunctionalCpu(program).run_trace(),
+                           model_params(ModelKind.NOSQ,
+                                        store_buffer_entries=8)).run()
+        assert direct.to_dict() == grid_result.stats.to_dict()
+        assert point == SimPoint("bzip2", ConfigSpec.create(
+            ModelKind.NOSQ, {"core.store_buffer_entries": 8}))
 
     def test_make_point_and_spec_point_agree(self):
-        spec = ConfigSpec.from_overrides(ModelKind.DMDP, rob_entries=512)
-        assert make_point("mcf", ModelKind.DMDP, rob_entries=512) \
-            == spec_point("mcf", spec)
+        point = make_point("mcf", "dmdp")
+        assert point == SimPoint("mcf", ConfigSpec.create(ModelKind.DMDP))
+        assert point.model is ModelKind.DMDP and point.spec.settings == ()
 
-    def test_hand_built_point_equals_its_make_point_twin(self, monkeypatch):
-        """A point canonicalises once, at construction: bare names become
-        dotted keys, and ``spec`` trusts the stored settings."""
-        point = SimPoint("bzip2", ModelKind.DMDP,
-                         (("store_buffer_entries", 8),))
-        assert point == make_point("bzip2", ModelKind.DMDP,
-                                   store_buffer_entries=8)
-        assert point.overrides == (("core.store_buffer_entries", 8),)
-        assert SimPoint("bzip2", "dmdp").model is ModelKind.DMDP
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("spec re-validated the point")
-
-        monkeypatch.setattr(ConfigSpec, "from_overrides", refuse)
-        assert point.spec == ConfigSpec(ModelKind.DMDP,
-                                        (("core.store_buffer_entries", 8),))
+    def test_hand_built_point_equals_its_make_point_twin(self):
+        """Points compare and hash by value: a point over a spec rebuilt
+        with the trusting constructor is the same memo key."""
+        spec = ConfigSpec.create(ModelKind.DMDP,
+                                 {"core.store_buffer_entries": 8})
+        point = SimPoint("bzip2", ConfigSpec(
+            ModelKind.DMDP, (("core.store_buffer_entries", 8),)))
+        assert point == SimPoint("bzip2", spec)
+        assert hash(point) == hash(SimPoint("bzip2", spec))
+        assert {point: 1}[SimPoint("bzip2", spec)] == 1
+        assert point != make_point("bzip2", ModelKind.DMDP)
 
     def test_make_point_typo_fails_before_any_worker(self):
-        with pytest.raises(ConfigError):
-            make_point("mcf", ModelKind.DMDP, rob_entrees=512)
+        with pytest.raises(ConfigError) as err:
+            make_point("bzip", ModelKind.DMDP)
+        assert "'bzip'" in str(err.value) and "bzip2" in str(err.value)
 
 
 # -- CLI surface ------------------------------------------------------------

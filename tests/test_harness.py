@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.config import ABLATIONS, ConfigSpec, ablation_spec
 from repro.harness import (
     ExperimentRunner,
+    SimPoint,
     format_table,
     geomean,
+    make_point,
     paper_data,
     percent,
-    shape_check,
 )
 from repro.harness.experiments import (
     ALL_EXPERIMENTS,
@@ -34,7 +36,9 @@ class TestRunner:
 
     def test_overrides_create_new_cache_entries(self, runner):
         base = runner.run("bzip2", ModelKind.DMDP)
-        other = runner.run("bzip2", ModelKind.DMDP, store_buffer_entries=64)
+        point = SimPoint("bzip2",
+                         ablation_spec("store_buffer_64", ModelKind.DMDP))
+        other = runner.run_batch([point])[point]
         assert base is not other
         assert other.stats.cycles != 0
 
@@ -52,7 +56,8 @@ class TestRunner:
         assert result.energy.edp > 0
 
     def test_run_suite(self, runner):
-        results = runner.run_suite(ModelKind.NOSQ, workloads=SMALL)
+        results = runner.run_suite(ConfigSpec.create(ModelKind.NOSQ),
+                                   workloads=SMALL)
         assert set(results) == set(SMALL)
 
 
@@ -60,12 +65,13 @@ class TestRunnerObservability:
     def test_run_traced_matches_untraced_stats(self, runner):
         from repro.obs import MetricsTracer, RecordingTracer
         plain = runner.run("bzip2", ModelKind.DMDP)
+        point = make_point("bzip2", ModelKind.DMDP)
         tracer = RecordingTracer()
-        traced = runner.run_traced("bzip2", ModelKind.DMDP, tracer)
+        traced = runner.run_traced(point, tracer)
         assert tracer.events
         assert traced.stats.to_dict() == plain.stats.to_dict()
         metrics = MetricsTracer()
-        measured = runner.run_traced("bzip2", ModelKind.DMDP, metrics)
+        measured = runner.run_traced(point, metrics)
         assert measured.stats.to_dict() == plain.stats.to_dict()
         assert (metrics.report()["retired_instructions"]
                 == measured.stats.instructions)
@@ -111,16 +117,6 @@ class TestReporting:
         assert format_run_report([]) == "no points resolved"
         assert format_run_report(None, None) == "no points resolved"
 
-    def test_format_point_log_empty(self):
-        from repro.harness.reporting import format_point_log
-        text = format_point_log([])
-        assert "workload" in text
-
-    def test_shape_check(self):
-        assert shape_check(5.0, 7.0) == "+"
-        assert shape_check(-3.0, 4.0) == "-"
-        assert shape_check(0.1, 0.05) == "~"
-
 
 class TestExperiments:
     def test_fig02_structure(self, runner):
@@ -144,6 +140,29 @@ class TestExperiments:
         result = table6_mpki(runner, workloads=SMALL)
         for row in result.rows:
             assert row[1] >= 0 and row[2] >= 0
+
+    def test_each_experiment_is_one_batch_over_the_ablations(
+            self, monkeypatch):
+        """Every experiment resolves its whole point set in one
+        run_batch, and every ABLATIONS entry is some experiment's
+        configuration."""
+        batches = []
+        real = ExperimentRunner.run_batch
+
+        def record(self, points):
+            batches.append(list(points))
+            return real(self, batches[-1])
+
+        monkeypatch.setattr(ExperimentRunner, "run_batch", record)
+        fresh = ExperimentRunner(scale=0.05, use_cache=False)
+        for exp_id, experiment in ALL_EXPERIMENTS.items():
+            before = len(batches)
+            experiment(fresh, workloads=["tonto"])
+            assert len(batches) == before + 1, exp_id
+        specs = {point.spec for batch in batches for point in batch}
+        for name in ABLATIONS:
+            assert any(ablation_spec(name, model) in specs
+                       for model in ModelKind), name
 
     def test_registry_covers_every_paper_artifact(self):
         expected = {"fig02", "fig03", "fig05", "fig12", "table4", "table5",

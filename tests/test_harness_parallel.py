@@ -8,7 +8,7 @@ cache must satisfy a repeat session without a single simulation.
 
 import pytest
 
-from repro.config import ConfigSpec
+from repro.config import ConfigSpec, ablation_spec
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.parallel import SimPoint, make_point
@@ -51,19 +51,21 @@ def test_warm_cache_performs_zero_simulations(tmp_path):
     warm_text = fig12(warm, workloads=WORKLOADS).render()
     assert warm_text == cold_text
     assert warm.points_simulated() == 0
-    assert warm.points_from_cache() == cold.points_simulated()
+    from_cache = [p for p in warm.point_log if p.source == "cache"]
+    assert len(from_cache) == cold.points_simulated()
 
 
 def test_parameter_change_invalidates_cache(tmp_path):
+    sb32 = SimPoint("bzip2", ablation_spec("store_buffer_32", ModelKind.DMDP))
     first = runner_with(tmp_path, "shared")
-    first.run("bzip2", ModelKind.DMDP, store_buffer_entries=32)
+    first.run_batch([sb32])
     assert first.points_simulated() == 1
 
-    # Same point -> served from disk; changed override -> fresh simulation.
+    # Same point -> served from disk; changed setting -> fresh simulation.
     second = runner_with(tmp_path, "shared")
-    second.run("bzip2", ModelKind.DMDP, store_buffer_entries=32)
+    second.run_batch([sb32])
     assert second.points_simulated() == 0
-    second.run("bzip2", ModelKind.DMDP, store_buffer_entries=16)
+    second.run("bzip2", ModelKind.DMDP)
     assert second.points_simulated() == 1
 
 
@@ -115,8 +117,8 @@ def test_fan_out_without_a_store_traces_only_in_workers():
 def test_run_batch_deduplicates_points(tmp_path):
     runner = runner_with(tmp_path, "dedup")
     point = make_point("bzip2", ModelKind.DMDP)
-    results = runner.run_batch([point, point, SimPoint("bzip2",
-                                                       ModelKind.DMDP)])
+    results = runner.run_batch([point, point, SimPoint(
+        "bzip2", ConfigSpec.create(ModelKind.DMDP))])
     assert len(results) == 1
     assert runner.points_simulated() == 1
     assert runner.batch_log[-1].points == 1
@@ -138,8 +140,10 @@ def test_no_cache_runner_leaves_disk_untouched(tmp_path, monkeypatch):
 
 def test_overrides_key_is_order_insensitive(tmp_path):
     cache = ResultCache(root=tmp_path, version="v")
-    key_a = cache.key_for_spec("bzip2", 50, ConfigSpec.from_overrides(
-        ModelKind.DMDP, rob_entries=128, store_buffer_entries=16))
-    key_b = cache.key_for_spec("bzip2", 50, ConfigSpec.from_overrides(
-        ModelKind.DMDP, store_buffer_entries=16, rob_entries=128))
+    key_a = cache.key_for_spec("bzip2", 50, ConfigSpec.create(
+        ModelKind.DMDP, {"core.rob_entries": 128,
+                         "core.store_buffer_entries": 16}))
+    key_b = cache.key_for_spec("bzip2", 50, ConfigSpec.create(
+        ModelKind.DMDP, {"core.store_buffer_entries": 16,
+                         "core.rob_entries": 128}))
     assert key_a == key_b

@@ -8,8 +8,9 @@ in which direction each mechanism moves the metrics.
 
 import pytest
 
-from repro.harness import ExperimentRunner, geomean
-from repro.uarch import ConfidencePolicy, LoadKind, ModelKind
+from repro.config import ConfigSpec
+from repro.harness import ExperimentRunner, SimPoint, geomean
+from repro.uarch import LoadKind, ModelKind
 
 # Representative subset: OC-heavy (bzip2), AC-heavy (tonto), the paper's
 # flagship DMDP case (wrf), and a silent-store case (hmmer).
@@ -21,8 +22,14 @@ def runner():
     return ExperimentRunner(scale=0.3)
 
 
-def ipc(runner, name, model, **kw):
-    return runner.run(name, model, **kw).ipc
+def ipc(runner, name, model):
+    return runner.run(name, model).ipc
+
+
+def result(runner, name, model, settings):
+    """One point under dotted ``settings``, as a one-point batch."""
+    point = SimPoint(name, ConfigSpec.create(model, settings))
+    return runner.run_batch([point])[point]
 
 
 class TestHeadlineOrdering:
@@ -94,25 +101,24 @@ class TestMechanisms:
         """Paper Section IV-E: divide-by-two confidence cuts recoveries at
         the price of extra predications."""
         biased = runner.run("bzip2", ModelKind.DMDP).stats
-        balanced = runner.run(
-            "bzip2", ModelKind.DMDP,
-            confidence_policy=ConfidencePolicy.BALANCED).stats
+        balanced = result(runner, "bzip2", ModelKind.DMDP,
+                          {"core.confidence_policy": "balanced"}).stats
         assert biased.dep_mispredictions <= balanced.dep_mispredictions
 
     def test_silent_store_policy_cuts_reexecutions(self, runner):
         """Paper Section IV-C.a: training on every re-execution removes the
         repeated silent-store re-executions."""
         aware = runner.run("hmmer", ModelKind.DMDP).stats
-        naive = runner.run("hmmer", ModelKind.DMDP,
-                           silent_store_aware=False).stats
+        naive = result(runner, "hmmer", ModelKind.DMDP,
+                       {"core.silent_store_aware": False}).stats
         assert aware.reexecutions <= naive.reexecutions
 
     def test_bigger_store_buffer_helps_dmdp(self, runner):
         """Paper Fig. 14 direction (store-heavy workload)."""
-        small = runner.run("lbm", ModelKind.DMDP,
-                           store_buffer_entries=4)
-        large = runner.run("lbm", ModelKind.DMDP,
-                           store_buffer_entries=64)
+        small = result(runner, "lbm", ModelKind.DMDP,
+                       {"core.store_buffer_entries": 4})
+        large = result(runner, "lbm", ModelKind.DMDP,
+                       {"core.store_buffer_entries": 64})
         assert large.ipc >= small.ipc
 
     def test_edp_saving_direction(self, runner):

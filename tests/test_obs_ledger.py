@@ -17,6 +17,7 @@ import typing
 
 import pytest
 
+from repro.config import ConfigSpec
 from repro.energy import energy_summary
 from repro.harness import parallel
 from repro.harness import runner as runner_mod
@@ -271,15 +272,16 @@ class TestRunnerSpans:
 
     def test_failed_and_completed_points_name_settings_alike(
             self, monkeypatch, tmp_path):
-        """A hand-built point with a bare setting name is logged under
-        its dotted canonical name whether it fails or completes."""
+        """A point's settings are logged under their dotted canonical
+        names whether it fails or completes."""
         fault_env(monkeypatch, tmp_path, "raise:workload=bzip2")
         sink = ListLedger()
         runner = runner_with(tmp_path, sink, jobs=2, keep_going=True,
                              policy=RetryPolicy(retries=0, backoff=0.0))
-        bare = (("store_buffer_entries", 8),)
-        runner.run_batch([SimPoint("bzip2", ModelKind.DMDP, bare),
-                          SimPoint("tonto", ModelKind.DMDP, bare)])
+        spec = ConfigSpec.create(ModelKind.DMDP,
+                                 {"core.store_buffer_entries": 8.0})
+        runner.run_batch([SimPoint("bzip2", spec),
+                          SimPoint("tonto", spec)])
         dotted = {"core.store_buffer_entries": 8}
         [failed] = sink.of("point.failed")
         [completed] = sink.of("point.completed")

@@ -29,14 +29,14 @@ import pytest
 
 import repro.kernel.precompute as precompute_mod
 from repro.harness.cache import PrecomputeStore, ResultCache, TraceStore
-from repro.harness.parallel import make_point
+from repro.config import ConfigSpec
+from repro.harness.parallel import SimPoint, make_point
 from repro.harness.runner import ExperimentRunner
 from repro.kernel import (FunctionalCpu, MAX_TRACE_INSTRUCTIONS,
                           PackedTrace, load_trace, pack_trace)
 from repro.kernel.precompute import (PRECOMPUTE_FORMAT_VERSION,
                                      PrecomputeDecodeError, TracePrecompute,
-                                     bpred_signature, load_precompute,
-                                     write_precompute)
+                                     bpred_signature, load_precompute)
 from repro.uarch import ALL_MODELS, ModelKind, Simulator, model_params
 from repro.uarch.branch import BranchPredictor
 from repro.uarch.pipeline import _Decoded
@@ -304,7 +304,7 @@ class TestGoldenBatchedIdentity:
         params = model_params(ModelKind.DMDP)
         built = TracePrecompute.build(twin(program, packed), DEFAULT_SIG)
         path = tmp_path / "mcf.pre"
-        write_precompute(path, built)
+        path.write_bytes(built.to_bytes())
         loaded = load_precompute(path, packed, DEFAULT_SIG)
         assert packed.bundles == {DEFAULT_SIG: loaded}
         sim = Simulator(program, packed, params)
@@ -327,7 +327,7 @@ class TestSerialization:
         _program, packed = random_packed(2)
         bundle = TracePrecompute.build(packed, DEFAULT_SIG)
         path = tmp_path / "rand2.pre"
-        write_precompute(path, bundle)
+        path.write_bytes(bundle.to_bytes())
         loaded = load_precompute(path, packed, DEFAULT_SIG)
         assert loaded.mispredicted_list() == bundle.mispredicted_list()
         assert loaded.history_list() == bundle.history_list()
@@ -440,10 +440,10 @@ class TestRunnerBatching:
         return ExperimentRunner(**kwargs)
 
     def points(self):
-        return [make_point(w, m, **o)
+        return [SimPoint(w, ConfigSpec.create(m, o))
                 for w in ("mcf", "lbm")
                 for m in (ModelKind.BASELINE, ModelKind.DMDP)
-                for o in ({}, {"store_buffer_entries": 8})]
+                for o in ({}, {"core.store_buffer_entries": 8})]
 
     def test_cold_batch_builds_exactly_one_bundle_per_trace(self, tmp_path):
         runner = self.runner(tmp_path)
@@ -471,8 +471,7 @@ class TestRunnerBatching:
         out = batched.run_batch(self.points())
         plain = ExperimentRunner(scale=0.05, use_cache=False)
         for point in self.points():
-            want = plain.run(point.workload, point.model,
-                             **dict(point.overrides)).stats.to_dict()
+            want = plain.run_batch([point])[point].stats.to_dict()
             assert out[point].stats.to_dict() == want
 
     def test_parallel_batch_workers_load_not_rebuild(self, tmp_path):

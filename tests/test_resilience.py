@@ -38,7 +38,7 @@ SCALE = 0.05
 POINTS = [make_point(w, m) for w in ("bzip2", "tonto")
           for m in (ModelKind.NOSQ, ModelKind.DMDP)]
 FAST = RetryPolicy(retries=2, backoff=0.0)
-DMDP_SPEC = ConfigSpec.from_overrides(ModelKind.DMDP)
+DMDP_SPEC = ConfigSpec.create(ModelKind.DMDP)
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
 
@@ -348,11 +348,11 @@ class TestEngineRobustness:
         real = ExperimentRunner._simulate
         calls = {"n": 0}
 
-        def flaky(self, workload, spec):
+        def flaky(self, point, tracer=None):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("transient")
-            return real(self, workload, spec)
+            return real(self, point, tracer)
 
         monkeypatch.setattr(ExperimentRunner, "_simulate", flaky)
         results = runner.run_batch(POINTS[:1])
@@ -364,7 +364,7 @@ class TestEngineRobustness:
         runner = runner_with(tmp_path, jobs=1, keep_going=True,
                              policy=RetryPolicy(retries=1, backoff=0.0))
 
-        def broken(self, workload, spec):
+        def broken(self, point, tracer=None):
             raise RuntimeError("permanent")
 
         monkeypatch.setattr(ExperimentRunner, "_simulate", broken)
@@ -405,6 +405,33 @@ class TestEngineRobustness:
             runner.run("bzip2", ModelKind.NOSQ)
         assert calls["n"] == policy.retries + 1    # not simulated again
         assert runner.run("tonto", ModelKind.NOSQ).stats.instructions > 0
+
+    def test_keep_going_experiment_ends_in_the_failure_table(
+            self, monkeypatch):
+        """An experiment cannot render a table with a missing cell, so
+        under --keep-going a failed point still ends in the failure
+        table and exit 1 -- never in a KeyError."""
+        import io
+
+        from repro.cli import main
+        from repro.uarch.pipeline import Simulator
+        real = Simulator.run
+
+        def run(self, *args, **kwargs):
+            if self.model is ModelKind.PERFECT:
+                raise RuntimeError("injected failure")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", run)
+        out = io.StringIO()
+        code = main(["--scale", "0.05", "--no-cache", "--keep-going",
+                     "--retries", "0", "experiment", "fig12",
+                     "--workloads", "bzip2,tonto"], out=out)
+        text = out.getvalue()
+        assert code == 1
+        assert "failed after retries: bzip2/perfect, tonto/perfect" in text
+        assert "Failed simulation points" in text
+        assert "KeyError" not in text
 
 
 # -- checkpoint / resume -----------------------------------------------------

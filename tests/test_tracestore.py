@@ -292,7 +292,7 @@ class TestTraceStore:
         # must conservatively invalidate them too.
         from repro.kernel import tracestore
         cache = ResultCache(root=tmp_path / "cache", version="v1")
-        spec = ConfigSpec.from_overrides(ModelKind.DMDP)
+        spec = ConfigSpec.create(ModelKind.DMDP)
         old_key = cache.key_for_spec("bzip2", 50, spec)
         monkeypatch.setattr(tracestore, "TRACE_FORMAT_VERSION",
                             tracestore.TRACE_FORMAT_VERSION + 1)
@@ -325,7 +325,7 @@ class TestTraceStore:
         if kind == "result":
             store = ResultCache(root=None)
             key = store.key_for_spec(
-                "x", 1, ConfigSpec.from_overrides(ModelKind.DMDP))
+                "x", 1, ConfigSpec.create(ModelKind.DMDP))
             assert store.put(key, {"stats": 1}) is None
             assert store.get(key) is None
             assert store._path(key) is None

@@ -15,6 +15,14 @@ from repro.uarch.params import PredictorParams
 from repro.uarch.stats import SimStats
 
 
+def run_point(name, model, settings):
+    """``name`` under dotted ``settings`` on a fresh scale-0.1 runner."""
+    from repro.config import ConfigSpec
+    from repro.harness import ExperimentRunner, SimPoint
+    point = SimPoint(name, ConfigSpec.create(model, settings))
+    return ExperimentRunner(scale=0.1).run_batch([point])[point]
+
+
 def hierarchy(**kw):
     return MemoryHierarchy(
         CacheParams(size_bytes=4096, assoc=4, line_bytes=64, hit_latency=4),
@@ -70,10 +78,13 @@ class TestPrefetcher:
         assert hier.probe_latency(0x10040) > 4
 
     def test_prefetch_helps_streaming_workload(self):
-        from repro.harness import ExperimentRunner
+        from repro.config import ConfigSpec
+        from repro.harness import ExperimentRunner, SimPoint
         runner = ExperimentRunner(scale=0.15)
         base = runner.run("lbm", ModelKind.DMDP)
-        pref = runner.run("lbm", ModelKind.DMDP, prefetch_next_line=True)
+        point = SimPoint("lbm", ConfigSpec.create(
+            ModelKind.DMDP, {"core.prefetch_next_line": True}))
+        pref = runner.run_batch([point])[point]
         assert pref.stats.l1_misses < base.stats.l1_misses
 
 
@@ -121,10 +132,8 @@ class TestTagePredictor:
         assert tage.predict(PC, 0) is None
 
     def test_end_to_end_under_dmdp(self):
-        from repro.harness import ExperimentRunner
-        runner = ExperimentRunner(scale=0.1)
-        result = runner.run("bzip2", ModelKind.DMDP,
-                            use_tage_predictor=True)
+        result = run_point("bzip2", ModelKind.DMDP,
+                           {"core.use_tage_predictor": True})
         assert result.stats.instructions > 0
         assert result.stats.predicated_loads + result.stats.cloaked_loads > 0
 
@@ -162,8 +171,6 @@ class TestUntaggedSsbf:
         assert filt.load_lookup(0x2000, 0xF).ssn == 8
 
     def test_end_to_end_under_nosq(self):
-        from repro.harness import ExperimentRunner
-        runner = ExperimentRunner(scale=0.1)
-        result = runner.run("tonto", ModelKind.NOSQ,
-                            predictor=PredictorParams(tssbf_tagged=False))
+        result = run_point("tonto", ModelKind.NOSQ,
+                           {"predictor.tssbf_tagged": False})
         assert result.stats.instructions > 0

@@ -8,8 +8,8 @@ from repro.uarch import (
     ALL_MODELS,
     ConfidencePolicy,
     ConfigError,
+    CoreParams,
     ModelKind,
-    baseline_params,
     run_all_models,
     run_model,
     trace_program,
@@ -49,17 +49,17 @@ class TestModelFacade:
         prog = tiny_program()
         trace = trace_program(prog)
         stats = run_model(prog, trace, ModelKind.NOSQ,
-                          params=baseline_params())
+                          params=CoreParams())
         assert stats.instructions == len(trace)
 
     def test_run_model_override_on_params(self):
         prog = tiny_program()
         trace = trace_program(prog)
         stats = run_model(prog, trace, ModelKind.DMDP,
-                          params=baseline_params(), rob_entries=32)
+                          params=CoreParams(), rob_entries=32)
         assert stats.instructions == len(trace)
 
-    @pytest.mark.parametrize("params", [None, baseline_params()],
+    @pytest.mark.parametrize("params", [None, CoreParams()],
                              ids=["defaults", "on_params"])
     def test_run_model_rejects_typoed_override(self, params):
         # A typo gets a did-you-mean ConfigError whether or not a base

@@ -11,14 +11,13 @@ from repro.uarch import (
     LoadKind,
     ModelKind,
     SimStats,
-    baseline_params,
     model_params,
 )
 
 
 class TestParams:
     def test_baseline_defaults_match_paper(self):
-        params = baseline_params()
+        params = CoreParams()
         assert params.issue_width == 8
         assert params.rob_entries == 256
         assert params.num_pregs == 320
@@ -46,10 +45,10 @@ class TestParams:
 
     def test_params_are_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            baseline_params().rob_entries = 1
+            CoreParams().rob_entries = 1
 
     def test_cache_geometry(self):
-        params = baseline_params()
+        params = CoreParams()
         assert params.l1d.num_sets * params.l1d.assoc * \
             params.l1d.line_bytes == params.l1d.size_bytes
 

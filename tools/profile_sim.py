@@ -67,10 +67,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = get_workload(args.workload)
-    iterations = spec.default_scale
-    if args.scale is not None:
-        iterations = max(1, int(round(iterations * args.scale)))
-    program = spec.build(iterations)
+    program = spec.build(spec.iterations(args.scale))
     params = model_params(ModelKind(args.model))
 
     profile = cProfile.Profile()
