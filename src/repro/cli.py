@@ -961,8 +961,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         # stack trace.  Everything that completed is already in the
         # result cache, so re-running resumes instead of restarting.
         print("error: %s" % exc, file=out)
+        hint = "" if args.keep_going else ", or add --keep-going"
         print("(completed points are checkpointed in the result cache; "
-              "re-run to resume, or add --keep-going)", file=out)
+              "re-run to resume%s)" % hint, file=out)
         print(file=out)
         print(format_failure_table(exc.failures), file=out)
         return 1

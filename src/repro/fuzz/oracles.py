@@ -15,9 +15,9 @@ and must satisfy:
    byte-identical :class:`~repro.uarch.SimStats` to the cycle-skipping
    run, over one :class:`~repro.kernel.tracestore.PackedTrace`.  The
    first model's cycle-skipping run builds the trace's precompute bundle
-   and indexes the trace lazily; every later run shares the bundle and
-   indexes its dense entries, so one comparison checks cycle-skipping
-   exactness and lazy-vs-shared indexing.
+   and every later run shares it; all of them read the same packed
+   columns and bundle tables, so the comparison checks cycle-skipping
+   exactness.
 
 A divergence is reported as a :class:`Divergence` record; the set of
 records hashes to a stable :attr:`CheckReport.signature` so a minimized

@@ -445,7 +445,7 @@ class ExperimentRunner:
         A shared precompute bundle pays off only across configs: resolve
         one per trace with two or more points.  A single point's
         Simulator uses a bundle an earlier run left on the trace, or
-        builds one and indexes the packed trace lazily.  Each trace's
+        builds one and leaves it there.  Each trace's
         configs run back to back (the stable sort keeps submission order
         within a trace), every point retries on its own, and without
         ``keep_going`` the first exhausted point stops the rest.

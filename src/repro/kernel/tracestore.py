@@ -1,4 +1,4 @@
-"""Columnar binary trace encoding + lazy ``PackedTrace`` views.
+"""Columnar binary trace encoding + ``PackedTrace`` column views.
 
 A dynamic trace is a sequence of :class:`~repro.kernel.trace.TraceEntry`
 records -- at full scale, millions per workload.  As Python objects each
@@ -14,17 +14,18 @@ Instruction operands are resolved through the *static* instruction index
 (``pc == text_base + 4*static``) into the live :class:`~repro.isa.Program`,
 so the encoding carries no pickled :class:`~repro.isa.Instruction` objects
 and a blob is ~22 bytes per dynamic instruction (20 bytes of u32 columns
-plus 2 of u8) instead of a few hundred.  Derived fields are recomputed at
-view time (``word_addr``, ``bab``); nullability is tracked in per-entry
-flag bits, and ``dep_store`` uses an explicit sentinel.
+plus 2 of u8) instead of a few hundred.  Derived fields (``word_addr``,
+``bab``) are recomputed at view time, and once per precompute bundle for
+the Simulator; nullability is tracked in per-entry flag bits, and
+``dep_store`` uses an explicit sentinel.
 
-:class:`PackedTrace` wraps the columns as a lazy sequence satisfying the
-timing Simulator's trace interface -- ``len()``, ``trace[i]`` -- by
-materialising :class:`TraceEntry` views on demand, while exposing the raw
-columns (``static_column`` / ``flags_column`` / ``next_pc_column``) so the
-whole-trace precompute pass (:mod:`repro.kernel.precompute`, the one
-source of every Simulator's trace tables) and the Simulator's fetch stage
-scan integers instead of building objects.  Loaded from disk the columns
+:class:`PackedTrace` exposes the raw columns (``static_column``,
+``mem_addr_column`` and the rest), which the whole-trace precompute pass
+(:mod:`repro.kernel.precompute`, the one source of every Simulator's
+trace tables) scans and the timing Simulator reads by trace index, so
+neither builds an object per entry.  For every other caller it is also a
+lazy sequence -- ``len()``, ``trace[i]``, iteration -- that materialises
+:class:`TraceEntry` views on demand.  Loaded from disk the columns
 are zero-copy views into an ``mmap``, so N concurrent workers reading the
 same blob share one set of page-cache pages instead of N private object
 heaps.
@@ -98,9 +99,10 @@ Column = Union[Sequence[int], memoryview]
 class PackedTrace:
     """Columnar dynamic trace with lazy :class:`TraceEntry` views.
 
-    Satisfies the Simulator's trace interface (``len``, integer and slice
-    indexing, iteration) and exposes the raw columns the precompute pass
-    scans.  ``bundles`` maps a predictor signature to the
+    Exposes the raw columns the precompute pass scans and the Simulator
+    reads by index, and is a sequence (``len``, integer and slice
+    indexing, iteration) of entry views for every other caller.
+    ``bundles`` maps a predictor signature to the
     :class:`~repro.kernel.precompute.TracePrecompute` bundle built or
     loaded for this trace, which every run of the trace shares (DESIGN.md
     section 14).

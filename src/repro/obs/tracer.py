@@ -108,11 +108,11 @@ class PipelineTracer:
                              {"pc": pc, "avail": avail}))
 
     def on_rename(self, instr, cycle: int) -> None:
-        te = instr.trace
+        dec = instr.dec
         # Lists, not tuples: the JSONL round trip must reproduce the
         # in-memory events exactly (tools/trace_diff.py compares them).
         uops = [[u.seq, u.kind.value] for u in instr.uops]
-        data = {"pc": te.pc, "asm": str(te.instr), "uops": uops}
+        data = {"pc": dec.pc, "asm": str(dec.instr), "uops": uops}
         li = instr.load
         if li is not None:
             data["load_kind"] = li.mode.value
@@ -136,7 +136,7 @@ class PipelineTracer:
         if li is not None:
             data["load_kind"] = li.mode.value
             data["lowconf"] = li.low_confidence
-        if instr.trace.is_store:
+        if instr.dec.is_store:
             data["store"] = True
         self.emit(TraceEvent(cycle, EventKind.RETIRE, instr.rob_id, None,
                              data))

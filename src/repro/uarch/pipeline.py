@@ -30,7 +30,6 @@ from ..isa.instructions import SIGNED_LOADS
 from ..isa.registers import (NUM_ARCH_REGS, NUM_LOGICAL_REGS, REG_AGI,
                              REG_LDTMP, REG_PRED)
 from ..kernel.cpu import ALU_SEMANTICS, WORD_MASK, sign_extend
-from ..kernel.trace import TraceEntry
 from ..kernel.precompute import TracePrecompute, bpred_signature
 from ..kernel.tracestore import F_TAKEN, pack_trace
 from ..obs.tracer import NULL_TRACER, PipelineTracer
@@ -91,12 +90,14 @@ class SimulationError(Exception):
 class _Decoded:
     """Per-static-instruction decode cache (built once per simulation)."""
 
-    __slots__ = ("is_load", "is_store", "is_mem", "is_control",
-                 "is_cond_branch", "src_regs", "dest_reg", "fu",
-                 "latency", "is_partial", "rs", "rt", "rd", "uop_estimate",
-                 "uop_kind", "uop_fu")
+    __slots__ = ("pc", "instr", "is_load", "is_store", "is_mem",
+                 "is_control", "is_cond_branch", "src_regs", "dest_reg",
+                 "fu", "latency", "is_partial", "rs", "rt", "rd",
+                 "uop_estimate", "uop_kind", "uop_fu")
 
-    def __init__(self, instr: Instruction, params: CoreParams):
+    def __init__(self, instr: Instruction, params: CoreParams, pc: int):
+        self.pc = pc
+        self.instr = instr
         self.is_load = instr.is_load
         self.is_store = instr.is_store
         self.is_mem = instr.is_mem
@@ -133,35 +134,13 @@ class _Decoded:
             self.uop_estimate = 5  # worst case: AGI+LOAD+CMP+CMOV+CMOV
 
 
-def _extract_forward(store: TraceEntry, load: TraceEntry) -> Optional[int]:
-    """Value a load receives when forwarded from ``store``.
-
-    Returns None when the store does not cover every byte of the load (the
-    forwarded register would contain garbage for the uncovered bytes; the
-    retire-time check of paper Fig. 11 catches this via re-execution).
-    """
-    s_lo, s_hi = store.mem_addr, store.mem_addr + store.mem_size
-    l_lo, l_hi = load.mem_addr, load.mem_addr + load.mem_size
-    if s_lo <= l_lo and l_hi <= s_hi:
-        shift = 8 * (l_lo - s_lo)
-        mask = (1 << (8 * load.mem_size)) - 1
-        return (store.value >> shift) & mask
-    return None
-
-
-def _covers(store: TraceEntry, load: TraceEntry) -> bool:
-    return (store.word_addr == load.word_addr
-            and (store.bab & load.bab) == load.bab)
-
-
 class Simulator:
     """One simulation run: a trace executed under one configuration."""
 
-    def __init__(self, program: Program, trace: Sequence[TraceEntry],
+    def __init__(self, program: Program, trace: Sequence,
                  params: CoreParams, track_arch_state: bool = False,
                  tracer: Optional[PipelineTracer] = None):
         self.program = program
-        self.trace = trace
         self.params = params
         self.model = params.model
         self.stats = SimStats()
@@ -214,31 +193,30 @@ class Simulator:
         self.sb.tracer = self._tr
 
         # Trace tables (kernel/precompute.py): the mispredict flags,
-        # rename-time history, decode templates and base memory image
-        # depend only on the trace and the predictor geometry (the front
-        # end is deterministic on the committed path, so squash/refetch
-        # replays identical predictions), and they always come from one
-        # TracePrecompute bundle, which lives on the packed trace under
-        # its predictor signature.
-        packed = pack_trace(program, trace)
+        # rename-time history, decode templates, memory-dependence tables
+        # and base memory image depend only on the trace and the predictor
+        # geometry (the front end is deterministic on the committed path,
+        # so squash/refetch replays identical predictions), and they
+        # always come from one TracePrecompute bundle, which lives on the
+        # packed trace under its predictor signature: the first run of a
+        # trace builds it and every later run shares it.  Either way the
+        # pipeline reads a per-entry field by trace index (DynInstr.rob_id)
+        # from the packed columns or the bundle's tables, and a per-static
+        # one (pc, Instruction) from the decode template.
+        packed = self.trace = pack_trace(program, trace)
+        self._total = len(packed)
         signature = bpred_signature(params)
         pre = packed.bundles.get(signature)
-        if pre is not None:
-            # Another run built or loaded this bundle, so the trace is
-            # shared: fetch walks every entry, and plain-list indexing of
-            # the bundle's dense entries keeps a Python call out of the
-            # hot loop.
-            self.trace = pre.entry_list()
-        else:
-            # The first run builds the bundle, leaves it on the trace for
-            # the next, and indexes the trace as given: a list is already
-            # dense, and lazy packed views keep memory at the in-flight
-            # window.
+        if pre is None:
             pre = TracePrecompute.build(packed, signature)
         self._mispredicted = pre.mispredicted_list()
         self._history = pre.history_list()
         self._dec_by_index = pre.decode_index(params)
+        self._dep_store, self._word_addr, self._bab = pre.memory_tables()
         self._taken_bits = packed.flags_column()
+        self._mem_addr = packed.mem_addr_column()
+        self._mem_size = packed.mem_size_column()
+        self._value = packed.value_column()
 
         # Architectural memory image evolved by *committed* stores only.
         self.timing_mem = pre.base_memory().copy()
@@ -327,7 +305,7 @@ class Simulator:
         a no-op one included, makes this the skip-off reference run,
         whose statistics are byte-identical.
         """
-        total = len(self.trace)
+        total = self._total
         stats = self.stats
         sb = self.sb
         commit_stores = self._commit_stores
@@ -459,7 +437,7 @@ class Simulator:
         # out of trace, or else free at its next unblocked cycle.
         if (self.pending_branch is None
                 and self._pending_branch_index is None
-                and self.fetch_index < len(self.trace)
+                and self.fetch_index < self._total
                 and len(buffer) < 2 * self.params.fetch_width):
             blocked = self.fetch_blocked_until
             if blocked <= next_cycle:
@@ -482,11 +460,15 @@ class Simulator:
 
     def _commit_stores(self) -> None:
         completed = self.sb.tick(self.cycle, self.hier)
+        mem_addr = self._mem_addr
+        mem_size = self._mem_size
+        value = self._value
         for entry in completed:
             self.stats.energy_event("store_buffer_op")
             for trace_index in entry.trace_indices:
-                te = self.trace[trace_index]
-                self.timing_mem.write(te.mem_addr, te.value, te.mem_size)
+                self.timing_mem.write(mem_addr[trace_index],
+                                      value[trace_index],
+                                      mem_size[trace_index])
                 self.commit_cycle[trace_index] = self.cycle
                 instr = self.inflight_store_by_id.pop(trace_index, None)
                 if instr is not None and instr.store is not None:
@@ -579,9 +561,10 @@ class Simulator:
         if kind is UOP_LOAD:
             # A cache access returned data: sample value and SSN_commit.
             li = instr.load
-            te = instr.trace
+            index = instr.rob_id
             li.ssn_nvul = self.ssn.commit
-            value = self.timing_mem.read(te.mem_addr, te.mem_size)
+            value = self.timing_mem.read(self._mem_addr[index],
+                                         self._mem_size[index])
             if li.mode is PREDICATED:
                 # Goes to the $ldtmp register; the CMOV pair selects later.
                 li.cache_value = value
@@ -589,15 +572,14 @@ class Simulator:
                 li.obtained_value = value
         elif kind is UOP_CMP:
             li = instr.load
-            li.predicate = _covers(self.trace[li.dep_trace_index],
-                                   instr.trace)
+            li.predicate = self._covers(li.dep_trace_index, instr.rob_id)
         elif kind is UOP_CMOV:
             if not uop.cmov_selected:
                 return False
             li = instr.load
             if li.predicate:
-                dep = self.trace[li.dep_trace_index]
-                li.obtained_value = _extract_forward(dep, instr.trace)
+                li.obtained_value = self._extract_forward(
+                    li.dep_trace_index, instr.rob_id)
                 li.value_from_store = True
             else:
                 li.obtained_value = li.cache_value
@@ -607,6 +589,35 @@ class Simulator:
             instr.store.sq_entry_done = True
             self._ee["lq_cam_search"] += 1
         return True
+
+    def _extract_forward(self, store: int, load: int) -> Optional[int]:
+        """Value the load at trace index ``load`` receives when forwarded
+        from the store at trace index ``store``.
+
+        Returns None when the store does not cover every byte of the load (the
+        forwarded register would contain garbage for the uncovered bytes; the
+        retire-time check of paper Fig. 11 catches this via re-execution).
+        """
+        mem_addr = self._mem_addr
+        mem_size = self._mem_size
+        s_lo = mem_addr[store]
+        l_lo = mem_addr[load]
+        l_size = mem_size[load]
+        if s_lo <= l_lo and l_lo + l_size <= s_lo + mem_size[store]:
+            shift = 8 * (l_lo - s_lo)
+            mask = (1 << (8 * l_size)) - 1
+            return (self._value[store] >> shift) & mask
+        return None
+
+    def _covers(self, store: int, load: int) -> bool:
+        """Whether the store at trace index ``store`` wrote every byte the
+        load at trace index ``load`` reads: same word, and the load's Byte
+        Access Bits inside the store's (paper Section IV-D)."""
+        word_addr = self._word_addr
+        bab = self._bab
+        load_bab = bab[load]
+        return (word_addr[store] == word_addr[load]
+                and (bab[store] & load_bab) == load_bab)
 
     # ------------------------------------------------------------------
     # Stage: retire.
@@ -713,7 +724,7 @@ class Simulator:
     def _classify_lowconf(self, instr: DynInstr) -> None:
         """Paper Fig. 5: outcome of a low-confidence dependence prediction."""
         li = instr.load
-        dep = instr.trace.dep_store
+        dep = self._dep_store[instr.rob_id]
         in_flight = (dep is not None and dep not in self.commit_cycle)
         # A store that committed before the load renamed was not in flight.
         if dep is not None and dep in self.commit_cycle:
@@ -730,8 +741,7 @@ class Simulator:
 
     def _arch_update(self, instr: DynInstr) -> None:
         """Apply one committed instruction to the tracked register file."""
-        te = instr.trace
-        isa_instr = te.instr
+        isa_instr = instr.dec.instr
         op = isa_instr.op
         if isa_instr.is_load:
             self._arch_write(isa_instr.dest_reg(),
@@ -740,7 +750,7 @@ class Simulator:
               or op in (J, JR, NOP, HALT)):
             pass  # memory evolves through timing_mem; no register writes
         elif op in (JAL, JALR):
-            self._arch_write(isa_instr.dest_reg(), te.pc + 4)
+            self._arch_write(isa_instr.dest_reg(), instr.dec.pc + 4)
         else:
             regs = self.arch_regs
             rs = regs[isa_instr.rs] if isa_instr.rs is not None else 0
@@ -751,7 +761,9 @@ class Simulator:
 
     def _arch_load_value(self, instr: DynInstr) -> int:
         li = instr.load
-        te = instr.trace
+        index = instr.rob_id
+        address = self._mem_addr[index]
+        size = self._mem_size[index]
         if li.violation:
             # The load retires, younger work squashes, and the refetched
             # consumers see what a post-recovery re-execution would read.
@@ -760,15 +772,15 @@ class Simulator:
             # declares violations with stores still buffered, so the trace
             # value stands in for the post-recovery read.
             if self.model is BASELINE:
-                raw = te.value
+                raw = self._value[index]
             else:
-                raw = self.timing_mem.read(te.mem_addr, te.mem_size)
+                raw = self.timing_mem.read(address, size)
         else:
             raw = li.obtained_value
             if raw is None:
-                raw = self.timing_mem.read(te.mem_addr, te.mem_size)
-        if te.instr.op in SIGNED_LOADS:
-            raw = sign_extend(raw, te.mem_size)
+                raw = self.timing_mem.read(address, size)
+        if instr.dec.instr.op in SIGNED_LOADS:
+            raw = sign_extend(raw, size)
         return raw
 
     def _arch_write(self, reg: Optional[int], value: int) -> None:
@@ -781,19 +793,20 @@ class Simulator:
 
     def _retire_store(self, instr: DynInstr) -> bool:
         """Move a retiring store to the store buffer; False if it is full."""
-        te = instr.trace
-        if not self.sb.can_accept(te.word_addr):
+        index = instr.rob_id
+        word_addr = self._word_addr[index]
+        if not self.sb.can_accept(word_addr):
             return False
         si = instr.store
-        self.sb.push(si.ssn, te.word_addr, te.index)
+        self.sb.push(si.ssn, word_addr, index)
         self._ee["store_buffer_op"] += 1
         si.retired = True
         self.ssn.on_retire(si.ssn)
         if self.model is not BASELINE:
-            self.tssbf.store_retire(te.word_addr, si.ssn, te.bab)
+            self.tssbf.store_retire(word_addr, si.ssn, self._bab[index])
             self._ee["tssbf_access"] += 1
         else:
-            self.storesets.store_complete(te.pc, instr.rob_id)
+            self.storesets.store_complete(instr.dec.pc, index)
         return True
 
     # -- load verification -------------------------------------------------
@@ -801,28 +814,28 @@ class Simulator:
     def _verify_load(self, head: DynInstr) -> str:
         """Returns "ok", "wait" (stall retire) or "violation"."""
         li = head.load
-        te = head.trace
+        index = head.rob_id
 
         if self.model is PERFECT:
             if self._tr is not None:
-                self._tr.on_verify(te.index, self.cycle, "ok", "oracle",
-                                   True)
+                self._tr.on_verify(index, self.cycle, "ok", "oracle", True)
             return "ok"
 
         if self.model is BASELINE:
-            if li.obtained_value != te.value:
-                dep = te.dep_store
+            if li.obtained_value != self._value[index]:
+                dep = self._dep_store[index]
                 if dep is not None:
-                    self.storesets.on_violation(te.pc, self.trace[dep].pc)
+                    self.storesets.on_violation(
+                        head.dec.pc, self._dec_by_index[dep].pc)
                     self._ee["store_sets_access"] += 1
                 li.violation = True
                 if self._tr is not None:
-                    self._tr.on_verify(te.index, self.cycle, "violation",
+                    self._tr.on_verify(index, self.cycle, "violation",
                                        "value_mismatch", False)
                 return "violation"
             if self._tr is not None:
-                self._tr.on_verify(te.index, self.cycle, "ok",
-                                   "value_match", True)
+                self._tr.on_verify(index, self.cycle, "ok", "value_match",
+                                   True)
             return "ok"
 
         # NoSQ / DMDP: SVW + T-SSBF verification (paper Table II).
@@ -831,9 +844,11 @@ class Simulator:
                 return "wait"
             return self._finish_reexecution(head)
 
+        bab = self._bab[index]
         if li.tssbf_result is None:
             self._ee["tssbf_access"] += 1
-            li.tssbf_result = self.tssbf.load_lookup(te.word_addr, te.bab)
+            li.tssbf_result = self.tssbf.load_lookup(self._word_addr[index],
+                                                     bab)
         result = li.tssbf_result
 
         need_reexec = False
@@ -842,7 +857,7 @@ class Simulator:
             if not result.matched or result.ssn != li.ssn_byp:
                 need_reexec = True
                 reason = "ssn_mismatch"
-            elif (result.store_bab & te.bab) != te.bab:
+            elif (result.store_bab & bab) != bab:
                 need_reexec = True  # partial coverage, paper Fig. 11
                 reason = "partial_coverage"
             elif li.obtained_value is None:
@@ -855,7 +870,7 @@ class Simulator:
 
         if not need_reexec:
             if self._tr is not None:
-                self._tr.on_verify(te.index, self.cycle, "filtered",
+                self._tr.on_verify(index, self.cycle, "filtered",
                                    "forward_match" if li.value_from_store
                                    else "svw_filtered", result.matched)
             self._train_predictor(head, correct=li.predicted
@@ -869,22 +884,24 @@ class Simulator:
             return "wait"
         self.stats.reexecutions += 1
         li.reexec_scheduled = True
-        li.reexec_done_cycle = self.hier.access(te.mem_addr, self.cycle)
+        li.reexec_done_cycle = self.hier.access(self._mem_addr[index],
+                                                self.cycle)
         if self._tr is not None:
-            self._tr.on_verify(te.index, self.cycle, "reexec", reason,
+            self._tr.on_verify(index, self.cycle, "reexec", reason,
                                result.matched)
         return "wait" if li.reexec_done_cycle > self.cycle else \
             self._finish_reexecution(head)
 
     def _finish_reexecution(self, head: DynInstr) -> str:
         li = head.load
-        te = head.trace
-        reloaded = self.timing_mem.read(te.mem_addr, te.mem_size)
+        index = head.rob_id
+        reloaded = self.timing_mem.read(self._mem_addr[index],
+                                        self._mem_size[index])
         changed = reloaded != li.obtained_value
         if not changed:
             self.stats.silent_reexecutions += 1
         if self._tr is not None:
-            self._tr.on_verify(te.index, self.cycle,
+            self._tr.on_verify(index, self.cycle,
                                "violation" if changed else "reexec_ok",
                                "value_changed" if changed else "silent",
                                False)
@@ -897,7 +914,7 @@ class Simulator:
     def _train_predictor(self, head: DynInstr, correct: bool,
                          reexecuted: bool) -> None:
         li = head.load
-        te = head.trace
+        pc = head.dec.pc
         result = li.tssbf_result
         actual_distance = None
         if result is not None and result.matched:
@@ -905,18 +922,20 @@ class Simulator:
         self._ee["distance_pred_access"] += 1
         if li.predicted:
             if correct:
-                self.sdp.train_correct(te.pc, li.history)
+                self.sdp.train_correct(pc, li.history)
             else:
-                self.sdp.train_mispredict(te.pc, li.history, actual_distance,
+                self.sdp.train_mispredict(pc, li.history, actual_distance,
                                           self.params.confidence_policy)
         elif reexecuted:
             # Learn a new dependence.  With the silent-store-aware policy
             # (paper Section IV-C.a) every re-execution trains the
             # predictor; otherwise only value-changing exceptions do.
-            changed = self.timing_mem.read(te.mem_addr, te.mem_size) \
+            index = head.rob_id
+            changed = self.timing_mem.read(self._mem_addr[index],
+                                           self._mem_size[index]) \
                 != li.obtained_value
             if self.params.silent_store_aware or changed:
-                self.sdp.train_mispredict(te.pc, li.history, actual_distance,
+                self.sdp.train_mispredict(pc, li.history, actual_distance,
                                           self.params.confidence_policy)
 
     # -- squash ------------------------------------------------------------
@@ -1011,6 +1030,7 @@ class Simulator:
         producer = prf.producer
         consumer = prf.consumer
         fu_issued = self._fu_issued
+        mem_addr = self._mem_addr
         tr = self._tr
         issued = 0
         reads = 0
@@ -1048,15 +1068,14 @@ class Simulator:
             reads += len(srcs)
             if kind is UOP_LOAD:
                 if access is not None:
-                    done = access(uop.instr.trace.mem_addr, cycle)
+                    done = access(mem_addr[uop.instr.rob_id], cycle)
                 else:
                     done = self._start_baseline_load(uop)
                     if done is None:
                         continue  # re-blocked (forwarding stall)
             elif kind is UOP_AGI:
-                address = uop.instr.trace.mem_addr
                 done = cycle + uop.latency + self.tlb.access_penalty(
-                    address if address is not None else 0)
+                    mem_addr[uop.instr.rob_id])
             else:
                 done = cycle + uop.latency
             heappush(event_heap, (done, uop.seq, uop))
@@ -1122,13 +1141,16 @@ class Simulator:
             li.value_from_store = True
             li.mode = FORWARDED
             return self.cycle + self.params.sq_search_latency
-        return self.hier.access(instr.trace.mem_addr, self.cycle)
+        return self.hier.access(self._mem_addr[instr.rob_id], self.cycle)
 
     def _search_store_queue(self, load: DynInstr):
         """Baseline SQ+SB search: youngest older store with a known,
         overlapping address.  Returns (store, value|None) or None."""
-        te = load.trace
-        l_lo, l_hi = te.mem_addr, te.mem_addr + te.mem_size
+        mem_addr = self._mem_addr
+        mem_size = self._mem_size
+        index = load.rob_id
+        l_lo = mem_addr[index]
+        l_hi = l_lo + mem_size[index]
         best = None
         for store in reversed(self.baseline_stores):
             if store.dead or store.rob_id > load.rob_id:
@@ -1138,14 +1160,13 @@ class Simulator:
                 continue
             if not (si.sq_entry_done or si.retired):
                 continue  # address unknown: speculate past it
-            ste = store.trace
-            s_lo, s_hi = ste.mem_addr, ste.mem_addr + ste.mem_size
-            if s_lo < l_hi and l_lo < s_hi:
+            s_lo = mem_addr[store.rob_id]
+            if s_lo < l_hi and l_lo < s_lo + mem_size[store.rob_id]:
                 best = store
                 break
         if best is None:
             return None
-        return best, _extract_forward(best.trace, te)
+        return best, self._extract_forward(best.rob_id, index)
 
     # ------------------------------------------------------------------
     # Stage: rename / dispatch.
@@ -1159,7 +1180,6 @@ class Simulator:
         iq_entries = params.iq_entries
         fetch_buffer = self.fetch_buffer
         rob = self.rob
-        trace = self.trace
         dec_by_index = self._dec_by_index
         rename_map = self.rename_map
         prf = self.prf
@@ -1195,7 +1215,7 @@ class Simulator:
             if baseline and dec.is_mem and len(free_aux) < 2:
                 break
             fetch_buffer.popleft()
-            instr = DynInstr(index, trace[index], cycle, dec)
+            instr = DynInstr(index, cycle, dec)
 
             # The first MicroOp straight from the decode template: a memory
             # op's AGI (writing $32, from the baseline's auxiliary register
@@ -1338,7 +1358,6 @@ class Simulator:
 
     def _crack_store(self, instr: DynInstr, dec: _Decoded,
                      addr_preg: int) -> None:
-        te = instr.trace
         data_preg = self.rename_map[dec.rt]
         ssn = self.ssn.next_rename()
         si = StoreInfo(ssn=ssn, data_preg=data_preg, addr_preg=addr_preg)
@@ -1351,13 +1370,13 @@ class Simulator:
                           (addr_preg, data_preg), None)
             self._ee["sq_write"] += 1
             self.baseline_stores.append(instr)
-            self.storesets.store_rename(te.pc, instr.rob_id)
+            self.storesets.store_rename(dec.pc, instr.rob_id)
             self._ee["store_sets_access"] += 1
         else:
             # Store-queue-free: no access MicroOp.  The data and address
             # registers are read at commit, so their lifetimes extend
             # (consumer counter holds, paper Section IV-B.a).
-            self.srb.add(ssn, data_preg, addr_preg, te.index)
+            self.srb.add(ssn, data_preg, addr_preg, instr.rob_id)
             consumer = self.prf.consumer
             consumer[data_preg] += 1
             consumer[addr_preg] += 1
@@ -1365,13 +1384,12 @@ class Simulator:
 
     def _crack_load(self, instr: DynInstr, dec: _Decoded,
                     addr_preg: int) -> None:
-        te = instr.trace
         model = self.model
 
         if model is BASELINE:
             li = LoadInfo(mode=DIRECT)
             instr.load = li
-            li.storeset_wait = self.storesets.load_rename(te.pc)
+            li.storeset_wait = self.storesets.load_rename(dec.pc)
             self._ee["store_sets_access"] += 1
             dest = self._rename_dest(instr, dec.rd)
             instr.result_preg = dest
@@ -1384,9 +1402,9 @@ class Simulator:
             return
 
         # NoSQ / DMDP: consult the store distance predictor at rename.
-        history = self._history[te.index]
+        history = self._history[instr.rob_id]
         self._ee["distance_pred_access"] += 1
-        prediction = self.sdp.predict(te.pc, history)
+        prediction = self.sdp.predict(dec.pc, history)
         li = LoadInfo(mode=DIRECT, history=history)
         instr.load = li
 
@@ -1402,7 +1420,7 @@ class Simulator:
                 self.stats.dep_predictions += 1
             if self._tr is not None:
                 self._tr.on_dep_predict(
-                    te.index, self.cycle, te.pc, prediction.confidence,
+                    instr.rob_id, self.cycle, dec.pc, prediction.confidence,
                     prediction.distance, ssn_byp,
                     entry.trace_index if entry is not None else None,
                     entry is not None)
@@ -1434,17 +1452,16 @@ class Simulator:
 
     def _crack_load_perfect(self, instr: DynInstr, addr_preg: int,
                             dec: _Decoded) -> None:
-        te = instr.trace
         li = LoadInfo(mode=DIRECT)
         instr.load = li
-        dep = te.dep_store
+        dep = self._dep_store[instr.rob_id]
         dep_instr = self.inflight_store_by_id.get(dep) if dep is not None \
             else None
         if dep_instr is not None and not dep_instr.store.committed:
             # Oracle cloaking from the in-flight producing store.
             li.mode = BYPASS
             li.value_from_store = True
-            li.obtained_value = te.value
+            li.obtained_value = self._value[instr.rob_id]
             data_preg = dep_instr.store.data_preg
             self._rename_dest_shared(instr, dec.rd, data_preg)
             instr.result_preg = data_preg
@@ -1459,13 +1476,12 @@ class Simulator:
     def _crack_load_bypass(self, instr: DynInstr, entry, addr_preg: int,
                            dec: _Decoded) -> None:
         """Memory cloaking (paper Fig. 7(c))."""
-        te = instr.trace
         li = instr.load
         li.mode = BYPASS
         li.value_from_store = True
         self.stats.cloaked_loads += 1
-        dep = self.trace[entry.trace_index]
-        li.obtained_value = _extract_forward(dep, te)
+        li.obtained_value = self._extract_forward(entry.trace_index,
+                                                  instr.rob_id)
         data_preg = entry.data_preg
         # Hold the store's data register for retire-time verification.
         self.prf.add_consumer(data_preg)
@@ -1497,7 +1513,6 @@ class Simulator:
                                addr_preg: int, dec: _Decoded,
                                low_confidence: bool = True) -> None:
         """DMDP predication insertion (paper Fig. 8)."""
-        te = instr.trace
         li = instr.load
         li.mode = PREDICATED
         li.low_confidence = low_confidence
@@ -1527,12 +1542,11 @@ class Simulator:
         instr.result_preg = dest
         # The simulator knows the predicate outcome ahead of time; mark
         # which CMOV will actually write the register.
-        dep = self.trace[entry.trace_index]
-        selected_store = _covers(dep, te)
+        selected_store = self._covers(entry.trace_index, instr.rob_id)
         cmov_store.cmov_selected = selected_store
         cmov_cache.cmov_selected = not selected_store
         if self._tr is not None:
-            self._tr.on_predication(te.index, self.cycle, low_confidence,
+            self._tr.on_predication(instr.rob_id, self.cycle, low_confidence,
                                     selected_store)
 
     # ------------------------------------------------------------------
@@ -1548,11 +1562,10 @@ class Simulator:
         if len(fetch_buffer) >= 2 * width:
             return
         first = index = self.fetch_index
-        end = min(index + width, len(self.trace))
+        end = min(index + width, self._total)
         if index >= end:
             return
         avail = cycle + 2  # fetch + decode depth
-        trace = self.trace
         dec_by_index = self._dec_by_index
         mispredicted = self._mispredicted
         taken_bits = self._taken_bits
@@ -1560,7 +1573,7 @@ class Simulator:
         while index < end:
             fetch_buffer.append((avail, index))
             if tr is not None:
-                tr.on_fetch(index, trace[index].pc, cycle, avail)
+                tr.on_fetch(index, dec_by_index[index].pc, cycle, avail)
             fetched = index
             index += 1
             if dec_by_index[fetched].is_control:

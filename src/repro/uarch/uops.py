@@ -24,7 +24,6 @@ import enum
 from typing import List, Optional, Tuple
 
 from ..isa import FuClass
-from ..kernel.trace import TraceEntry
 from .stats import LoadKind
 
 
@@ -137,15 +136,17 @@ class StoreInfo:
 
 
 class DynInstr:
-    """One architectural instruction in flight."""
+    """One architectural instruction in flight.
 
-    __slots__ = ("rob_id", "trace", "uops", "rename_cycle", "load", "store",
+    The pipeline reads its per-entry fields by trace index (``rob_id``)
+    from the packed trace's columns and bundle tables, and its per-static
+    fields (pc, :class:`~repro.isa.Instruction`) from ``dec``."""
+
+    __slots__ = ("rob_id", "uops", "rename_cycle", "load", "store",
                  "renames", "result_preg", "dead", "pending_uops", "dec")
 
-    def __init__(self, rob_id: int, trace: TraceEntry, rename_cycle: int = 0,
-                 dec=None):
+    def __init__(self, rob_id: int, rename_cycle: int = 0, dec=None):
         self.rob_id = rob_id           # program-order id (== trace index)
-        self.trace = trace
         # Decode template (pipeline._Decoded) shared across all dynamic
         # instances of this static instruction; None outside the pipeline.
         self.dec = dec
@@ -164,11 +165,3 @@ class DynInstr:
         # MicroOps not yet written back; the pipeline's retire stage checks
         # this counter instead of scanning ``uops`` every cycle.
         self.pending_uops = 0
-
-    @property
-    def is_load(self) -> bool:
-        return self.trace.is_load
-
-    @property
-    def is_store(self) -> bool:
-        return self.trace.is_store

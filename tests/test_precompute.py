@@ -5,12 +5,14 @@ Four layers under test (DESIGN.md Section 14):
 * the tables -- :class:`TracePrecompute` must reproduce exactly the
   mispredict flags and rename-time global history of an independent
   reference computed here from ``TraceEntry`` objects, before and after
-  a serialisation round trip, plus the decode index and base memory;
+  a serialisation round trip, plus the decode index, the memory tables
+  and base memory;
 * the golden bar -- SimStats must be byte-identical whether a point is
   simulated from the list trace, from a packed trace's first run (which
-  builds its bundle and indexes lazily) or from a later run that shares
-  that bundle, on every model; a bundle lives on the trace it was built
-  or loaded for, under its predictor geometry, and is freed with it;
+  builds its bundle) or from a later run that shares that bundle, on
+  every model, and no run indexes a ``TraceEntry`` out of the packed
+  trace; a bundle lives on the trace it was built or loaded for, under
+  its predictor geometry, and is freed with it;
 * the blob -- serialisation round-trips through bytes and through a
   file, and every corruption (truncated, flipped byte, bad magic,
   format bump, wrong trace, wrong signature) raises
@@ -30,6 +32,7 @@ import pytest
 import repro.kernel.precompute as precompute_mod
 from repro.harness.cache import PrecomputeStore, ResultCache, TraceStore
 from repro.config import ConfigSpec
+from repro.fuzz.generator import PROFILES, ProgramSpec, materialize
 from repro.harness.parallel import SimPoint, make_point
 from repro.harness.runner import ExperimentRunner
 from repro.kernel import (FunctionalCpu, MAX_TRACE_INSTRUCTIONS,
@@ -37,6 +40,7 @@ from repro.kernel import (FunctionalCpu, MAX_TRACE_INSTRUCTIONS,
 from repro.kernel.precompute import (PRECOMPUTE_FORMAT_VERSION,
                                      PrecomputeDecodeError, TracePrecompute,
                                      bpred_signature, load_precompute)
+from repro.obs import RecordingTracer
 from repro.uarch import ALL_MODELS, ModelKind, Simulator, model_params
 from repro.uarch.branch import BranchPredictor
 from repro.uarch.pipeline import _Decoded
@@ -64,6 +68,14 @@ def packed_case(name="mcf", fraction=0.1):
 def random_case(index):
     rng = random.Random(SEED + index)
     program = build_random_program(rng)
+    packed = FunctionalCpu(program).run_trace(max_instructions=200_000)
+    return program, list(packed), packed
+
+
+def fuzz_case(profile="tag-alias", seed=1):
+    """A recorded fuzz program whose trace has calls (JAL) and every
+    partial-word load and store, which mcf's has not."""
+    program = materialize(ProgramSpec(PROFILES[profile], seed).generate())
     packed = FunctionalCpu(program).run_trace(max_instructions=200_000)
     return program, list(packed), packed
 
@@ -111,7 +123,8 @@ def assert_tables(bundle, want):
     assert again.history_list() == history
 
 
-DECODE_FIELDS = ("is_load", "is_store", "is_mem", "is_control",
+DECODE_FIELDS = ("pc", "instr", "is_load", "is_store", "is_mem",
+                 "is_control",
                  "is_cond_branch", "src_regs", "dest_reg", "fu", "latency",
                  "is_partial", "rs", "rt", "rd", "uop_estimate", "uop_kind",
                  "uop_fu")
@@ -131,9 +144,20 @@ class TestBundleTables:
             assert (sim._mispredicted, sim._history) == want
             assert len(sim._dec_by_index) == len(trace)
             for entry, ours in zip(trace, sim._dec_by_index):
-                theirs = _Decoded(entry.instr, params)
+                theirs = _Decoded(entry.instr, params, entry.pc)
                 for field in DECODE_FIELDS:
                     assert getattr(ours, field) == getattr(theirs, field)
+            # The memory tables and the raw columns the pipeline reads by
+            # trace index hold each entry's TraceEntry fields.
+            assert sim._dep_store == [e.dep_store for e in trace]
+            assert sim._word_addr == [e.word_addr for e in trace]
+            assert sim._bab == [e.bab for e in trace]
+            mem = [e for e in trace if e.instr.is_mem]
+            assert mem, name
+            for e in mem:
+                assert (sim._mem_addr[e.index], sim._mem_size[e.index],
+                        sim._value[e.index]) == (e.mem_addr, e.mem_size,
+                                                 e.value)
 
     def test_random_programs_tables_match(self):
         signatures = (DEFAULT_SIG,
@@ -165,7 +189,7 @@ class TestBundleTables:
         assert len(other) == len(packed)
         assert other.bundles == {}
         sim = Simulator(program, other, model_params(ModelKind.BASELINE))
-        assert sim.trace is other                # built its own, lazily
+        assert sim.trace is other                # built its own
         assert other.bundles[DEFAULT_SIG] is not bundle
         assert packed.bundles == {DEFAULT_SIG: bundle}
 
@@ -215,52 +239,108 @@ class TestBundleTables:
         assert bundle.base_memory().snapshot() == direct.snapshot()
 
 
+def forbid_entry_views(monkeypatch):
+    """Make indexing or iterating any PackedTrace raise, so a run that
+    materialises a TraceEntry fails (list() a trace before calling)."""
+    def refuse(self, *args):
+        raise AssertionError("the timing model indexed a TraceEntry view")
+    monkeypatch.setattr(PackedTrace, "__getitem__", refuse)
+    monkeypatch.setattr(PackedTrace, "__iter__", refuse)
+
+
+def count_builds(monkeypatch):
+    """Record every TracePrecompute.build call in the returned list."""
+    built = []
+    build = TracePrecompute.build.__func__
+    monkeypatch.setattr(TracePrecompute, "build", classmethod(
+        lambda cls, *args: built.append(args) or build(cls, *args)))
+    return built
+
+
 class TestGoldenBatchedIdentity:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.value)
     def test_stats_identical_list_packed_batched(self, model):
+        # The first run over a packed trace builds the bundle, a later one
+        # shares it: both read the same packed columns and bundle tables.
         program, trace, packed = packed_case()
         params = model_params(model)
         from_list = Simulator(program, trace, params).run().to_dict()
         first = Simulator(program, packed, params)
-        assert first.trace is packed             # built the bundle: lazy
+        bundle = packed.bundles[DEFAULT_SIG]
         later = Simulator(program, packed, params)
-        assert type(later.trace) is list         # shares it: dense
+        assert packed.bundles == {DEFAULT_SIG: bundle}
+        assert first.trace is packed and later.trace is packed
+        tables = bundle.memory_tables()
+        for sim in (first, later):
+            assert (sim._dep_store, sim._word_addr, sim._bab) == tables
+            assert sim._dep_store is tables[0]
+            assert sim._mem_addr is packed.mem_addr_column()
         assert first.run().to_dict() == from_list
         assert later.run().to_dict() == from_list
 
     def test_four_models_over_one_trace_build_one_bundle(self, monkeypatch):
         # short-programs, run_all_models and the fuzz oracles run every
-        # model over one recorded trace: the first run builds the bundle
-        # and indexes lazily, the other three share it and its dense
-        # entry list, and every model's stats match its list-trace run.
+        # model over one recorded trace: the first run builds the bundle,
+        # the other three share it and its tables, and every model's
+        # stats match its list-trace run.
         program, trace, packed = packed_case()
-        built = []
-        build = TracePrecompute.build.__func__
-        monkeypatch.setattr(TracePrecompute, "build", classmethod(
-            lambda cls, *args: built.append(args) or build(cls, *args)))
+        built = count_builds(monkeypatch)
         sims = [Simulator(program, packed, model_params(model))
                 for model in ALL_MODELS]
         assert len(built) == 1
-        assert sims[0].trace is packed
-        dense = packed.bundles[DEFAULT_SIG].entry_list()
-        assert all(sim.trace is dense for sim in sims[1:])
-        assert type(dense) is list
+        word_addr = packed.bundles[DEFAULT_SIG].memory_tables()[1]
+        assert all(sim.trace is packed for sim in sims)
+        assert all(sim._word_addr is word_addr for sim in sims)
         for model, sim in zip(ALL_MODELS, sims):
             assert (sim.run().to_dict() == Simulator(
                 program, trace, model_params(model)).run().to_dict()), model
+
+    @pytest.mark.parametrize("case", [packed_case, fuzz_case],
+                             ids=["mcf", "fuzz"])
+    @pytest.mark.parametrize("observer", ["arch_state", "tracer"])
+    def test_runs_never_materialise_trace_entries(self, monkeypatch,
+                                                  observer, case):
+        # Every per-entry field comes from the packed columns and the
+        # bundle's tables, so with entry views forbidden all four models
+        # still run one recorded trace -- the first building its bundle,
+        # the other three sharing it -- including the architectural-state
+        # and tracer paths, and each model's stats match its list run.
+        program, trace, packed = case()
+
+        def simulate(source, model):
+            if observer == "arch_state":
+                sim = Simulator(program, source, model_params(model),
+                                track_arch_state=True)
+                stats = sim.run().to_dict()
+                return stats, sim.architectural_registers()
+            tracer = RecordingTracer()
+            sim = Simulator(program, source, model_params(model),
+                            tracer=tracer)
+            return sim.run().to_dict(), tracer.events
+
+        want = {model: simulate(trace, model) for model in ALL_MODELS}
+        forbid_entry_views(monkeypatch)
+        built = count_builds(monkeypatch)
+        for model in ALL_MODELS:
+            got = simulate(packed, model)
+            assert got[0] == want[model][0], model
+            assert got[1] == want[model][1], model
+            assert got[1], model
+        assert len(built) == 1
+        assert list(packed.bundles) == [DEFAULT_SIG]
 
     def test_bundle_reuse_across_configs_is_identical(self):
         # The whole point of batching: one bundle, many configs.  Each
         # plain run gets a trace of its own, so it builds its own bundle.
         program, _trace, packed = packed_case()
-        TracePrecompute.build(packed, DEFAULT_SIG)
+        bundle = TracePrecompute.build(packed, DEFAULT_SIG)
         for model in (ModelKind.BASELINE, ModelKind.DMDP):
             for overrides in ({}, {"store_buffer_entries": 8}):
                 params = model_params(model, **overrides)
                 plain = Simulator(program, twin(program, packed),
                                   params).run().to_dict()
                 shared = Simulator(program, packed, params)
-                assert type(shared.trace) is list
+                assert shared._bab is bundle.memory_tables()[2]
                 assert shared.run().to_dict() == plain
 
     def test_overridden_geometry_falls_back_and_stays_identical(self):
@@ -294,8 +374,8 @@ class TestGoldenBatchedIdentity:
         sim = Simulator(program, packed_b, params)
         assert packed_b.bundles[DEFAULT_SIG] is not bundle_a
         assert packed_b.bundles[DEFAULT_SIG].trace is packed_b
-        assert sim.trace[flipped].value == trace_b[flipped].value
-        assert sim.trace[flipped].value != trace_a[flipped].value
+        assert sim._value[flipped] == trace_b[flipped].value
+        assert sim._value[flipped] != trace_a[flipped].value
         assert (sim.run().to_dict()
                 == Simulator(program, trace_b, params).run().to_dict())
 
@@ -308,7 +388,7 @@ class TestGoldenBatchedIdentity:
         loaded = load_precompute(path, packed, DEFAULT_SIG)
         assert packed.bundles == {DEFAULT_SIG: loaded}
         sim = Simulator(program, packed, params)
-        assert sim.trace is loaded.entry_list()
+        assert sim._dep_store is loaded.memory_tables()[0]
         assert (sim.run().to_dict() == Simulator(
             program, twin(program, packed), params).run().to_dict())
 

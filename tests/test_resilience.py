@@ -432,6 +432,27 @@ class TestEngineRobustness:
         assert "failed after retries: bzip2/perfect, tonto/perfect" in text
         assert "Failed simulation points" in text
         assert "KeyError" not in text
+        # The run already had --keep-going: the hint says only re-run.
+        assert "re-run to resume)" in text
+        assert "add --keep-going" not in text
+
+    def test_failed_run_without_keep_going_suggests_it(self, monkeypatch):
+        import io
+
+        from repro.cli import main
+        from repro.uarch.pipeline import Simulator
+
+        def run(self, *args, **kwargs):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(Simulator, "run", run)
+        out = io.StringIO()
+        code = main(["--scale", "0.05", "--no-cache", "--retries", "0",
+                     "run", "bzip2", "--model", "perfect"], out=out)
+        text = out.getvalue()
+        assert code == 1
+        assert "failed after retries: bzip2/perfect" in text
+        assert "re-run to resume, or add --keep-going)" in text
 
 
 # -- checkpoint / resume -----------------------------------------------------

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.isa import Instruction, Opcode, ProgramBuilder
-from repro.kernel.trace import TraceEntry
 from repro.uarch import (
     ALL_MODELS,
     ConfidencePolicy,
@@ -14,6 +13,7 @@ from repro.uarch import (
     run_model,
     trace_program,
 )
+from repro.uarch.pipeline import _Decoded
 from repro.uarch.uops import DynInstr, Uop, UopKind, UopState
 from repro.isa import FuClass
 
@@ -77,19 +77,20 @@ class TestModelFacade:
 
 
 class TestUopState:
-    def _entry(self):
+    def _dec(self):
         instr = Instruction(Opcode.ADD, rd=1, rs=2, rt=3)
-        return TraceEntry(index=0, pc=0x400000, instr=instr,
-                          next_pc=0x400004, taken=False, mem_addr=None,
-                          mem_size=None, value=None, dep_store=None,
-                          dep_covers=False, silent=False, word_addr=0, bab=0)
+        return _Decoded(instr, CoreParams(), 0x400000)
 
     def test_dyninstr_classification(self):
-        di = DynInstr(rob_id=0, trace=self._entry())
-        assert not di.is_load and not di.is_store
+        # An in-flight instruction holds its trace index and its static
+        # decode template, which classifies it; it holds no trace entry.
+        di = DynInstr(rob_id=0, dec=self._dec())
+        assert not di.dec.is_load and not di.dec.is_store
+        assert di.dec.pc == 0x400000 and di.dec.instr.op is Opcode.ADD
+        assert not hasattr(di, "trace")
 
     def test_uop_defaults(self):
-        di = DynInstr(rob_id=0, trace=self._entry())
+        di = DynInstr(rob_id=0, dec=self._dec())
         uop = Uop(seq=1, kind=UopKind.CMOV, fu=FuClass.ALU, latency=1,
                   srcs=(4, 5), dest=6, instr=di)
         assert uop.state is UopState.WAITING

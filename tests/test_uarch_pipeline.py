@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.isa import ProgramBuilder
-from repro.kernel import FunctionalCpu
+from repro.isa import Opcode, ProgramBuilder
+from repro.kernel import FunctionalCpu, TraceEntry
 from repro.uarch import (
     ALL_MODELS,
     Consistency,
@@ -287,6 +287,105 @@ class TestPartialWord:
         assert stats.load_kind.get(LoadKind.PREDICATED, 0) > 0
 
 
+def reference_forward(store, load):
+    """The TraceEntry formula the index-based ``_extract_forward``
+    replaced: the store's bytes the load reads, if it wrote them all."""
+    s_lo, s_hi = store.mem_addr, store.mem_addr + store.mem_size
+    l_lo, l_hi = load.mem_addr, load.mem_addr + load.mem_size
+    if s_lo <= l_lo and l_hi <= s_hi:
+        shift = 8 * (l_lo - s_lo)
+        return (store.value >> shift) & ((1 << (8 * load.mem_size)) - 1)
+    return None
+
+
+def reference_covers(store, load):
+    """The TraceEntry formula the index-based ``_covers`` replaced."""
+    return (store.word_addr == load.word_addr
+            and (store.bab & load.bab) == load.bab)
+
+
+WORD = 0xAABBCCDD
+
+# (store op, store offset, store value, load op, load offset,
+#  forwarded value, covers), offsets from one word-aligned address.
+FORWARDING_CASES = (
+    # Byte and half loads at every offset of a word store.
+    [(Opcode.SW, 0, WORD, Opcode.LBU, k, (WORD >> 8 * k) & 0xFF, True)
+     for k in range(4)]
+    + [(Opcode.SW, 0, WORD, Opcode.LHU, k, (WORD >> 8 * k) & 0xFFFF, True)
+       for k in range(3)]
+    + [
+        # A word load after a byte store forwards nothing.
+        (Opcode.SB, 1, 0x5A, Opcode.LW, 0, None, False),
+        # Same-word stores whose BAB overlaps the load's in part.
+        (Opcode.SB, 0, 0x5A, Opcode.LHU, 0, None, False),
+        (Opcode.SH, 2, 0xBEEF, Opcode.LHU, 1, None, False),
+        (Opcode.SH, 2, 0xBEEF, Opcode.LW, 0, None, False),
+        (Opcode.SH, 2, 0xBEEF, Opcode.LBU, 3, 0xBE, True),
+        # A store to a different word.
+        (Opcode.SW, 4, WORD, Opcode.LW, 0, None, False),
+        (Opcode.SB, 4, 0x5A, Opcode.LBU, 0, None, False),
+    ])
+
+
+class TestForwardingHelpers:
+    """``Simulator._extract_forward`` and ``_covers`` take the trace
+    indices of a store and a load and read the packed columns and the
+    bundle's tables.  A hand-made trace pairs each store with a load;
+    nothing is simulated, so the addresses need not match the program."""
+
+    BASE = 0x1000
+    SIZES = {Opcode.SW: 4, Opcode.SH: 2, Opcode.SB: 1,
+             Opcode.LW: 4, Opcode.LHU: 2, Opcode.LBU: 1}
+
+    def _sim_and_entries(self):
+        b = ProgramBuilder()
+        b.label("main")
+        for op in self.SIZES:
+            getattr(b, op.name.lower())("$t0", 0, "$s0")
+        b.halt()
+        program = b.build()
+        static = {instr.op: i for i, instr in enumerate(program.instructions)}
+        entries = []
+
+        def add(op, offset, value):
+            addr, size = self.BASE + offset, self.SIZES[op]
+            pc = program.text_base + 4 * static[op]
+            entries.append(TraceEntry(
+                len(entries), pc, program.instructions[static[op]], pc + 4,
+                False, addr, size, value, None, False, False, addr & ~0x3,
+                ((1 << size) - 1) << (addr & 0x3)))
+
+        for s_op, s_off, value, l_op, l_off, _fwd, _cov in FORWARDING_CASES:
+            add(s_op, s_off, value)
+            add(l_op, l_off, 0)
+        sim = Simulator(program, entries, model_params(ModelKind.DMDP))
+        return sim, entries
+
+    def test_cases_match_the_entry_formulas(self):
+        sim, entries = self._sim_and_entries()
+        for i, case in enumerate(FORWARDING_CASES):
+            store, load = 2 * i, 2 * i + 1
+            forwarded, covers = case[5], case[6]
+            assert sim._extract_forward(store, load) == forwarded, case
+            assert sim._covers(store, load) is covers, case
+            assert reference_forward(entries[store], entries[load]) \
+                == forwarded, case
+            assert reference_covers(entries[store], entries[load]) \
+                is covers, case
+
+    def test_every_store_load_pair_matches_the_entry_formulas(self):
+        sim, entries = self._sim_and_entries()
+        stores = [e for e in entries if e.instr.is_store]
+        loads = [e for e in entries if e.instr.is_load]
+        for store in stores:
+            for load in loads:
+                assert (sim._extract_forward(store.index, load.index)
+                        == reference_forward(store, load)), (store, load)
+                assert (sim._covers(store.index, load.index)
+                        == reference_covers(store, load)), (store, load)
+
+
 class TestSquashInternals:
     def test_squash_restores_rename_map_to_committed(self):
         """After a violation squash the speculative map equals the
@@ -354,7 +453,7 @@ class TestWritebackHeapOrder:
         prog = ac_spill_kernel(5)
         trace = FunctionalCpu(prog).run_trace()
         sim = Simulator(prog, trace, model_params(ModelKind.DMDP))
-        instr = DynInstr(rob_id=0, trace=trace[0])
+        instr = DynInstr(rob_id=0, dec=sim._dec_by_index[0])
         uops = []
         for seq, deadline in enumerate(deadlines):
             uop = Uop(seq=seq, kind=UopKind.ALU, fu=FuClass.ALU, latency=1,
