@@ -30,8 +30,7 @@ from .uarch import (
 )
 from .energy import EnergyReport, edp, energy_report
 from .workloads import ALL_NAMES, FP_NAMES, INT_NAMES, WORKLOADS, get_workload
-from .harness import (BatchFailure, ExperimentRunner, RetryPolicy,
-                      shared_runner)
+from .harness import BatchFailure, ExperimentRunner, RetryPolicy
 
 __version__ = "1.0.0"
 
@@ -63,6 +62,6 @@ __all__ = [
     "EnergyReport", "edp", "energy_report",
     "ALL_NAMES", "FP_NAMES", "INT_NAMES", "WORKLOADS", "get_workload",
     "BatchFailure", "ExperimentRunner", "RetryPolicy",
-    "shared_runner", "quick_compare",
+    "quick_compare",
     "__version__",
 ]

@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                             " with exactly one precompute per trace, the "
                             "warm legs perform zero functional re-traces, "
                             "packed workers use less peak RSS, and "
-                            "recording a --ledger adds <= %.0f%% to a warm "
+                            "recording a --ledger adds <= %.0f%%%% to a warm "
                             "batched sweep"
                             % (sweepbench.MIN_WARM_SPEEDUP,
                                sweepbench.MIN_BATCHED_SPEEDUP,

@@ -155,13 +155,6 @@ class BatchTiming:
                 + self.worker_precomputes_built
                 + self.worker_precomputes_loaded)
 
-    @property
-    def speedup(self) -> float:
-        """Aggregate parallel speedup: serial sim time over batch wall."""
-        if self.wall_seconds <= 0.0:
-            return 1.0
-        return self.sim_seconds / self.wall_seconds
-
 
 _SPAN_FIELDS = tuple(f.name for f in fields(BatchTiming) if f.name != "jobs")
 _COUNT_FIELDS = frozenset(f.name for f in fields(BatchTiming)

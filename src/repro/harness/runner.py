@@ -11,9 +11,11 @@ them under arbitrary model/parameter combinations with three cache layers:
 
 Functional traces get the same treatment: :meth:`ExperimentRunner.trace`
 returns a packed :class:`~repro.kernel.tracestore.PackedTrace`, resolved
-memo -> persistent trace store -> functional CPU, and batch fan-out hands
-workers the persisted blob's path so they ``mmap`` it instead of
-re-tracing (DESIGN.md section 12).
+memo -> persistent trace store -> functional CPU.  Traces and shared
+precompute bundles have one input path (:meth:`_resolve_inputs`), taken
+by the serial runner and by every worker: a worker opens the parent's
+stores and maps the blobs the parent stored instead of re-tracing
+(DESIGN.md sections 12 and 14).
 
 :meth:`ExperimentRunner.run_batch` is the one way a point is resolved.
 Figure/table functions submit their whole point set through it (collect
@@ -34,9 +36,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..config import ConfigSpec, SpecGrid, describe_points
 from ..energy import EnergyReport, energy_report, energy_summary
 from ..isa import Program
-from ..kernel.precompute import (TracePrecompute, bpred_signature,
-                                 load_precompute)
-from ..kernel.tracestore import (PackedTrace, load_trace, run_trace_packed)
+from ..kernel.precompute import TracePrecompute, bpred_signature
+from ..kernel.tracestore import PackedTrace, run_trace_packed
 from ..obs.ledger import NULL_LEDGER, PHASE_NAMES
 from ..uarch import ModelKind, SimStats, model_params
 from ..uarch.pipeline import Simulator
@@ -46,6 +47,20 @@ from .cache import (PrecomputeStore, ResultCache, TraceStore,
 from .parallel import (_WORKER_FIELDS, BatchTiming, ParallelEngine,
                        PointTiming, SimPoint, make_point)
 from .resilience import BatchFailure, FailedPoint, RetryPolicy
+
+# The predictor geometry shared bundles are keyed by: the default one.  A
+# point that overrides any of it finds no bundle for its own geometry on
+# the trace, and its Simulator builds one.
+_BPRED_SIGNATURE = bpred_signature(model_params(ModelKind.BASELINE))
+
+# Per stored input kind: the phases its load and its build are timed
+# under, and the counts a hit and a build bump.
+_INPUTS = {
+    "trace": ("trace store I/O", "functional tracing",
+              "traces_loaded", "traces_generated"),
+    "precompute": ("precompute", "precompute",
+                   "precomputes_loaded", "precomputes_built"),
+}
 
 
 def _count(name: str, doc: str) -> property:
@@ -117,7 +132,6 @@ class ExperimentRunner:
         self.progress = progress
         self._programs: Dict[str, Program] = {}
         self._traces: Dict[str, PackedTrace] = {}
-        self._bpred_sig: Optional[Tuple[int, int, int]] = None
         self._results: Dict[SimPoint, SimResult] = {}
         self.point_log: List[PointTiming] = []
         self.batch_log: List[BatchTiming] = []
@@ -150,6 +164,8 @@ class ExperimentRunner:
                 self.iterations(workload))
         return self._programs[workload]
 
+    # -- inputs: traces and shared precompute bundles ------------------------
+
     def trace(self, workload: str) -> PackedTrace:
         """The packed dynamic trace for a workload: memo -> store -> trace.
 
@@ -157,44 +173,82 @@ class ExperimentRunner:
         functional re-execution); a miss runs the functional CPU once and
         persists the packed result for every later session and worker.
         """
-        if workload not in self._traces:
+        packed = self._traces.get(workload)
+        if packed is None:
             program = self.program(workload)
             iterations = self.iterations(workload)
+            packed = self._traces[workload] = self._load_or_build(
+                "trace", workload,
+                self.trace_store.path_for(workload, iterations),
+                lambda: self.trace_store.load(workload, iterations, program),
+                lambda: run_trace_packed(program))
+        return packed
+
+    def precompute_for(self, workload: str) -> TracePrecompute:
+        """The shared whole-trace bundle: trace -> store -> build (+ put).
+
+        Batch inputs resolve this once per distinct trace; the bundle
+        lives on the trace, so every config simulated against that trace
+        shares it.  A bundle a Simulator left on the trace is stored if
+        its blob is missing.  The built/loaded counters back the sweep
+        benchmark's "exactly one precompute per trace" gate.
+        """
+        trace = self.trace(workload)
+        iterations = self.iterations(workload)
+        path = self.precompute_store.path_for(workload, iterations,
+                                              _BPRED_SIGNATURE)
+        bundle = trace.bundles.get(_BPRED_SIGNATURE)
+        if bundle is None:
+            return self._load_or_build(
+                "precompute", workload, path,
+                lambda: self.precompute_store.load(
+                    workload, iterations, trace, _BPRED_SIGNATURE),
+                lambda: TracePrecompute.build(trace, _BPRED_SIGNATURE))
+        if path is not None and not path.exists():
+            self._put("precompute", workload, bundle)
+        return bundle
+
+    # Names for callers that only want the stores filled.
+    ensure_trace = trace
+    ensure_precompute = precompute_for
+
+    def _load_or_build(self, kind: str, workload: str, path, load, build):
+        """Load one stored input -- a trace or a precompute bundle, by
+        ``kind`` -- or build it and store it, in the parent or in a
+        worker alike.
+
+        ``load()`` reads the blob at ``path`` (None on a miss; it never
+        raises) and ``build()`` makes the input afresh.  A blob that
+        exists but fails to decode (truncated, format-bumped, stale) is
+        a corrupt-miss: rebuilt, and stored again atomically.  The load
+        or build is timed under its phase, counted, and emitted as one
+        ``store.<kind>`` span.
+        """
+        load_phase, build_phase, hit_count, build_count = _INPUTS[kind]
+        start = time.perf_counter()
+        value = load()
+        self.phase_seconds[load_phase] += time.perf_counter() - start
+        if value is not None:
+            event, count = "hit", hit_count
+        else:
+            event = ("corrupt-miss" if path is not None and path.exists()
+                     else "build")
+            count = build_count
             start = time.perf_counter()
-            packed = self.trace_store.load(workload, iterations, program)
-            self.phase_seconds["trace store I/O"] += (time.perf_counter()
-                                                      - start)
-            if packed is not None:
-                self.counts["traces_loaded"] += 1
-                if self.ledger.enabled:
-                    self.ledger.emit(
-                        "store.trace", workload=workload, event="hit",
-                        bytes=self._blob_size(
-                            self.trace_store.path_for(workload, iterations)))
-            else:
-                # A blob that exists but failed to decode (truncated,
-                # format-bumped, stale) is a corrupt-miss, not a cold one.
-                stale = None
-                if self.ledger.enabled:
-                    stale = self.trace_store.path_for(workload, iterations)
-                    stale = stale is not None and stale.exists()
-                start = time.perf_counter()
-                packed = run_trace_packed(program)
-                self.phase_seconds["functional tracing"] += (
-                    time.perf_counter() - start)
-                self.counts["traces_generated"] += 1
-                start = time.perf_counter()
-                self.trace_store.put(workload, iterations, packed)
-                self.phase_seconds["trace store I/O"] += (time.perf_counter()
-                                                          - start)
-                if self.ledger.enabled:
-                    self.ledger.emit(
-                        "store.trace", workload=workload,
-                        event="corrupt-miss" if stale else "build",
-                        bytes=self._blob_size(
-                            self.trace_store.path_for(workload, iterations)))
-            self._traces[workload] = packed
-        return self._traces[workload]
+            value = build()
+            self.phase_seconds[build_phase] += time.perf_counter() - start
+            self._put(kind, workload, value)
+        self.counts[count] += 1
+        if self.ledger.enabled:
+            self.ledger.emit("store." + kind, workload=workload, event=event,
+                             bytes=self._blob_size(path))
+        return value
+
+    def _put(self, kind: str, workload: str, value) -> None:
+        store = self.trace_store if kind == "trace" else self.precompute_store
+        start = time.perf_counter()
+        store.put(workload, self.iterations(workload), value)
+        self.phase_seconds["trace store I/O"] += time.perf_counter() - start
 
     @staticmethod
     def _blob_size(path) -> Optional[int]:
@@ -205,126 +259,31 @@ class ExperimentRunner:
         except OSError:
             return None
 
-    def ensure_trace(self, workload: str) -> Optional[str]:
-        """Make sure the store holds this workload's trace; returns its
-        path (None when the store is disabled), so batch fan-out can
-        hand workers a blob to map instead of re-tracing."""
-        self.trace(workload)
-        path = self.trace_store.path_for(workload,
-                                         self.iterations(workload))
-        if path is None:
-            return None
-        return str(path)
-
-    def attach_trace(self, workload: str, path: str) -> bool:
-        """Adopt a packed trace blob produced by another process.
-
-        Returns True when the blob decoded against this runner's program;
-        on any failure the memo is left empty so :meth:`trace` falls back
-        to re-tracing (a stale/corrupt blob must never kill a worker)."""
-        try:
-            packed = load_trace(path, self.program(workload))
-        except Exception:
-            return False
-        self._traces[workload] = packed
-        self.counts["traces_loaded"] += 1
-        return True
-
     @property
     def functional_traces(self) -> int:
         """Functional CPU executions this runner caused, anywhere."""
         return (self.counts["traces_generated"]
                 + self.counts["worker_retraces"])
 
-    # -- precompute plumbing -------------------------------------------------
+    def _resolve_inputs(self, points: List[SimPoint]) -> None:
+        """Trace each workload of ``points`` and resolve one shared
+        bundle per trace with two or more points, before any point is
+        timed.
 
-    def _bpred_signature(self):
-        """The default predictor geometry bundles are keyed by.  A point
-        that overrides any of it finds no bundle for its own geometry on
-        the trace, and its Simulator builds one."""
-        if self._bpred_sig is None:
-            self._bpred_sig = bpred_signature(
-                model_params(ModelKind.BASELINE))
-        return self._bpred_sig
-
-    def precompute_for(self, workload: str) -> TracePrecompute:
-        """The shared whole-trace bundle: trace -> store -> build (+ put).
-
-        Batch submissions resolve this once per distinct trace; the
-        bundle lives on the trace, so every config simulated against
-        that trace shares it.  The built/loaded counters back the sweep
-        benchmark's "exactly one precompute per trace" gate.
+        A shared bundle pays off only across configs; a single point's
+        Simulator uses a bundle an earlier run left on the trace, or
+        builds one and leaves it there.  A failure here is left to the
+        point's own simulation, which retries it and records it as that
+        point's failure.
         """
-        trace = self.trace(workload)
-        signature = self._bpred_signature()
-        bundle = trace.bundles.get(signature)
-        if bundle is None:
-            iterations = self.iterations(workload)
-            start = time.perf_counter()
-            bundle = self.precompute_store.load(
-                workload, iterations, trace, signature)
-            self.phase_seconds["precompute"] += time.perf_counter() - start
-            if bundle is not None:
-                self.counts["precomputes_loaded"] += 1
-                if self.ledger.enabled:
-                    self.ledger.emit(
-                        "store.precompute", workload=workload, event="hit",
-                        bytes=self._blob_size(self.precompute_store.path_for(
-                            workload, iterations, signature)))
-            else:
-                stale = None
-                if self.ledger.enabled:
-                    stale = self.precompute_store.path_for(
-                        workload, iterations, signature)
-                    stale = stale is not None and stale.exists()
-                start = time.perf_counter()
-                bundle = TracePrecompute.build(trace, signature)
-                self.counts["precomputes_built"] += 1
-                self.phase_seconds["precompute"] += (time.perf_counter()
-                                                     - start)
-                start = time.perf_counter()
-                self.precompute_store.put(workload, iterations, bundle)
-                self.phase_seconds["trace store I/O"] += (time.perf_counter()
-                                                          - start)
-                if self.ledger.enabled:
-                    self.ledger.emit(
-                        "store.precompute", workload=workload,
-                        event="corrupt-miss" if stale else "build",
-                        bytes=self._blob_size(self.precompute_store.path_for(
-                            workload, iterations, signature)))
-        return bundle
-
-    def ensure_precompute(self, workload: str) -> Optional[str]:
-        """Make sure the store holds this workload's bundle; returns its
-        path (None without a persistent store), for worker fan-out."""
-        bundle = self.precompute_for(workload)
-        iterations = self.iterations(workload)
-        path = self.precompute_store.path_for(workload, iterations,
-                                              bundle.signature)
-        if path is None:
-            return None
-        if not path.exists():
-            # A Simulator built this bundle and left it on the trace.
-            start = time.perf_counter()
-            self.precompute_store.put(workload, iterations, bundle)
-            self.phase_seconds["trace store I/O"] += (time.perf_counter()
-                                                      - start)
-        return str(path)
-
-    def attach_precompute(self, workload: str, path: str) -> bool:
-        """Adopt a precompute blob produced by another process.
-
-        Returns True when the blob decoded against this runner's trace
-        (the bundle then lives on it); any failure leaves the trace
-        without one so :meth:`precompute_for` falls back to rebuilding
-        (a stale blob never kills a worker)."""
-        try:
-            load_precompute(path, self.trace(workload),
-                            self._bpred_signature())
-        except Exception:
-            return False
-        self.counts["precomputes_loaded"] += 1
-        return True
+        per_trace = Counter(point.workload for point in points)
+        for workload, count in sorted(per_trace.items()):
+            try:
+                self.trace(workload)
+                if count > 1:
+                    self.precompute_for(workload)
+            except Exception:
+                pass    # the point's own simulation retries and records it
 
     # -- cache plumbing ------------------------------------------------------
 
@@ -390,6 +349,7 @@ class ExperimentRunner:
         Always simulates (a cached result has no event stream); the stats
         are still pushed to the disk cache since tracing does not perturb
         them."""
+        self.trace(point.workload)     # resolved before the point is timed
         start = time.perf_counter()
         result = self._simulate(point, tracer)
         self._publish(point, result, time.perf_counter() - start)
@@ -442,21 +402,14 @@ class ExperimentRunner:
                           failures: List[FailedPoint]) -> None:
         """Simulate points in this process, grouped by trace.
 
-        A shared precompute bundle pays off only across configs: resolve
-        one per trace with two or more points.  A single point's
-        Simulator uses a bundle an earlier run left on the trace, or
-        builds one and leaves it there.  Each trace's
-        configs run back to back (the stable sort keeps submission order
-        within a trace), every point retries on its own, and without
-        ``keep_going`` the first exhausted point stops the rest.
+        Their inputs are resolved first (:meth:`_resolve_inputs`), so a
+        batch traces all its workloads before its first point runs.
+        Each trace's configs run back to back (the stable sort keeps
+        submission order within a trace), every point retries on its
+        own, and without ``keep_going`` the first exhausted point stops
+        the rest.
         """
-        per_trace = Counter(p.workload for p in points)
-        for workload, count in sorted(per_trace.items()):
-            if count > 1:
-                try:
-                    self.precompute_for(workload)
-                except Exception:
-                    pass    # the first Simulator builds it
+        self._resolve_inputs(points)
         for point in sorted(points, key=lambda p: p.workload):
             failure = self._simulate_with_retry(point, publish)
             if failure is not None:
@@ -468,27 +421,23 @@ class ExperimentRunner:
                  failures: List[FailedPoint]) -> List[SimPoint]:
         """Simulate points in worker processes, one task per workload.
 
-        With a persistent trace store, the parent traces each workload
-        once (and precomputes the ones with two or more configs) and
-        ships the blob paths, so workers map them instead of re-running
-        the functional CPU or re-analysing the trace; without one,
-        workers trace for themselves.  A task that exhausts its retries
-        becomes one :class:`FailedPoint` per point.  Returns the points
-        of the tasks the engine handed back unrun (workers could not
-        spawn), for the serial path.
+        Each task carries the parent's stores.  With a persistent trace
+        store, the parent first resolves the inputs
+        (:meth:`_resolve_inputs`) and stores them, so workers load them
+        instead of re-running the functional CPU or re-analysing the
+        trace; without one, workers trace for themselves.  A task that
+        exhausts its retries becomes one :class:`FailedPoint` per point.
+        Returns the points of the tasks the engine handed back unrun
+        (workers could not spawn), for the serial path.
         """
         groups: Dict[str, List[SimPoint]] = {}
         for point in points:
             groups.setdefault(point.workload, []).append(point)
-        tasks = []
-        for workload, group in sorted(groups.items()):
-            trace_path = precompute_path = None
-            if self.trace_store.root is not None:
-                trace_path = self.ensure_trace(workload)
-                if len(group) > 1:
-                    precompute_path = self.ensure_precompute(workload)
-            tasks.append((workload, (self.scale, trace_path,
-                                     precompute_path, group), len(group)))
+        if self.trace_store.root is not None:
+            self._resolve_inputs(points)
+        tasks = [(workload, (self.scale, self.trace_store,
+                             self.precompute_store, group), len(group))
+                 for workload, group in sorted(groups.items())]
 
         resolved = set()
 
@@ -660,33 +609,26 @@ class ExperimentRunner:
 def _simulate_task(workload: str, payload) -> Tuple[list, Dict[str, int]]:
     """Worker task body: simulate every configuration of one workload.
 
-    ``payload`` is ``(scale, trace_path, precompute_path, points)``,
-    the workload's :class:`SimPoint` list.  The
-    worker builds its own runner for the payload's scale, with the stores
-    disabled: the parent filters cache hits before fanning out and is the
-    only writer.  A shipped trace blob is adopted (an ``mmap`` of the
-    store's copy); one that fails to decode -- deleted, truncated,
-    format-bumped under us -- is re-traced rather than failing the task.
-    Two or more configurations share one precompute bundle, the rule the
-    serial path applies: a shipped bundle that fails to decode (or none
-    shipped) is rebuilt here.  Returns ``(outcomes, counts)``: one
-    ``(point, result, seconds)`` per point, and what
-    this task did itself under :class:`BatchTiming` field names --
-    functional traces it had to run (``worker_retraces``, whose absence
-    the sweep benchmark asserts) and precompute bundles it built or
-    loaded -- leaving out zeros.
+    ``payload`` is ``(scale, trace_store, precompute_store, points)``:
+    the parent's stores (their roots and versions) and the workload's
+    :class:`SimPoint` list.  The worker's runner resolves its inputs
+    through those stores as the serial path does
+    (:meth:`ExperimentRunner._resolve_inputs`): it loads what the parent
+    stored, rebuilds a blob that fails to decode -- deleted, truncated,
+    format-bumped under us -- and stores it again atomically, and with
+    the stores disabled traces for itself.  Results stay with the
+    parent, which filters cache hits before fanning out and is their
+    only writer.  Returns ``(outcomes, counts)``: one ``(point, result,
+    seconds)`` per point, and what this task did itself under
+    :class:`BatchTiming` field names -- functional traces it had to run
+    (``worker_retraces``, whose absence the sweep benchmark asserts) and
+    precompute bundles it built or loaded -- leaving out zeros.
     """
-    scale, trace_path, precompute_path, points = payload
-    runner = ExperimentRunner(scale=scale, jobs=1, use_cache=False)
-    if trace_path is not None:
-        runner.attach_trace(workload, trace_path)
-    if len(points) > 1 and (
-            precompute_path is None
-            or not runner.attach_precompute(workload, precompute_path)):
-        try:
-            runner.precompute_for(workload)
-        except Exception:
-            pass    # the first Simulator builds the bundle
+    scale, trace_store, precompute_store, points = payload
+    runner = ExperimentRunner(scale=scale, use_cache=False,
+                              trace_store=trace_store,
+                              precompute_store=precompute_store)
+    runner._resolve_inputs(points)
     outcomes = []
     for point in points:
         start = time.perf_counter()
@@ -695,28 +637,3 @@ def _simulate_task(workload: str, payload) -> Tuple[list, Dict[str, int]]:
     return outcomes, {field: runner.counts[name]
                       for name, field in _WORKER_FIELDS.items()
                       if runner.counts[name]}
-
-
-# A process-wide runner shared by the benchmark files.
-_SHARED: Optional[ExperimentRunner] = None
-
-_UNSET = object()
-
-
-def shared_runner(scale=_UNSET) -> ExperimentRunner:
-    """The process-wide runner; the first caller fixes the scale.
-
-    A later caller asking for a *different* scale gets a ``ValueError``
-    -- silently handing back a runner with the wrong scale would poison
-    every downstream result (and its cache keys).  Omit the argument to
-    accept whatever scale the runner was first built with.
-    """
-    global _SHARED
-    if _SHARED is None:
-        _SHARED = ExperimentRunner(scale=None if scale is _UNSET else scale)
-    elif scale is not _UNSET and scale != _SHARED.scale:
-        raise ValueError(
-            "shared_runner() was built with scale=%r; a conflicting "
-            "scale=%r was requested (omit the argument to reuse it)"
-            % (_SHARED.scale, scale))
-    return _SHARED

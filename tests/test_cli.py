@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import io
 
 import pytest
@@ -11,6 +12,15 @@ def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def subcommand_paths(parser, prefix=()):
+    """Every subcommand path under ``parser``, nested ones included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield prefix + (name,)
+                yield from subcommand_paths(sub, prefix + (name,))
 
 
 class TestParser:
@@ -36,6 +46,18 @@ class TestParser:
                                         "energy.sq_cam_search=3.5"]
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "bzip2", "--rob", "512"])
+
+
+    def test_every_subcommand_help_exits_zero(self, capsys):
+        paths = list(subcommand_paths(build_parser()))
+        for nested in (("config", "show"), ("ledger", "diff"),
+                       ("fuzz", "run"), ("bench-sweep",)):
+            assert nested in paths
+        for path in [()] + paths:
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args(list(path) + ["--help"])
+            assert info.value.code == 0, path
+            assert "usage:" in capsys.readouterr().out
 
 
 class TestCommands:

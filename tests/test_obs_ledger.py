@@ -233,6 +233,21 @@ class TestRunnerSpans:
             assert span["energy_by_event"] == summary["by_event"]
             assert span["ipc"] == results[point].ipc
 
+    def test_one_point_phases_fit_in_the_sweep_wall(self, tmp_path):
+        """A point's inputs are resolved before it is timed, so "timing
+        simulation" holds no second copy of its "functional tracing"."""
+        path = tmp_path / "one-point.jsonl"
+        sink = JsonlLedger(path)
+        runner_with(tmp_path, sink, jobs=1).run_batch(
+            [make_point("mcf", ModelKind.DMDP)])
+        sink.close()
+        spans = read_ledger(path, validate=True)
+        phases = {s["name"]: s["seconds"] for s in spans
+                  if s["kind"] == "phase"}
+        [end] = [s for s in spans if s["kind"] == "sweep.end"]
+        assert phases["functional tracing"] > 0.0      # the stores were empty
+        assert sum(phases.values()) <= end["wall_seconds"]
+
     def test_parallel_sweep_task_lifecycle(self, tmp_path):
         sink = ListLedger()
         runner = runner_with(tmp_path, sink, jobs=2)

@@ -34,7 +34,7 @@ from repro.harness.cache import PrecomputeStore, ResultCache, TraceStore
 from repro.config import ConfigSpec
 from repro.fuzz.generator import PROFILES, ProgramSpec, materialize
 from repro.harness.parallel import SimPoint, make_point
-from repro.harness.runner import ExperimentRunner
+from repro.harness.runner import ExperimentRunner, _simulate_task
 from repro.kernel import (FunctionalCpu, MAX_TRACE_INSTRUCTIONS,
                           PackedTrace, load_trace, pack_trace)
 from repro.kernel.precompute import (PRECOMPUTE_FORMAT_VERSION,
@@ -601,9 +601,9 @@ class TestRunnerBatching:
         assert runner.precompute_store.entry_count() == 1
 
     def test_bundle_left_by_a_single_run_ships_to_workers(self, tmp_path):
-        # ensure_precompute keeps its contract when a Simulator built the
-        # trace's bundle first: it stores the bundle, and the workers of
-        # a two-config batch load it and build none.
+        # A bundle a Simulator built first is stored when a two-config
+        # batch resolves its inputs, and the workers load it and build
+        # none.
         runner = self.runner(tmp_path, jobs=2)
         runner.run("mcf", ModelKind.DMDP)
         bundle = runner.trace("mcf").bundles[DEFAULT_SIG]
@@ -620,34 +620,45 @@ class TestRunnerBatching:
         assert path.exists()
         assert path.read_bytes() == bundle.to_bytes()
 
-    def test_attach_precompute_bad_blob_falls_back(self, tmp_path):
-        runner = self.runner(tmp_path)
-        path = tmp_path / "bogus.pre"
+    def worker(self, parent, points):
+        """Run one worker task in this process on the parent's stores."""
+        return _simulate_task(points[0].workload, (
+            parent.scale, parent.trace_store, parent.precompute_store,
+            points))
+
+    def mcf_points(self):
+        return [make_point("mcf", ModelKind.DMDP),
+                make_point("mcf", ModelKind.NOSQ)]
+
+    def test_worker_loads_the_bundle_ensure_precompute_stored(self,
+                                                              tmp_path):
+        parent = self.runner(tmp_path)
+        parent.ensure_trace("mcf")
+        parent.ensure_precompute("mcf")
+        assert parent.precompute_store.entry_count() == 1
+        outcomes, counts = self.worker(parent, self.mcf_points())
+        assert len(outcomes) == 2
+        assert counts == {"worker_precomputes_loaded": 1}   # no re-trace
+
+    def test_worker_rebuilds_a_garbage_bundle_blob(self, tmp_path):
+        parent = self.runner(tmp_path)
+        bundle = parent.ensure_precompute("mcf")
+        path = parent.precompute_store.path_for(
+            "mcf", parent.iterations("mcf"), DEFAULT_SIG)
         path.write_bytes(b"not a bundle")
-        assert not runner.attach_precompute("mcf", str(path))
-        assert runner.precomputes_loaded == 0
-        bundle = runner.precompute_for("mcf")          # falls back to build
-        assert bundle is not None
-        assert runner.precomputes_built == 1
+        _, counts = self.worker(parent, self.mcf_points())
+        assert counts == {"worker_precomputes_built": 1}    # counted
+        assert path.read_bytes() == bundle.to_bytes()       # stored again
 
-    def test_attach_trace_drops_the_replaced_traces_bundle(self, tmp_path):
-        # A bundle belongs to one trace object: after a worker adopts a
-        # new trace blob, the workload's bundle is resolved again for it.
-        runner = self.runner(tmp_path)
-        path = runner.ensure_trace("mcf")
-        old = runner.precompute_for("mcf")
-        assert runner.attach_trace("mcf", path)
-        new = runner.precompute_for("mcf")
+    def test_a_bundle_belongs_to_one_trace_object(self, tmp_path):
+        # A worker's runner maps its own trace object from the parent's
+        # stores, so the workload's bundle is resolved again for it.
+        parent = self.runner(tmp_path)
+        old = parent.ensure_precompute("mcf")
+        worker = ExperimentRunner(scale=parent.scale, use_cache=False,
+                                  trace_store=parent.trace_store,
+                                  precompute_store=parent.precompute_store)
+        new = worker.precompute_for("mcf")
         assert new is not old
-        assert new.trace is runner.trace("mcf")
-        assert runner.precomputes_loaded == 1       # from the store
-
-    def test_ensure_precompute_populates_store(self, tmp_path):
-        import os
-        runner = self.runner(tmp_path)
-        path = runner.ensure_precompute("mcf")
-        assert path is not None and os.path.exists(path)
-        fresh = self.runner(tmp_path, cache=ResultCache(
-            root=tmp_path / "cache2"))
-        assert fresh.attach_precompute("mcf", path)
-        assert fresh.precomputes_loaded == 1
+        assert new.trace is worker.trace("mcf") is not old.trace
+        assert (worker.precomputes_loaded, worker.precomputes_built) == (1, 0)

@@ -31,8 +31,10 @@ from repro.harness.reporting import format_failure_table, format_run_report
 from repro.harness.resilience import (BatchFailure, FailedPoint,
                                       FaultInjector, RetryPolicy,
                                       parse_fault_spec)
+from repro.harness import runner as runner_module
 from repro.harness.runner import ExperimentRunner
 from repro.uarch import ModelKind
+from repro.workloads import get_workload
 
 SCALE = 0.05
 POINTS = [make_point(w, m) for w in ("bzip2", "tonto")
@@ -236,6 +238,48 @@ class TestCrashIsolation:
         assert timing.traces_generated == 2      # once per workload, here
         assert timing.worker_retraces == 0
         assert_identical_to_serial(results, serial_reference)
+
+    @pytest.mark.parametrize("keep_going", [True, False])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_tracing_failure_fails_only_its_workloads_points(
+            self, monkeypatch, tmp_path, serial_reference, jobs,
+            keep_going):
+        """A workload whose tracing raises fails its own points, with the
+        traceback, at any ``jobs``.  With a trace store the parent traces
+        every workload before a fan-out; a failure there is left to the
+        point's own simulation instead of escaping the batch."""
+        spec = get_workload("tonto")
+        poisoned = spec.build(spec.iterations(SCALE))
+        real = runner_module.run_trace_packed
+
+        def run_trace_packed(program, *args, **kwargs):
+            if program == poisoned:
+                raise RuntimeError("injected tracing failure")
+            return real(program, *args, **kwargs)
+
+        # Forked workers inherit the patched module global.
+        monkeypatch.setattr(runner_module, "run_trace_packed",
+                            run_trace_packed)
+        runner = runner_with(tmp_path, jobs=jobs, keep_going=keep_going,
+                             policy=RetryPolicy(retries=0, backoff=0.0))
+        assert runner.trace_store.root is not None
+        if keep_going:
+            runner.run_batch(POINTS)
+            failures = runner.failure_log
+            assert len(failures) == 2
+        else:
+            with pytest.raises(BatchFailure) as info:
+                runner.run_batch(POINTS)
+            failures = info.value.failures
+        assert failures
+        for failure in failures:
+            assert failure.point.workload == "tonto"
+            assert failure.kind == "error"
+            assert "injected tracing failure" in failure.detail
+        survivors = [p for p in POINTS if p.workload == "bzip2"]
+        results = runner.run_batch(survivors)
+        assert runner.batch_log[-1].memo_hits == len(survivors)
+        assert_identical_to_serial(results, serial_reference, survivors)
 
 
 _DEGRADED_BATCH = """
@@ -563,26 +607,6 @@ class TestFailureReporting:
             detail="Traceback (most recent call last):\n  ...\n"
                    "RuntimeError: injected fault", attempts=1)
         assert failure.reason == "RuntimeError: injected fault"
-
-
-# -- shared runner guard -----------------------------------------------------
-
-class TestSharedRunner:
-    def test_conflicting_scale_raises(self, monkeypatch):
-        from repro.harness import runner as runner_module
-        monkeypatch.setattr(runner_module, "_SHARED", None)
-        first = runner_module.shared_runner(0.25)
-        assert runner_module.shared_runner(0.25) is first
-        assert runner_module.shared_runner() is first   # no-arg: reuse
-        with pytest.raises(ValueError, match="conflicting"):
-            runner_module.shared_runner(0.5)
-
-    def test_first_caller_fixes_scale(self, monkeypatch):
-        from repro.harness import runner as runner_module
-        monkeypatch.setattr(runner_module, "_SHARED", None)
-        assert runner_module.shared_runner().scale is None
-        with pytest.raises(ValueError):
-            runner_module.shared_runner(0.25)
 
 
 # -- cache robustness --------------------------------------------------------

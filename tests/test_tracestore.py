@@ -26,7 +26,7 @@ import repro.kernel.tracestore as tracestore_mod
 from repro.config import ConfigSpec
 from repro.harness.cache import PrecomputeStore, ResultCache, TraceStore
 from repro.harness.parallel import make_point
-from repro.harness.runner import ExperimentRunner
+from repro.harness.runner import ExperimentRunner, _simulate_task
 from repro.kernel import (MAX_TRACE_INSTRUCTIONS, FunctionalCpu, PackedTrace,
                           TraceEntry, pack_trace, run_trace_packed)
 from repro.kernel.precompute import TracePrecompute, bpred_signature
@@ -376,22 +376,45 @@ class TestRunnerIntegration:
         runner = ExperimentRunner(scale=0.1, use_cache=False)
         assert runner.trace_store.root is None
 
-    def test_attach_trace_bad_blob_falls_back_to_retrace(self, tmp_path):
-        runner = self.runner(tmp_path)
-        bad = tmp_path / "bad.trc"
-        bad.write_bytes(b"nope")
-        assert runner.attach_trace("mcf", str(bad)) is False
-        assert len(runner.trace("mcf")) > 0          # re-traced cleanly
-        assert runner.traces_generated == 1
+    def worker(self, parent, points):
+        """Run one worker task in this process on the parent's stores."""
+        return _simulate_task(points[0].workload, (
+            parent.scale, parent.trace_store, parent.precompute_store,
+            points))
 
-    def test_ensure_trace_populates_store(self, tmp_path):
-        runner = self.runner(tmp_path)
-        path = runner.ensure_trace("mcf")
-        assert path is not None
-        assert runner.trace_store.entry_count() == 1
-        adopter = self.runner(tmp_path)
-        assert adopter.attach_trace("mcf", path) is True
-        assert adopter.functional_traces == 0
+    def test_worker_retraces_a_truncated_blob_and_rewrites_it(self,
+                                                              tmp_path):
+        parent = self.runner(tmp_path)
+        parent.ensure_trace("mcf")
+        path = parent.trace_store.path_for("mcf", parent.iterations("mcf"))
+        stored = path.read_bytes()
+        point = make_point("mcf", ModelKind.DMDP)
+        [(_, warm, _)], counts = self.worker(parent, [point])
+        assert counts == {}                          # mapped, not re-traced
+        path.write_bytes(stored[:len(stored) // 2])
+        [(_, rerun, _)], counts = self.worker(parent, [point])
+        assert counts == {"worker_retraces": 1}      # a counted fallback
+        assert path.read_bytes() == stored           # stored again
+        assert rerun.stats.to_dict() == warm.stats.to_dict()
+
+    def test_worker_uses_the_parent_stores_version(self, tmp_path):
+        root = tmp_path / "traces"
+        parent = self.runner(
+            tmp_path, trace_store=TraceStore(root=root, version="v-test"),
+            precompute_store=PrecomputeStore(root=root, version="v-test"))
+        parent.ensure_trace("mcf")
+        bundle = parent.ensure_precompute("mcf")
+        assert parent.trace_store.entry_count() == 1
+        iterations = parent.iterations("mcf")
+        assert not TraceStore(root=root).path_for("mcf", iterations).exists()
+        assert not PrecomputeStore(root=root).path_for(
+            "mcf", iterations, bundle.signature).exists()
+        _, counts = self.worker(parent, [make_point("mcf", model)
+                                         for model in (ModelKind.DMDP,
+                                                       ModelKind.NOSQ)])
+        # Both v-test blobs found: no re-trace, no rebuilt bundle.
+        assert counts == {"worker_precomputes_loaded": 1}
+        assert parent.trace_store.entry_count() == 1
 
     def test_parallel_batch_zero_worker_retraces_with_store(self, tmp_path):
         runner = ExperimentRunner(
