@@ -484,8 +484,10 @@ def cmd_run(args, out) -> int:
     point = SimPoint(args.workload, _spec(args, args.model))
     tracing = args.trace is not None or args.metrics is not None
     if tracing:
-        from .obs import (MetricsTracer, RecordingTracer, TraceWindow,
-                          build_metrics, write_jsonl, write_konata)
+        from .obs.jsonl import write_jsonl
+        from .obs.konata import write_konata
+        from .obs.metrics import build_metrics
+        from .obs.tracer import MetricsTracer, RecordingTracer, TraceWindow
         try:
             window = (TraceWindow.parse(args.trace_window)
                       if args.trace_window else None)
@@ -663,7 +665,7 @@ def cmd_experiment(args, out) -> int:
 
 
 def cmd_trace_report(args, out) -> int:
-    from .obs import format_trace_report, summarize_jsonl
+    from .obs.report import format_trace_report, summarize_jsonl
     try:
         report = summarize_jsonl(args.trace)
     except OSError as exc:
@@ -833,8 +835,8 @@ def _print_divergences(report, out) -> None:
 
 def _replay_artifact(artifact, ir, out):
     """Replay one artifact; returns (report, verdict_string, passed)."""
-    from . import fuzz
-    report = fuzz.check_ir(ir, mutation=artifact.mutation)
+    from .fuzz.oracles import check_ir
+    report = check_ir(ir, mutation=artifact.mutation)
     if artifact.kind == "regression":
         # Corpus entries are distilled pathology programs that must stay
         # clean: any divergence is a real regression.
@@ -849,9 +851,11 @@ def _replay_artifact(artifact, ir, out):
 
 
 def cmd_fuzz(args, out) -> int:
-    from . import fuzz
+    from .fuzz.artifacts import StaleArtifactError, load_artifact
+    from .fuzz.campaign import run_campaign
+    from .fuzz.generator import PROFILES
     if args.fuzz_command == "profiles":
-        rows = [[p.name, p.description] for p in fuzz.PROFILES.values()]
+        rows = [[p.name, p.description] for p in PROFILES.values()]
         print(format_table(["profile", "bias"], rows,
                            title="Bias profiles"), file=out)
         return 0
@@ -862,7 +866,7 @@ def cmd_fuzz(args, out) -> int:
                              backoff=max(0.0, args.backoff))
         models = (ALL_MODELS if args.models is None else
                   [_model(name) for name in args.models.split(",")])
-        report = fuzz.run_campaign(
+        report = run_campaign(
             args.fuzz_profiles or ["mixed"],
             iterations=args.iterations, seed=args.seed, models=models,
             jobs=args.jobs, mutation=args.mutate,
@@ -875,14 +879,14 @@ def cmd_fuzz(args, out) -> int:
 
     if args.fuzz_command == "repro":
         try:
-            artifact = fuzz.load_artifact(args.artifact)
+            artifact = load_artifact(args.artifact)
         except (OSError, ValueError, KeyError) as exc:
             print("error: cannot load artifact: %s" % exc, file=out)
             return 2
         try:
             ir = (artifact.regenerate_ir() if args.from_seed
                   else artifact.replay_ir)
-        except fuzz.StaleArtifactError as exc:
+        except StaleArtifactError as exc:
             print("error: stale artifact: %s" % exc, file=out)
             return 2
         report, verdict, passed = _replay_artifact(artifact, ir, out)
@@ -906,7 +910,7 @@ def cmd_fuzz(args, out) -> int:
     rows = []
     failures = 0
     for path in paths:
-        artifact = fuzz.load_artifact(path)
+        artifact = load_artifact(path)
         report, verdict, passed = _replay_artifact(
             artifact, artifact.replay_ir, out)
         failures += 0 if passed else 1

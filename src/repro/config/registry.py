@@ -20,7 +20,6 @@ second list to keep in sync.
 
 from __future__ import annotations
 
-import difflib
 import enum
 import typing
 from dataclasses import dataclass, fields
@@ -124,6 +123,7 @@ def split_key(key: str) -> Tuple[SlotInfo, str]:
 
 def _hint(key: str, candidates) -> Tuple[str, Tuple[str, ...]]:
     """``(" (did you mean ...?)", suggestions)`` for an unknown key."""
+    import difflib      # deferred: only a bad key needs it
     matches = []
     for match in difflib.get_close_matches(key, candidates, n=3,
                                            cutoff=0.6):

@@ -1,4 +1,11 @@
-"""Experiment harness: runner, cache, parallel engine, reproductions."""
+"""Experiment harness: runner, cache, parallel engine, reporting.
+
+The package names what a run calls.  The experiment catalogue
+(:mod:`.experiments`), the two bench harnesses (:mod:`.hotloop`,
+:mod:`.sweepbench`) and the paper's reference numbers
+(:mod:`.paper_data`) are imported from their own modules, so resolving a
+point never loads them.
+"""
 
 from .cache import (LedgerDir, PrecomputeStore, ResultCache, TraceStore,
                     code_version, default_cache_dir, default_ledger_dir,
@@ -10,8 +17,6 @@ from .parallel import (BatchTiming, ParallelEngine, PointTiming, SimPoint,
 from .runner import ExperimentRunner, SimResult
 from .reporting import (format_failure_table, format_run_report,
                         format_table, geomean, percent)
-from .experiments import ALL_EXPERIMENTS, ExperimentResult
-from . import hotloop, paper_data, sweepbench
 
 __all__ = [
     "ExperimentRunner", "SimResult",
@@ -23,6 +28,4 @@ __all__ = [
     "BatchTiming", "ParallelEngine", "PointTiming", "SimPoint", "make_point",
     "format_failure_table", "format_run_report", "format_table", "geomean",
     "percent",
-    "ALL_EXPERIMENTS", "ExperimentResult", "hotloop", "paper_data",
-    "sweepbench",
 ]

@@ -37,14 +37,12 @@ per task with its own result pipe:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
 import traceback
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields
-from multiprocessing.connection import wait as _conn_wait
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..config import ConfigError, ConfigSpec
@@ -265,6 +263,10 @@ class ParallelEngine:
         every pending task and every task backing off before a retry is
         handed back for the caller to resolve in-process.
         """
+        # Deferred: a run that starts no worker never loads it.
+        import multiprocessing
+        from multiprocessing.connection import wait as conn_wait
+
         self.failures = []
         self.counts = Counter()
         self.degraded = False
@@ -396,7 +398,7 @@ class ParallelEngine:
             timeout = max(0.0, min(wakeups) - now) if wakeups else None
             handles = ([s.conn for s in running]
                        + [s.proc.sentinel for s in running])
-            _conn_wait(handles, timeout)
+            conn_wait(handles, timeout)
 
             now = time.monotonic()
             for state in list(running):

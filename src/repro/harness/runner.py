@@ -132,6 +132,9 @@ class ExperimentRunner:
         self.progress = progress
         self._programs: Dict[str, Program] = {}
         self._traces: Dict[str, PackedTrace] = {}
+        # Per workload whose functional run raised: the exception and the
+        # traceback it was caught with, raised again by later trace()s.
+        self._trace_failures: Dict[str, tuple] = {}
         self._results: Dict[SimPoint, SimResult] = {}
         self.point_log: List[PointTiming] = []
         self.batch_log: List[BatchTiming] = []
@@ -172,17 +175,35 @@ class ExperimentRunner:
         A store hit maps the persisted packed blob read-only (zero
         functional re-execution); a miss runs the functional CPU once and
         persists the packed result for every later session and worker.
+        A functional run that raises is not repeated: the functional CPU
+        is deterministic for a fixed program and instruction cap, so every
+        later call raises the same exception again.
         """
         packed = self._traces.get(workload)
         if packed is None:
+            failure = self._trace_failures.get(workload)
+            if failure is not None:
+                error, tb = failure
+                raise error.with_traceback(tb)
             program = self.program(workload)
             iterations = self.iterations(workload)
             packed = self._traces[workload] = self._load_or_build(
                 "trace", workload,
                 self.trace_store.path_for(workload, iterations),
                 lambda: self.trace_store.load(workload, iterations, program),
-                lambda: run_trace_packed(program))
+                lambda: self._run_trace(workload, program))
         return packed
+
+    def _run_trace(self, workload: str, program: Program) -> PackedTrace:
+        """Run the functional CPU, keeping a failure for :meth:`trace`."""
+        try:
+            return run_trace_packed(program)
+        except Exception as exc:
+            # Drop the failed run's locals (a partial trace among them);
+            # the frames still format.
+            traceback.clear_frames(exc.__traceback__)
+            self._trace_failures[workload] = (exc, exc.__traceback__)
+            raise
 
     def precompute_for(self, workload: str) -> TracePrecompute:
         """The shared whole-trace bundle: trace -> store -> build (+ put).
@@ -274,7 +295,8 @@ class ExperimentRunner:
         Simulator uses a bundle an earlier run left on the trace, or
         builds one and leaves it there.  A failure here is left to the
         point's own simulation, which retries it and records it as that
-        point's failure.
+        point's failure; a failed trace is kept (:meth:`trace`), so those
+        attempts raise it again without tracing again.
         """
         per_trace = Counter(point.workload for point in points)
         for workload, count in sorted(per_trace.items()):
@@ -425,7 +447,10 @@ class ExperimentRunner:
         store, the parent first resolves the inputs
         (:meth:`_resolve_inputs`) and stores them, so workers load them
         instead of re-running the functional CPU or re-analysing the
-        trace; without one, workers trace for themselves.  A task that
+        trace; without one, workers trace for themselves.  The points of
+        a workload whose trace already failed in this runner are not
+        shipped: each retries here, on the serial path, which raises the
+        kept failure again instead of tracing again.  A task that
         exhausts its retries becomes one :class:`FailedPoint` per point.
         Returns the points of the tasks the engine handed back unrun
         (workers could not spawn), for the serial path.
@@ -435,6 +460,9 @@ class ExperimentRunner:
             groups.setdefault(point.workload, []).append(point)
         if self.trace_store.root is not None:
             self._resolve_inputs(points)
+        for workload in sorted(groups.keys() & self._trace_failures.keys()):
+            failures.extend(self._simulate_with_retry(point, publish)
+                            for point in groups.pop(workload))
         tasks = [(workload, (self.scale, self.trace_store,
                              self.precompute_store, group), len(group))
                  for workload, group in sorted(groups.items())]

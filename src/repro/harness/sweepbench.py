@@ -98,10 +98,10 @@ SMOKE_PROBE_SCALE = 4.0
 # bar for the batched timing core: per-trace-grouped scheduling with a
 # shared precompute bundle must beat the ungrouped warm leg on per-point
 # warm throughput.  Calibration: a shared bundle amortises each
-# point's bundle build (branch replay, decode index, memory tables) and
+# point's bundle build (branch replay and decode index) and
 # base-memory image; a first run reads the packed columns as a shared
 # one does, so that is all a warm-store point pays extra.  Smoke runs on
-# a shared 2-CPU x86-64 host measure 1.17-1.51x (median 1.32, 7 runs);
+# a shared 2-CPU x86-64 host measure 1.06-1.74x (median 1.36, 6 runs);
 # a 1.2 floor fails any real regression (redundant precompute work shows
 # up as ~1.0x), but host noise can take a run below it.
 MIN_WARM_SPEEDUP = 1.5

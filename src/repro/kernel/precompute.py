@@ -1,9 +1,8 @@
 """Whole-trace precompute bundles (DESIGN.md section 14).
 
 Every timing simulation needs per-trace metadata -- which trace entries
-the front end mispredicts, the global branch history seen at rename,
-the decode template per entry, each entry's oracle producer, word
-address and Byte Access Bits -- and a pre-execution architectural
+the front end mispredicts, the global branch history seen at rename and
+the decode template per entry -- and a pre-execution architectural
 memory image.  None of that depends on the sweep configuration (only on
 the trace content and the branch-predictor geometry).
 
@@ -20,16 +19,16 @@ and worker of a sweep that loads it from the store.  The bundle holds:
 * a decode-template index (``_Decoded`` per trace entry, carrying the
   static pc and instruction), memoised per latency signature so every
   config with default latencies shares one table;
-* the ``dep_store`` / ``word_addr`` / ``bab`` tables
-  (:meth:`memory_tables`), which the Simulator reads by trace index
-  beside the raw ``mem_addr`` / ``mem_size`` / ``value`` columns, so no
-  run materialises a :class:`~repro.kernel.trace.TraceEntry`;
 * a shared base memory image (:meth:`base_memory`), so trace-resident
   multi-config runs stop paying per-config data-segment loads.
 
+Per-entry memory fields are not restated here: the Simulator reads each
+entry's producing store, word address and Byte Access Bits straight
+from the trace's ``dep`` / ``mem_addr`` / ``mem_size`` columns, so no
+run materialises a :class:`~repro.kernel.trace.TraceEntry`.
+
 Bundles serialise to a small CRC'd blob (the sequential parts only:
-bitmap + history; the decode index and memory tables re-derive from the
-trace columns)
+bitmap + history; the decode index re-derives from the trace columns)
 so the harness can persist them next to the trace blob -- see
 ``PrecomputeStore`` in :mod:`repro.harness.cache`.
 
@@ -55,7 +54,7 @@ from array import array
 from typing import Dict, List, Optional, Tuple
 
 from .memory import SparseMemory
-from .tracestore import F_TAKEN, NO_DEP, _U32, _pad
+from .tracestore import F_TAKEN, _U32, _pad
 
 # Bump whenever the blob layout or the meaning of any precomputed table
 # changes; folded into the persistent store's keys (harness/cache.py) so
@@ -93,7 +92,6 @@ class TracePrecompute:
         self._history = history
         # Lazily materialised shared state.
         self._dec_memo: Dict[Tuple[int, int, int, int], list] = {}
-        self._mem_tables: Optional[Tuple[list, list, list]] = None
         self._base_mem: Optional[SparseMemory] = None
         trace.bundles[self.signature] = self
 
@@ -176,23 +174,6 @@ class TracePrecompute:
                 index[i] = dec
             self._dec_memo[key] = index
         return index
-
-    def memory_tables(self) -> Tuple[list, list, list]:
-        """Per-entry ``dep_store`` (None without a producing store),
-        ``word_addr`` and ``bab`` (paper Section IV-D), derived from the
-        packed columns once per bundle with the formulas of a
-        :class:`~repro.kernel.trace.TraceEntry` view (an absent address
-        or size reads as 0)."""
-        if self._mem_tables is None:
-            trace = self.trace
-            mem_addr = trace.mem_addr_column()
-            dep_store = [None if dep == NO_DEP else dep
-                         for dep in trace.dep_column()]
-            word_addr = [addr & ~0x3 for addr in mem_addr]
-            bab = [((1 << size) - 1) << (addr & 0x3)
-                   for addr, size in zip(mem_addr, trace.mem_size_column())]
-            self._mem_tables = (dep_store, word_addr, bab)
-        return self._mem_tables
 
     def base_memory(self) -> SparseMemory:
         """The pre-execution architectural memory image, built once;

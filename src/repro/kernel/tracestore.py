@@ -15,9 +15,9 @@ Instruction operands are resolved through the *static* instruction index
 so the encoding carries no pickled :class:`~repro.isa.Instruction` objects
 and a blob is ~22 bytes per dynamic instruction (20 bytes of u32 columns
 plus 2 of u8) instead of a few hundred.  Derived fields (``word_addr``,
-``bab``) are recomputed at view time, and once per precompute bundle for
-the Simulator; nullability is tracked in per-entry flag bits, and
-``dep_store`` uses an explicit sentinel.
+``bab``) are recomputed at view time, and by the Simulator at each use;
+nullability is tracked in per-entry flag bits, and ``dep_store`` uses an
+explicit sentinel.
 
 :class:`PackedTrace` exposes the raw columns (``static_column``,
 ``mem_addr_column`` and the rest), which the whole-trace precompute pass

@@ -1,36 +1,16 @@
 """Observability: pipeline tracing, structured metrics, trace export.
 
 See DESIGN.md section 10.  The timing simulator takes a
-:class:`PipelineTracer` (default :data:`NULL_TRACER`, whose only hot-loop
-cost is one attribute check per guard site); :class:`RecordingTracer`
-captures per-MicroOp stage timestamps and DMDP-specific events, which the
-exporters turn into Konata-compatible text (:func:`write_konata`), JSONL
-event streams (:func:`write_jsonl`), or a structured metrics report
-(:func:`build_metrics`).
+:class:`~.tracer.PipelineTracer` (default :data:`~.tracer.NULL_TRACER`,
+whose only hot-loop cost is one attribute check per guard site);
+:class:`~.tracer.RecordingTracer` captures per-MicroOp stage timestamps
+and DMDP-specific events, which the exporters turn into
+Konata-compatible text (:func:`.konata.write_konata`), JSONL event
+streams (:func:`.jsonl.write_jsonl`), or a structured metrics report
+(:func:`.metrics.build_metrics`).  The sweep ledger is
+:mod:`.ledger`, and the live progress view :mod:`.progress`.
+
+Import each name from the module that defines it: the package imports
+none of them, so a run loads only the tracer and the ledger it uses, not
+the exporters, the report or the progress renderer.
 """
-
-from .tracer import (EventKind, MetricsTracer, NULL_TRACER, NullTracer,
-                     PipelineTracer, RecordingTracer, TraceEvent,
-                     TraceWindow)
-from .jsonl import iter_jsonl, read_jsonl, write_jsonl
-from .konata import KonataRecord, parse_konata, write_konata
-from .metrics import MetricsAccumulator, build_metrics
-from .report import format_trace_report, summarize_jsonl
-from .ledger import (LEDGER_SCHEMA_VERSION, JsonlLedger, LedgerSink,
-                     NULL_LEDGER, NullLedger, TeeLedger, diff_ledgers,
-                     format_ledger_diff, format_ledger_report, iter_ledger,
-                     read_ledger, summarize_ledger, validate_span)
-from .progress import ProgressRenderer
-
-__all__ = [
-    "EventKind", "MetricsTracer", "NULL_TRACER", "NullTracer",
-    "PipelineTracer", "RecordingTracer", "TraceEvent", "TraceWindow",
-    "iter_jsonl", "read_jsonl", "write_jsonl",
-    "KonataRecord", "parse_konata", "write_konata",
-    "MetricsAccumulator", "build_metrics",
-    "format_trace_report", "summarize_jsonl",
-    "LEDGER_SCHEMA_VERSION", "JsonlLedger", "LedgerSink", "NULL_LEDGER",
-    "NullLedger", "TeeLedger", "diff_ledgers", "format_ledger_diff",
-    "format_ledger_report", "iter_ledger", "read_ledger",
-    "summarize_ledger", "validate_span", "ProgressRenderer",
-]

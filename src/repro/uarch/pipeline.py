@@ -31,7 +31,7 @@ from ..isa.registers import (NUM_ARCH_REGS, NUM_LOGICAL_REGS, REG_AGI,
                              REG_LDTMP, REG_PRED)
 from ..kernel.cpu import ALU_SEMANTICS, WORD_MASK, sign_extend
 from ..kernel.precompute import TracePrecompute, bpred_signature
-from ..kernel.tracestore import F_TAKEN, pack_trace
+from ..kernel.tracestore import F_TAKEN, NO_DEP, pack_trace
 from ..obs.tracer import NULL_TRACER, PipelineTracer
 from .cachesim import MemoryHierarchy
 from .distance_predictor import StoreDistancePredictor
@@ -193,16 +193,18 @@ class Simulator:
         self.sb.tracer = self._tr
 
         # Trace tables (kernel/precompute.py): the mispredict flags,
-        # rename-time history, decode templates, memory-dependence tables
-        # and base memory image depend only on the trace and the predictor
-        # geometry (the front end is deterministic on the committed path,
-        # so squash/refetch replays identical predictions), and they
-        # always come from one TracePrecompute bundle, which lives on the
-        # packed trace under its predictor signature: the first run of a
-        # trace builds it and every later run shares it.  Either way the
-        # pipeline reads a per-entry field by trace index (DynInstr.rob_id)
-        # from the packed columns or the bundle's tables, and a per-static
-        # one (pc, Instruction) from the decode template.
+        # rename-time history, decode templates and base memory image
+        # depend only on the trace and the predictor geometry (the front
+        # end is deterministic on the committed path, so squash/refetch
+        # replays identical predictions), and they always come from one
+        # TracePrecompute bundle, which lives on the packed trace under its
+        # predictor signature: the first run of a trace builds it and
+        # every later run shares it.  The pipeline reads a per-entry field
+        # by trace index (DynInstr.rob_id) from the packed columns -- the
+        # producing store from ``dep`` (NO_DEP for none), and the word
+        # address and Byte Access Bits from ``mem_addr``/``mem_size`` with
+        # the TraceEntry view formulas at each use -- and a per-static one
+        # (pc, Instruction) from the decode template.
         packed = self.trace = pack_trace(program, trace)
         self._total = len(packed)
         signature = bpred_signature(params)
@@ -212,8 +214,8 @@ class Simulator:
         self._mispredicted = pre.mispredicted_list()
         self._history = pre.history_list()
         self._dec_by_index = pre.decode_index(params)
-        self._dep_store, self._word_addr, self._bab = pre.memory_tables()
         self._taken_bits = packed.flags_column()
+        self._dep = packed.dep_column()
         self._mem_addr = packed.mem_addr_column()
         self._mem_size = packed.mem_size_column()
         self._value = packed.value_column()
@@ -613,11 +615,14 @@ class Simulator:
         """Whether the store at trace index ``store`` wrote every byte the
         load at trace index ``load`` reads: same word, and the load's Byte
         Access Bits inside the store's (paper Section IV-D)."""
-        word_addr = self._word_addr
-        bab = self._bab
-        load_bab = bab[load]
-        return (word_addr[store] == word_addr[load]
-                and (bab[store] & load_bab) == load_bab)
+        mem_addr = self._mem_addr
+        mem_size = self._mem_size
+        s_addr = mem_addr[store]
+        l_addr = mem_addr[load]
+        store_bab = ((1 << mem_size[store]) - 1) << (s_addr & 0x3)
+        load_bab = ((1 << mem_size[load]) - 1) << (l_addr & 0x3)
+        return ((s_addr & ~0x3) == (l_addr & ~0x3)
+                and (store_bab & load_bab) == load_bab)
 
     # ------------------------------------------------------------------
     # Stage: retire.
@@ -724,10 +729,10 @@ class Simulator:
     def _classify_lowconf(self, instr: DynInstr) -> None:
         """Paper Fig. 5: outcome of a low-confidence dependence prediction."""
         li = instr.load
-        dep = self._dep_store[instr.rob_id]
-        in_flight = (dep is not None and dep not in self.commit_cycle)
+        dep = self._dep[instr.rob_id]
+        in_flight = (dep != NO_DEP and dep not in self.commit_cycle)
         # A store that committed before the load renamed was not in flight.
-        if dep is not None and dep in self.commit_cycle:
+        if dep != NO_DEP and dep in self.commit_cycle:
             in_flight = self.commit_cycle[dep] > instr.rename_cycle
         if not in_flight:
             outcome = INDEP_STORE
@@ -794,7 +799,8 @@ class Simulator:
     def _retire_store(self, instr: DynInstr) -> bool:
         """Move a retiring store to the store buffer; False if it is full."""
         index = instr.rob_id
-        word_addr = self._word_addr[index]
+        addr = self._mem_addr[index]
+        word_addr = addr & ~0x3
         if not self.sb.can_accept(word_addr):
             return False
         si = instr.store
@@ -803,7 +809,9 @@ class Simulator:
         si.retired = True
         self.ssn.on_retire(si.ssn)
         if self.model is not BASELINE:
-            self.tssbf.store_retire(word_addr, si.ssn, self._bab[index])
+            self.tssbf.store_retire(
+                word_addr, si.ssn,
+                ((1 << self._mem_size[index]) - 1) << (addr & 0x3))
             self._ee["tssbf_access"] += 1
         else:
             self.storesets.store_complete(instr.dec.pc, index)
@@ -823,8 +831,8 @@ class Simulator:
 
         if self.model is BASELINE:
             if li.obtained_value != self._value[index]:
-                dep = self._dep_store[index]
-                if dep is not None:
+                dep = self._dep[index]
+                if dep != NO_DEP:
                     self.storesets.on_violation(
                         head.dec.pc, self._dec_by_index[dep].pc)
                     self._ee["store_sets_access"] += 1
@@ -844,11 +852,11 @@ class Simulator:
                 return "wait"
             return self._finish_reexecution(head)
 
-        bab = self._bab[index]
+        addr = self._mem_addr[index]
+        bab = ((1 << self._mem_size[index]) - 1) << (addr & 0x3)
         if li.tssbf_result is None:
             self._ee["tssbf_access"] += 1
-            li.tssbf_result = self.tssbf.load_lookup(self._word_addr[index],
-                                                     bab)
+            li.tssbf_result = self.tssbf.load_lookup(addr & ~0x3, bab)
         result = li.tssbf_result
 
         need_reexec = False
@@ -1454,9 +1462,8 @@ class Simulator:
                             dec: _Decoded) -> None:
         li = LoadInfo(mode=DIRECT)
         instr.load = li
-        dep = self._dep_store[instr.rob_id]
-        dep_instr = self.inflight_store_by_id.get(dep) if dep is not None \
-            else None
+        # NO_DEP is never a trace index, so it finds no in-flight store.
+        dep_instr = self.inflight_store_by_id.get(self._dep[instr.rob_id])
         if dep_instr is not None and not dep_instr.store.committed:
             # Oracle cloaking from the in-flight producing store.
             li.mode = BYPASS

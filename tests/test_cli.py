@@ -121,7 +121,7 @@ class TestObservabilityCommands:
             assert json.load(handle)["instructions"] > 0
 
     def test_run_trace_konata(self, tmp_path):
-        from repro.obs import parse_konata
+        from repro.obs.konata import parse_konata
         path = str(tmp_path / "out.konata")
         code, text = run_cli("--scale", "0.05", "run", "bzip2",
                              "--model", "dmdp", "--trace", path)
@@ -129,7 +129,7 @@ class TestObservabilityCommands:
         assert len(parse_konata(path)) > 0
 
     def test_run_trace_jsonl_window_and_report(self, tmp_path):
-        from repro.obs import read_jsonl
+        from repro.obs.jsonl import read_jsonl
         path = str(tmp_path / "out.jsonl")
         code, _ = run_cli("--scale", "0.05", "run", "bzip2",
                           "--model", "dmdp", "--trace", path,

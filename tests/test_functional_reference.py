@@ -18,8 +18,8 @@ import random
 
 import pytest
 
-from repro.fuzz import load_artifact, materialize
-from repro.fuzz.generator import PROFILES, ProgramSpec
+from repro.fuzz.artifacts import load_artifact
+from repro.fuzz.generator import PROFILES, ProgramSpec, materialize
 from repro.isa import Opcode, ProgramBuilder
 from repro.isa.instructions import MICROOP_ONLY
 from repro.kernel import FunctionalCpu, pack_trace, run_trace_packed

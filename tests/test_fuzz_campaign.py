@@ -10,7 +10,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.fuzz import load_artifact, run_campaign
+from repro.fuzz.artifacts import load_artifact
+from repro.fuzz.campaign import run_campaign
 from repro.harness.resilience import RetryPolicy
 
 FAST = RetryPolicy(retries=2, backoff=0.0)
@@ -103,7 +104,7 @@ def test_cli_run_smoke(tmp_path):
 
 
 def test_cli_profiles_lists_all(tmp_path):
-    from repro.fuzz import PROFILES
+    from repro.fuzz.generator import PROFILES
     out = io.StringIO()
     assert main(["fuzz", "profiles"], out=out) == 0
     for name in PROFILES:

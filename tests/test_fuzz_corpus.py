@@ -17,8 +17,10 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.fuzz import check_ir, load_artifact, materialize
-from repro.fuzz.oracles import trace_pathology_stats, tssbf_alias_stats
+from repro.fuzz.artifacts import load_artifact
+from repro.fuzz.generator import materialize
+from repro.fuzz.oracles import (check_ir, trace_pathology_stats,
+                                tssbf_alias_stats)
 from repro.kernel import FunctionalCpu
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.kernel import FunctionalCpu
-from repro.obs import NullTracer, RecordingTracer
+from repro.obs.tracer import NullTracer, RecordingTracer
 from repro.uarch import ModelKind, model_params
 from repro.uarch.pipeline import Simulator
 from repro.workloads import get_workload

@@ -63,7 +63,7 @@ class TestRunner:
 
 class TestRunnerObservability:
     def test_run_traced_matches_untraced_stats(self, runner):
-        from repro.obs import MetricsTracer, RecordingTracer
+        from repro.obs.tracer import MetricsTracer, RecordingTracer
         plain = runner.run("bzip2", ModelKind.DMDP)
         point = make_point("bzip2", ModelKind.DMDP)
         tracer = RecordingTracer()

@@ -6,20 +6,12 @@ import json
 import pytest
 
 from repro.kernel import FunctionalCpu
-from repro.obs import (
-    EventKind,
-    MetricsTracer,
-    NULL_TRACER,
-    NullTracer,
-    RecordingTracer,
-    TraceEvent,
-    TraceWindow,
-    build_metrics,
-    parse_konata,
-    read_jsonl,
-    write_jsonl,
-    write_konata,
-)
+from repro.obs.jsonl import read_jsonl, write_jsonl
+from repro.obs.konata import parse_konata, write_konata
+from repro.obs.metrics import build_metrics
+from repro.obs.tracer import (EventKind, MetricsTracer, NULL_TRACER,
+                              NullTracer, RecordingTracer, TraceEvent,
+                              TraceWindow)
 from repro.uarch import ModelKind, model_params
 from repro.uarch.pipeline import Simulator
 from repro.workloads import get_workload

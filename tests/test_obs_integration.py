@@ -14,13 +14,8 @@ import io
 import pytest
 
 from repro.kernel import FunctionalCpu
-from repro.obs import (
-    EventKind,
-    MetricsTracer,
-    RecordingTracer,
-    parse_konata,
-    write_konata,
-)
+from repro.obs.konata import parse_konata, write_konata
+from repro.obs.tracer import EventKind, MetricsTracer, RecordingTracer
 from repro.uarch import ModelKind, SquashCause, model_params
 from repro.uarch.pipeline import Simulator
 from repro.workloads import get_workload

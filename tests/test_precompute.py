@@ -5,8 +5,10 @@ Four layers under test (DESIGN.md Section 14):
 * the tables -- :class:`TracePrecompute` must reproduce exactly the
   mispredict flags and rename-time global history of an independent
   reference computed here from ``TraceEntry`` objects, before and after
-  a serialisation round trip, plus the decode index, the memory tables
-  and base memory;
+  a serialisation round trip, plus the decode index and base memory;
+  the Simulator reads each entry's producing store, word address and
+  Byte Access Bits from the trace's own columns, and what it hands the
+  T-SSBF equals each ``TraceEntry``'s fields;
 * the golden bar -- SimStats must be byte-identical whether a point is
   simulated from the list trace, from a packed trace's first run (which
   builds its bundle) or from a later run that shares that bundle, on
@@ -40,7 +42,8 @@ from repro.kernel import (FunctionalCpu, MAX_TRACE_INSTRUCTIONS,
 from repro.kernel.precompute import (PRECOMPUTE_FORMAT_VERSION,
                                      PrecomputeDecodeError, TracePrecompute,
                                      bpred_signature, load_precompute)
-from repro.obs import RecordingTracer
+from repro.kernel.tracestore import NO_DEP
+from repro.obs.tracer import RecordingTracer
 from repro.uarch import ALL_MODELS, ModelKind, Simulator, model_params
 from repro.uarch.branch import BranchPredictor
 from repro.uarch.pipeline import _Decoded
@@ -123,6 +126,16 @@ def assert_tables(bundle, want):
     assert again.history_list() == history
 
 
+def assert_reads_columns(sim, packed):
+    """``sim`` reads each entry's memory fields from ``packed``'s own
+    columns, not from a copy."""
+    __tracebackhide__ = True
+    assert sim.trace is packed
+    assert sim._dep is packed.dep_column()
+    assert sim._mem_addr is packed.mem_addr_column()
+    assert sim._mem_size is packed.mem_size_column()
+
+
 DECODE_FIELDS = ("pc", "instr", "is_load", "is_store", "is_mem",
                  "is_control",
                  "is_cond_branch", "src_regs", "dest_reg", "fu", "latency",
@@ -147,11 +160,16 @@ class TestBundleTables:
                 theirs = _Decoded(entry.instr, params, entry.pc)
                 for field in DECODE_FIELDS:
                     assert getattr(ours, field) == getattr(theirs, field)
-            # The memory tables and the raw columns the pipeline reads by
-            # trace index hold each entry's TraceEntry fields.
-            assert sim._dep_store == [e.dep_store for e in trace]
-            assert sim._word_addr == [e.word_addr for e in trace]
-            assert sim._bab == [e.bab for e in trace]
+            # The columns the pipeline reads by trace index hold each
+            # entry's TraceEntry fields, the derived ones through the view
+            # formulas it applies at each use.
+            assert_reads_columns(sim, sim.trace)
+            for e in trace:
+                dep = sim._dep[e.index]
+                addr, size = sim._mem_addr[e.index], sim._mem_size[e.index]
+                assert (None if dep == NO_DEP else dep) == e.dep_store
+                assert addr & ~0x3 == e.word_addr
+                assert ((1 << size) - 1) << (addr & 0x3) == e.bab
             mem = [e for e in trace if e.instr.is_mem]
             assert mem, name
             for e in mem:
@@ -239,6 +257,67 @@ class TestBundleTables:
         assert bundle.base_memory().snapshot() == direct.snapshot()
 
 
+class TssbfSpy:
+    """Stands in for a Simulator's T-SSBF: forwards every call, and
+    records ``(kind, trace index, word_addr, bab)`` for each
+    ``store_retire`` (a retiring store) and ``load_lookup`` (a verifying
+    load), the index taken from the retire stage that made the call."""
+
+    def __init__(self, sim):
+        self.inner = sim.tssbf
+        self.calls = []
+        self.index = None
+        sim.tssbf = self
+        for name in ("_retire_store", "_verify_load"):
+            def entered(instr, stage=getattr(sim, name)):
+                self.index = instr.rob_id
+                return stage(instr)
+            setattr(sim, name, entered)
+
+    def store_retire(self, word_addr, ssn, bab):
+        self.calls.append(("store", self.index, word_addr, bab))
+        self.inner.store_retire(word_addr, ssn, bab)
+
+    def load_lookup(self, word_addr, load_bab):
+        self.calls.append(("load", self.index, word_addr, load_bab))
+        return self.inner.load_lookup(word_addr, load_bab)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class TestColumnMemoryFields:
+    @pytest.mark.parametrize("model", [ModelKind.NOSQ, ModelKind.DMDP],
+                             ids=lambda m: m.value)
+    def test_tssbf_sees_each_entrys_word_address_and_bab(self, model):
+        # The word address and Byte Access Bits the Simulator derives from
+        # the mem_addr/mem_size columns are the TraceEntry view's: every
+        # store retires into the T-SSBF once, in order, and every load
+        # verifies against it with its own fields.  The tag-alias program
+        # of seed 3 adds sub-word loads off a word boundary to seed 1's
+        # sub-word stores.
+        off_word = set()
+        for case in (packed_case, fuzz_case, lambda: fuzz_case(seed=3)):
+            program, trace, packed = case()
+            sim = Simulator(program, packed, model_params(model))
+            spy = TssbfSpy(sim)
+            sim.run()
+            stores = [e.index for e in trace if e.instr.is_store]
+            assert [index for kind, index, _, _ in spy.calls
+                    if kind == "store"] == stores
+            loads = {index for kind, index, _, _ in spy.calls
+                     if kind == "load"}
+            assert loads and all(trace[i].instr.is_load for i in loads)
+            for kind, index, word_addr, bab in spy.calls:
+                entry = trace[index]
+                assert (word_addr, bab) == (entry.word_addr, entry.bab), \
+                    (kind, index)
+                if entry.mem_addr & 0x3:
+                    off_word.add(kind)
+        # Where dropping either half of a formula shows, on both sides.
+        assert off_word == {"store", "load"}
+
+
 def forbid_entry_views(monkeypatch):
     """Make indexing or iterating any PackedTrace raise, so a run that
     materialises a TraceEntry fails (list() a trace before calling)."""
@@ -269,28 +348,26 @@ class TestGoldenBatchedIdentity:
         bundle = packed.bundles[DEFAULT_SIG]
         later = Simulator(program, packed, params)
         assert packed.bundles == {DEFAULT_SIG: bundle}
-        assert first.trace is packed and later.trace is packed
-        tables = bundle.memory_tables()
         for sim in (first, later):
-            assert (sim._dep_store, sim._word_addr, sim._bab) == tables
-            assert sim._dep_store is tables[0]
-            assert sim._mem_addr is packed.mem_addr_column()
+            assert_reads_columns(sim, packed)
+            assert sim._history is bundle.history_list()
         assert first.run().to_dict() == from_list
         assert later.run().to_dict() == from_list
 
     def test_four_models_over_one_trace_build_one_bundle(self, monkeypatch):
         # short-programs, run_all_models and the fuzz oracles run every
         # model over one recorded trace: the first run builds the bundle,
-        # the other three share it and its tables, and every model's
-        # stats match its list-trace run.
+        # the other three share it, all four read the trace's columns,
+        # and every model's stats match its list-trace run.
         program, trace, packed = packed_case()
         built = count_builds(monkeypatch)
         sims = [Simulator(program, packed, model_params(model))
                 for model in ALL_MODELS]
         assert len(built) == 1
-        word_addr = packed.bundles[DEFAULT_SIG].memory_tables()[1]
-        assert all(sim.trace is packed for sim in sims)
-        assert all(sim._word_addr is word_addr for sim in sims)
+        mispredicted = packed.bundles[DEFAULT_SIG].mispredicted_list()
+        for sim in sims:
+            assert_reads_columns(sim, packed)
+            assert sim._mispredicted is mispredicted
         for model, sim in zip(ALL_MODELS, sims):
             assert (sim.run().to_dict() == Simulator(
                 program, trace, model_params(model)).run().to_dict()), model
@@ -340,7 +417,8 @@ class TestGoldenBatchedIdentity:
                 plain = Simulator(program, twin(program, packed),
                                   params).run().to_dict()
                 shared = Simulator(program, packed, params)
-                assert shared._bab is bundle.memory_tables()[2]
+                assert shared._mispredicted is bundle.mispredicted_list()
+                assert_reads_columns(shared, packed)
                 assert shared.run().to_dict() == plain
 
     def test_overridden_geometry_falls_back_and_stays_identical(self):
@@ -388,7 +466,8 @@ class TestGoldenBatchedIdentity:
         loaded = load_precompute(path, packed, DEFAULT_SIG)
         assert packed.bundles == {DEFAULT_SIG: loaded}
         sim = Simulator(program, packed, params)
-        assert sim._dep_store is loaded.memory_tables()[0]
+        assert sim._history is loaded.history_list()
+        assert_reads_columns(sim, packed)
         assert (sim.run().to_dict() == Simulator(
             program, twin(program, packed), params).run().to_dict())
 

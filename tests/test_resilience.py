@@ -281,6 +281,45 @@ class TestCrashIsolation:
         assert runner.batch_log[-1].memo_hits == len(survivors)
         assert_identical_to_serial(results, serial_reference, survivors)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_workload_is_traced_once(self, monkeypatch, tmp_path,
+                                             serial_reference, jobs):
+        """A workload whose tracing raises runs the functional CPU once,
+        not once per attempt: later attempts raise the kept failure.  At
+        ``jobs=2`` the parent traces before the fan-out and keeps its
+        points instead of shipping them, while the other workload still
+        runs in a worker.  Every attempt is still recorded."""
+        spec = get_workload("tonto")
+        poisoned = spec.build(spec.iterations(SCALE))
+        real = runner_module.run_trace_packed
+        calls = tmp_path / "tonto-traces"
+
+        def run_trace_packed(program, *args, **kwargs):
+            if program == poisoned:
+                with open(calls, "a") as handle:    # workers append too
+                    handle.write("%d\n" % os.getpid())
+                raise RuntimeError("injected tracing failure")
+            return real(program, *args, **kwargs)
+
+        # Forked workers inherit the patched module global.
+        monkeypatch.setattr(runner_module, "run_trace_packed",
+                            run_trace_packed)
+        runner = runner_with(tmp_path, jobs=jobs, keep_going=True)
+        assert runner.trace_store.root is not None
+        assert runner.policy.retries == 2
+        results = runner.run_batch(POINTS)
+        assert calls.read_text().splitlines() == [str(os.getpid())]
+        assert [(f.point, f.kind, f.attempts, f.reason)
+                for f in runner.failure_log] == [
+            (point, "error", 3, "RuntimeError: injected tracing failure")
+            for point in POINTS if point.workload == "tonto"]
+        # bzip2's task loaded the bundle the parent stored before the
+        # fan-out; the serial path shares it in this process.
+        assert runner.batch_log[-1].worker_precomputes_loaded == jobs - 1
+        survivors = [p for p in POINTS if p.workload == "bzip2"]
+        assert sorted(results, key=repr) == sorted(survivors, key=repr)
+        assert_identical_to_serial(results, serial_reference, survivors)
+
 
 _DEGRADED_BATCH = """
 import json

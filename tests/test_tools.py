@@ -61,7 +61,8 @@ class TestTraceDiff:
     def traces(self, tmp_path_factory):
         """Two identical recorded traces plus one divergent variant."""
         from repro.kernel import FunctionalCpu
-        from repro.obs import RecordingTracer, write_jsonl
+        from repro.obs.jsonl import write_jsonl
+        from repro.obs.tracer import RecordingTracer
         from repro.uarch import ModelKind, model_params
         from repro.uarch.pipeline import Simulator
         from repro.workloads import get_workload
@@ -102,7 +103,7 @@ class TestTraceDiff:
         assert "<end of trace>" in out.getvalue()
 
     def test_first_divergence_positions(self, trace_diff):
-        from repro.obs import EventKind, TraceEvent
+        from repro.obs.tracer import EventKind, TraceEvent
         ev = [TraceEvent(0, EventKind.FETCH, 0, None, {}),
               TraceEvent(1, EventKind.RETIRE, 0, None, {})]
         assert trace_diff.first_divergence(ev, list(ev)) is None

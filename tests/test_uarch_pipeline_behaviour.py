@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from repro.fuzz import load_artifact, materialize
+from repro.fuzz.artifacts import load_artifact
+from repro.fuzz.generator import materialize
 from repro.isa import ProgramBuilder
 from repro.kernel import FunctionalCpu
 from repro.uarch import ModelKind, Simulator, model_params

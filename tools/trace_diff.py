@@ -24,7 +24,8 @@ from typing import Iterable, Optional, Tuple
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.obs import TraceEvent, iter_jsonl            # noqa: E402
+from repro.obs.jsonl import iter_jsonl                 # noqa: E402
+from repro.obs.tracer import TraceEvent                # noqa: E402
 
 
 def first_divergence(events_a: Iterable[TraceEvent],
