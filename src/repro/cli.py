@@ -33,21 +33,6 @@ Commands
     (task timeline, retry/failure/straggler summary, cache efficiency,
     phase breakdown), ``diff`` compares two ledgers, ``validate``
     checks every span against the schema.
-``bench-hotloop``
-    Measure simulator hot-loop throughput (cycles/sec per model) plus
-    the batched multi-config leg (shared precompute bundle vs. fresh
-    per-config construction) and write ``BENCH_hotloop.json``;
-    ``--check`` fails on regression vs. the committed baseline, on a
-    batched leg slower than its floor, or on any batched-vs-unbatched
-    SimStats mismatch.
-``bench-sweep``
-    Measure end-to-end sweep cost under five trace-store/result-cache
-    regimes -- including the ``batched`` leg, which submits the whole
-    matrix through one per-trace-grouped ``run_batch`` -- plus worker
-    peak RSS, and write ``BENCH_sweep.json``; ``--check`` fails when the
-    warm or batched sweeps miss their speedup floors, a warm leg
-    performs any functional re-trace, or the batched leg resolves more
-    than one precompute per trace (see DESIGN.md Sections 12 and 14).
 ``fuzz run / repro / corpus / profiles``
     Differential fuzzing farm (see DESIGN.md Section 13): ``run``
     executes a seeded campaign of pathology-biased programs through the
@@ -58,6 +43,9 @@ Commands
     replays one artifact and checks that the same divergence class
     reappears; ``corpus`` replays the distilled regression corpus
     (``tests/corpus``); ``profiles`` lists the bias profiles.
+
+The repository's one benchmark is not a command: it is
+``perfbench/run.py`` (``perfbench/METRICS.md``).
 
 Global flags: ``--jobs N`` fans simulation points out over N worker
 processes; ``--no-cache`` disables the persistent result cache (location:
@@ -91,8 +79,7 @@ from typing import List, Optional
 from .config import ConfigSpec, ConfigError
 from .harness import (BatchFailure, ExperimentRunner, LedgerDir,
                       PrecomputeStore, ResultCache, RetryPolicy, SimPoint,
-                      TraceStore, default_cache_dir, default_ledger_dir,
-                      hotloop, sweepbench)
+                      TraceStore, default_cache_dir, default_ledger_dir)
 from .harness.experiments import ALL_EXPERIMENTS
 from .harness.reporting import (format_failure_table, format_run_report,
                                 format_table)
@@ -268,53 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="check every span against the schema")
     ledger_validate.add_argument("paths", nargs="+", metavar="LEDGER.jsonl")
 
-    bench = sub.add_parser("bench-hotloop",
-                           help="measure simulator hot-loop throughput "
-                                "(cycles/sec per model)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="quarter-scale run for CI")
-    bench.add_argument("--check", action="store_true",
-                       help="exit non-zero when throughput regresses >"
-                            + str(round(100 * (1 -
-                                               hotloop.REGRESSION_THRESHOLD)))
-                            + "%% vs. the committed baseline")
-    bench.add_argument("--repeats", type=int, default=1,
-                       help="best-of-N timing per point (default: 1)")
-    bench.add_argument("--output", default="BENCH_hotloop.json",
-                       metavar="PATH", help="report path "
-                                            "(default: BENCH_hotloop.json)")
-    bench.add_argument("--baseline", default=None, metavar="PATH",
-                       help="baseline file (default: benchmarks/results/"
-                            "BENCH_hotloop_baseline.json)")
-    bench.add_argument("--update-baseline", default=None,
-                       choices=("before", "after"),
-                       help="record this run as the committed "
-                            "before/after reference")
-
-    sweep = sub.add_parser("bench-sweep",
-                           help="measure end-to-end sweep cost with the "
-                                "trace store cold/warm vs. the legacy "
-                                "re-trace-every-point path")
-    sweep.add_argument("--smoke", action="store_true",
-                       help="quarter-scale run for CI")
-    sweep.add_argument("--check", action="store_true",
-                       help="exit non-zero unless the warm sweep is >= %.1fx"
-                            " faster than legacy, the batched leg is >= "
-                            "%.1fx faster than the ungrouped warm-store leg"
-                            " with exactly one precompute per trace, the "
-                            "warm legs perform zero functional re-traces, "
-                            "packed workers use less peak RSS, and "
-                            "recording a --ledger adds <= %.0f%%%% to a warm "
-                            "batched sweep"
-                            % (sweepbench.MIN_WARM_SPEEDUP,
-                               sweepbench.MIN_BATCHED_SPEEDUP,
-                               sweepbench.MAX_LEDGER_OVERHEAD_PERCENT))
-    sweep.add_argument("--repeats", type=int, default=3,
-                       help="best-of-N timing per leg (default: 3)")
-    sweep.add_argument("--output", default="BENCH_sweep.json",
-                       metavar="PATH", help="report path "
-                                            "(default: BENCH_sweep.json)")
-
     fuzz = sub.add_parser("fuzz", help="differential fuzzing farm")
     fuzz_sub = fuzz.add_subparsers(dest="fuzz_command", required=True)
     fuzz_run = fuzz_sub.add_parser(
@@ -396,14 +336,14 @@ def _build_sinks(args):
     Returns ``(sink, ledger_path)``: the sink goes to every runner/engine
     this invocation builds; the path (when a file ledger was requested)
     is printed after the command finishes so the user can feed it to
-    ``repro ledger report``.
+    ``repro ledger report``.  Each sink is imported where its flag is
+    handled, so a command without ``--progress`` never loads the
+    renderer.
     """
-    from .obs.ledger import JsonlLedger, TeeLedger
-    from .obs.progress import ProgressRenderer
-
     sinks = []
     ledger_path = None
     if getattr(args, "ledger", None) is not None:
+        from .obs.ledger import JsonlLedger
         if args.ledger == "auto":
             ledger_path = default_ledger_dir() / (
                 "%s-%s-pid%d.jsonl"
@@ -414,10 +354,12 @@ def _build_sinks(args):
         sinks.append(JsonlLedger(ledger_path, command=args.command,
                                  jobs=args.jobs, scale=args.scale))
     if getattr(args, "progress", False):
+        from .obs.progress import ProgressRenderer
         sinks.append(ProgressRenderer())
-    if not sinks:
-        return None, None
-    return (sinks[0] if len(sinks) == 1 else TeeLedger(sinks)), ledger_path
+    if len(sinks) < 2:
+        return (sinks[0] if sinks else None), ledger_path
+    from .obs.ledger import TeeLedger
+    return TeeLedger(sinks), ledger_path
 
 
 def _report_failures(runner: ExperimentRunner, out) -> int:
@@ -771,63 +713,6 @@ def cmd_ledger(args, out) -> int:
         return 1
 
 
-def cmd_bench_hotloop(args, out) -> int:
-    payload = hotloop.run_benchmark(
-        smoke=args.smoke, repeats=args.repeats,
-        progress=lambda line: print(line, file=out))
-    if args.update_baseline:
-        path = hotloop.update_baseline(payload, args.update_baseline,
-                                       args.baseline)
-        print("recorded %r reference in %s" % (args.update_baseline, path),
-              file=out)
-    baseline = hotloop.load_baseline(args.baseline)
-    hotloop.attach_baseline(payload, baseline, check=args.check)
-    path = hotloop.write_report(payload, args.output)
-    print("report written to %s" % path, file=out)
-    for name, entry in sorted(payload["models"].items()):
-        speedup = (payload.get("speedup_vs_before") or {}).get(name)
-        print("  %-8s %10.0f cycles/sec%s"
-              % (name, entry["cycles_per_sec"],
-                 "  (%.2fx vs before)" % speedup if speedup else ""),
-              file=out)
-    batched = payload.get("batched")
-    if batched:
-        print("  batched  %10.2fx vs per-config precompute  (stats %s)"
-              % (batched["speedup"],
-                 "identical" if batched["stats_identical"] else "DIVERGED"),
-              file=out)
-    check = payload["check"]
-    if check.get("enabled") and not check.get("passed", True):
-        details = check.get("details") or {}
-        batched_detail = details.get("batched") or {}
-        if batched_detail and not batched_detail.get("ok", True):
-            print("REGRESSION: batched sweep leg below %.2fx of the "
-                  "per-config baseline (measured %.2fx) or stats diverged"
-                  % (batched_detail.get("min_speedup", 0.0),
-                     batched_detail.get("speedup", 0.0)), file=out)
-        print("REGRESSION: hot-loop throughput below %.0f%% of the "
-              "committed baseline" % (100 * check["threshold"]), file=out)
-        return 1
-    return 0
-
-
-def cmd_bench_sweep(args, out) -> int:
-    payload = sweepbench.run_benchmark(
-        smoke=args.smoke, scale=args.scale, repeats=args.repeats,
-        progress=lambda line: print(line, file=out))
-    sweepbench.attach_check(payload, check=args.check)
-    path = hotloop.write_report(payload, args.output)
-    print(sweepbench.format_report(payload), file=out)
-    print("report written to %s" % path, file=out)
-    check = payload["check"]
-    if check.get("enabled") and not check["passed"]:
-        failed = [name for name, ok in check["details"].items() if not ok]
-        print("FAIL: sweep benchmark gate(s) not met: %s"
-              % ", ".join(sorted(failed)), file=out)
-        return 1
-    return 0
-
-
 def _print_divergences(report, out) -> None:
     rows = [[d.oracle, d.model, d.detail] for d in report.divergences]
     print(format_table(["oracle", "model", "detail"], rows), file=out)
@@ -931,8 +816,6 @@ COMMANDS = {
     "experiment": cmd_experiment,
     "trace-report": cmd_trace_report,
     "cache": cmd_cache,
-    "bench-hotloop": cmd_bench_hotloop,
-    "bench-sweep": cmd_bench_sweep,
     "fuzz": cmd_fuzz,
     "ledger": cmd_ledger,
 }

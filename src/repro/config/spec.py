@@ -207,13 +207,6 @@ class SpecGrid:
         """All points of the cross-product, in deterministic order."""
         return self._points
 
-    def describe(self) -> Dict[str, object]:
-        """JSON-friendly summary for ledgers and reports."""
-        return {"models": [model.value for model in self.models],
-                "axes": {key: list(values)
-                         for key, values in self.axes.items()},
-                "points": len(self._points)}
-
 
 def describe_points(points) -> Dict[str, object]:
     """Summarise ``(workload, ConfigSpec)`` pairs for ``sweep.begin``.

@@ -1,8 +1,7 @@
 """Experiment harness: runner, cache, parallel engine, reporting.
 
 The package names what a run calls.  The experiment catalogue
-(:mod:`.experiments`), the two bench harnesses (:mod:`.hotloop`,
-:mod:`.sweepbench`) and the paper's reference numbers
+(:mod:`.experiments`) and the paper's reference numbers
 (:mod:`.paper_data`) are imported from their own modules, so resolving a
 point never loads them.
 """

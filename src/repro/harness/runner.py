@@ -139,9 +139,10 @@ class ExperimentRunner:
         self.point_log: List[PointTiming] = []
         self.batch_log: List[BatchTiming] = []
         # Lifetime counts under BatchTiming field names (plus
-        # traces_loaded); each batch records its own delta.  The sweep
-        # benchmark's zero-retrace and one-precompute-per-trace gates
-        # read them (DESIGN.md sections 12 and 14).
+        # traces_loaded); each batch records its own delta.  Tier-1 tests
+        # pin zero re-traces on a warm store and one precompute per
+        # distinct trace through them (test_tracestore.py,
+        # test_precompute.py; DESIGN.md sections 12 and 14).
         self.counts: Counter = Counter()
 
     traces_generated = _count("traces_generated",
@@ -211,8 +212,9 @@ class ExperimentRunner:
         Batch inputs resolve this once per distinct trace; the bundle
         lives on the trace, so every config simulated against that trace
         shares it.  A bundle a Simulator left on the trace is stored if
-        its blob is missing.  The built/loaded counters back the sweep
-        benchmark's "exactly one precompute per trace" gate.
+        its blob is missing.  The built/loaded counters show exactly one
+        precompute per distinct trace (``TestRunnerBatching`` in
+        ``tests/test_precompute.py``).
         """
         trace = self.trace(workload)
         iterations = self.iterations(workload)
@@ -229,7 +231,8 @@ class ExperimentRunner:
             self._put("precompute", workload, bundle)
         return bundle
 
-    # Names for callers that only want the stores filled.
+    # Names for callers that only want the stores filled, such as
+    # perfbench's prepare() (perfbench/suite.py).
     ensure_trace = trace
     ensure_precompute = precompute_for
 
@@ -279,12 +282,6 @@ class ExperimentRunner:
             return path.stat().st_size
         except OSError:
             return None
-
-    @property
-    def functional_traces(self) -> int:
-        """Functional CPU executions this runner caused, anywhere."""
-        return (self.counts["traces_generated"]
-                + self.counts["worker_retraces"])
 
     def _resolve_inputs(self, points: List[SimPoint]) -> None:
         """Trace each workload of ``points`` and resolve one shared
@@ -649,8 +646,10 @@ def _simulate_task(workload: str, payload) -> Tuple[list, Dict[str, int]]:
     only writer.  Returns ``(outcomes, counts)``: one ``(point, result,
     seconds)`` per point, and what this task did itself under
     :class:`BatchTiming` field names -- functional traces it had to run
-    (``worker_retraces``, whose absence the sweep benchmark asserts) and
-    precompute bundles it built or loaded -- leaving out zeros.
+    (``worker_retraces``, which
+    ``test_parallel_batch_zero_worker_retraces_with_store`` pins at zero
+    over a warm store) and precompute bundles it built or loaded --
+    leaving out zeros.
     """
     scale, trace_store, precompute_store, points = payload
     runner = ExperimentRunner(scale=scale, use_cache=False,

@@ -51,7 +51,7 @@ class TestParser:
     def test_every_subcommand_help_exits_zero(self, capsys):
         paths = list(subcommand_paths(build_parser()))
         for nested in (("config", "show"), ("ledger", "diff"),
-                       ("fuzz", "run"), ("bench-sweep",)):
+                       ("fuzz", "run")):
             assert nested in paths
         for path in [()] + paths:
             with pytest.raises(SystemExit) as info:

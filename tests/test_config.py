@@ -289,14 +289,6 @@ class TestSpecGrid:
         with pytest.raises(ConfigError):
             SpecGrid.create(())
 
-    def test_describe_payload(self):
-        grid = SpecGrid.create((ModelKind.DMDP,),
-                               {"core.store_buffer_entries": [16, 8]})
-        assert grid.describe() == {
-            "models": ["dmdp"],
-            "axes": {"core.store_buffer_entries": [16, 8]},
-            "points": 2}
-
     def test_describe_points_summarises_batch(self):
         grid = SpecGrid.create((ModelKind.NOSQ, ModelKind.DMDP),
                                {"core.store_buffer_entries": [16, 8]})

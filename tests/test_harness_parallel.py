@@ -51,6 +51,7 @@ def test_warm_cache_performs_zero_simulations(tmp_path):
     warm_text = fig12(warm, workloads=WORKLOADS).render()
     assert warm_text == cold_text
     assert warm.points_simulated() == 0
+    assert dict(warm.counts) == {}      # no trace, bundle or retry either
     from_cache = [p for p in warm.point_log if p.source == "cache"]
     assert len(from_cache) == cold.points_simulated()
 

@@ -221,6 +221,13 @@ class TestRunnerSpans:
         phase_names = [s["name"] for s in sink.of("phase")]
         assert len(phase_names) == len(set(phase_names))
         assert "timing simulation" in phase_names
+        # The whole story, so an emit per MicroOp or per cycle fails
+        # here: sweep.begin, a store.trace and a store.precompute per
+        # workload (each has two points), a point.completed per point,
+        # one phase per phase that did work (all four, the stores were
+        # cold) and sweep.end -- 14 spans.
+        assert len(phase_names) == 4
+        assert len(sink.spans) == 1 + 2 + 2 + len(POINTS) + 4 + 1 == 14
         # Energy on every completed point is bit-exact vs energy_report.
         for span in sink.of("point.completed"):
             point = next(p for p in POINTS

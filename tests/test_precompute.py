@@ -21,7 +21,9 @@ Four layers under test (DESIGN.md Section 14):
   :class:`PrecomputeDecodeError`, which the store reads as a clean miss;
 * the batching -- batch submissions resolve exactly one bundle per
   distinct trace (cold: built, warm store: loaded -- never rebuilt),
-  asserted through the runner counters and :class:`BatchTiming`.
+  asserted through the runner counters and :class:`BatchTiming`, and a
+  grouped batch builds each trace's decode index and base memory image
+  once, where a runner per point builds them for every point.
 """
 
 import copy
@@ -39,6 +41,7 @@ from repro.harness.parallel import SimPoint, make_point
 from repro.harness.runner import ExperimentRunner, _simulate_task
 from repro.kernel import (FunctionalCpu, MAX_TRACE_INSTRUCTIONS,
                           PackedTrace, load_trace, pack_trace)
+from repro.kernel.memory import SparseMemory
 from repro.kernel.precompute import (PRECOMPUTE_FORMAT_VERSION,
                                      PrecomputeDecodeError, TracePrecompute,
                                      bpred_signature, load_precompute)
@@ -633,6 +636,52 @@ class TestRunnerBatching:
             want = plain.run_batch([point])[point].stats.to_dict()
             assert out[point].stats.to_dict() == want
 
+    def test_grouped_batch_builds_once_per_trace_not_per_point(
+            self, tmp_path, monkeypatch):
+        # What grouping saves, as counts: on warm trace and precompute
+        # stores, a fresh runner per point builds a bundle, a decode
+        # index and a base memory image for every point; one grouped
+        # run_batch loads one bundle per trace, builds none, and builds
+        # the decode index and the base image once per trace.
+        self.runner(tmp_path).run_batch(self.points())    # fill the stores
+        built = count_builds(monkeypatch)
+        indexed, images = [], []
+        decode_index = TracePrecompute.decode_index
+        load_segment = SparseMemory.load_segment
+
+        def spy_decode_index(bundle, params):
+            before = len(bundle._dec_memo)
+            index = decode_index(bundle, params)
+            if len(bundle._dec_memo) > before:
+                indexed.append(bundle)
+            return index
+
+        def spy_load_segment(memory, *args):
+            images.append(args)
+            return load_segment(memory, *args)
+
+        monkeypatch.setattr(TracePrecompute, "decode_index",
+                            spy_decode_index)
+        monkeypatch.setattr(SparseMemory, "load_segment", spy_load_segment)
+
+        def taken():
+            counts = (len(built), len(indexed), len(images))
+            del built[:], indexed[:], images[:]
+            return counts
+
+        ungrouped = {}
+        for point in self.points():
+            runner = self.runner(tmp_path, cache=ResultCache(root=None))
+            ungrouped[point] = runner.run_batch([point])[point]
+            assert runner.traces_generated == 0
+        assert taken() == (8, 8, 8)
+        runner = self.runner(tmp_path, cache=ResultCache(root=None))
+        grouped = runner.run_batch(self.points())
+        assert taken() == (0, 2, 2)
+        assert (runner.precomputes_loaded, runner.traces_generated) == (2, 0)
+        for point, result in ungrouped.items():
+            assert grouped[point].stats.to_dict() == result.stats.to_dict()
+
     def test_parallel_batch_workers_load_not_rebuild(self, tmp_path):
         self.runner(tmp_path).run_batch(self.points())       # populate store
         runner = self.runner(tmp_path, jobs=2, cache=ResultCache(
@@ -649,8 +698,8 @@ class TestRunnerBatching:
     def test_single_point_run_stays_precompute_free(self, tmp_path, entry):
         # A single point neither resolves nor stores a shared bundle,
         # whichever way it is submitted: its Simulator builds the bundle
-        # and leaves it on the trace, and cold-point and the sweep
-        # benchmark's warm_store leg depend on that staying honest.
+        # and leaves it on the trace, and perfbench's cold-point depends
+        # on that staying honest.
         runner = self.runner(tmp_path)
         if entry == "run":
             runner.run("mcf", ModelKind.DMDP)

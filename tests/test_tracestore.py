@@ -364,7 +364,7 @@ class TestRunnerIntegration:
         second = self.runner(tmp_path)
         warm = second.run("mcf", ModelKind.DMDP)
         assert (second.traces_generated, second.traces_loaded) == (0, 1)
-        assert second.functional_traces == 0
+        assert (second.traces_generated, second.worker_retraces) == (0, 0)
         assert warm.stats.to_dict() == cold.stats.to_dict()
 
     def test_default_store_lives_under_cache_root(self, tmp_path):
@@ -478,154 +478,3 @@ class TestTraceCaps:
                 inspect.signature(func).parameters.items()}
             assert defaults["max_instructions"] == MAX_TRACE_INSTRUCTIONS, (
                 "%s does not honor the shared trace cap" % func.__name__)
-
-
-class TestSweepBenchCheck:
-    def payload(self):
-        legs = {
-            "legacy": {"wall_seconds": 10.0, "functional_traces": 16,
-                       "simulations": 16},
-            "cold": {"wall_seconds": 8.0, "functional_traces": 2,
-                     "simulations": 16},
-            "warm_store": {"wall_seconds": 7.5, "functional_traces": 0,
-                           "simulations": 16},
-            "batched": {"wall_seconds": 5.0, "functional_traces": 0,
-                        "simulations": 16, "precomputes_built": 0,
-                        "precomputes_loaded": 2},
-            "warm": {"wall_seconds": 0.5, "functional_traces": 0,
-                     "simulations": 0},
-        }
-        return {
-            "mode": "smoke",
-            "points": 16,
-            "models": ["baseline", "dmdp"],
-            "configs": [{}, {"core.store_buffer_entries": 8}],
-            "legs": legs,
-            "workloads": ["mcf", "lbm"],
-            "stats_consistent": True,
-            "speedups": {"cold": 1.25, "warm_store": 1.33, "batched": 2.0,
-                         "warm": 20.0},
-            "batched_vs_warm_store": 1.5,
-            "rss": {"legacy_max_rss_kb": 50_000,
-                    "packed_max_rss_kb": 30_000,
-                    "drop_kb": 20_000, "drop_percent": 40.0},
-            "ledger": {"points": 16, "passes": 2,
-                       "plain_seconds": 5.0, "ledger_seconds": 5.1,
-                       "overhead_percent": 2.0, "spans": 27,
-                       "runs": [{"ledger_first": False,
-                                 "plain_seconds": 5.0,
-                                 "ledger_seconds": 5.05},
-                                {"ledger_first": True,
-                                 "plain_seconds": 5.0,
-                                 "ledger_seconds": 5.15}]},
-        }
-
-    def test_ledger_overhead_is_median_of_paired_passes(self, tmp_path,
-                                                        monkeypatch):
-        """Each pass times a plain and a recorded leg back to back, the
-        first leg alternating; one outlier pass does not move the gate."""
-        from types import SimpleNamespace
-        from repro.harness import sweepbench
-        monkeypatch.setattr(sweepbench, "LEDGER_OVERHEAD_PASSES", 7)
-        recorded = iter([1.01, 1.50, 0.99, 1.02, 1.03, 0.98, 1.00])
-        clock = SimpleNamespace(now=0.0)
-        order = []
-
-        class FakeRunner:
-            ledger = None
-
-            def run_batch(self, points):
-                order.append(self.ledger is not None)
-                clock.now += (next(recorded) if self.ledger is not None
-                              else 1.0)
-
-        monkeypatch.setattr(sweepbench, "_leg_runner",
-                            lambda *args: FakeRunner())
-        monkeypatch.setattr(sweepbench, "time",
-                            SimpleNamespace(perf_counter=lambda: clock.now))
-        ledger = sweepbench.measure_ledger_overhead(None, tmp_path)
-        assert order == [False, True, True, False] * 3 + [False, True]
-        assert ledger["passes"] == len(ledger["runs"]) == 7
-        assert [run["ledger_first"] for run in ledger["runs"]] == [
-            index % 2 == 1 for index in range(7)]
-        assert ledger["runs"][1] == {"ledger_first": True,
-                                     "plain_seconds": 1.0,
-                                     "ledger_seconds": 1.5}
-        assert ledger["overhead_percent"] == 1.0
-        assert ledger["plain_seconds"] == 1.0
-        assert ledger["ledger_seconds"] == 1.01
-        assert ledger["spans"] == 2          # ledger.open + ledger.close
-
-    def test_report_renders_paired_ledger_passes(self):
-        from repro.harness import sweepbench
-        payload = sweepbench.attach_check(self.payload(), check=True)
-        report = sweepbench.format_report(payload)
-        assert ("ledger overhead: 5.00s plain -> 5.10s recorded "
-                "(median of 2 paired passes +2.00%, 27 spans)") in report
-        assert "check: PASS" in report
-
-    def test_passes_on_healthy_payload(self):
-        from repro.harness import sweepbench
-        checked = sweepbench.attach_check(self.payload(), check=True)
-        assert checked["check"]["passed"], checked["check"]["details"]
-
-    def test_fails_on_warm_leg_retrace(self):
-        from repro.harness import sweepbench
-        payload = self.payload()
-        payload["legs"]["warm_store"]["functional_traces"] = 1
-        checked = sweepbench.attach_check(payload, check=True)
-        assert not checked["check"]["passed"]
-        assert not checked["check"]["details"]["warm_store_zero_retraces"]
-
-    def test_fails_below_warm_speedup_floor(self):
-        from repro.harness import sweepbench
-        payload = self.payload()
-        payload["speedups"]["warm"] = 1.2
-        checked = sweepbench.attach_check(payload, check=True)
-        assert not checked["check"]["passed"]
-
-    def test_fails_below_batched_speedup_floor(self):
-        from repro.harness import sweepbench
-        payload = self.payload()
-        payload["batched_vs_warm_store"] = 1.1
-        checked = sweepbench.attach_check(payload, check=True)
-        assert not checked["check"]["passed"]
-        assert not checked["check"]["details"]["batched_speedup_ok"]
-
-    def test_fails_on_redundant_precompute(self):
-        from repro.harness import sweepbench
-        payload = self.payload()
-        payload["legs"]["batched"]["precomputes_built"] = 1
-        checked = sweepbench.attach_check(payload, check=True)
-        assert not checked["check"]["passed"]
-        assert not checked["check"]["details"][
-            "batched_zero_redundant_precompute"]
-
-    def test_fails_on_ledger_overhead(self):
-        from repro.harness import sweepbench
-        payload = self.payload()
-        payload["ledger"]["overhead_percent"] = \
-            sweepbench.MAX_LEDGER_OVERHEAD_PERCENT + 1.0
-        checked = sweepbench.attach_check(payload, check=True)
-        assert not checked["check"]["passed"]
-        assert not checked["check"]["details"]["ledger_overhead_ok"]
-
-    def test_fails_when_batched_leg_misses_a_bundle(self):
-        from repro.harness import sweepbench
-        payload = self.payload()
-        payload["legs"]["batched"]["precomputes_loaded"] = 1
-        checked = sweepbench.attach_check(payload, check=True)
-        assert not checked["check"]["details"][
-            "batched_zero_redundant_precompute"]
-
-    def test_fails_on_rss_regression(self):
-        from repro.harness import sweepbench
-        payload = self.payload()
-        payload["rss"]["drop_kb"] = -100
-        checked = sweepbench.attach_check(payload, check=True)
-        assert not checked["check"]["details"]["rss_drop_ok"]
-
-    def test_disabled_check_records_nothing(self):
-        from repro.harness import sweepbench
-        checked = sweepbench.attach_check(self.payload(), check=False)
-        assert checked["check"] == {"enabled": False}
