@@ -2,7 +2,7 @@
 
 A store-queue-free out-of-order processor simulator built from scratch:
 
-* :mod:`repro.isa` -- MIPS-like ISA, assembler, binary encoding;
+* :mod:`repro.isa` -- MIPS-like ISA and assembler;
 * :mod:`repro.kernel` -- functional simulator and dynamic traces;
 * :mod:`repro.uarch` -- the cycle-level pipeline with four store-load
   communication models (baseline SQ, NoSQ, DMDP, Perfect);

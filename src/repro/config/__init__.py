@@ -2,21 +2,20 @@
 
 ``registry`` names the parameter dataclasses as slots with dotted,
 type-checked setting keys; ``spec`` builds validated, canonical,
-hashable :class:`ConfigSpec` objects (and :class:`SpecGrid` sweeps) on
-top of it; ``ablations`` names the paper's evaluation configurations.
+hashable :class:`ConfigSpec` objects on top of it; ``ablations`` names
+the paper's evaluation configurations.
 """
 
 from ..uarch.params import ConfigError
 from .ablations import ABLATIONS, ablation_spec
 from .registry import (SLOTS, SlotInfo, all_keys, coerce_value,
                        default_value, get_slot, slot_names, split_key,
-                       suggest_keys, suggest_overrides)
-from .spec import ConfigSpec, SpecGrid, describe_points
+                       suggest_keys)
+from .spec import ConfigSpec, describe_points
 
 __all__ = [
     "ConfigError",
     "ConfigSpec",
-    "SpecGrid",
     "describe_points",
     "ABLATIONS",
     "ablation_spec",
@@ -29,5 +28,4 @@ __all__ = [
     "slot_names",
     "split_key",
     "suggest_keys",
-    "suggest_overrides",
 ]

@@ -32,7 +32,7 @@ from ..uarch.params import (CacheParams, ConfigError, CoreParams,
 __all__ = [
     "ConfigError", "SlotInfo", "SLOTS", "slot_names", "get_slot",
     "split_key", "coerce_value", "decode_value", "default_value",
-    "suggest_keys", "suggest_overrides", "all_keys",
+    "suggest_keys", "all_keys",
 ]
 
 # CoreParams fields that are not scalar settings of the ``core`` slot:
@@ -149,25 +149,6 @@ def suggest_keys(key: str) -> Tuple[str, Tuple[str, ...]]:
         return (" (did you mean %s?)"
                 % " or ".join(repr(m) for m in exact), tuple(exact))
     return _hint(key, all_keys() + list(SLOTS["core"].types))
-
-
-def suggest_overrides(names) -> Tuple[str, Tuple[str, ...]]:
-    """Did-you-mean hint for unknown ``model_params(**fields)`` names.
-
-    Candidates are the top-level CoreParams fields plus every dotted slot
-    field, so ``tssbf_entries`` suggests ``predictor.tssbf_entries``.
-    """
-    suggestions: List[str] = []
-    for name in names:
-        _, matches = suggest_keys(name)
-        for match in matches:
-            if match not in suggestions:
-                suggestions.append(match)
-    if not suggestions:
-        return "", ()
-    return (" (did you mean %s?)"
-            % " or ".join(repr(m) for m in suggestions[:3]),
-            tuple(suggestions))
 
 
 # -- value coercion ----------------------------------------------------------

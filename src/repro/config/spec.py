@@ -1,4 +1,4 @@
-"""Serializable simulator configurations: ConfigSpec and SpecGrid.
+"""Serializable simulator configurations: ConfigSpec.
 
 A :class:`ConfigSpec` is the one declarative description of a simulated
 point: a model kind plus a sorted tuple of ``(dotted-key, JSON scalar)``
@@ -19,24 +19,22 @@ Guarantees:
 * **Round-trippable.**  ``ConfigSpec.from_json(spec.canonical_json())``
   is identity, and ``spec.to_params()`` rebuilds the exact CoreParams.
 
-A :class:`SpecGrid` declares a sweep cross-product (models x per-key value
-axes) and expands it deterministically; :func:`describe_points` summarises
-any batch of points for the ledger's ``sweep.begin`` span.
+:func:`describe_points` summarises any batch of points for the ledger's
+``sweep.begin`` span.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from ..uarch.params import ConfigError, CoreParams, ModelKind
 from . import registry
 from .registry import coerce_value, decode_value, split_key
 
-__all__ = ["ConfigSpec", "SpecGrid", "describe_points"]
+__all__ = ["ConfigSpec", "describe_points"]
 
 Setting = Tuple[str, object]
 
@@ -159,53 +157,6 @@ class ConfigSpec:
         parts = [self.model.value]
         parts.extend("%s=%s" % (key, value) for key, value in self.settings)
         return " ".join(parts)
-
-
-class SpecGrid:
-    """A declared sweep cross-product: models x per-key value axes.
-
-    Expansion order is deterministic: model-major, then axes in their
-    declared order, each axis cycling through its declared values
-    (``itertools.product`` semantics).  Every point is validated at grid
-    construction, so a typoed axis key fails before any expansion -- and
-    long before any worker spawns.
-    """
-
-    def __init__(self, models: Iterable[ModelKind],
-                 axes: Mapping[str, Iterable[object]] = (),
-                 parse_strings: bool = False):
-        self.models: Tuple[ModelKind, ...] = tuple(
-            ModelKind(model) for model in models)
-        if not self.models:
-            raise ConfigError("spec grid needs at least one model")
-        self.axes: Dict[str, Tuple[object, ...]] = {}
-        for key, values in dict(axes).items():
-            values = tuple(values)
-            if not values:
-                raise ConfigError("spec grid axis %r has no values" % key,
-                                  key=key)
-            slot, fname = split_key(key)
-            self.axes[key] = tuple(
-                coerce_value(slot, fname, value, parse_strings=parse_strings)
-                for value in values)
-        self._points = tuple(
-            ConfigSpec.create(model, dict(zip(self.axes, combo)))
-            for model in self.models
-            for combo in itertools.product(*self.axes.values()))
-
-    @classmethod
-    def create(cls, models, axes=(), parse_strings=False) -> "SpecGrid":
-        return cls(models, axes, parse_strings=parse_strings)
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def __iter__(self):
-        return iter(self._points)
-
-    def expand(self) -> Tuple[ConfigSpec, ...]:
-        """All points of the cross-product, in deterministic order."""
-        return self._points
 
 
 def describe_points(points) -> Dict[str, object]:

@@ -51,7 +51,6 @@ ALU_RRR = ["add", "sub", "and_", "or_", "xor", "nor", "slt", "sltu",
 ALU_RRI = ["addi", "andi", "ori", "xori", "slti", "sltiu"]
 SHIFTS = ["sll", "srl", "sra"]
 
-_LOADS_BY_SIZE = {4: ("lw",), 2: ("lh", "lhu"), 1: ("lb", "lbu")}
 _STORES_BY_SIZE = {4: "sw", 2: "sh", 1: "sb"}
 
 _VERSION: Optional[str] = None

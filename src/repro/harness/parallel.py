@@ -138,21 +138,6 @@ class BatchTiming:
                 out[name] = value
         return out
 
-    @property
-    def functional_traces(self) -> int:
-        """Total functional CPU executions this batch caused."""
-        return self.traces_generated + self.worker_retraces
-
-    @property
-    def precomputes(self) -> int:
-        """Total whole-trace precomputes this batch resolved, anywhere.
-
-        A warm-store sweep over N distinct traces should show exactly N
-        (all loads, zero builds) -- asserted in tests."""
-        return (self.precomputes_built + self.precomputes_loaded
-                + self.worker_precomputes_built
-                + self.worker_precomputes_loaded)
-
 
 _SPAN_FIELDS = tuple(f.name for f in fields(BatchTiming) if f.name != "jobs")
 _COUNT_FIELDS = frozenset(f.name for f in fields(BatchTiming)

@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..config import ConfigSpec, SpecGrid, describe_points
+from ..config import ConfigSpec, describe_points
 from ..energy import EnergyReport, energy_report, energy_summary
 from ..isa import Program
 from ..kernel.precompute import TracePrecompute, bpred_signature
@@ -611,19 +611,6 @@ class ExperimentRunner:
         resolved = self.run_batch(points.values())
         return {name: resolved[point] for name, point in points.items()
                 if point in resolved}
-
-    def run_grid(self, grid: SpecGrid,
-                 workloads: Optional[Iterable[str]] = None
-                 ) -> Dict[SimPoint, SimResult]:
-        """Expand a declared spec grid across workloads and resolve it.
-
-        The cross-product is workload-major then grid order (the grid's
-        own expansion is deterministic), submitted as one batch so the
-        ledger's ``sweep.begin`` records the whole grid.
-        """
-        names = list(workloads) if workloads is not None else list(ALL_NAMES)
-        return self.run_batch(SimPoint(name, spec)
-                              for name in names for spec in grid.expand())
 
     # -- accounting ----------------------------------------------------------
 

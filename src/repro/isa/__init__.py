@@ -1,4 +1,4 @@
-"""MIPS-like instruction set: registers, instructions, encoding, assembler."""
+"""MIPS-like instruction set: registers, instructions, assembler."""
 
 from .registers import (
     NUM_ARCH_REGS,
@@ -18,7 +18,6 @@ from .instructions import (
     disassemble,
     fu_class_for,
 )
-from .encoding import EncodingError, decode, encode
 from .assembler import (
     DATA_BASE,
     STACK_TOP,
@@ -33,7 +32,6 @@ __all__ = [
     "NUM_ARCH_REGS", "NUM_LOGICAL_REGS", "REG_AGI", "REG_LDTMP", "REG_PRED",
     "RegisterError", "is_hardware_only", "parse_register", "register_name",
     "FuClass", "Instruction", "Opcode", "disassemble", "fu_class_for",
-    "EncodingError", "decode", "encode",
     "DATA_BASE", "STACK_TOP", "TEXT_BASE", "AssemblerError", "Program",
     "ProgramBuilder", "assemble",
 ]

@@ -25,7 +25,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .encoding import encode
 from .instructions import (
     COND_BRANCH_OPS,
     Instruction,
@@ -80,12 +79,6 @@ class Program:
     def instruction_at(self, pc: int) -> Instruction:
         return self.instructions[self.index_of_pc(pc)]
 
-    def label_address(self, name: str) -> int:
-        try:
-            return self.labels[name]
-        except KeyError:
-            raise AssemblerError("unknown label %r" % (name,)) from None
-
     def disassemble(self) -> str:
         """Pretty text listing of the whole text segment."""
         addr_to_label = {addr: name for name, addr in self.labels.items()}
@@ -97,11 +90,6 @@ class Program:
                 lines.append("%s:" % label)
             lines.append("  0x%08x  %s" % (pc, disassemble(instr)))
         return "\n".join(lines)
-
-    def encode_text(self) -> List[int]:
-        """Binary-encode the text segment (one 32-bit word per instruction)."""
-        return [encode(instr, self.pc_of_index(i))
-                for i, instr in enumerate(self.instructions)]
 
 
 class ProgramBuilder:
@@ -131,12 +119,6 @@ class ProgramBuilder:
         addr = self._data_base + len(self._data)
         self._labels[name] = addr
         return addr
-
-    def data_address(self, name: str) -> int:
-        try:
-            return self._labels[name]
-        except KeyError:
-            raise AssemblerError("unknown data label %r" % (name,)) from None
 
     def align(self, nbytes: int = 4) -> None:
         while len(self._data) % nbytes:

@@ -1,8 +1,8 @@
 """Observability: pipeline tracing, structured metrics, trace export.
 
-See DESIGN.md section 10.  The timing simulator takes a
-:class:`~.tracer.PipelineTracer` (default :data:`~.tracer.NULL_TRACER`,
-whose only hot-loop cost is one attribute check per guard site);
+See DESIGN.md section 10.  The timing simulator takes an optional
+:class:`~.tracer.PipelineTracer` (without an enabled one, the only
+hot-loop cost is one attribute check per guard site);
 :class:`~.tracer.RecordingTracer` captures per-MicroOp stage timestamps
 and DMDP-specific events, which the exporters turn into
 Konata-compatible text (:func:`.konata.write_konata`), JSONL event

@@ -182,7 +182,7 @@ class LedgerSink:
 
     Producers guard every call site with ``if ledger.enabled:`` so the
     default :class:`NullLedger` costs one attribute check, exactly like
-    :class:`~repro.obs.tracer.NullTracer` in the timing hot loop.
+    a run without a tracer in the timing hot loop.
     """
 
     enabled = False

@@ -1,13 +1,12 @@
 """Pipeline tracer protocol and its implementations.
 
 The timing simulator accepts a *tracer* (``Simulator(tracer=...)``) and
-invokes a small set of hooks at its stage boundaries.  Three
-implementations exist:
+invokes a small set of hooks at its stage boundaries.  With no tracer, or
+one whose ``enabled`` is False (the :class:`PipelineTracer` base), the
+pipeline never calls a hook: the only hot-loop cost is one attribute
+check per guard site (the zero-overhead-when-off contract, DESIGN.md
+section 10).  Two implementations record:
 
-* :class:`NullTracer` -- the default.  ``enabled`` is False, so the
-  pipeline never calls a hook: the only hot-loop cost is one attribute
-  check per guard site (the zero-overhead-when-off contract, DESIGN.md
-  section 10).
 * :class:`RecordingTracer` -- appends one :class:`TraceEvent` per hook to
   an in-memory list, optionally restricted to a ``TraceWindow`` of dynamic
   instruction indices.  Feeds the Konata/JSONL exporters and the metrics
@@ -174,16 +173,6 @@ class PipelineTracer:
                     completed: int) -> None:
         self.emit(TraceEvent(cycle, EventKind.SB_DRAIN, None, None,
                              {"occ": occupancy, "n": completed}))
-
-
-class NullTracer(PipelineTracer):
-    """The default tracer: never called (``enabled`` is False)."""
-
-    enabled = False
-
-
-#: Shared default instance (stateless, so one is enough).
-NULL_TRACER = NullTracer()
 
 
 class RecordingTracer(PipelineTracer):

@@ -12,19 +12,17 @@ predictor 2 tables x 1K entries x 4-way, 7-bit confidence, threshold 64,
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 
 class ConfigError(ValueError):
     """An invalid simulator configuration: an unknown parameter name or an
     out-of-range/ill-typed value.
 
-    Raised at *construction* time -- by :func:`model_params` for
-    unknown field names, by the parameter
-    dataclasses' own ``__post_init__`` checks, and by the
-    :mod:`repro.config` spec layer -- so a typo fails fast with a
-    did-you-mean message instead of surfacing as a ``TypeError`` five
-    frames inside a worker process.  ``key`` names the offending field
+    Raised at *construction* time -- by the parameter dataclasses' own
+    ``__post_init__`` checks and by the :mod:`repro.config` spec layer --
+    so a typo fails fast with a did-you-mean message instead of surfacing
+    as a ``TypeError`` five frames inside a worker process.  ``key`` names the offending field
     (when there is one) and ``suggestions`` lists near-matches.
     """
 
@@ -160,7 +158,6 @@ class EnergyParams:
     sq_cam_search: float = 18.0        # baseline: per-load associative search
     sq_write: float = 3.0
     lq_cam_search: float = 14.0        # baseline: per-store violation check
-    lq_write: float = 2.5
     store_buffer_op: float = 2.0
     tssbf_access: float = 3.0
     distance_pred_access: float = 2.5
@@ -243,38 +240,7 @@ class CoreParams:
         return replace(self, model=model, confidence_policy=policy)
 
 
-_CORE_FIELD_NAMES = None
-
-
-def _check_override_names(overrides) -> None:
-    """Reject unknown override names with a did-you-mean ConfigError.
-
-    Before this check, a typo surfaced as a bare ``TypeError`` from
-    ``dataclasses.replace`` (often deep inside a worker process), or --
-    worse -- silently landed on a valid field of a different dataclass.
-    The suggestion text comes from the config-space registry (imported
-    lazily: the registry itself imports this module).
-    """
-    global _CORE_FIELD_NAMES
-    if _CORE_FIELD_NAMES is None:
-        _CORE_FIELD_NAMES = frozenset(f.name for f in fields(CoreParams))
-    unknown = sorted(k for k in overrides if k not in _CORE_FIELD_NAMES)
-    if not unknown:
-        return
-    from ..config.registry import suggest_overrides
-    hint, suggestions = suggest_overrides(unknown)
-    raise ConfigError(
-        "unknown parameter override%s %s%s"
-        % ("s" if len(unknown) > 1 else "",
-           ", ".join(repr(name) for name in unknown), hint),
-        key=unknown[0], suggestions=suggestions)
-
-
-def model_params(model: ModelKind, **overrides) -> CoreParams:
-    """Canonical parameters for one of the four evaluated models, with
-    optional CoreParams fields replaced by name."""
-    params = CoreParams().with_model(model)
-    if not overrides:
-        return params
-    _check_override_names(overrides)
-    return replace(params, **overrides)
+def model_params(model: ModelKind) -> CoreParams:
+    """Canonical parameters for one of the four evaluated models.  Any
+    other configuration is a :class:`~repro.config.ConfigSpec`."""
+    return CoreParams().with_model(model)

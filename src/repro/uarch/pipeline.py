@@ -32,7 +32,7 @@ from ..isa.registers import (NUM_ARCH_REGS, NUM_LOGICAL_REGS, REG_AGI,
 from ..kernel.cpu import ALU_SEMANTICS, WORD_MASK, sign_extend
 from ..kernel.precompute import TracePrecompute, bpred_signature
 from ..kernel.tracestore import F_TAKEN, NO_DEP, pack_trace
-from ..obs.tracer import NULL_TRACER, PipelineTracer
+from ..obs.tracer import PipelineTracer
 from .cachesim import MemoryHierarchy
 from .distance_predictor import StoreDistancePredictor
 from .params import CoreParams, ModelKind
@@ -150,7 +150,6 @@ class Simulator:
         # the hot loop costs exactly one attribute check when tracing is
         # off.  Tracer hooks are read-only observers: enabling one must
         # never change timing or statistics.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._tr = tracer if (tracer is not None and tracer.enabled) \
             else None
 

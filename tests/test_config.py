@@ -1,7 +1,7 @@
 """Tests for the config-space registry (DESIGN.md Section 16).
 
 The contract: every config-construction path -- CLI ``--set`` flags,
-``ABLATIONS`` entries, sweep grids -- goes through one validated,
+``ABLATIONS`` entries, batch points -- goes through one validated,
 canonical :class:`~repro.config.ConfigSpec`, so a typo fails fast with a
 did-you-mean hint, equal parameters always produce equal points, disk
 keys, and spec hashes, and a spec survives a JSON round trip.
@@ -9,6 +9,7 @@ keys, and spec hashes, and a spec survives a JSON round trip.
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings as hyp_settings
@@ -19,7 +20,6 @@ from repro.config import (
     ABLATIONS,
     ConfigError,
     ConfigSpec,
-    SpecGrid,
     ablation_spec,
     all_keys,
     coerce_value,
@@ -113,25 +113,6 @@ class TestRegistry:
         slot = get_slot("energy")
         assert coerce_value(slot, "alu_op", 2) == 2.0
         assert isinstance(coerce_value(slot, "alu_op", 2), float)
-
-
-# -- satellite: model_params typo validation --------------------------------
-
-class TestModelParamsValidation:
-    def test_typo_raises_structured_config_error(self):
-        with pytest.raises(ConfigError) as err:
-            model_params(ModelKind.DMDP, rob_entrees=512)
-        assert "rob_entrees" in str(err.value)
-        assert any("rob_entries" in s for s in err.value.suggestions)
-
-    def test_other_slot_field_points_at_dotted_key(self):
-        with pytest.raises(ConfigError) as err:
-            model_params(ModelKind.DMDP, tssbf_entries=64)
-        assert "predictor.tssbf_entries" in str(err.value)
-
-    def test_valid_overrides_still_work(self):
-        params = model_params(ModelKind.DMDP, rob_entries=512)
-        assert params.rob_entries == 512
 
 
 # -- satellite: parameter boundary validation -------------------------------
@@ -261,46 +242,6 @@ class TestConfigSpec:
         assert spec.describe() == "dmdp core.rob_entries=512"
 
 
-# -- sweep grids ------------------------------------------------------------
-
-class TestSpecGrid:
-    def test_expansion_is_deterministic_and_model_major(self):
-        grid = SpecGrid.create(
-            (ModelKind.NOSQ, ModelKind.DMDP),
-            {"core.store_buffer_entries": [16, 8],
-             "core.rob_entries": [256, 512]})
-        again = SpecGrid.create(
-            (ModelKind.NOSQ, ModelKind.DMDP),
-            {"core.store_buffer_entries": [16, 8],
-             "core.rob_entries": [256, 512]})
-        points = grid.expand()
-        assert points == again.expand()
-        assert len(points) == len(grid) == 8
-        assert [p.model for p in points[:4]] == [ModelKind.NOSQ] * 4
-
-    def test_typoed_axis_fails_at_construction(self):
-        with pytest.raises(ConfigError) as err:
-            SpecGrid.create((ModelKind.DMDP,), {"core.rob_entrees": [512]})
-        assert "rob_entries" in str(err.value)
-
-    def test_empty_axis_and_no_models_rejected(self):
-        with pytest.raises(ConfigError):
-            SpecGrid.create((ModelKind.DMDP,), {"core.rob_entries": []})
-        with pytest.raises(ConfigError):
-            SpecGrid.create(())
-
-    def test_describe_points_summarises_batch(self):
-        grid = SpecGrid.create((ModelKind.NOSQ, ModelKind.DMDP),
-                               {"core.store_buffer_entries": [16, 8]})
-        payload = describe_points(
-            (w, spec) for w in ("bzip2", "mcf") for spec in grid.expand())
-        assert payload["workloads"] == ["bzip2", "mcf"]
-        assert payload["models"] == ["nosq", "dmdp"]
-        # 16 is the default, so only the departure shows as an axis value.
-        assert payload["axes"] == {"core.store_buffer_entries": [8]}
-        assert payload["points"] == 8
-
-
 # -- satellite: memo-key / disk-key canonicalization ------------------------
 
 _KEY_POOL = {
@@ -353,42 +294,69 @@ class TestKeyCanonicalization:
 
 # -- grid sweeps through the runner and the ledger --------------------------
 
+def grid_points():
+    """A small sweep grid: bzip2/tonto x NoSQ/DMDP x 16/8 store-buffer
+    entries, keyed by ``(workload, model, entries)``."""
+    return {(workload, model, entries): SimPoint(workload, ConfigSpec.create(
+                model, {"core.store_buffer_entries": entries}))
+            for workload in ("bzip2", "tonto")
+            for model in (ModelKind.NOSQ, ModelKind.DMDP)
+            for entries in (16, 8)}
+
+
 class TestGridRuns:
-    def test_run_grid_records_grid_in_sweep_begin(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_records_grid_in_sweep_begin(self, tmp_path, jobs):
         path = tmp_path / "run.jsonl"
         sink = JsonlLedger(path)
         runner = ExperimentRunner(
-            scale=0.05, jobs=1, cache=ResultCache(root=tmp_path / "cache"),
-            ledger=sink)
-        grid = SpecGrid.create((ModelKind.NOSQ,),
-                               {"core.store_buffer_entries": [16, 8]})
-        results = runner.run_grid(grid, workloads=["bzip2"])
-        assert len(results) == 2
+            scale=0.05, jobs=jobs,
+            cache=ResultCache(root=tmp_path / "cache"), ledger=sink)
+        points = list(grid_points().values())
+        results = runner.run_batch(points)
+        assert set(results) == set(points)
         sink.close()
         spans = read_ledger(path)
         for span in spans:
             validate_span(span)
         begin = next(s for s in spans if s["kind"] == "sweep.begin")
+        assert begin["jobs"] == jobs
         assert begin["grid"] == {
-            "workloads": ["bzip2"], "models": ["nosq"],
-            "axes": {"core.store_buffer_entries": [8]}, "points": 2}
+            "workloads": ["bzip2", "tonto"], "models": ["nosq", "dmdp"],
+            "axes": {"core.store_buffer_entries": [8]}, "points": 8}
+
+    def test_describe_points_summarises_batch(self):
+        specs = [ConfigSpec.create(model,
+                                   {"core.store_buffer_entries": entries})
+                 for model in (ModelKind.NOSQ, ModelKind.DMDP)
+                 for entries in (16, 8)]
+        payload = describe_points(
+            (w, spec) for w in ("bzip2", "mcf") for spec in specs)
+        assert payload["workloads"] == ["bzip2", "mcf"]
+        assert payload["models"] == ["nosq", "dmdp"]
+        # 16 is the default, so only the departure shows as an axis value.
+        assert payload["axes"] == {"core.store_buffer_entries": [8]}
+        assert payload["points"] == 8
 
     def test_grid_point_matches_override_path_byte_identical(self, tmp_path):
+        grid = grid_points()
         runner = ExperimentRunner(
-            scale=0.05, jobs=1, cache=ResultCache(root=tmp_path / "cache"))
-        grid = SpecGrid.create((ModelKind.NOSQ,),
-                               {"core.store_buffer_entries": [8]})
-        via_grid = runner.run_grid(grid, workloads=["bzip2"])
-        (point, grid_result), = via_grid.items()
-        # The uarch layer's own field-name path, below the config layer.
-        workload = get_workload("bzip2")
-        program = workload.build(workload.iterations(0.05))
-        direct = Simulator(program, FunctionalCpu(program).run_trace(),
-                           model_params(ModelKind.NOSQ,
-                                        store_buffer_entries=8)).run()
-        assert direct.to_dict() == grid_result.stats.to_dict()
-        assert point == SimPoint("bzip2", ConfigSpec.create(
-            ModelKind.NOSQ, {"core.store_buffer_entries": 8}))
+            scale=0.05, jobs=2, cache=ResultCache(root=tmp_path / "cache"))
+        results = runner.run_batch(grid.values())
+        # Each point of the jobs=2 batch against the same configuration
+        # built on the CoreParams dataclass itself.
+        inputs = {}
+        for (workload, model, entries), point in grid.items():
+            if workload not in inputs:
+                spec = get_workload(workload)
+                program = spec.build(spec.iterations(0.05))
+                inputs[workload] = (program,
+                                    FunctionalCpu(program).run_trace())
+            program, trace = inputs[workload]
+            params = replace(model_params(model),
+                             store_buffer_entries=entries)
+            direct = Simulator(program, trace, params).run()
+            assert direct.to_dict() == results[point].stats.to_dict(), point
 
     def test_make_point_and_spec_point_agree(self):
         point = make_point("mcf", "dmdp")

@@ -1,10 +1,18 @@
 """Unit tests for the event-based energy model."""
 
+import json
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from repro.energy import EnergyReport, edp, energy_report
-from repro.uarch import EnergyParams
+from repro.isa import ProgramBuilder
+from repro.kernel import FunctionalCpu
+from repro.uarch import EnergyParams, ModelKind, Simulator, model_params
 from repro.uarch.stats import SimStats
+
+GOLDEN_STATS = Path(__file__).parent / "golden" / "golden_stats.json"
 
 
 def stats_with(events, cycles=100):
@@ -140,3 +148,26 @@ class TestModelEnergyShape:
         assert params.sq_cam_search > 3 * params.tssbf_access
         assert params.lq_cam_search > 3 * params.tssbf_access
         assert params.dram_access > params.l2_access > params.l1_access
+
+    def test_every_energy_cost_is_charged_by_some_event(self):
+        """Each EnergyParams cost is a knob ``--set energy.NAME`` accepts;
+        one that no event charges changes no result.  The pinned golden
+        points charge every event but the multiplier's and the FP
+        unit's, so one short program adds those two."""
+        with open(GOLDEN_STATS, encoding="utf-8") as handle:
+            points = json.load(handle)["points"]
+        charged = set()
+        for stats in points.values():
+            charged.update(stats["energy_events"])
+        b = ProgramBuilder()
+        b.label("main")
+        b.li("$t0", 3)
+        b.li("$t1", 5)
+        b.mul("$t2", "$t0", "$t1")
+        b.fadd("$t3", "$t0", "$t1")
+        b.halt()
+        program = b.build()
+        stats = Simulator(program, FunctionalCpu(program).run_trace(),
+                          model_params(ModelKind.DMDP)).run()
+        charged.update(stats.energy_events)
+        assert charged == {f.name for f in fields(EnergyParams)}

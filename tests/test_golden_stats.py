@@ -18,14 +18,14 @@ from pathlib import Path
 import pytest
 
 from repro.kernel import FunctionalCpu
-from repro.obs.tracer import NullTracer, RecordingTracer
+from repro.obs.tracer import RecordingTracer
 from repro.uarch import ModelKind, model_params
 from repro.uarch.pipeline import Simulator
 from repro.workloads import get_workload
 
 # Tracers are read-only observers: the pinned statistics must hold with
-# tracing off (the default NullTracer) and with full event recording on.
-TRACERS = {"null": NullTracer, "recording": RecordingTracer}
+# tracing off (no tracer) and with full event recording on.
+TRACERS = {"null": lambda: None, "recording": RecordingTracer}
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_stats.json"
 

@@ -230,7 +230,3 @@ class TestProgramHelpers:
         prog = assemble(".text\nmain: nop\nloop: b loop\n halt\n")
         listing = prog.disassemble()
         assert "main:" in listing and "loop:" in listing
-
-    def test_encode_text_matches_length(self):
-        prog = assemble(".text\nmain: nop\n halt\n")
-        assert len(prog.encode_text()) == 2

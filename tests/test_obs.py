@@ -9,9 +9,8 @@ from repro.kernel import FunctionalCpu
 from repro.obs.jsonl import read_jsonl, write_jsonl
 from repro.obs.konata import parse_konata, write_konata
 from repro.obs.metrics import build_metrics
-from repro.obs.tracer import (EventKind, MetricsTracer, NULL_TRACER,
-                              NullTracer, RecordingTracer, TraceEvent,
-                              TraceWindow)
+from repro.obs.tracer import (EventKind, MetricsTracer, PipelineTracer,
+                              RecordingTracer, TraceEvent, TraceWindow)
 from repro.uarch import ModelKind, model_params
 from repro.uarch.pipeline import Simulator
 from repro.workloads import get_workload
@@ -58,8 +57,9 @@ class TestTraceWindow:
 
 class TestTracerBasics:
     def test_null_tracer_disabled(self):
-        assert NullTracer.enabled is False
-        assert NULL_TRACER.enabled is False
+        # The protocol base is the no-op tracer; recorders opt in.
+        assert PipelineTracer.enabled is False
+        assert RecordingTracer.enabled and MetricsTracer.enabled
 
     def test_simulator_hot_path_skips_disabled_tracer(self):
         # The pipeline guards every hook site on one attribute (_tr);
@@ -70,8 +70,8 @@ class TestTracerBasics:
         params = model_params(ModelKind.BASELINE)
         sim_default = Simulator(program, trace, params)
         assert sim_default._tr is None
-        sim_null = Simulator(program, trace, params, tracer=NullTracer())
-        assert sim_null._tr is None
+        sim_off = Simulator(program, trace, params, tracer=PipelineTracer())
+        assert sim_off._tr is None
         recording = RecordingTracer()
         sim_rec = Simulator(program, trace, params, tracer=recording)
         assert sim_rec._tr is recording

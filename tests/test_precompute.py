@@ -30,6 +30,7 @@ import copy
 import gc
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -243,8 +244,7 @@ class TestBundleTables:
         base = model_params(ModelKind.BASELINE)
         dmdp = model_params(ModelKind.DMDP)
         assert bundle.decode_index(base) is bundle.decode_index(dmdp)
-        slow = model_params(ModelKind.BASELINE,
-                            mul_latency=base.mul_latency + 1)
+        slow = replace(base, mul_latency=base.mul_latency + 1)
         assert bundle.decode_index(slow) is not bundle.decode_index(base)
 
     def test_base_memory_matches_direct_segment_load(self):
@@ -416,7 +416,7 @@ class TestGoldenBatchedIdentity:
         bundle = TracePrecompute.build(packed, DEFAULT_SIG)
         for model in (ModelKind.BASELINE, ModelKind.DMDP):
             for overrides in ({}, {"store_buffer_entries": 8}):
-                params = model_params(model, **overrides)
+                params = replace(model_params(model), **overrides)
                 plain = Simulator(program, twin(program, packed),
                                   params).run().to_dict()
                 shared = Simulator(program, packed, params)
@@ -427,8 +427,8 @@ class TestGoldenBatchedIdentity:
     def test_overridden_geometry_falls_back_and_stays_identical(self):
         program, trace, packed = packed_case()
         bundle = TracePrecompute.build(packed, DEFAULT_SIG)
-        params = model_params(ModelKind.DMDP,
-                              bpred_table_bits=DEFAULT_SIG[0] - 2)
+        params = replace(model_params(ModelKind.DMDP),
+                         bpred_table_bits=DEFAULT_SIG[0] - 2)
         sim = Simulator(program, packed, params)
         # The Simulator built a bundle for its own predictor geometry and
         # left it beside the default one.
@@ -615,7 +615,9 @@ class TestRunnerBatching:
         assert timing.precomputes_built == 2         # one per distinct trace
         assert timing.precomputes_loaded == 0
         assert timing.worker_precomputes_built == 0
-        assert timing.precomputes == 2
+        assert (timing.precomputes_built + timing.precomputes_loaded
+                + timing.worker_precomputes_built
+                + timing.worker_precomputes_loaded) == 2
 
     def test_warm_store_batch_loads_and_never_rebuilds(self, tmp_path):
         self.runner(tmp_path).run_batch(self.points())       # populate store

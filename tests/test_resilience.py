@@ -137,7 +137,9 @@ class TestCrashIsolation:
                                            serial_reference):
         """A worker hard-killed mid-batch (the OOM-kill shape) fails only
         its task; the retry lands on a fresh process and the full result
-        set comes back byte-identical to a clean serial run."""
+        set comes back byte-identical to a clean serial run.  The retried
+        worker reads the trace and bundle the parent stored: no worker
+        re-traces or rebuilds a bundle."""
         fault_env(monkeypatch, tmp_path, "kill:workload=bzip2,once")
         runner = runner_with(tmp_path)
         results = runner.run_batch(POINTS)
@@ -145,6 +147,8 @@ class TestCrashIsolation:
         timing = runner.batch_log[-1]
         assert timing.retried >= 1
         assert timing.failed == 0
+        assert timing.worker_retraces == 0
+        assert timing.worker_precomputes_built == 0
         assert not runner.failure_log
         assert_identical_to_serial(results, serial_reference)
 

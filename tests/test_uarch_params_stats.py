@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.config import ConfigSpec
 from repro.uarch import (
     ConfidencePolicy,
     Consistency,
@@ -37,11 +38,12 @@ class TestParams:
         assert dmdp.confidence_policy is ConfidencePolicy.BIASED
 
     def test_model_params_overrides(self):
-        params = model_params(ModelKind.DMDP, rob_entries=512,
-                              store_buffer_entries=64)
-        assert params.model is ModelKind.DMDP
-        assert params.rob_entries == 512
-        assert params.store_buffer_entries == 64
+        params = ConfigSpec.create(
+            ModelKind.DMDP, {"core.rob_entries": 512,
+                             "core.store_buffer_entries": 64}).to_params()
+        assert params == dataclasses.replace(
+            model_params(ModelKind.DMDP), rob_entries=512,
+            store_buffer_entries=64)
 
     def test_params_are_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -1,5 +1,7 @@
 """Integration tests for the cycle-level pipeline across all four models."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.isa import Opcode, ProgramBuilder
@@ -17,7 +19,7 @@ from repro.workloads import lcg_sequence, zipf_like
 
 def run(prog, model, **overrides):
     trace = FunctionalCpu(prog).run_trace()
-    params = model_params(model, **overrides)
+    params = replace(model_params(model), **overrides)
     sim = Simulator(prog, trace, params)
     stats = sim.run()
     return stats, sim

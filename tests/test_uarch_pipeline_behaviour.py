@@ -3,6 +3,7 @@ event routing, structural limits, call/return timing)."""
 
 import os
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -29,7 +30,7 @@ PER_UOP_EVENTS = ("rename", "iq_dispatch", "iq_issue", "rf_read",
 
 def simulate(prog, model=ModelKind.DMDP, **overrides):
     trace = FunctionalCpu(prog).run_trace()
-    sim = Simulator(prog, trace, model_params(model, **overrides))
+    sim = Simulator(prog, trace, replace(model_params(model), **overrides))
     return sim.run(), sim
 
 
