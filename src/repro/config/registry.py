@@ -112,9 +112,7 @@ def split_key(key: str) -> Tuple[SlotInfo, str]:
             "core.rob_entries)" % key, key=key)
     slot = get_slot(slot_name)
     if field not in slot.types:
-        candidates = (["%s.%s" % (slot.name, name) for name in slot.types]
-                      + all_keys())
-        hint, suggestions = _hint(key, candidates)
+        hint, suggestions = suggest_keys(key)
         raise ConfigError(
             "unknown field %r in slot %r%s" % (field, slot.name, hint),
             key=key, suggestions=suggestions)
@@ -148,7 +146,7 @@ def suggest_keys(key: str) -> Tuple[str, Tuple[str, ...]]:
     if exact:
         return (" (did you mean %s?)"
                 % " or ".join(repr(m) for m in exact), tuple(exact))
-    return _hint(key, all_keys() + list(SLOTS["core"].types))
+    return _hint(key, all_keys())
 
 
 # -- value coercion ----------------------------------------------------------

@@ -53,8 +53,18 @@ class SparseMemory:
         return bytes(self.read_byte(address + i) for i in range(size))
 
     def write_bytes(self, address: int, data: bytes) -> None:
-        for i, value in enumerate(data):
-            self.write_byte(address + i, value)
+        """Store ``data`` from ``address`` on, one page slice per page.
+
+        Allocates every page the range covers, as byte-by-byte writes
+        would, and wraps past 0xFFFFFFFF to page 0.
+        """
+        view = memoryview(data)
+        done, total = 0, len(view)
+        while done < total:
+            page, offset = self._page_for(address + done)
+            end = min(total, done + PAGE_SIZE - offset)
+            page[offset:offset + end - done] = view[done:end]
+            done = end
 
     # -- sized little-endian access ------------------------------------------
 
@@ -117,8 +127,3 @@ class SparseMemory:
         zero = bytes(PAGE_SIZE)
         return {num: bytes(page) for num, page in self._pages.items()
                 if bytes(page) != zero}
-
-    def copy(self) -> "SparseMemory":
-        clone = SparseMemory()
-        clone._pages = {num: bytearray(page) for num, page in self._pages.items()}
-        return clone

@@ -2,9 +2,9 @@
 
 Every timing simulation needs per-trace metadata -- which trace entries
 the front end mispredicts, the global branch history seen at rename and
-the decode template per entry -- and a pre-execution architectural
-memory image.  None of that depends on the sweep configuration (only on
-the trace content and the branch-predictor geometry).
+the decode template per entry.  None of that depends on the sweep
+configuration (only on the trace content and the branch-predictor
+geometry).
 
 :class:`TracePrecompute` derives it from
 :class:`~repro.kernel.tracestore.PackedTrace` columns in one pure-Python
@@ -18,14 +18,15 @@ and worker of a sweep that loads it from the store.  The bundle holds:
 * ``history`` -- the global-history shift register value at rename;
 * a decode-template index (``_Decoded`` per trace entry, carrying the
   static pc and instruction), memoised per latency signature so every
-  config with default latencies shares one table;
-* a shared base memory image (:meth:`base_memory`), so trace-resident
-  multi-config runs stop paying per-config data-segment loads.
+  config with default latencies shares one table.
 
 Per-entry memory fields are not restated here: the Simulator reads each
 entry's producing store, word address and Byte Access Bits straight
 from the trace's ``dep`` / ``mem_addr`` / ``mem_size`` columns, so no
-run materialises a :class:`~repro.kernel.trace.TraceEntry`.
+run materialises a :class:`~repro.kernel.trace.TraceEntry`.  Nor is the
+pre-execution memory image: each Simulator loads its own with
+``SparseMemory.load_segment``, which copies the data segment a page at
+a time.
 
 Bundles serialise to a small CRC'd blob (the sequential parts only:
 bitmap + history; the decode index re-derives from the trace columns)
@@ -53,7 +54,6 @@ import zlib
 from array import array
 from typing import Dict, List, Optional, Tuple
 
-from .memory import SparseMemory
 from .tracestore import F_TAKEN, _U32, _pad
 
 # Bump whenever the blob layout or the meaning of any precomputed table
@@ -92,7 +92,6 @@ class TracePrecompute:
         self._history = history
         # Lazily materialised shared state.
         self._dec_memo: Dict[Tuple[int, int, int, int], list] = {}
-        self._base_mem: Optional[SparseMemory] = None
         trace.bundles[self.signature] = self
 
     @property
@@ -174,17 +173,6 @@ class TracePrecompute:
                 index[i] = dec
             self._dec_memo[key] = index
         return index
-
-    def base_memory(self) -> SparseMemory:
-        """The pre-execution architectural memory image, built once;
-        each Simulator takes a page-level ``copy()`` instead of a
-        per-byte ``load_segment`` of the data segment."""
-        if self._base_mem is None:
-            program = self.trace.program
-            mem = SparseMemory()
-            mem.load_segment(program.data_base, program.data)
-            self._base_mem = mem
-        return self._base_mem
 
     # -- binary encoding ------------------------------------------------------
 

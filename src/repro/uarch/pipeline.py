@@ -30,6 +30,7 @@ from ..isa.instructions import SIGNED_LOADS
 from ..isa.registers import (NUM_ARCH_REGS, NUM_LOGICAL_REGS, REG_AGI,
                              REG_LDTMP, REG_PRED)
 from ..kernel.cpu import ALU_SEMANTICS, WORD_MASK, sign_extend
+from ..kernel.memory import SparseMemory
 from ..kernel.precompute import TracePrecompute, bpred_signature
 from ..kernel.tracestore import F_TAKEN, NO_DEP, pack_trace
 from ..obs.tracer import PipelineTracer
@@ -192,13 +193,13 @@ class Simulator:
         self.sb.tracer = self._tr
 
         # Trace tables (kernel/precompute.py): the mispredict flags,
-        # rename-time history, decode templates and base memory image
-        # depend only on the trace and the predictor geometry (the front
-        # end is deterministic on the committed path, so squash/refetch
-        # replays identical predictions), and they always come from one
-        # TracePrecompute bundle, which lives on the packed trace under its
-        # predictor signature: the first run of a trace builds it and
-        # every later run shares it.  The pipeline reads a per-entry field
+        # rename-time history and decode templates depend only on the
+        # trace and the predictor geometry (the front end is deterministic
+        # on the committed path, so squash/refetch replays identical
+        # predictions), and they always come from one TracePrecompute
+        # bundle, which lives on the packed trace under its predictor
+        # signature: the first run of a trace builds it and every later
+        # run shares it.  The pipeline reads a per-entry field
         # by trace index (DynInstr.rob_id) from the packed columns -- the
         # producing store from ``dep`` (NO_DEP for none), and the word
         # address and Byte Access Bits from ``mem_addr``/``mem_size`` with
@@ -219,8 +220,10 @@ class Simulator:
         self._mem_size = packed.mem_size_column()
         self._value = packed.value_column()
 
-        # Architectural memory image evolved by *committed* stores only.
-        self.timing_mem = pre.base_memory().copy()
+        # Architectural memory image evolved by *committed* stores only;
+        # each run loads its own.
+        self.timing_mem = SparseMemory()
+        self.timing_mem.load_segment(program.data_base, program.data)
 
         # Rename state.
         self.rename_map: List[int] = []

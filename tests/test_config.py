@@ -69,10 +69,15 @@ class TestRegistry:
         assert slot.name == "predictor" and field == "confidence_bits"
 
     def test_split_key_typo_has_did_you_mean(self):
-        with pytest.raises(ConfigError) as err:
-            split_key("core.rob_entrees")
-        assert "core.rob_entries" in str(err.value)
-        assert "core.rob_entries" in err.value.suggestions
+        # A misspelt field, and an exact field name in the wrong slot.
+        for key, want in [("core.rob_entrees", "core.rob_entries"),
+                          ("core.tssbf_entries", "predictor.tssbf_entries")]:
+            with pytest.raises(ConfigError) as err:
+                split_key(key)
+            assert want in str(err.value)
+            assert want in err.value.suggestions
+        # The wrong-slot field names the slot that has it, and only that.
+        assert err.value.suggestions == ("predictor.tssbf_entries",)
 
     def test_split_key_unknown_slot(self):
         with pytest.raises(ConfigError) as err:
@@ -417,10 +422,13 @@ class TestConfigCli:
         assert "ok:" in text and "predictor.tssbf_entries=64" in text
 
     def test_config_validate_typo_exits_2_with_hint(self):
-        code, text = run_cli("config", "validate", "--model", "dmdp",
-                             "--set", "core.rob_entrees=512")
-        assert code == 2
-        assert "rob_entries" in text
+        for setting, want in [("core.rob_entrees=512", "rob_entries"),
+                              ("core.tssbf_entries=64",
+                               "'predictor.tssbf_entries'")]:
+            code, text = run_cli("config", "validate", "--model", "dmdp",
+                                 "--set", setting)
+            assert code == 2
+            assert want in text
 
     def test_run_with_typoed_set_fails_fast(self):
         code, text = run_cli("--scale", "0.05", "run", "bzip2",

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel import SparseMemory
-from repro.kernel.memory import MemoryError_, PAGE_SIZE
+from repro.kernel.memory import MemoryError_, PAGE_SHIFT, PAGE_SIZE
+from repro.workloads import ALL_NAMES, get_workload
 
 
 class TestBasics:
@@ -59,14 +60,6 @@ class TestBasics:
         mem.load_segment(0x1_0000, bytes(range(16)))
         assert mem.read_bytes(0x1_0000, 16) == bytes(range(16))
 
-    def test_copy_is_independent(self):
-        mem = SparseMemory()
-        mem.write_word(0x100, 7)
-        clone = mem.copy()
-        clone.write_word(0x100, 9)
-        assert mem.read_word(0x100) == 7
-        assert clone.read_word(0x100) == 9
-
     def test_touched_pages(self):
         mem = SparseMemory()
         assert not list(mem.touched_pages())
@@ -114,7 +107,8 @@ def _bytewise_read(mem, address, size):
 def _bytewise_write(mem, address, value, size):
     """Sized write through the per-byte path, the reference for write()."""
     mask = (1 << (8 * size)) - 1
-    mem.write_bytes(address, (value & mask).to_bytes(size, "little"))
+    for i, byte in enumerate((value & mask).to_bytes(size, "little")):
+        mem.write_byte(address + i, byte)
 
 
 class TestAlignedSubWordPath:
@@ -170,6 +164,67 @@ class TestAlignedSubWordPath:
                 assert fast.read(at, width) == _bytewise_read(ref, at, width)
         assert fast.snapshot() == ref.snapshot()
         assert sorted(fast.touched_pages()) == sorted(ref.touched_pages())
+
+
+def _pattern(length, seed=0):
+    """``length`` bytes with zeroes among them, varied by ``seed``."""
+    return bytes((seed + 37 * i) % 251 for i in range(length))
+
+
+def _assert_same_as_bytewise(base, data):
+    """``load_segment`` must leave the image a ``write_byte`` per byte
+    leaves: the same pages (zero ones included) with the same bytes."""
+    mem, ref = SparseMemory(), SparseMemory()
+    mem.load_segment(base, data)
+    for i, b in enumerate(data):
+        ref.write_byte(base + i, b)
+    assert sorted(mem.touched_pages()) == sorted(ref.touched_pages())
+    for num in ref.touched_pages():
+        at = num << PAGE_SHIFT
+        assert mem.read_bytes(at, PAGE_SIZE) == ref.read_bytes(at, PAGE_SIZE)
+
+
+class TestPageCopy:
+    """``write_bytes`` (so ``load_segment``) copies a page slice per page;
+    the reference interpreter loads memory through it too, so this class
+    is what holds it to byte-by-byte writes."""
+
+    @pytest.mark.parametrize("base, data", [
+        (0x1_0FF0, _pattern(64)),
+        (0x2_0000, _pattern(2 * PAGE_SIZE, 5)),
+        (0x3_0800, bytes(PAGE_SIZE)),
+        (0x1234, b""),
+        (0xFFFF_FFF0, _pattern(48, 9)),
+    ], ids=["mid-page-crossing", "page-aligned", "all-zero-still-allocates",
+            "empty-touches-nothing", "wraps-past-top-to-page-0"])
+    def test_matches_bytewise_writes(self, base, data):
+        _assert_same_as_bytewise(base, data)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_workload_data_segment(self, name):
+        spec = get_workload(name)
+        program = spec.build(spec.iterations(0.15))
+        _assert_same_as_bytewise(program.data_base, program.data)
+
+    @given(st.integers(0, (1 << 20) - 1), st.integers(0, PAGE_SIZE - 1),
+           st.integers(0, 3 * PAGE_SIZE), st.integers(0, 255))
+    @settings(max_examples=100, deadline=None)
+    def test_any_base_and_length(self, page, offset, length, seed):
+        _assert_same_as_bytewise((page << PAGE_SHIFT) + offset,
+                                 _pattern(length, seed))
+
+    def test_never_writes_a_byte_at_a_time(self, monkeypatch):
+        spec = get_workload("lbm")
+        program = spec.build(spec.iterations(0.15))
+
+        def refuse(*_args):
+            raise AssertionError("write_byte called")
+
+        monkeypatch.setattr(SparseMemory, "write_byte", refuse)
+        mem = SparseMemory()
+        mem.load_segment(program.data_base, program.data)
+        assert (mem.read_bytes(program.data_base, len(program.data))
+                == program.data)
 
 
 class TestProperties:

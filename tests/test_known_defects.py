@@ -53,5 +53,5 @@ def test_colliding_fuzz_program_finishes_under_baseline():
 def test_namd_at_scale_0_1_finishes_under_baseline():
     """``namd`` at scale 0.1: the cycle cap fires at trace index 1685."""
     spec = get_workload("namd")
-    program = spec.build(max(1, int(round(spec.default_scale * 0.1))))
+    program = spec.build(spec.iterations(0.1))
     _run_baseline(program)

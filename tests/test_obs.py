@@ -18,8 +18,7 @@ from repro.workloads import get_workload
 
 def run_point(workload, model, tracer=None, scale=0.1):
     spec = get_workload(workload)
-    iterations = max(1, int(spec.default_scale * scale))
-    program = spec.build(iterations)
+    program = spec.build(spec.iterations(scale))
     trace = FunctionalCpu(program).run_trace(max_instructions=5_000_000)
     return Simulator(program, trace, model_params(model),
                      tracer=tracer).run()

@@ -25,8 +25,7 @@ ALL = list(ModelKind)
 
 def build(workload, scale):
     spec = get_workload(workload)
-    iterations = max(1, int(spec.default_scale * scale))
-    program = spec.build(iterations)
+    program = spec.build(spec.iterations(scale))
     trace = FunctionalCpu(program).run_trace(max_instructions=5_000_000)
     return program, trace
 

@@ -5,7 +5,8 @@ Four layers under test (DESIGN.md Section 14):
 * the tables -- :class:`TracePrecompute` must reproduce exactly the
   mispredict flags and rename-time global history of an independent
   reference computed here from ``TraceEntry`` objects, before and after
-  a serialisation round trip, plus the decode index and base memory;
+  a serialisation round trip, plus the decode index; back-to-back runs
+  on one trace each start from a freshly loaded memory image;
   the Simulator reads each entry's producing store, word address and
   Byte Access Bits from the trace's own columns, and what it hands the
   T-SSBF equals each ``TraceEntry``'s fields;
@@ -22,8 +23,8 @@ Four layers under test (DESIGN.md Section 14):
 * the batching -- batch submissions resolve exactly one bundle per
   distinct trace (cold: built, warm store: loaded -- never rebuilt),
   asserted through the runner counters and :class:`BatchTiming`, and a
-  grouped batch builds each trace's decode index and base memory image
-  once, where a runner per point builds them for every point.
+  grouped batch builds each trace's decode index once, where a runner
+  per point builds one for every point.
 """
 
 import copy
@@ -60,8 +61,7 @@ DEFAULT_SIG = bpred_signature(model_params(ModelKind.BASELINE))
 
 def small_workload(name="mcf", fraction=0.1):
     spec = get_workload(name)
-    iterations = max(1, int(round(spec.default_scale * fraction)))
-    return spec.build(iterations)
+    return spec.build(spec.iterations(fraction))
 
 
 def packed_case(name="mcf", fraction=0.1):
@@ -247,17 +247,27 @@ class TestBundleTables:
         slow = replace(base, mul_latency=base.mul_latency + 1)
         assert bundle.decode_index(slow) is not bundle.decode_index(base)
 
-    def test_base_memory_matches_direct_segment_load(self):
-        from repro.kernel.memory import SparseMemory
+    def test_back_to_back_runs_each_start_from_a_fresh_image(self):
+        # Two Simulators on one trace object share its bundle, and each
+        # starts from the image a fresh load_segment gives: no store the
+        # first run committed leaks into the second.
         program, _trace, packed = packed_case()
-        bundle = TracePrecompute.build(packed, DEFAULT_SIG)
-        direct = SparseMemory()
-        direct.load_segment(program.data_base, program.data)
-        copy = bundle.base_memory().copy()
-        assert copy.snapshot() == direct.snapshot()
-        # Writing through the copy must not leak into the shared image.
-        copy.write_word(program.data_base, 0xDEADBEEF)
-        assert bundle.base_memory().snapshot() == direct.snapshot()
+        params = model_params(ModelKind.DMDP)
+        fresh = SparseMemory()
+        fresh.load_segment(program.data_base, program.data)
+
+        def image(memory):
+            return memory.snapshot(), sorted(memory.touched_pages())
+
+        first = Simulator(program, packed, params)
+        bundle = packed.bundles[bpred_signature(params)]
+        assert image(first.timing_mem) == image(fresh)
+        stats = first.run().to_dict()
+        assert image(first.timing_mem) != image(fresh)  # the run stored
+        second = Simulator(program, packed, params)
+        assert second._history is bundle.history_list()
+        assert image(second.timing_mem) == image(fresh)
+        assert second.run().to_dict() == stats
 
 
 class TssbfSpy:
@@ -641,10 +651,10 @@ class TestRunnerBatching:
     def test_grouped_batch_builds_once_per_trace_not_per_point(
             self, tmp_path, monkeypatch):
         # What grouping saves, as counts: on warm trace and precompute
-        # stores, a fresh runner per point builds a bundle, a decode
-        # index and a base memory image for every point; one grouped
-        # run_batch loads one bundle per trace, builds none, and builds
-        # the decode index and the base image once per trace.
+        # stores, a fresh runner per point builds a bundle and a decode
+        # index for every point; one grouped run_batch loads one bundle
+        # per trace, builds none, and builds the decode index once per
+        # trace.  Each Simulator loads its own memory image either way.
         self.runner(tmp_path).run_batch(self.points())    # fill the stores
         built = count_builds(monkeypatch)
         indexed, images = [], []
@@ -679,7 +689,7 @@ class TestRunnerBatching:
         assert taken() == (8, 8, 8)
         runner = self.runner(tmp_path, cache=ResultCache(root=None))
         grouped = runner.run_batch(self.points())
-        assert taken() == (0, 2, 2)
+        assert taken() == (0, 2, 8)
         assert (runner.precomputes_loaded, runner.traces_generated) == (2, 0)
         for point, result in ungrouped.items():
             assert grouped[point].stats.to_dict() == result.stats.to_dict()

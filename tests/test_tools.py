@@ -68,7 +68,7 @@ class TestTraceDiff:
         from repro.workloads import get_workload
 
         spec = get_workload("bzip2")
-        program = spec.build(max(1, int(spec.default_scale * 0.05)))
+        program = spec.build(spec.iterations(0.05))
         trace = FunctionalCpu(program).run_trace()
         root = tmp_path_factory.mktemp("traces")
         paths = {}

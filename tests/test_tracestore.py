@@ -65,8 +65,7 @@ def random_case(index):
 
 def small_workload(name="mcf", fraction=0.1):
     spec = get_workload(name)
-    iterations = max(1, int(round(spec.default_scale * fraction)))
-    return spec.build(iterations)
+    return spec.build(spec.iterations(fraction))
 
 
 class TestPackedTraceFidelity:

@@ -20,8 +20,7 @@ TINY = 0.08
 
 def tiny_trace(name):
     spec = get_workload(name)
-    scale = max(1, int(spec.default_scale * TINY))
-    prog = spec.build(scale)
+    prog = spec.build(spec.iterations(TINY))
     return FunctionalCpu(prog).run_trace(max_instructions=2_000_000)
 
 
