@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -125,9 +127,14 @@ class ProgramBuilder:
             self._data.append(0)
 
     def word(self, *values: int) -> None:
+        # One array append per call: each masked value is freed as soon
+        # as it is stored, so a long call holds 4 bytes per value, not a
+        # list of int objects.
         self.align(4)
-        for value in values:
-            self._data += (value & 0xFFFFFFFF).to_bytes(4, "little")
+        words = array("I", (value & 0xFFFFFFFF for value in values))
+        if sys.byteorder != "little":  # pragma: no cover - exotic
+            words.byteswap()
+        self._data += words
 
     def half(self, *values: int) -> None:
         self.align(2)

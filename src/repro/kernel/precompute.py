@@ -16,6 +16,10 @@ and worker of a sweep that loads it from the store.  The bundle holds:
 * ``mispredicted`` -- per-entry branch-outcome flags from a sequential
   :class:`~repro.uarch.branch.BranchPredictor` replay;
 * ``history`` -- the global-history shift register value at rename;
+* the fetch-group ends -- the sorted positions of the entries that end a
+  fetch group (a control entry that is mispredicted or taken), followed
+  by the trace length as a sentinel: a few bytes per group, not an entry
+  per trace entry;
 * a decode-template index (``_Decoded`` per trace entry, carrying the
   static pc and instruction), memoised per latency signature so every
   config with default latencies shares one table.
@@ -29,7 +33,8 @@ pre-execution memory image: each Simulator loads its own with
 a time.
 
 Bundles serialise to a small CRC'd blob (the sequential parts only:
-bitmap + history; the decode index re-derives from the trace columns)
+bitmap + history; the group ends and the decode index re-derive from
+the trace columns)
 so the harness can persist them next to the trace blob -- see
 ``PrecomputeStore`` in :mod:`repro.harness.cache`.
 
@@ -84,12 +89,14 @@ class TracePrecompute:
     """Whole-trace analysis shared by every run of one packed trace."""
 
     def __init__(self, trace, signature: Tuple[int, int, int],
-                 mispredicted: List[bool], history: List[int]):
+                 mispredicted: List[bool], history: List[int],
+                 group_ends: array):
         self._trace = weakref.ref(trace)    # the trace holds the bundle
         self.signature = tuple(signature)
         self.n = len(trace)
         self._mispredicted = mispredicted
         self._history = history
+        self._group_ends = group_ends
         # Lazily materialised shared state.
         self._dec_memo: Dict[Tuple[int, int, int, int], list] = {}
         trace.bundles[self.signature] = self
@@ -107,8 +114,8 @@ class TracePrecompute:
         """Analyse one packed trace under one predictor geometry.
 
         One scan over the packed columns replays the branch predictor on
-        control entries and records the rename-time history of every
-        entry.
+        control entries, records the rename-time history of every entry
+        and collects the fetch-group ends.
         """
         # Deferred import: the uarch layer imports repro.kernel, so a
         # module-level import here would be circular.  The bundle is the
@@ -130,6 +137,7 @@ class TracePrecompute:
         n = len(trace)
         mispredicted = [False] * n
         history = [0] * n
+        group_ends = array(_U32)
         state = 0
         for i, si in enumerate(trace.static_column()):
             history[i] = state
@@ -138,9 +146,13 @@ class TracePrecompute:
                 if not predict(text_base + 4 * si, instrs[si], taken,
                                next_pc[i]):
                     mispredicted[i] = True
+                    group_ends.append(i)
+                elif taken:
+                    group_ends.append(i)
                 if is_cond[si]:
                     state = ((state << 1) | taken) & mask
-        return cls(trace, signature, mispredicted, history)
+        group_ends.append(n)
+        return cls(trace, signature, mispredicted, history, group_ends)
 
     # -- Simulator-facing tables (materialised once, shared) -----------------
 
@@ -151,6 +163,12 @@ class TracePrecompute:
     def history_list(self) -> List[int]:
         """Per-entry rename-time global history."""
         return self._history
+
+    def fetch_group_ends(self) -> array:
+        """Sorted positions of the entries that end a fetch group -- a
+        control entry the front end mispredicts or that is taken --
+        followed by the trace length, which no fetch group reaches."""
+        return self._group_ends
 
     def decode_index(self, params) -> list:
         """``_Decoded`` template per trace entry, memoised per latency
@@ -239,7 +257,20 @@ class TracePrecompute:
         col.frombytes(payload[packed_len:])
         if sys.byteorder != "little":  # pragma: no cover - exotic
             col.byteswap()
-        return cls(trace, found, mis, col.tolist())
+        return cls(trace, found, mis, col.tolist(),
+                   _fetch_group_ends(trace, mis))
+
+
+def _fetch_group_ends(trace, mispredicted: List[bool]) -> array:
+    """The group ends a loaded bundle re-derives (``build`` collects
+    them in its scan): one pass over the static and flags columns."""
+    is_control = [instr.is_control for instr in trace.program.instructions]
+    ends = array(_U32, [
+        i for i, (si, flags) in enumerate(zip(trace.static_column(),
+                                              trace.flags_column()))
+        if is_control[si] and (mispredicted[i] or flags & F_TAKEN)])
+    ends.append(len(trace))
+    return ends
 
 
 def load_precompute(path, trace,

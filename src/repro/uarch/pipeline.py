@@ -22,6 +22,7 @@ and violations trigger a full squash with refetch.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import Counter, deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -32,7 +33,7 @@ from ..isa.registers import (NUM_ARCH_REGS, NUM_LOGICAL_REGS, REG_AGI,
 from ..kernel.cpu import ALU_SEMANTICS, WORD_MASK, sign_extend
 from ..kernel.memory import SparseMemory
 from ..kernel.precompute import TracePrecompute, bpred_signature
-from ..kernel.tracestore import F_TAKEN, NO_DEP, pack_trace
+from ..kernel.tracestore import NO_DEP, pack_trace
 from ..obs.tracer import PipelineTracer
 from .cachesim import MemoryHierarchy
 from .distance_predictor import StoreDistancePredictor
@@ -70,8 +71,11 @@ BRANCH_MISPREDICT, MEM_DEP_VIOLATION = (SquashCause.BRANCH_MISPREDICT,
 FU_ALU, FU_MUL, FU_FP, FU_BRANCH, FU_AGEN, FU_MEM, FU_NONE = (
     FuClass.ALU, FuClass.MUL, FuClass.FP, FuClass.BRANCH, FuClass.AGEN,
     FuClass.MEM, FuClass.NONE)
-J, JR, JAL, JALR, NOP, HALT = (Opcode.J, Opcode.JR, Opcode.JAL, Opcode.JALR,
-                               Opcode.NOP, Opcode.HALT)
+JAL, JALR = Opcode.JAL, Opcode.JALR
+
+# How a committed instruction forms the value of its architectural
+# destination (``_Decoded.arch_kind``).
+ARCH_LOAD, ARCH_LINK, ARCH_ALU = 1, 2, 3
 
 _FU_ENERGY = {
     FU_ALU: "alu_op",
@@ -89,12 +93,15 @@ class SimulationError(Exception):
 
 
 class _Decoded:
-    """Per-static-instruction decode cache (built once per simulation)."""
+    """Per-static-instruction decode template: everything a run reads of
+    its static instruction, built once per trace and latency signature
+    (``TracePrecompute.decode_index``)."""
 
     __slots__ = ("pc", "instr", "is_load", "is_store", "is_mem",
                  "is_control", "is_cond_branch", "src_regs", "dest_reg",
                  "fu", "latency", "is_partial", "rs", "rt", "rd",
-                 "uop_estimate", "uop_kind", "uop_fu")
+                 "uop_estimate", "uop_kind", "uop_fu", "arch_dest",
+                 "arch_kind", "arch_alu", "imm", "signed_load")
 
     def __init__(self, instr: Instruction, params: CoreParams, pc: int):
         self.pc = pc
@@ -108,8 +115,9 @@ class _Decoded:
         self.dest_reg = instr.dest_reg()
         self.fu = instr.fu_class
         self.is_partial = instr.is_mem and instr.is_partial_word
-        self.rs = instr.rs
-        self.rt = instr.rt
+        # A missing operand register reads $zero, which is always 0.
+        self.rs = instr.rs or 0
+        self.rt = instr.rt or 0
         self.rd = instr.rd
         if self.fu is FU_MUL:
             self.latency = params.mul_latency
@@ -133,6 +141,24 @@ class _Decoded:
             self.uop_estimate = 2
         else:
             self.uop_estimate = 5  # worst case: AGI+LOAD+CMP+CMOV+CMOV
+        # Committed-register recipe, read at retire when a run tracks
+        # architectural state: the register written (None when none is,
+        # or only $zero), how its value forms (a load's obtained value, a
+        # link address or an ALU result), and the ALU's semantics and
+        # immediate, which it applies to ``rs`` and ``rt``.
+        dest = self.dest_reg
+        self.arch_dest = (dest if dest is not None
+                          and 0 < dest < NUM_ARCH_REGS else None)
+        op = instr.op
+        if self.is_load:
+            self.arch_kind = ARCH_LOAD
+        elif op is JAL or op is JALR:
+            self.arch_kind = ARCH_LINK
+        else:
+            self.arch_kind = ARCH_ALU
+        self.arch_alu = ALU_SEMANTICS.get(op)
+        self.imm = instr.imm or 0
+        self.signed_load = op in SIGNED_LOADS
 
 
 class Simulator:
@@ -193,18 +219,19 @@ class Simulator:
         self.sb.tracer = self._tr
 
         # Trace tables (kernel/precompute.py): the mispredict flags,
-        # rename-time history and decode templates depend only on the
-        # trace and the predictor geometry (the front end is deterministic
-        # on the committed path, so squash/refetch replays identical
-        # predictions), and they always come from one TracePrecompute
-        # bundle, which lives on the packed trace under its predictor
-        # signature: the first run of a trace builds it and every later
-        # run shares it.  The pipeline reads a per-entry field
+        # rename-time history, fetch-group ends and decode templates
+        # depend only on the trace and the predictor geometry (the front
+        # end is deterministic on the committed path, so squash/refetch
+        # replays identical predictions), and they always come from one
+        # TracePrecompute bundle, which lives on the packed trace under
+        # its predictor signature: the first run of a trace builds it and
+        # every later run shares it.  The pipeline reads a per-entry field
         # by trace index (DynInstr.rob_id) from the packed columns -- the
         # producing store from ``dep`` (NO_DEP for none), and the word
         # address and Byte Access Bits from ``mem_addr``/``mem_size`` with
         # the TraceEntry view formulas at each use -- and a per-static one
-        # (pc, Instruction) from the decode template.
+        # from the decode template, which holds everything a run reads of
+        # the static instruction.
         packed = self.trace = pack_trace(program, trace)
         self._total = len(packed)
         signature = bpred_signature(params)
@@ -213,8 +240,8 @@ class Simulator:
             pre = TracePrecompute.build(packed, signature)
         self._mispredicted = pre.mispredicted_list()
         self._history = pre.history_list()
+        self._group_ends = pre.fetch_group_ends()
         self._dec_by_index = pre.decode_index(params)
-        self._taken_bits = packed.flags_column()
         self._dep = packed.dep_column()
         self._mem_addr = packed.mem_addr_column()
         self._mem_size = packed.mem_size_column()
@@ -239,9 +266,14 @@ class Simulator:
         self.blocked_loads: List[Uop] = []
         self.uop_seq = 0
 
-        # Fetch state.
+        # Front-end state.  Fetched entries wait for rename as groups of
+        # consecutive trace indices, each (rename-available cycle, end):
+        # the entries from ``rename_index`` up to ``fetch_index``.  The
+        # cursor indexes the first group end at or after ``fetch_index``.
         self.fetch_index = 0
-        self.fetch_buffer: Deque[Tuple[int, int]] = deque()  # (avail, index)
+        self.rename_index = 0
+        self.fetch_groups: Deque[Tuple[int, int]] = deque()
+        self._group_cursor = 0
         self.fetch_blocked_until = 0
         self.pending_branch: Optional[DynInstr] = None
         self._pending_branch_index: Optional[int] = None
@@ -318,8 +350,7 @@ class Simulator:
         issue = self._issue
         rename = self._rename
         fetch = self._fetch
-        while (self.fetch_index < total or self.rob or self.fetch_buffer
-               or sb.entries):
+        while self.rename_index < total or self.rob or sb.entries:
             if self.cycle > max_cycles:
                 raise SimulationError("cycle cap reached; likely deadlock at "
                                       "trace index %d" % (self.rob[0].rob_id
@@ -339,7 +370,7 @@ class Simulator:
                 self._retire_wake = None
             if self.ready_heap or self.blocked_loads:
                 issue()
-            if self.fetch_buffer:
+            if self.fetch_groups:
                 rename()
             fetch()
             # Event-driven cycle skipping: when no stage can do anything
@@ -417,18 +448,18 @@ class Simulator:
             heapq.heappop(heap)
         if heap and (wake is None or heap[0][0] < wake):
             wake = heap[0][0]
-        # Rename: the fetch-buffer head's availability, unless ROB, IQ or
-        # register space is short, which frees only through the
+        # Rename: the oldest fetch group's availability, unless ROB, IQ
+        # or register space is short, which frees only through the
         # event-driven retire, commit and issue paths.
-        buffer = self.fetch_buffer
-        if buffer:
-            avail, index = buffer[0]
+        groups = self.fetch_groups
+        if groups:
+            avail = groups[0][0]
             if avail > next_cycle:
                 if wake is None or avail < wake:
                     wake = avail
             else:
                 params = self.params
-                dec = self._dec_by_index[index]
+                dec = self._dec_by_index[self.rename_index]
                 prf = self.prf
                 if (len(self.rob) < params.rob_entries
                         and self.iq_occupancy + dec.uop_estimate
@@ -442,7 +473,8 @@ class Simulator:
         if (self.pending_branch is None
                 and self._pending_branch_index is None
                 and self.fetch_index < self._total
-                and len(buffer) < 2 * self.params.fetch_width):
+                and self.fetch_index - self.rename_index
+                < 2 * self.params.fetch_width):
             blocked = self.fetch_blocked_until
             if blocked <= next_cycle:
                 return next_cycle
@@ -688,7 +720,7 @@ class Simulator:
             # by reference counting rather than the cyclic collector.
             head.uops = ()
             retired += 1
-            if arch_regs is not None:
+            if arch_regs is not None and dec.arch_dest is not None:
                 self._arch_update(head)
             if dec.is_control:
                 stats.branches += 1
@@ -747,24 +779,19 @@ class Simulator:
     # -- committed architectural state (differential oracle support) -------
 
     def _arch_update(self, instr: DynInstr) -> None:
-        """Apply one committed instruction to the tracked register file."""
-        isa_instr = instr.dec.instr
-        op = isa_instr.op
-        if isa_instr.is_load:
-            self._arch_write(isa_instr.dest_reg(),
-                             self._arch_load_value(instr))
-        elif (isa_instr.is_store or isa_instr.is_cond_branch
-              or op in (J, JR, NOP, HALT)):
-            pass  # memory evolves through timing_mem; no register writes
-        elif op in (JAL, JALR):
-            self._arch_write(isa_instr.dest_reg(), instr.dec.pc + 4)
+        """Write one committed instruction's architectural destination
+        into the tracked register file, by its decode template's
+        committed-register recipe."""
+        dec = instr.dec
+        kind = dec.arch_kind
+        regs = self.arch_regs
+        if kind == ARCH_ALU:
+            value = dec.arch_alu(regs[dec.rs], regs[dec.rt], dec.imm)
+        elif kind == ARCH_LOAD:
+            value = self._arch_load_value(instr)
         else:
-            regs = self.arch_regs
-            rs = regs[isa_instr.rs] if isa_instr.rs is not None else 0
-            rt = regs[isa_instr.rt] if isa_instr.rt is not None else 0
-            imm = isa_instr.imm if isa_instr.imm is not None else 0
-            self._arch_write(isa_instr.dest_reg(),
-                             ALU_SEMANTICS[op](rs, rt, imm))
+            value = dec.pc + 4
+        regs[dec.arch_dest] = value & WORD_MASK
 
     def _arch_load_value(self, instr: DynInstr) -> int:
         li = instr.load
@@ -786,13 +813,9 @@ class Simulator:
             raw = li.obtained_value
             if raw is None:
                 raw = self.timing_mem.read(address, size)
-        if instr.dec.instr.op in SIGNED_LOADS:
+        if instr.dec.signed_load:
             raw = sign_extend(raw, size)
         return raw
-
-    def _arch_write(self, reg: Optional[int], value: int) -> None:
-        if reg is not None and 0 < reg < NUM_ARCH_REGS:
-            self.arch_regs[reg] = value & WORD_MASK
 
     def architectural_registers(self) -> Optional[List[int]]:
         """Copy of the tracked committed register file (or None)."""
@@ -977,7 +1000,7 @@ class Simulator:
                 s for s in self.baseline_stores
                 if not s.dead and not s.store.committed]
             self._baseline_stale = 0
-        self.fetch_buffer.clear()
+        self.fetch_groups.clear()
         self.pending_branch = None
         self._pending_branch_index = None
 
@@ -998,8 +1021,10 @@ class Simulator:
         self.rename_map = list(self.committed_map)
         self.waiters.clear()
 
-        # Refetch from the instruction after the load.
-        self.fetch_index = retired_load.rob_id + 1
+        # Refetch from the instruction after the load: fetch moves back,
+        # so its group-end cursor seeks again.
+        self.fetch_index = self.rename_index = retired_load.rob_id + 1
+        self._group_cursor = bisect_left(self._group_ends, self.fetch_index)
         self.fetch_blocked_until = self.cycle + self.params.recovery_penalty
         # Charge wasted front-end energy for the refill window.
         self.stats.energy_event(
@@ -1183,13 +1208,17 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _rename(self) -> None:
+        groups = self.fetch_groups
+        avail, group_end = groups[0]
+        cycle = self.cycle
+        if avail > cycle:
+            return
         params = self.params
         width = params.rename_width
         budget = width
-        rob_entries = params.rob_entries
-        iq_entries = params.iq_entries
-        fetch_buffer = self.fetch_buffer
         rob = self.rob
+        rob_room = params.rob_entries - len(rob)
+        iq_entries = params.iq_entries
         dec_by_index = self._dec_by_index
         rename_map = self.rename_map
         prf = self.prf
@@ -1203,17 +1232,12 @@ class Simulator:
         heappush = heapq.heappush
         ee = self._ee
         tr = self._tr
-        cycle = self.cycle
         baseline = self.model is BASELINE
         agen_latency = params.agen_latency
         iq_occupancy = self.iq_occupancy
         renamed_uops = 0
-        while budget > 0 and fetch_buffer:
-            avail, index = fetch_buffer[0]
-            if avail > cycle:
-                break
-            if len(rob) >= rob_entries:
-                break
+        index = self.rename_index
+        while budget > 0 and rob_room > 0:
             dec = dec_by_index[index]
             uop_count = dec.uop_estimate
             if uop_count > budget and budget < width:
@@ -1224,7 +1248,6 @@ class Simulator:
                 break  # conservative free-register check
             if baseline and dec.is_mem and len(free_aux) < 2:
                 break
-            fetch_buffer.popleft()
             instr = DynInstr(index, cycle, dec)
 
             # The first MicroOp straight from the decode template: a memory
@@ -1285,13 +1308,7 @@ class Simulator:
                 uop.state = READY
                 heappush(ready_heap, (seq, uop))
 
-            if dec.is_mem:
-                if dec.is_load:
-                    self._crack_load(instr, dec, dest)
-                else:
-                    self._crack_store(instr, dec, dest)
-                uop_count = len(instr.uops)
-            else:
+            if not dec.is_mem:
                 instr.result_preg = dest
                 if dec.is_control:
                     if self._pending_branch_index == index:
@@ -1299,13 +1316,56 @@ class Simulator:
                         self._pending_branch_index = None
                     ee["bpred_access"] += 1
                 uop_count = 1
+            elif dec.is_store:
+                self._crack_store(instr, dec, dest)
+                uop_count = len(instr.uops)
+            elif self._crack_load(instr, dec, dest):
+                uop_count = len(instr.uops)
+            else:
+                # A direct or delayed load: its cache access straight from
+                # the template too.  It reads the AGI's destination,
+                # allocated just above and not ready yet.
+                if not free:
+                    raise SimulationError("physical register underflow")
+                load_dest = free.pop()
+                producer[load_dest] = 1
+                consumer[load_dest] = 0
+                ready_cycle[load_dest] = None
+                rd = dec.rd
+                instr.renames.append((rd, load_dest, rename_map[rd]))
+                rename_map[rd] = load_dest
+                instr.result_preg = load_dest
+                seq = self.uop_seq
+                self.uop_seq = seq + 1
+                load = Uop(seq, UOP_LOAD, FU_MEM, 0, (dest,), load_dest,
+                           instr)
+                instr.uops.append(load)
+                instr.pending_uops = 2
+                consumer[dest] += 1
+                queue = waiters.get(dest)
+                if queue is None:
+                    waiters[dest] = [load]
+                else:
+                    queue.append(load)
+                load.remaining_srcs = 1
+                uop_count = 2
 
             rob.append(instr)
+            rob_room -= 1
             iq_occupancy += uop_count
             renamed_uops += uop_count
             budget -= uop_count
             if tr is not None:
                 tr.on_rename(instr, cycle)
+            index += 1
+            if index == group_end:
+                groups.popleft()
+                if not groups:
+                    break
+                avail, group_end = groups[0]
+                if avail > cycle:
+                    break
+        self.rename_index = index
         self.iq_occupancy = iq_occupancy
         self.stats.uops += renamed_uops
 
@@ -1393,56 +1453,62 @@ class Simulator:
             si.holds = [data_preg, addr_preg]
 
     def _crack_load(self, instr: DynInstr, dec: _Decoded,
-                    addr_preg: int) -> None:
+                    addr_preg: int) -> bool:
+        """Give a load its LoadInfo and, when it is cloaked or predicated,
+        crack the MicroOps after its AGI.  Returns False for a load whose
+        one other MicroOp is the cache access, which the rename stage
+        emits from the template: a direct load, or NoSQ's delayed one."""
         model = self.model
-
+        index = instr.rob_id
         if model is BASELINE:
-            li = LoadInfo(mode=DIRECT)
-            instr.load = li
+            li = instr.load = LoadInfo(DIRECT)
             li.storeset_wait = self.storesets.load_rename(dec.pc)
             self._ee["store_sets_access"] += 1
-            dest = self._rename_dest(instr, dec.rd)
-            instr.result_preg = dest
-            self._new_uop(instr, UOP_LOAD, FU_MEM, 0,
-                          (addr_preg,), dest)
-            return
+            return False
 
         if model is PERFECT:
-            self._crack_load_perfect(instr, addr_preg, dec)
-            return
+            li = instr.load = LoadInfo(DIRECT)
+            # NO_DEP is never a trace index, so it finds no in-flight store.
+            dep_instr = self.inflight_store_by_id.get(self._dep[index])
+            if dep_instr is None or dep_instr.store.committed:
+                return False
+            # Oracle cloaking from the in-flight producing store.
+            li.mode = BYPASS
+            li.value_from_store = True
+            li.obtained_value = self._value[index]
+            data_preg = dep_instr.store.data_preg
+            self._rename_dest_shared(instr, dec.rd, data_preg)
+            instr.result_preg = data_preg
+            li.holds.append(data_preg)
+            self.prf.add_consumer(data_preg)
+            return True
 
         # NoSQ / DMDP: consult the store distance predictor at rename.
-        history = self._history[instr.rob_id]
+        history = self._history[index]
         self._ee["distance_pred_access"] += 1
         prediction = self.sdp.predict(dec.pc, history)
-        li = LoadInfo(mode=DIRECT, history=history)
-        instr.load = li
-
+        li = instr.load = LoadInfo(DIRECT, history)
+        if prediction is None:
+            return False
         entry = None
-        if prediction is not None:
-            ssn_byp = self.ssn.rename - prediction.distance
-            if ssn_byp > self.ssn.commit:
-                entry = self.srb.lookup(ssn_byp)
-            if entry is not None:
-                li.predicted = True
-                li.ssn_byp = ssn_byp
-                li.dep_trace_index = entry.trace_index
-                self.stats.dep_predictions += 1
-            if self._tr is not None:
-                self._tr.on_dep_predict(
-                    instr.rob_id, self.cycle, dec.pc, prediction.confidence,
-                    prediction.distance, ssn_byp,
-                    entry.trace_index if entry is not None else None,
-                    entry is not None)
-
+        ssn_byp = self.ssn.rename - prediction.distance
+        if ssn_byp > self.ssn.commit:
+            entry = self.srb.lookup(ssn_byp)
+        if entry is not None:
+            li.predicted = True
+            li.ssn_byp = ssn_byp
+            li.dep_trace_index = entry.trace_index
+            self.stats.dep_predictions += 1
+        if self._tr is not None:
+            self._tr.on_dep_predict(
+                index, self.cycle, dec.pc, prediction.confidence,
+                prediction.distance, ssn_byp,
+                entry.trace_index if entry is not None else None,
+                entry is not None)
         if entry is None:
             # Independent (or the predicted store already committed):
             # direct cache access, verified by SVW at retire.
-            dest = self._rename_dest(instr, dec.rd)
-            instr.result_preg = dest
-            self._new_uop(instr, UOP_LOAD, FU_MEM, 0,
-                          (addr_preg,), dest)
-            return
+            return False
 
         threshold = self.params.predictor.confidence_threshold
         high_confidence = prediction.confidence > threshold
@@ -1454,35 +1520,18 @@ class Simulator:
             self._crack_load_predicated(instr, entry, addr_preg, dec,
                                         low_confidence=not high_confidence)
         elif high_confidence:
-            self._crack_load_bypass(instr, entry, addr_preg, dec)
+            self._crack_load_bypass(instr, entry, dec)
         elif model is NOSQ:
-            self._crack_load_delayed(instr, entry, addr_preg, dec)
+            # Low confidence: delayed until the predicted store commits.
+            li.mode = DELAYED
+            li.low_confidence = True
+            self.stats.delayed_loads += 1
+            return False
         else:
             self._crack_load_predicated(instr, entry, addr_preg, dec)
+        return True
 
-    def _crack_load_perfect(self, instr: DynInstr, addr_preg: int,
-                            dec: _Decoded) -> None:
-        li = LoadInfo(mode=DIRECT)
-        instr.load = li
-        # NO_DEP is never a trace index, so it finds no in-flight store.
-        dep_instr = self.inflight_store_by_id.get(self._dep[instr.rob_id])
-        if dep_instr is not None and not dep_instr.store.committed:
-            # Oracle cloaking from the in-flight producing store.
-            li.mode = BYPASS
-            li.value_from_store = True
-            li.obtained_value = self._value[instr.rob_id]
-            data_preg = dep_instr.store.data_preg
-            self._rename_dest_shared(instr, dec.rd, data_preg)
-            instr.result_preg = data_preg
-            li.holds.append(data_preg)
-            self.prf.add_consumer(data_preg)
-        else:
-            dest = self._rename_dest(instr, dec.rd)
-            instr.result_preg = dest
-            self._new_uop(instr, UOP_LOAD, FU_MEM, 0,
-                          (addr_preg,), dest)
-
-    def _crack_load_bypass(self, instr: DynInstr, entry, addr_preg: int,
+    def _crack_load_bypass(self, instr: DynInstr, entry,
                            dec: _Decoded) -> None:
         """Memory cloaking (paper Fig. 7(c))."""
         li = instr.load
@@ -1505,18 +1554,6 @@ class Simulator:
         else:
             self._rename_dest_shared(instr, dec.rd, data_preg)
             instr.result_preg = data_preg
-
-    def _crack_load_delayed(self, instr: DynInstr, entry, addr_preg: int,
-                            dec: _Decoded) -> None:
-        """NoSQ low-confidence: wait for the predicted store to commit."""
-        li = instr.load
-        li.mode = DELAYED
-        li.low_confidence = True
-        self.stats.delayed_loads += 1
-        dest = self._rename_dest(instr, dec.rd)
-        instr.result_preg = dest
-        self._new_uop(instr, UOP_LOAD, FU_MEM, 0,
-                      (addr_preg,), dest)
 
     def _crack_load_predicated(self, instr: DynInstr, entry,
                                addr_preg: int, dec: _Decoded,
@@ -1566,38 +1603,35 @@ class Simulator:
         cycle = self.cycle
         if cycle < self.fetch_blocked_until or self.pending_branch:
             return
-        fetch_buffer = self.fetch_buffer
+        first = self.fetch_index
         width = self.params.fetch_width
-        if len(fetch_buffer) >= 2 * width:
+        if first - self.rename_index >= 2 * width:
             return
-        first = index = self.fetch_index
-        end = min(index + width, self._total)
-        if index >= end:
+        end = min(first + width, self._total)
+        if first >= end:
             return
+        # A control entry that is mispredicted or taken ends the group.
+        cursor = self._group_cursor
+        group_end = self._group_ends[cursor]
+        if group_end < end:
+            end = group_end + 1
+            self._group_cursor = cursor + 1
+            if self._mispredicted[group_end]:
+                # Stall fetch until this branch resolves (the resumption
+                # cycle is set at branch completion).  The branch is not
+                # renamed yet: remember its index so the renamed
+                # DynInstr can be linked as the pending redirect.
+                self.fetch_blocked_until = 1 << 62
+                self._pending_branch_index = group_end
         avail = cycle + 2  # fetch + decode depth
-        dec_by_index = self._dec_by_index
-        mispredicted = self._mispredicted
-        taken_bits = self._taken_bits
+        self.fetch_groups.append((avail, end))
         tr = self._tr
-        while index < end:
-            fetch_buffer.append((avail, index))
-            if tr is not None:
+        if tr is not None:
+            dec_by_index = self._dec_by_index
+            for index in range(first, end):
                 tr.on_fetch(index, dec_by_index[index].pc, cycle, avail)
-            fetched = index
-            index += 1
-            if dec_by_index[fetched].is_control:
-                if mispredicted[fetched]:
-                    # Stall fetch until this branch resolves (the
-                    # resumption cycle is set at branch completion).  The
-                    # branch is not renamed yet: remember its index so the
-                    # renamed DynInstr can be linked as the pending redirect.
-                    self.fetch_blocked_until = 1 << 62
-                    self._pending_branch_index = fetched
-                    break
-                if taken_bits[fetched] & F_TAKEN:
-                    break  # a taken branch ends the fetch group
-        self.fetch_index = index
-        self._ee["fetch_decode"] += index - first
+        self.fetch_index = end
+        self._ee["fetch_decode"] += end - first
 
     # ------------------------------------------------------------------
     # External hooks.

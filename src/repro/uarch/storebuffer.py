@@ -17,7 +17,6 @@ stalls (tracked by the pipeline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .cachesim import MemoryHierarchy
@@ -28,20 +27,25 @@ from .params import Consistency
 TSO = Consistency.TSO
 
 
-@dataclass
 class StoreBufferEntry:
-    """One (possibly coalesced) pending cache update."""
+    """One (possibly coalesced) pending cache update.
 
-    ssn: int                      # youngest SSN merged into this entry
-    word_addr: int
-    trace_indices: List[int] = field(default_factory=list)
-    ssns: List[int] = field(default_factory=list)
-    start_cycle: Optional[int] = None
-    done_cycle: Optional[int] = None
+    A plain ``__slots__`` class, so equality is identity: RMO's
+    ``entries.remove`` finds the entry itself (SSNs are unique, so field
+    equality found the same one)."""
 
-    @property
-    def started(self) -> bool:
-        return self.start_cycle is not None
+    __slots__ = ("ssn", "word_addr", "trace_indices", "ssns", "start_cycle",
+                 "done_cycle")
+
+    def __init__(self, ssn: int, word_addr: int, trace_indices: List[int],
+                 ssns: List[int]):
+        self.ssn = ssn                # youngest SSN merged into this entry
+        self.word_addr = word_addr
+        self.trace_indices = trace_indices
+        self.ssns = ssns
+        # Set when the cache write starts; None while it is pending.
+        self.start_cycle: Optional[int] = None
+        self.done_cycle: Optional[int] = None
 
 
 class StoreBuffer:
@@ -80,7 +84,7 @@ class StoreBuffer:
         only if its cache write has not started."""
         if self.entries:
             tail = self.entries[-1]
-            if tail.word_addr == word_addr and not tail.started:
+            if tail.word_addr == word_addr and tail.start_cycle is None:
                 return tail
         return None
 
@@ -98,9 +102,8 @@ class StoreBuffer:
                 return True
         if len(self.entries) >= self.capacity:
             return False
-        self.entries.append(StoreBufferEntry(
-            ssn=ssn, word_addr=word_addr,
-            trace_indices=[trace_index], ssns=[ssn]))
+        self.entries.append(StoreBufferEntry(ssn, word_addr, [trace_index],
+                                             [ssn]))
         self.peak_occupancy = max(self.peak_occupancy, len(self.entries))
         return True
 
@@ -113,8 +116,8 @@ class StoreBuffer:
         Used by the pipeline's event-driven cycle skipping: between now and
         the returned cycle, ticking the buffer every cycle is a no-op, so
         those ticks may be elided without changing any timing.  Starting an
-        entry counts as observable because TSO coalescing keys off the tail's
-        ``started`` flag.  Returns ``None`` when the buffer is empty.
+        entry counts as observable because TSO coalescing keys off whether
+        the tail has started.  Returns ``None`` when the buffer is empty.
         """
         if not self.entries:
             return None
@@ -141,7 +144,7 @@ class StoreBuffer:
             # Only the head's completion pops entries under TSO commit
             # order; younger completed entries are inert behind it.
             head = self.entries[0]
-            if head.started:
+            if head.start_cycle is not None:
                 if head.done_cycle <= cycle:
                     return cycle + 1
                 candidates.append(head.done_cycle)
@@ -166,30 +169,39 @@ class StoreBuffer:
         commit order: **TSO** pops strictly from the head (a missing head
         blocks younger, already-fetched stores from becoming visible),
         while **RMO** lets any completed entry commit.
+
+        Started entries always form a prefix of the buffer: entries start
+        oldest first, new ones join unstarted at the tail, coalescing
+        merges only into an unstarted tail, and removing completed ones
+        keeps a prefix a prefix.  So one pass counts the in-flight prefix
+        and then starts pending entries while a slot is free.
         """
+        entries = self.entries
+        limit = self.rmo_parallelism
         in_flight = 0
-        for entry in self.entries:
-            if entry.start_cycle is not None and entry.done_cycle > cycle:
-                in_flight += 1
-        for entry in self.entries:
-            if in_flight >= self.rmo_parallelism:
-                break
-            if entry.start_cycle is None:
+        for entry in entries:
+            if entry.start_cycle is not None:
+                if entry.done_cycle > cycle:
+                    in_flight += 1
+            elif in_flight < limit:
                 entry.start_cycle = cycle
                 entry.done_cycle = hierarchy.access(
                     entry.word_addr, cycle, is_write=True)
                 in_flight += 1
+            else:
+                break
 
         if self.consistency is TSO:
             completed = []
-            while (self.entries and self.entries[0].started
-                   and self.entries[0].done_cycle <= cycle):
-                completed.append(self.entries.pop(0))
+            while (entries and entries[0].start_cycle is not None
+                   and entries[0].done_cycle <= cycle):
+                completed.append(entries.pop(0))
         else:
-            completed = [e for e in self.entries
-                         if e.started and e.done_cycle <= cycle]
+            completed = [e for e in entries
+                         if e.start_cycle is not None
+                         and e.done_cycle <= cycle]
             for entry in completed:
-                self.entries.remove(entry)
+                entries.remove(entry)
         if completed and self.tracer is not None:
             self.tracer.on_sb_drain(cycle, len(self.entries), len(completed))
         return completed

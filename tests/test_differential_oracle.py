@@ -21,7 +21,9 @@ import random
 
 import pytest
 
-from repro.fuzz.generator import build_random_program
+from repro.fuzz.generator import (PROFILES, ProgramSpec, build_random_program,
+                                  materialize)
+from repro.isa import Instruction
 from repro.kernel import FunctionalCpu
 from repro.uarch import ALL_MODELS, ModelKind, Simulator, model_params
 
@@ -86,3 +88,37 @@ def test_tracked_run_timing_is_unchanged():
                         track_arch_state=True).run()
     assert tracked.cycles == plain.cycles
     assert tracked.dep_mispredictions == plain.dep_mispredictions
+
+
+def test_run_reads_nothing_from_instruction(monkeypatch):
+    """Each static instruction is decoded once, when the Simulator is
+    built: its decode template carries what every stage reads, the
+    committed-register recipe included.  So with every ``Instruction``
+    property and ``dest_reg``/``source_regs`` raising, tracked runs of
+    fuzz programs from every profile still reach the functional CPU's
+    final state under every model."""
+    cases = []
+    for name in sorted(PROFILES):
+        for seed in (1, 2):
+            program = materialize(ProgramSpec(PROFILES[name],
+                                              seed).generate())
+            cpu = FunctionalCpu(program)
+            trace = cpu.run_trace(max_instructions=200_000)
+            for model in ALL_MODELS:
+                sim = Simulator(program, trace, model_params(model),
+                                track_arch_state=True)
+                cases.append(("%s/%d/%s" % (name, seed, model.value), sim,
+                              list(cpu.regs), cpu.memory.snapshot()))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Simulator.run read an Instruction")
+
+    for attr, value in list(vars(Instruction).items()):
+        if isinstance(value, property):
+            monkeypatch.setattr(Instruction, attr, property(forbidden))
+    monkeypatch.setattr(Instruction, "dest_reg", forbidden)
+    monkeypatch.setattr(Instruction, "source_regs", forbidden)
+    for label, sim, ref_regs, ref_mem in cases:
+        sim.run()
+        assert sim.architectural_registers()[1:] == ref_regs[1:], label
+        assert sim.timing_mem.snapshot() == ref_mem, label

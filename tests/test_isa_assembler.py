@@ -121,6 +121,39 @@ class TestProgramBuilder:
             b.addi("$agi", "$zero", 0)
 
 
+def _word_per_value(builder, *values):
+    """The reference ``ProgramBuilder.word``: one ``to_bytes`` per value."""
+    builder.align(4)
+    for value in values:
+        builder._data += (value & 0xFFFFFFFF).to_bytes(4, "little")
+
+
+class TestWordPacking:
+    """``ProgramBuilder.word`` packs a call's values in one step; the
+    bytes equal a per-value ``to_bytes`` reference."""
+
+    def test_values_mask_to_32_bits_little_endian(self):
+        values = (0, 1, -1, 0x12345678, 0xFFFFFFFF, 1 << 40, -(1 << 31),
+                  True)
+        b, ref = ProgramBuilder(), ProgramBuilder()
+        for builder, word in ((b, ProgramBuilder.word),
+                              (ref, _word_per_value)):
+            builder.byte(9)
+            word(builder)           # no values: alignment only
+            word(builder, *values)
+        assert bytes(b._data) == bytes(ref._data)
+        assert len(b._data) == 4 + 4 * len(values)
+
+    def test_data_segments_of_all_workloads_match_per_value_reference(
+            self, monkeypatch):
+        from repro.workloads import ALL_NAMES, get_workload
+        specs = [get_workload(name) for name in ALL_NAMES]
+        packed = [spec.build(spec.iterations(0.15)).data for spec in specs]
+        monkeypatch.setattr(ProgramBuilder, "word", _word_per_value)
+        for spec, data in zip(specs, packed):
+            assert spec.build(spec.iterations(0.15)).data == data, spec.name
+
+
 class TestTextAssembler:
     SOURCE = """
         .data

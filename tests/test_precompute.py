@@ -3,9 +3,11 @@
 Four layers under test (DESIGN.md Section 14):
 
 * the tables -- :class:`TracePrecompute` must reproduce exactly the
-  mispredict flags and rename-time global history of an independent
-  reference computed here from ``TraceEntry`` objects, before and after
-  a serialisation round trip, plus the decode index; back-to-back runs
+  mispredict flags, rename-time global history and fetch-group ends of
+  an independent reference computed here from ``TraceEntry`` objects,
+  before and after a serialisation round trip, plus the decode index,
+  and the fetch stage must follow the per-entry fetch loop across
+  squashes; back-to-back runs
   on one trace each start from a freshly loaded memory image;
   the Simulator reads each entry's producing store, word address and
   Byte Access Bits from the trace's own columns, and what it hands the
@@ -29,6 +31,8 @@ Four layers under test (DESIGN.md Section 14):
 
 import copy
 import gc
+import glob
+import os
 import random
 import weakref
 from dataclasses import replace
@@ -38,6 +42,7 @@ import pytest
 import repro.kernel.precompute as precompute_mod
 from repro.harness.cache import PrecomputeStore, ResultCache, TraceStore
 from repro.config import ConfigSpec
+from repro.fuzz.artifacts import load_artifact
 from repro.fuzz.generator import PROFILES, ProgramSpec, materialize
 from repro.harness.parallel import SimPoint, make_point
 from repro.harness.runner import ExperimentRunner, _simulate_task
@@ -52,7 +57,7 @@ from repro.obs.tracer import RecordingTracer
 from repro.uarch import ALL_MODELS, ModelKind, Simulator, model_params
 from repro.uarch.branch import BranchPredictor
 from repro.uarch.pipeline import _Decoded
-from repro.workloads import get_workload
+from repro.workloads import ALL_NAMES, get_workload
 
 from .test_differential_oracle import SEED, build_random_program
 
@@ -144,7 +149,8 @@ DECODE_FIELDS = ("pc", "instr", "is_load", "is_store", "is_mem",
                  "is_control",
                  "is_cond_branch", "src_regs", "dest_reg", "fu", "latency",
                  "is_partial", "rs", "rt", "rd", "uop_estimate", "uop_kind",
-                 "uop_fu")
+                 "uop_fu", "arch_dest", "arch_kind", "arch_alu", "imm",
+                 "signed_load")
 
 
 class TestBundleTables:
@@ -268,6 +274,104 @@ class TestBundleTables:
         assert second._history is bundle.history_list()
         assert image(second.timing_mem) == image(fresh)
         assert second.run().to_dict() == stats
+
+
+def reference_group_ends(entries, mispredicted):
+    """The entries that end a fetch group, by a per-entry scan of
+    ``TraceEntry`` objects: a control entry mispredicted or taken."""
+    return [entry.index for entry in entries
+            if entry.instr.is_control
+            and (mispredicted[entry.index] or entry.taken)]
+
+
+def corpus_programs():
+    """The regression corpus's programs (tests/corpus/)."""
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__),
+                                          "corpus", "*.json")))
+    assert paths
+    return [(os.path.basename(path),
+             materialize(load_artifact(path).replay_ir)) for path in paths]
+
+
+def reference_fetch(sim, mispredicted, entries):
+    """Where the per-entry fetch scan leaves ``sim`` from its current
+    state: (fetch index, pending branch index)."""
+    index, pending = sim.fetch_index, sim._pending_branch_index
+    width = sim.params.fetch_width
+    if (sim.cycle < sim.fetch_blocked_until or sim.pending_branch
+            or index - sim.rename_index >= 2 * width):
+        return index, pending
+    end = min(index + width, len(entries))
+    while index < end:
+        entry = entries[index]
+        index += 1
+        if entry.instr.is_control:
+            if mispredicted[entry.index]:
+                return index, entry.index
+            if entry.taken:
+                break
+    return index, pending
+
+
+class TestFetchGroups:
+    """The bundle's fetch-group ends, and the fetch stage's cursor over
+    them, against a per-entry scan of the trace."""
+
+    def test_group_ends_match_a_per_entry_scan(self):
+        cases = [(name, small_workload(name, 0.15))
+                 for name in ALL_NAMES] + corpus_programs()
+        kinds = set()
+        for name, program in cases:
+            packed = FunctionalCpu(program).run_trace(
+                max_instructions=MAX_TRACE_INSTRUCTIONS)
+            entries = list(packed)
+            mispredicted, _history = reference_tables(entries, DEFAULT_SIG)
+            want = reference_group_ends(entries, mispredicted) + [
+                len(entries)]
+            built = TracePrecompute.build(packed, DEFAULT_SIG)
+            loaded = TracePrecompute.from_buffer(twin(program, packed),
+                                                 built.to_bytes())
+            assert list(built.fetch_group_ends()) == want, name
+            assert list(loaded.fetch_group_ends()) == want, name
+            kinds.update((mispredicted[i], entries[i].taken)
+                         for i in want[:-1])
+        # Each way to end a group occurs: mispredicted, taken, or both.
+        assert kinds == {(True, False), (False, True), (True, True)}
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.value)
+    def test_fetch_follows_the_per_entry_scan_across_squashes(self, model):
+        reseeks = 0
+        for name, program in corpus_programs() + [
+                ("bzip2", small_workload("bzip2", 0.05))]:
+            packed = FunctionalCpu(program).run_trace(
+                max_instructions=MAX_TRACE_INSTRUCTIONS)
+            entries = list(packed)
+            mispredicted, _history = reference_tables(entries, DEFAULT_SIG)
+            sim = Simulator(program, packed, model_params(model))
+            fetch = sim._fetch
+            furthest = [0]
+
+            def checked_fetch():
+                nonlocal reseeks
+                first = sim.fetch_index
+                want = reference_fetch(sim, mispredicted, entries)
+                fetch()
+                assert (sim.fetch_index,
+                        sim._pending_branch_index) == want, (name, first)
+                if sim.fetch_index > first:
+                    assert sim.fetch_groups[-1] == (sim.cycle + 2,
+                                                    sim.fetch_index)
+                    # A squash moved fetch back behind what it had
+                    # fetched: this group came from a re-seek.
+                    reseeks += first < furthest[0]
+                furthest[0] = max(furthest[0], sim.fetch_index)
+
+            sim._fetch = checked_fetch    # run() reads the stage off self
+            stats = sim.run()
+            assert stats.to_dict() == Simulator(
+                program, entries, model_params(model)).run().to_dict()
+        if model is not ModelKind.PERFECT:
+            assert reseeks > 0
 
 
 class TssbfSpy:

@@ -1,5 +1,7 @@
 """Unit tests for the TSO/RMO store buffer."""
 
+import random
+
 from repro.uarch import CacheParams, Consistency, MemoryHierarchy, StoreBuffer
 from repro.uarch.stats import SimStats
 
@@ -224,3 +226,37 @@ class TestStats:
         for i in range(5):
             sb.push(i + 1, 0x100 + 4 * i, i)
         assert sb.peak_occupancy == 5
+
+
+class TestStartedPrefix:
+    """``tick`` counts in-flight entries and starts pending ones in one
+    pass, which relies on the started entries always forming a prefix of
+    the buffer."""
+
+    @staticmethod
+    def _started_is_prefix(sb):
+        started = [entry.start_cycle is not None for entry in sb.entries]
+        return started == sorted(started, reverse=True)
+
+    def test_started_entries_form_a_prefix(self):
+        for consistency in (Consistency.TSO, Consistency.RMO):
+            for seed in range(20):
+                rng = random.Random(seed)
+                sb = StoreBuffer(capacity=8, consistency=consistency,
+                                 coalescing=True, rmo_parallelism=3)
+                hier = hierarchy()
+                for addr in range(0x200, 0x400, 0x40):
+                    hier.access(addr, 0)     # a mix of hits and misses
+                ssn = drained = 0
+                for cycle in range(600):
+                    for _ in range(rng.randrange(3)):
+                        # A few words, so the tail often coalesces.
+                        word = rng.choice((0x200, 0x240, 0x9000, 0xA000,
+                                           0x280, 0x280))
+                        if sb.can_accept(word):
+                            ssn += 1
+                            sb.push(ssn, word, ssn)
+                    drained += len(sb.tick(cycle, hier))
+                    assert self._started_is_prefix(sb), (consistency,
+                                                         seed, cycle)
+                assert drained > 0 and sb.coalesced_stores > 0
