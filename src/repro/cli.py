@@ -50,13 +50,15 @@ The repository's one benchmark is not a command: it is
 Global flags: ``--jobs N`` fans simulation points out over N worker
 processes; ``--no-cache`` disables the persistent result cache (location:
 ``$REPRO_CACHE_DIR``, default ``.repro-cache``); ``--profile`` runs the
-command under cProfile and prints the top-25 cumulative report plus a
-phase split (functional tracing vs. whole-trace precompute vs. timing
-simulation vs. trace-store I/O); ``--ledger [PATH]`` records every
-sweep's telemetry spans to an append-only JSONL ledger (default
-location: ``<cache>/ledgers/``); ``--progress`` renders live sweep
-health from the same span stream (single repainted line on a TTY,
-periodic summaries otherwise).
+command under cProfile and prints the top-25 cumulative report, then
+the runner's host seconds per phase (functional tracing, whole-trace
+precompute, timing simulation, trace-store I/O: the numbers of the
+ledger's ``phase`` spans) and the remainder of the command's wall;
+``python -m pstats repro.prof`` re-sorts the raw dump.
+``--ledger [PATH]`` records every sweep's telemetry spans to an
+append-only JSONL ledger (default location: ``<cache>/ledgers/``);
+``--progress`` renders live sweep health from the same span stream
+(single repainted line on a TTY, periodic summaries otherwise).
 
 Fault tolerance (see DESIGN.md Section 11): ``--timeout S`` bounds each
 worker task's wall clock, ``--retries N`` / ``--backoff S`` control the
@@ -83,6 +85,7 @@ from .harness import (BatchFailure, ExperimentRunner, LedgerDir,
 from .harness.experiments import ALL_EXPERIMENTS
 from .harness.reporting import (format_failure_table, format_run_report,
                                 format_table)
+from .obs.ledger import PHASE_NAMES
 from .uarch import ALL_MODELS, ModelKind
 from .workloads import ALL_NAMES, WORKLOADS
 
@@ -131,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "($REPRO_CACHE_DIR, default .repro-cache)")
     parser.add_argument("--profile", action="store_true",
                         help="run the command under cProfile and print the "
-                             "top-25 cumulative report")
+                             "top-25 cumulative report, then the runner's "
+                             "host seconds per phase against the "
+                             "command's wall")
     parser.add_argument("--profile-output", default=None, metavar="PATH",
                         help="with --profile: dump raw cProfile stats to "
                              "PATH (default: repro.prof)")
@@ -321,13 +326,17 @@ def _add_set_flag(parser) -> None:
 
 
 def _runner(args) -> ExperimentRunner:
+    """A runner for this invocation, recorded in ``args.runners`` so
+    ``--profile`` can print its phases."""
     policy = RetryPolicy(retries=max(0, args.retries),
                          timeout=args.timeout,
                          backoff=max(0.0, args.backoff))
-    return ExperimentRunner(scale=args.scale, jobs=args.jobs,
-                            use_cache=not args.no_cache,
-                            policy=policy, keep_going=args.keep_going,
-                            ledger=getattr(args, "ledger_sink", None))
+    runner = ExperimentRunner(scale=args.scale, jobs=args.jobs,
+                              use_cache=not args.no_cache,
+                              policy=policy, keep_going=args.keep_going,
+                              ledger=getattr(args, "ledger_sink", None))
+    args.runners.append(runner)
+    return runner
 
 
 def _build_sinks(args):
@@ -825,6 +834,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     out = out if out is not None else sys.stdout
+    args.runners = []
     try:
         args.ledger_sink, ledger_path = _build_sinks(args)
     except argparse.ArgumentTypeError as exc:
@@ -862,62 +872,47 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                 print("ledger written to %s" % ledger_path, file=out)
 
 
-def _phase_attribution(stats) -> List:
-    """Split a profile's wall time into the pipeline's coarse phases.
+def _print_phases(runners: List[ExperimentRunner], wall: float,
+                  out) -> None:
+    """Print the runners' host seconds per phase against ``wall``.
 
-    Attributes the cumulative time of each phase's entry point --
-    functional tracing (``FunctionalCpu._record_trace``, the body of both
-    tracing entry points), whole-trace precompute
-    (the bundle build/load in ``kernel/precompute.py``, shared or built
-    inside ``Simulator.__init__``), timing simulation
-    (``Simulator.run``), and trace-store I/O (``load_trace`` /
-    ``PackedTrace.to_bytes``).  The phases never nest (a trace is fully
-    built or loaded before its simulation starts, and every precompute
-    entry point runs outside ``Simulator.run``), so the split is exact
-    up to harness overhead, reported as "other".
+    The phases are the runners' ``phase_seconds``, the numbers their
+    ledger ``phase`` spans carry.  The remainder is the wall time no
+    phase holds: workload builds, result-cache I/O, ledger and progress
+    spans, waiting on worker processes, and the command's output.  A
+    worker's phases are summed in, so with ``--jobs`` above 1 the phases
+    can exceed the wall and the remainder is negative; it is printed as
+    it is.
     """
-    phases = {"functional tracing": 0.0, "precompute": 0.0,
-              "timing simulation": 0.0, "trace store I/O": 0.0}
-    for (filename, _line, funcname), entry in stats.stats.items():
-        cumulative = entry[3]
-        path = filename.replace("\\", "/")
-        if path.endswith("kernel/cpu.py") and funcname == "_record_trace":
-            phases["functional tracing"] += cumulative
-        elif (path.endswith("kernel/precompute.py")
-                and funcname in ("build", "load_precompute")):
-            phases["precompute"] += cumulative
-        elif path.endswith("uarch/pipeline.py") and funcname == "run":
-            phases["timing simulation"] += cumulative
-        elif (path.endswith("kernel/tracestore.py")
-                and funcname in ("load_trace", "to_bytes")):
-            phases["trace store I/O"] += cumulative
-    total = stats.total_tt
-    phases["other (harness)"] = max(0.0, total - sum(phases.values()))
-    return [(label, seconds, 100.0 * seconds / total if total else 0.0)
-            for label, seconds in phases.items()]
+    rows = [(name, sum(runner.phase_seconds[name] for runner in runners))
+            for name in PHASE_NAMES]
+    rows.append(("remainder", wall - sum(seconds for _, seconds in rows)))
+    rows.append(("wall", wall))
+    print("host seconds by phase:", file=out)
+    for label, seconds in rows:
+        print("  %-20s %10.4fs  %6.1f%%"
+              % (label, seconds, 100.0 * seconds / wall), file=out)
 
 
 def _dispatch(command, args, out) -> int:
-    if getattr(args, "profile", False):
-        import cProfile
-        import pstats
-        profile = cProfile.Profile()
-        profile.enable()
-        try:
-            rc = command(args, out)
-        finally:
-            profile.disable()
-            report = pstats.Stats(profile, stream=out)
-            report.sort_stats("cumulative").print_stats(25)
-            print("phase attribution:", file=out)
-            for label, seconds, percent in _phase_attribution(report):
-                print("  %-20s %9.3fs  %5.1f%%" % (label, seconds, percent),
-                      file=out)
-            dump = args.profile_output or "repro.prof"
-            report.dump_stats(dump)
-            print("raw profile written to %s" % dump, file=out)
-        return rc
-    return command(args, out)
+    if not getattr(args, "profile", False):
+        return command(args, out)
+    import cProfile
+    import pstats
+    profile = cProfile.Profile()
+    start = time.perf_counter()
+    profile.enable()
+    try:
+        return command(args, out)
+    finally:
+        profile.disable()
+        wall = time.perf_counter() - start
+        report = pstats.Stats(profile, stream=out)
+        report.sort_stats("cumulative").print_stats(25)
+        _print_phases(args.runners, wall, out)
+        dump = args.profile_output or "repro.prof"
+        report.dump_stats(dump)
+        print("raw profile written to %s" % dump, file=out)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -109,8 +109,11 @@ class ExperimentRunner:
         self.scale = scale
         self.ledger = ledger if ledger is not None else NULL_LEDGER
         self.sweep_seq = 0           # monotonic sweep id for ledger spans
-        # Cumulative per-phase wall clock (ledger phase spans report the
-        # per-sweep delta); names match tools/profile_sim.py.
+        # Host seconds per phase over the runner's lifetime, the one
+        # record of where host time went: ledger phase spans report its
+        # per-sweep deltas and ``repro --profile`` prints it.  Worker
+        # tasks add theirs (:meth:`_fan_out`), so a phase is summed over
+        # processes.
         self.phase_seconds = {name: 0.0 for name in PHASE_NAMES}
         self.jobs = max(1, int(jobs))
         self.policy = policy if policy is not None else RetryPolicy()
@@ -355,8 +358,10 @@ class ExperimentRunner:
 
         Batches call this *as each point resolves* (streamed from the
         parallel engine), not after the whole batch, so an interrupted
-        sweep keeps everything that completed before it died.
+        sweep keeps everything that completed before it died.  The
+        point's ``seconds`` are its share of "timing simulation".
         """
+        self.phase_seconds["timing simulation"] += seconds
         self.cache.put(self._disk_key(point), result)
         self._results[point] = result
         self._failed.pop(point, None)
@@ -447,7 +452,8 @@ class ExperimentRunner:
         trace; without one, workers trace for themselves.  The points of
         a workload whose trace already failed in this runner are not
         shipped: each retries here, on the serial path, which raises the
-        kept failure again instead of tracing again.  A task that
+        kept failure again instead of tracing again.  Each completed
+        task's own phase seconds are added to this runner's.  A task that
         exhausts its retries becomes one :class:`FailedPoint` per point.
         Returns the points of the tasks the engine handed back unrun
         (workers could not spawn), for the serial path.
@@ -466,7 +472,10 @@ class ExperimentRunner:
 
         resolved = set()
 
-        def on_result(workload, outcomes):
+        def on_result(workload, outcome):
+            outcomes, phases = outcome
+            for name, seconds in phases.items():
+                self.phase_seconds[name] += seconds
             for point, result, seconds in outcomes:
                 resolved.add(point)
                 publish(point, result, seconds)
@@ -583,12 +592,8 @@ class ExperimentRunner:
                     attempts=failure.attempts,
                     overrides=failure.point.spec.setting_dict() or None,
                     detail=failure.detail or None)
-            # "timing simulation" is the summed per-point simulation
-            # time; the other phases are this batch's deltas of the
-            # runner-lifetime accumulators fed by trace()/precompute_for().
             for name in PHASE_NAMES:
-                delta = (timing.sim_seconds if name == "timing simulation"
-                         else self.phase_seconds[name] - phases_before[name])
+                delta = self.phase_seconds[name] - phases_before[name]
                 if delta > 0.0:
                     self.ledger.emit("phase", sweep=sweep_id, name=name,
                                      seconds=round(delta, 6))
@@ -618,7 +623,8 @@ class ExperimentRunner:
         return sum(1 for p in self.point_log if p.source == "sim")
 
 
-def _simulate_task(workload: str, payload) -> Tuple[list, Dict[str, int]]:
+def _simulate_task(workload: str, payload
+                   ) -> Tuple[Tuple[list, Dict[str, float]], Dict[str, int]]:
     """Worker task body: simulate every configuration of one workload.
 
     ``payload`` is ``(scale, trace_store, precompute_store, points)``:
@@ -630,10 +636,12 @@ def _simulate_task(workload: str, payload) -> Tuple[list, Dict[str, int]]:
     format-bumped under us -- and stores it again atomically, and with
     the stores disabled traces for itself.  Results stay with the
     parent, which filters cache hits before fanning out and is their
-    only writer.  Returns ``(outcomes, counts)``: one ``(point, result,
-    seconds)`` per point, and what this task did itself under
-    :class:`BatchTiming` field names -- functional traces it had to run
-    (``worker_retraces``, which
+    only writer.  Returns ``((outcomes, phases), counts)``: one
+    ``(point, result, seconds)`` per point; the worker runner's
+    ``phase_seconds``, which hold its input phases (the points' seconds
+    reach "timing simulation" when the parent publishes them); and what
+    this task did itself under :class:`BatchTiming` field names --
+    functional traces it had to run (``worker_retraces``, which
     ``test_parallel_batch_zero_worker_retraces_with_store`` pins at zero
     over a warm store) and precompute bundles it built or loaded --
     leaving out zeros.
@@ -648,6 +656,6 @@ def _simulate_task(workload: str, payload) -> Tuple[list, Dict[str, int]]:
         start = time.perf_counter()
         result = runner._simulate(point)
         outcomes.append((point, result, time.perf_counter() - start))
-    return outcomes, {field: runner.counts[name]
-                      for name, field in _WORKER_FIELDS.items()
-                      if runner.counts[name]}
+    return (outcomes, runner.phase_seconds), {
+        field: runner.counts[name]
+        for name, field in _WORKER_FIELDS.items() if runner.counts[name]}

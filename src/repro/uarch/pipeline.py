@@ -207,7 +207,10 @@ class Simulator:
                                params.predictor.tssbf_assoc)
         else:
             self.tssbf = UntaggedSsbf(params.predictor.tssbf_entries)
-        if params.use_tage_predictor:
+        # Only NoSQ and DMDP predict store distances and train on them.
+        if params.model is BASELINE or params.model is PERFECT:
+            self.sdp = None
+        elif params.use_tage_predictor:
             self.sdp = TageDistancePredictor(params.predictor)
         else:
             self.sdp = StoreDistancePredictor(params.predictor)

@@ -2,6 +2,7 @@
 
 import argparse
 import io
+import re
 
 import pytest
 
@@ -219,22 +220,32 @@ class TestCacheCommand:
             ("0", "0", "0", "0")
 
 
-class TestProfilePhases:
-    def test_functional_tracing_is_attributed(self):
-        # --profile splits time by entry point name; tracing must land
-        # in its phase, not in "other (harness)".
-        import cProfile
-        import pstats
-
-        from repro.cli import _phase_attribution
-        from repro.kernel import FunctionalCpu, run_trace_packed
-        from repro.workloads import get_workload
-        program = get_workload("mcf").build(2)
-        profile = cProfile.Profile()
-        profile.enable()
-        FunctionalCpu(program).run_trace()
-        run_trace_packed(program)
-        profile.disable()
-        phases = {label: seconds for label, seconds, _share
-                  in _phase_attribution(pstats.Stats(profile))}
-        assert phases["functional tracing"] > 0
+class TestProfile:
+    def test_profile_prints_the_phases_of_the_ledger(self, tmp_path):
+        """--profile prints the runner's phase seconds, the numbers of
+        the ledger's phase spans, and a remainder that closes them to
+        the command's wall."""
+        from repro.obs.ledger import PHASE_NAMES, summarize_ledger
+        ledger, dump = tmp_path / "L.jsonl", tmp_path / "p.prof"
+        code, text = run_cli("--profile", "--profile-output", str(dump),
+                             "--ledger", str(ledger), "--scale", "0.05",
+                             "--no-cache", "compare", "bzip2")
+        assert code == 0
+        table = text.split("host seconds by phase:\n", 1)[1]
+        printed = {}
+        for line in table.splitlines():
+            row = re.fullmatch(r"  (\S.*?) +(-?\d+\.\d+)s +-?\d+\.\d+%",
+                               line)
+            if row is None:
+                break
+            printed[row.group(1)] = float(row.group(2))
+        assert list(printed) == list(PHASE_NAMES) + ["remainder", "wall"]
+        phases = summarize_ledger(ledger)["phases"]
+        for name in PHASE_NAMES:                  # printed to 0.1 ms
+            assert printed[name] == pytest.approx(phases[name], abs=6e-5)
+        assert sum(printed[name] for name in PHASE_NAMES) \
+            + printed["remainder"] == pytest.approx(printed["wall"],
+                                                    abs=3e-4)
+        assert printed["functional tracing"] > 0.0
+        assert printed["timing simulation"] > 0.0
+        assert dump.exists()

@@ -77,6 +77,22 @@ class TestRunnerObservability:
                 == measured.stats.instructions)
         assert any(p.source == "sim" for p in runner.point_log)
 
+    def test_timing_simulation_phase_sums_the_points_seconds(self):
+        """"timing simulation" holds the seconds of every simulated
+        point, a serial batch's and a traced run's alike."""
+        from repro.obs.tracer import MetricsTracer
+        runner = ExperimentRunner(scale=0.05, use_cache=False)
+        runner.run_batch([make_point("bzip2", ModelKind.BASELINE),
+                          make_point("bzip2", ModelKind.DMDP)])
+        runner.run_traced(make_point("bzip2", ModelKind.NOSQ),
+                          MetricsTracer())
+        [batch] = runner.batch_log
+        traced = runner.point_log[-1]
+        assert batch.simulated == 2 and traced.source == "sim"
+        assert batch.sim_seconds > 0.0
+        assert (runner.phase_seconds["timing simulation"]
+                == batch.sim_seconds + traced.seconds)
+
 
 class TestReporting:
     def test_geomean(self):

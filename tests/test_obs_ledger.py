@@ -273,6 +273,19 @@ class TestRunnerSpans:
             assert span["wall_seconds"] >= 0.0
             assert span["pid"] > 0
 
+    def test_parallel_sweep_without_stores_reports_worker_phases(self):
+        """Workers without stores trace and precompute for themselves;
+        their phase seconds reach the parent's phase spans."""
+        sink = ListLedger()
+        ExperimentRunner(scale=SCALE, jobs=2, policy=FAST, use_cache=False,
+                         ledger=sink).run_batch(POINTS)
+        end = sink.of("sweep.end")[0]
+        assert end["worker_retraces"] == end["worker_precomputes_built"] == 2
+        phases = {s["name"]: s["seconds"] for s in sink.of("phase")}
+        assert phases["functional tracing"] > 0.0
+        assert phases["precompute"] > 0.0
+        assert phases["timing simulation"] == end["sim_seconds"]
+
     def test_degraded_batch_reaches_timing_and_span(self, monkeypatch,
                                                      tmp_path):
         fault_env(monkeypatch, tmp_path, "nospawn")

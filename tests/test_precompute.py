@@ -865,10 +865,12 @@ class TestRunnerBatching:
         assert path.read_bytes() == bundle.to_bytes()
 
     def worker(self, parent, points):
-        """Run one worker task in this process on the parent's stores."""
-        return _simulate_task(points[0].workload, (
+        """Run one worker task in this process on the parent's stores;
+        returns its point outcomes and its counts."""
+        (outcomes, _phases), counts = _simulate_task(points[0].workload, (
             parent.scale, parent.trace_store, parent.precompute_store,
             points))
+        return outcomes, counts
 
     def mcf_points(self):
         return [make_point("mcf", ModelKind.DMDP),

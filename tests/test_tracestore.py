@@ -376,10 +376,12 @@ class TestRunnerIntegration:
         assert runner.trace_store.root is None
 
     def worker(self, parent, points):
-        """Run one worker task in this process on the parent's stores."""
-        return _simulate_task(points[0].workload, (
+        """Run one worker task in this process on the parent's stores;
+        returns its point outcomes and its counts."""
+        (outcomes, _phases), counts = _simulate_task(points[0].workload, (
             parent.scale, parent.trace_store, parent.precompute_store,
             points))
+        return outcomes, counts
 
     def test_worker_retraces_a_truncated_blob_and_rewrites_it(self,
                                                               tmp_path):

@@ -12,6 +12,8 @@ from repro.uarch import (
     LoadKind,
     ModelKind,
     Simulator,
+    StoreDistancePredictor,
+    TageDistancePredictor,
     model_params,
 )
 from repro.workloads import lcg_sequence, zipf_like
@@ -180,6 +182,21 @@ class TestModelBehaviours:
     def test_lowconf_outcomes_populated(self):
         stats, _ = run(oc_kernel(600), ModelKind.NOSQ)
         assert sum(stats.lowconf_outcome.values()) > 0
+
+    def test_only_nosq_and_dmdp_hold_a_distance_predictor(self):
+        prog = ac_spill_kernel(20)
+        trace = FunctionalCpu(prog).run_trace()
+
+        def predictor(model, **overrides):
+            params = replace(model_params(model), **overrides)
+            return Simulator(prog, trace, params).sdp
+
+        assert predictor(ModelKind.BASELINE) is None
+        assert predictor(ModelKind.PERFECT) is None
+        assert type(predictor(ModelKind.NOSQ)) is StoreDistancePredictor
+        assert type(predictor(ModelKind.DMDP)) is StoreDistancePredictor
+        assert type(predictor(ModelKind.DMDP, use_tage_predictor=True)) \
+            is TageDistancePredictor
 
 
 class TestRecovery:
