@@ -334,6 +334,10 @@ class TraceStore(BlobStore):
         })
 
     def path_for(self, workload: str, iterations: int) -> Optional[Path]:
+        """The blob's path; None when the store is disabled, which hashes
+        no key."""
+        if self.root is None:
+            return None
         return self._path(self.key_for(workload, iterations))
 
     # -- storage ------------------------------------------------------------
@@ -392,6 +396,10 @@ class PrecomputeStore(BlobStore):
 
     def path_for(self, workload: str, iterations: int,
                  signature) -> Optional[Path]:
+        """The blob's path; None when the store is disabled, which hashes
+        no key."""
+        if self.root is None:
+            return None
         return self._path(self.key_for(workload, iterations, signature))
 
     # -- storage ------------------------------------------------------------

@@ -372,11 +372,15 @@ class ExperimentRunner:
 
         Always simulates (a cached result has no event stream); the stats
         are still pushed to the disk cache since tracing does not perturb
-        them."""
+        them.  The ledger records it as a one-point sweep."""
+        sweep = self._begin_sweep([point])
         self.trace(point.workload)     # resolved before the point is timed
         start = time.perf_counter()
         result = self._simulate(point, tracer)
-        self._publish(point, result, time.perf_counter() - start)
+        seconds = time.perf_counter() - start
+        self._publish(point, result, seconds)
+        self._end_sweep(sweep, BatchTiming(jobs=self.jobs, points=1,
+                                           simulated=1, sim_seconds=seconds))
         return result
 
     def run(self, workload: str, model: ModelKind) -> SimResult:
@@ -498,6 +502,38 @@ class ExperimentRunner:
             attempts=0) for point in points if point not in accounted)
         return handed_back
 
+    def _begin_sweep(self, points: List[SimPoint]):
+        """Open a sweep over ``points``: number it, emit its
+        ``sweep.begin`` span, and note the clock, counts and phase
+        seconds it starts from, for :meth:`_end_sweep`."""
+        self.sweep_seq += 1
+        if self.ledger.enabled:
+            # The grid payload records what this sweep *is* -- workloads,
+            # models, and every non-default setting axis -- so a ledger
+            # alone reconstructs the declared cross-product.
+            self.ledger.emit("sweep.begin", sweep=self.sweep_seq,
+                             jobs=self.jobs, submitted=len(points),
+                             grid=describe_points(
+                                 (p.workload, p.spec) for p in points))
+        return (self.sweep_seq, time.perf_counter(), Counter(self.counts),
+                dict(self.phase_seconds))
+
+    def _end_sweep(self, sweep, timing: BatchTiming) -> None:
+        """Close a sweep: add the counts it bumped to ``timing``, set its
+        wall time, and emit its ``phase`` spans (the phase seconds it
+        added) and its ``sweep.end`` span, built from ``timing``."""
+        sweep_id, start, counts_before, phases_before = sweep
+        timing.add(self.counts - counts_before)
+        timing.wall_seconds = time.perf_counter() - start
+        if self.ledger.enabled:
+            for name in PHASE_NAMES:
+                delta = self.phase_seconds[name] - phases_before[name]
+                if delta > 0.0:
+                    self.ledger.emit("phase", sweep=sweep_id, name=name,
+                                     seconds=round(delta, 6))
+            self.ledger.emit("sweep.end", sweep=sweep_id,
+                             **timing.span_fields())
+
     def run_batch(self, points: Iterable[SimPoint]) -> Dict[SimPoint,
                                                             SimResult]:
         """Resolve a point set: memo -> disk cache -> simulation (a
@@ -514,20 +550,8 @@ class ExperimentRunner:
         raises :class:`BatchFailure` -- after the survivors were
         published, so completed work is never lost.
         """
-        batch_start = time.perf_counter()
-        counts_before = Counter(self.counts)
-        phases_before = dict(self.phase_seconds)
         points = list(points)
-        self.sweep_seq += 1
-        sweep_id = self.sweep_seq
-        if self.ledger.enabled:
-            # The grid payload records what this sweep *is* -- workloads,
-            # models, and every non-default setting axis -- so a ledger
-            # alone reconstructs the declared cross-product.
-            self.ledger.emit("sweep.begin", sweep=sweep_id, jobs=self.jobs,
-                             submitted=len(points),
-                             grid=describe_points(
-                                 (p.workload, p.spec) for p in points))
+        sweep = self._begin_sweep(points)
         timing = BatchTiming(jobs=self.jobs)
         out: Dict[SimPoint, SimResult] = {}
         misses: List[SimPoint] = []
@@ -580,10 +604,6 @@ class ExperimentRunner:
                 self._failed[failure.point] = failure
             failures.extend(fresh_failures)
         timing.failed = len(failures)
-        timing.add(self.counts - counts_before)
-        timing.wall_seconds = time.perf_counter() - batch_start
-        if timing.points:
-            self.batch_log.append(timing)
         if self.ledger.enabled:
             for failure in failures:
                 self.ledger.emit(
@@ -592,13 +612,9 @@ class ExperimentRunner:
                     attempts=failure.attempts,
                     overrides=failure.point.spec.setting_dict() or None,
                     detail=failure.detail or None)
-            for name in PHASE_NAMES:
-                delta = self.phase_seconds[name] - phases_before[name]
-                if delta > 0.0:
-                    self.ledger.emit("phase", sweep=sweep_id, name=name,
-                                     seconds=round(delta, 6))
-            self.ledger.emit("sweep.end", sweep=sweep_id,
-                             **timing.span_fields())
+        self._end_sweep(sweep, timing)
+        if timing.points:
+            self.batch_log.append(timing)
         if failures and not self.keep_going:
             raise BatchFailure(failures)
         return out

@@ -16,7 +16,7 @@ from .branch import BranchPredictor, Btb, GShare, ReturnAddressStack
 from .cachesim import Dram, MemoryHierarchy, SetAssocCache
 from .tlb import Tlb
 from .regfile import PhysRegFile, RegfileError
-from .ssn import SsnState, StoreRegisterBuffer
+from .ssn import SsnState
 from .tssbf import Tssbf, TssbfResult, UntaggedSsbf
 from .distance_predictor import DistancePrediction, StoreDistancePredictor
 from .tage_predictor import TageDistancePredictor
@@ -33,7 +33,7 @@ __all__ = [
     "LoadKind", "LowConfOutcome", "SimStats", "SquashCause",
     "BranchPredictor", "Btb", "GShare", "ReturnAddressStack",
     "Dram", "MemoryHierarchy", "SetAssocCache", "Tlb",
-    "PhysRegFile", "RegfileError", "SsnState", "StoreRegisterBuffer",
+    "PhysRegFile", "RegfileError", "SsnState",
     "Tssbf", "TssbfResult", "UntaggedSsbf", "DistancePrediction",
     "StoreDistancePredictor", "TageDistancePredictor",
     "StoreSets", "StoreBuffer", "StoreBufferEntry",

@@ -39,7 +39,7 @@ from .cachesim import MemoryHierarchy
 from .distance_predictor import StoreDistancePredictor
 from .params import CoreParams, ModelKind
 from .regfile import PhysRegFile, RegfileError
-from .ssn import SsnState, StoreRegisterBuffer
+from .ssn import SsnState
 from .stats import LoadKind, LowConfOutcome, SimStats, SquashCause
 from .storebuffer import StoreBuffer
 from .storesets import StoreSets
@@ -201,7 +201,6 @@ class Simulator:
         aux = params.rob_entries if params.model is BASELINE else 0
         self.prf = PhysRegFile(params.num_pregs, aux_regs=aux)
         self.ssn = SsnState()
-        self.srb = StoreRegisterBuffer()
         if params.predictor.tssbf_tagged:
             self.tssbf = Tssbf(params.predictor.tssbf_entries,
                                params.predictor.tssbf_assoc)
@@ -281,12 +280,14 @@ class Simulator:
         self.pending_branch: Optional[DynInstr] = None
         self._pending_branch_index: Optional[int] = None
 
-        # Baseline bookkeeping.
-        self.baseline_stores: List[DynInstr] = []
+        # The one record of in-flight stores: every renamed store that has
+        # neither committed nor been squashed, by trace index, in program
+        # order (a refetched store is younger than every survivor); the
+        # baseline's store-queue search walks it youngest-first.  Under
+        # NoSQ and DMDP the Store Register Buffer (paper Section IV) names
+        # the same stores by SSN, for cloaking and predication at rename.
         self.inflight_store_by_id: Dict[int, DynInstr] = {}
-
-        # Oracle bookkeeping.
-        self.commit_cycle: Dict[int, int] = {}    # trace index -> cycle
+        self.srb: Dict[int, DynInstr] = {}
 
         self._ee = self.stats.energy_events
         # Per-MicroOp energy events, counted per stage call in plain ints
@@ -312,8 +313,6 @@ class Simulator:
         # stage stalled on this cycle and when it can next make progress.
         self._retire_stall: Optional[str] = None
         self._retire_wake: Optional[int] = None
-        # Committed/dead entries lazily pruned from baseline_stores.
-        self._baseline_stale = 0
 
         self.cycle = 0
         # Optional per-cycle callback (e.g. external invalidation traffic
@@ -508,25 +507,12 @@ class Simulator:
                 self.timing_mem.write(mem_addr[trace_index],
                                       value[trace_index],
                                       mem_size[trace_index])
-                self.commit_cycle[trace_index] = self.cycle
-                instr = self.inflight_store_by_id.pop(trace_index, None)
-                if instr is not None and instr.store is not None:
-                    instr.store.committed = True
-                    for preg in instr.store.holds:
-                        self.prf.dec_consumer(preg)
-                    instr.store.holds = []
-                    if self.baseline_stores:
-                        # Lazily pruned: the SQ search skips committed
-                        # entries, compact once half the list is stale.
-                        self._baseline_stale += 1
-                        if (self._baseline_stale * 2
-                                > len(self.baseline_stores)):
-                            self.baseline_stores = [
-                                s for s in self.baseline_stores
-                                if not s.dead and not s.store.committed]
-                            self._baseline_stale = 0
+                store = self.inflight_store_by_id.pop(trace_index)
+                for preg in store.store.holds:
+                    self.prf.dec_consumer(preg)
             for ssn in entry.ssns:
-                self.srb.invalidate(ssn)
+                # Forwarding from a committed store is prohibited.
+                self.srb.pop(ssn, None)
                 self.ssn.on_commit(ssn)
 
     # ------------------------------------------------------------------
@@ -764,16 +750,12 @@ class Simulator:
             self._retire_wake = cycle + 1
 
     def _classify_lowconf(self, instr: DynInstr) -> None:
-        """Paper Fig. 5: outcome of a low-confidence dependence prediction."""
+        """Paper Fig. 5: outcome of a low-confidence dependence prediction,
+        by whether the load's true producer was in flight at its rename."""
         li = instr.load
-        dep = self._dep[instr.rob_id]
-        in_flight = (dep != NO_DEP and dep not in self.commit_cycle)
-        # A store that committed before the load renamed was not in flight.
-        if dep != NO_DEP and dep in self.commit_cycle:
-            in_flight = self.commit_cycle[dep] > instr.rename_cycle
-        if not in_flight:
+        if not li.producer_in_flight:
             outcome = INDEP_STORE
-        elif dep == li.dep_trace_index:
+        elif self._dep[instr.rob_id] == li.dep_trace_index:
             outcome = CORRECT
         else:
             outcome = DIFF_STORE
@@ -984,42 +966,35 @@ class Simulator:
             self._tr.on_squash(MEM_DEP_VIOLATION, self.cycle,
                                retired_load.rob_id,
                                [instr.rob_id for instr in self.rob])
+        # Every surviving store has retired (the violating load was at the
+        # ROB head), so the squashed stores are the ROB's.
+        inflight_stores = self.inflight_store_by_id
         for instr in self.rob:
             instr.dead = True
             for uop in instr.uops:
                 uop.dead = True
             instr.uops = ()  # as at retire: no reference cycle left behind
-            if instr.store is not None:
-                self.inflight_store_by_id.pop(instr.rob_id, None)
+            si = instr.store
+            if si is not None:
+                del inflight_stores[instr.rob_id]
+                self.srb.pop(si.ssn, None)
         self.rob.clear()
         self.iq_occupancy = 0
         # Every blocked load belongs to a (now dead) ROB entry: the
         # violating head's own access already completed.
         self.blocked_loads.clear()
-        if self.baseline_stores:
-            # One pass drops the squashed entries and compacts any
-            # lazily-pruned committed ones.
-            self.baseline_stores = [
-                s for s in self.baseline_stores
-                if not s.dead and not s.store.committed]
-            self._baseline_stale = 0
         self.fetch_groups.clear()
         self.pending_branch = None
         self._pending_branch_index = None
-
-        # SSN / store register buffer rollback: every surviving store has
-        # retired (the violating load was at the ROB head).
-        self.srb.remove_squashed(self.ssn.retire)
         self.ssn.rewind_rename(self.ssn.retire)
 
         # Rebuild physical register state from the committed map plus the
         # registers held by retired-but-uncommitted stores.
         live_producers = Counter(self.committed_map)
         live_consumers = Counter()
-        for instr in self.inflight_store_by_id.values():
-            if instr.store is not None:
-                for preg in instr.store.holds:
-                    live_consumers[preg] += 1
+        for instr in inflight_stores.values():
+            for preg in instr.store.holds:
+                live_consumers[preg] += 1
         self.prf.rebuild(dict(live_producers), dict(live_consumers))
         self.rename_map = list(self.committed_map)
         self.waiters.clear()
@@ -1144,9 +1119,7 @@ class Simulator:
             wait_id = li.storeset_wait
             if wait_id is not None:
                 store = self.inflight_store_by_id.get(wait_id)
-                if (store is not None and not store.dead
-                        and store.store is not None
-                        and not store.store.sq_entry_done
+                if (store is not None and not store.store.sq_entry_done
                         and not store.store.retired):
                     return True
             # Forward-stall: waiting for a partially-overlapping store.
@@ -1190,12 +1163,10 @@ class Simulator:
         l_lo = mem_addr[index]
         l_hi = l_lo + mem_size[index]
         best = None
-        for store in reversed(self.baseline_stores):
-            if store.dead or store.rob_id > load.rob_id:
+        for store in reversed(self.inflight_store_by_id.values()):
+            if store.rob_id > index:
                 continue
             si = store.store
-            if si.committed:
-                continue
             if not (si.sq_entry_done or si.retired):
                 continue  # address unknown: speculate past it
             s_lo = mem_addr[store.rob_id]
@@ -1437,19 +1408,22 @@ class Simulator:
         instr.store = si
         self.inflight_store_by_id[instr.rob_id] = instr
 
-        if self.model is BASELINE:
+        model = self.model
+        if model is BASELINE:
             # The SQ-entry MicroOp makes address+data searchable.
             self._new_uop(instr, UOP_STORE, FU_MEM, 1,
                           (addr_preg, data_preg), None)
             self._ee["sq_write"] += 1
-            self.baseline_stores.append(instr)
             self.storesets.store_rename(dec.pc, instr.rob_id)
             self._ee["store_sets_access"] += 1
         else:
+            if model is not PERFECT:
+                # Predicted loads name it by SSN; Perfect's oracle finds
+                # its producer by trace index.
+                self.srb[ssn] = instr
             # Store-queue-free: no access MicroOp.  The data and address
             # registers are read at commit, so their lifetimes extend
             # (consumer counter holds, paper Section IV-B.a).
-            self.srb.add(ssn, data_preg, addr_preg, instr.rob_id)
             consumer = self.prf.consumer
             consumer[data_preg] += 1
             consumer[addr_preg] += 1
@@ -1473,7 +1447,7 @@ class Simulator:
             li = instr.load = LoadInfo(DIRECT)
             # NO_DEP is never a trace index, so it finds no in-flight store.
             dep_instr = self.inflight_store_by_id.get(self._dep[index])
-            if dep_instr is None or dep_instr.store.committed:
+            if dep_instr is None:
                 return False
             # Oracle cloaking from the in-flight producing store.
             li.mode = BYPASS
@@ -1493,57 +1467,59 @@ class Simulator:
         li = instr.load = LoadInfo(DIRECT, history)
         if prediction is None:
             return False
-        entry = None
+        store = None
         ssn_byp = self.ssn.rename - prediction.distance
         if ssn_byp > self.ssn.commit:
-            entry = self.srb.lookup(ssn_byp)
-        if entry is not None:
+            store = self.srb.get(ssn_byp)
+        if store is not None:
             li.predicted = True
             li.ssn_byp = ssn_byp
-            li.dep_trace_index = entry.trace_index
+            li.dep_trace_index = store.rob_id
             self.stats.dep_predictions += 1
         if self._tr is not None:
             self._tr.on_dep_predict(
                 index, self.cycle, dec.pc, prediction.confidence,
                 prediction.distance, ssn_byp,
-                entry.trace_index if entry is not None else None,
-                entry is not None)
-        if entry is None:
+                store.rob_id if store is not None else None,
+                store is not None)
+        if store is None:
             # Independent (or the predicted store already committed):
             # direct cache access, verified by SVW at retire.
             return False
 
         threshold = self.params.predictor.confidence_threshold
         high_confidence = prediction.confidence > threshold
+        if not high_confidence:
+            li.low_confidence = True
+            # Paper Fig. 5 classifies the prediction at retire by this.
+            li.producer_in_flight = (self._dep[index]
+                                     in self.inflight_store_by_id)
         # Paper Section IV-D: partial-word loads are prohibited from memory
         # cloaking in DMDP (alignment / sign extension) and are forced to
         # predication regardless of confidence; NoSQ instead inserts a
         # shift&mask fix-up and may still bypass them.
         if model is DMDP and dec.is_partial:
-            self._crack_load_predicated(instr, entry, addr_preg, dec,
-                                        low_confidence=not high_confidence)
+            self._crack_load_predicated(instr, store, addr_preg, dec)
         elif high_confidence:
-            self._crack_load_bypass(instr, entry, dec)
+            self._crack_load_bypass(instr, store, dec)
         elif model is NOSQ:
             # Low confidence: delayed until the predicted store commits.
             li.mode = DELAYED
-            li.low_confidence = True
             self.stats.delayed_loads += 1
             return False
         else:
-            self._crack_load_predicated(instr, entry, addr_preg, dec)
+            self._crack_load_predicated(instr, store, addr_preg, dec)
         return True
 
-    def _crack_load_bypass(self, instr: DynInstr, entry,
+    def _crack_load_bypass(self, instr: DynInstr, store: DynInstr,
                            dec: _Decoded) -> None:
-        """Memory cloaking (paper Fig. 7(c))."""
+        """Memory cloaking (paper Fig. 7(c)) from the in-flight ``store``."""
         li = instr.load
         li.mode = BYPASS
         li.value_from_store = True
         self.stats.cloaked_loads += 1
-        li.obtained_value = self._extract_forward(entry.trace_index,
-                                                  instr.rob_id)
-        data_preg = entry.data_preg
+        li.obtained_value = self._extract_forward(store.rob_id, instr.rob_id)
+        data_preg = store.store.data_preg
         # Hold the store's data register for retire-time verification.
         self.prf.add_consumer(data_preg)
         li.holds.append(data_preg)
@@ -1558,17 +1534,16 @@ class Simulator:
             self._rename_dest_shared(instr, dec.rd, data_preg)
             instr.result_preg = data_preg
 
-    def _crack_load_predicated(self, instr: DynInstr, entry,
-                               addr_preg: int, dec: _Decoded,
-                               low_confidence: bool = True) -> None:
-        """DMDP predication insertion (paper Fig. 8)."""
+    def _crack_load_predicated(self, instr: DynInstr, store: DynInstr,
+                               addr_preg: int, dec: _Decoded) -> None:
+        """DMDP predication insertion (paper Fig. 8) on the in-flight
+        ``store``."""
         li = instr.load
         li.mode = PREDICATED
-        li.low_confidence = low_confidence
         self.stats.predicated_loads += 1
 
-        store_addr_preg = entry.addr_preg
-        store_data_preg = entry.data_preg
+        store_addr_preg = store.store.addr_preg
+        store_data_preg = store.store.data_preg
 
         # LW $33 <- cache.
         ldtmp_preg = self._rename_dest(instr, REG_LDTMP)
@@ -1591,12 +1566,12 @@ class Simulator:
         instr.result_preg = dest
         # The simulator knows the predicate outcome ahead of time; mark
         # which CMOV will actually write the register.
-        selected_store = self._covers(entry.trace_index, instr.rob_id)
+        selected_store = self._covers(store.rob_id, instr.rob_id)
         cmov_store.cmov_selected = selected_store
         cmov_cache.cmov_selected = not selected_store
         if self._tr is not None:
-            self._tr.on_predication(instr.rob_id, self.cycle, low_confidence,
-                                    selected_store)
+            self._tr.on_predication(instr.rob_id, self.cycle,
+                                    li.low_confidence, selected_store)
 
     # ------------------------------------------------------------------
     # Stage: fetch.

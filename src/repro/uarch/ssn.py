@@ -1,4 +1,4 @@
-"""Store sequence number (SSN) tracking and the Store Register Buffer.
+"""Store sequence number (SSN) tracking.
 
 The paper (Section IV) tracks every store with a unique SSN and three
 globally observable registers:
@@ -10,17 +10,16 @@ globally observable registers:
 SSNs start at 0 (= "no store"); the first renamed store gets SSN 1, so a
 younger store always has a larger SSN.
 
-The **Store Register Buffer** maps the SSN of every in-flight store to the
-physical registers holding its data and address so that memory cloaking and
-predication insertion can name them at rename/decode time.  Entries are
-invalidated when the store commits (after which forwarding is prohibited and
-the load must read the cache).
+The paper's **Store Register Buffer** maps the SSN of every in-flight store
+to the physical registers holding its data and address, so that memory
+cloaking and predication insertion can name them at rename/decode time.  It
+is the pipeline's ``Simulator.srb`` dict, SSN -> the store's ``DynInstr``,
+whose ``StoreInfo`` holds both registers.  An entry leaves it when the store
+commits (after which forwarding is prohibited and the load must read the
+cache) or is squashed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Dict, Optional
 
 
 class SsnState:
@@ -48,50 +47,3 @@ class SsnState:
         """Squash recovery: SSN_rename falls back to the youngest surviving
         store (retired stores always survive, so never below SSN_retire)."""
         self.rename = max(ssn, self.retire)
-
-
-@dataclass
-class StoreRegEntry:
-    """Physical registers and identity of one in-flight store."""
-
-    ssn: int
-    data_preg: int
-    addr_preg: int
-    trace_index: int
-    committed: bool = False
-
-
-class StoreRegisterBuffer:
-    """SSN -> (data preg, address preg) for in-flight stores."""
-
-    def __init__(self) -> None:
-        self._entries: Dict[int, StoreRegEntry] = {}
-
-    def add(self, ssn: int, data_preg: int, addr_preg: int,
-            trace_index: int) -> None:
-        self._entries[ssn] = StoreRegEntry(ssn, data_preg, addr_preg,
-                                           trace_index)
-
-    def lookup(self, ssn: int) -> Optional[StoreRegEntry]:
-        """Entry for ``ssn`` if the store is still forwardable."""
-        entry = self._entries.get(ssn)
-        if entry is None or entry.committed:
-            return None
-        return entry
-
-    def invalidate(self, ssn: int) -> None:
-        """Store committed: forwarding from it is prohibited from now on."""
-        entry = self._entries.pop(ssn, None)
-        if entry is not None:
-            entry.committed = True
-
-    def remove_squashed(self, min_ssn: int) -> None:
-        """Drop entries of squashed (never-retiring) stores with SSN > min."""
-        for ssn in [s for s in self._entries if s > min_ssn]:
-            del self._entries[ssn]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, ssn: int) -> bool:
-        return ssn in self._entries

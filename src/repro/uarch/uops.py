@@ -82,18 +82,24 @@ class Uop:
 
 
 class LoadInfo:
-    """Timing-model bookkeeping for one dynamic load."""
+    """Timing-model bookkeeping for one dynamic load.
 
-    __slots__ = ("mode", "low_confidence", "predicted", "ssn_byp",
-                 "dep_trace_index", "ssn_nvul", "obtained_value",
-                 "value_from_store", "predicate", "reexec_scheduled",
-                 "reexec_done_cycle", "violation", "holds", "history",
-                 "cache_value", "tssbf_result", "storeset_wait",
-                 "forward_block")
+    Rename records the dependence prediction (the predicted store's SSN
+    and trace index) and, for a low-confidence one, whether the true
+    producer was in flight then; retire verifies the load and classifies
+    the prediction (paper Fig. 5) from them."""
+
+    __slots__ = ("mode", "low_confidence", "producer_in_flight",
+                 "predicted", "ssn_byp", "dep_trace_index", "ssn_nvul",
+                 "obtained_value", "value_from_store", "predicate",
+                 "reexec_scheduled", "reexec_done_cycle", "violation",
+                 "holds", "history", "cache_value", "tssbf_result",
+                 "storeset_wait", "forward_block")
 
     def __init__(self, mode: LoadKind, history: int = 0):
         self.mode = mode
         self.low_confidence = False
+        self.producer_in_flight = False
         self.predicted = False               # a dependence prediction was made
         self.ssn_byp: Optional[int] = None   # predicted colliding store SSN
         self.dep_trace_index: Optional[int] = None  # trace idx of pred. store
@@ -118,10 +124,16 @@ class LoadInfo:
 
 
 class StoreInfo:
-    """Timing-model bookkeeping for one dynamic store."""
+    """Timing-model bookkeeping for one dynamic store.
+
+    A store is in flight from rename until it commits or is squashed;
+    the pipeline's ``inflight_store_by_id`` is the one record of which
+    stores are, and its Store Register Buffer (``srb``) names the same
+    stores by SSN.  ``data_preg`` and ``addr_preg`` are what cloaking
+    and predication read from it."""
 
     __slots__ = ("ssn", "data_preg", "addr_preg", "holds", "sq_entry_done",
-                 "retired", "committed")
+                 "retired")
 
     def __init__(self, ssn: int, data_preg: int, addr_preg: int):
         self.ssn = ssn
@@ -132,7 +144,6 @@ class StoreInfo:
         self.holds: List[int] = []
         self.sq_entry_done = False  # baseline: address+data visible in SQ
         self.retired = False
-        self.committed = False
 
 
 class DynInstr:

@@ -535,6 +535,37 @@ class TestLedgerCli:
         rc, out = self.run_cli("ledger", "diff", str(a), str(b))
         assert rc == 0 and "Ledger diff" in out
 
+    def test_traced_run_records_a_one_point_sweep(self, tmp_path,
+                                                  monkeypatch):
+        """``repro run --metrics`` is a one-point sweep in the ledger: its
+        tracing and simulation phase spans equal the runner's own phase
+        seconds."""
+        import repro.cli as cli
+        runners = []
+        build = cli._runner
+
+        def record(args):
+            runners.append(build(args))
+            return runners[-1]
+
+        monkeypatch.setattr(cli, "_runner", record)
+        ledger = tmp_path / "L.jsonl"
+        rc, _ = self.run_cli("--ledger", str(ledger), "--scale", "0.05",
+                             "--no-cache", "run", "bzip2", "--metrics",
+                             str(tmp_path / "m.json"))
+        assert rc == 0
+        rc, out = self.run_cli("ledger", "validate", str(ledger))
+        assert rc == 0 and "ok" in out
+        spans = read_ledger(ledger)
+        [end] = [s for s in spans if s["kind"] == "sweep.end"]
+        assert (end["points"], end["simulated"]) == (1, 1)
+        phases = {s["name"]: s["seconds"] for s in spans
+                  if s["kind"] == "phase"}
+        [runner] = runners
+        for name in ("functional tracing", "timing simulation"):
+            assert phases[name] > 0.0
+            assert phases[name] == round(runner.phase_seconds[name], 6)
+
     def test_missing_path_is_error_not_traceback(self, tmp_path):
         rc, out = self.run_cli("ledger", "report",
                                str(tmp_path / "nope.jsonl"))

@@ -9,9 +9,15 @@ sizes, iteration counts, access sizes) and every model must:
 
 The rename, issue and retire stages count register references inline,
 so corrupting a count mid-run must still raise :class:`RegfileError`.
+
+The in-flight store record is checked every cycle, through ``tick_hook``,
+on the regression corpus and two workloads under every model and both
+consistency models.
 """
 
+import functools
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +25,12 @@ from hypothesis import strategies as st
 
 from repro.isa import ProgramBuilder
 from repro.kernel import FunctionalCpu
-from repro.uarch import (ALL_MODELS, ModelKind, RegfileError, Simulator,
-                         model_params)
+from repro.uarch import (ALL_MODELS, Consistency, ModelKind, RegfileError,
+                         Simulator, model_params)
 from repro.uarch.uops import UopState
+from repro.workloads import get_workload
+
+from .test_precompute import corpus_programs
 
 
 def build_kernel(iterations, slots, use_half, seed):
@@ -185,3 +194,60 @@ class TestInlinedRefcountChecks:
             return False
 
         self._run_corrupted(model, corrupt, "producer underflow")
+
+
+@functools.lru_cache(maxsize=None)
+def store_book_cases():
+    """(name, program, trace) for the regression corpus (tests/corpus/)
+    and bzip2 and hmmer at scale 0.05."""
+    programs = corpus_programs()
+    assert len(programs) == 6
+    for name in ("bzip2", "hmmer"):
+        spec = get_workload(name)
+        programs.append((name, spec.build(spec.iterations(0.05))))
+    return tuple((name, program, FunctionalCpu(program).run_trace())
+                 for name, program in programs)
+
+
+class TestStoreBooks:
+    """``inflight_store_by_id`` is the one record of renamed, uncommitted,
+    unsquashed stores, in program order, and NoSQ's and DMDP's Store
+    Register Buffer names exactly those stores by SSN.  The hook sees
+    every cycle, so each run is also the skip-off reference."""
+
+    @pytest.mark.parametrize("consistency", list(Consistency),
+                             ids=lambda c: c.value)
+    @pytest.mark.parametrize("model", list(ALL_MODELS),
+                             ids=lambda m: m.value)
+    def test_in_flight_stores_every_cycle(self, model, consistency):
+        params = replace(model_params(model), consistency=consistency)
+        keeps_srb = model is ModelKind.NOSQ or model is ModelKind.DMDP
+        most_in_flight = violations = 0
+        for name, program, trace in store_book_cases():
+            sim = Simulator(program, trace, params)
+
+            def check(sim):
+                nonlocal most_in_flight
+                inflight = sim.inflight_store_by_id
+                where = (name, sim.cycle)
+                indices = list(inflight)
+                assert all(a < b for a, b in zip(indices, indices[1:])), \
+                    where
+                stores = list(inflight.values())
+                assert [s.rob_id for s in stores] == indices, where
+                assert not any(s.dead for s in stores), where
+                if keeps_srb:
+                    assert sim.srb == {s.store.ssn: s for s in stores}, where
+                else:
+                    assert not sim.srb, where
+                most_in_flight = max(most_in_flight, len(stores))
+
+            sim.tick_hook = check
+            stats = sim.run()
+            assert stats.instructions == len(trace)
+            violations += stats.dep_mispredictions
+            check(sim)
+            assert not sim.inflight_store_by_id, name
+        # Stores were in flight together, and squashes dropped some.
+        assert most_in_flight > 1
+        assert violations or model is ModelKind.PERFECT

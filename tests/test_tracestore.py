@@ -375,6 +375,25 @@ class TestRunnerIntegration:
         runner = ExperimentRunner(scale=0.1, use_cache=False)
         assert runner.trace_store.root is None
 
+    def test_disabled_stores_hash_no_key(self, monkeypatch):
+        """With the stores off, a batch digests no trace or precompute
+        key: it runs with both ``key_for`` methods raising, and its
+        statistics are unchanged."""
+        points = [make_point("bzip2", ModelKind.NOSQ),
+                  make_point("bzip2", ModelKind.DMDP)]
+        want = ExperimentRunner(scale=0.05, use_cache=False).run_batch(points)
+
+        def no_key(*args):
+            raise AssertionError("a disabled store hashed a key")
+
+        monkeypatch.setattr(TraceStore, "key_for", no_key)
+        monkeypatch.setattr(PrecomputeStore, "key_for", no_key)
+        runner = ExperimentRunner(scale=0.05, use_cache=False)
+        got = runner.run_batch(points)
+        assert runner.traces_generated == runner.precomputes_built == 1
+        for point in points:
+            assert got[point].stats.to_dict() == want[point].stats.to_dict()
+
     def worker(self, parent, points):
         """Run one worker task in this process on the parent's stores;
         returns its point outcomes and its counts."""

@@ -450,8 +450,7 @@ class TestSquashInternals:
 
         def spy(load):
             original(load)
-            results.append(all(ssn <= sim.ssn.retire
-                               for ssn in sim.srb._entries))
+            results.append(all(ssn <= sim.ssn.retire for ssn in sim.srb))
         sim._squash_younger = spy
         sim.run()
         assert results and all(results)

@@ -1,6 +1,6 @@
-"""Unit tests for SSN tracking and the Store Register Buffer."""
+"""Unit tests for SSN tracking."""
 
-from repro.uarch import SsnState, StoreRegisterBuffer
+from repro.uarch import SsnState
 
 
 class TestSsnState:
@@ -48,43 +48,3 @@ class TestSsnState:
             ssn.on_commit(i)
             assert ssn.commit <= ssn.retire <= ssn.rename
 
-
-class TestStoreRegisterBuffer:
-    def test_add_and_lookup(self):
-        srb = StoreRegisterBuffer()
-        srb.add(1, data_preg=40, addr_preg=41, trace_index=7)
-        entry = srb.lookup(1)
-        assert entry.data_preg == 40
-        assert entry.addr_preg == 41
-        assert entry.trace_index == 7
-
-    def test_lookup_missing(self):
-        srb = StoreRegisterBuffer()
-        assert srb.lookup(99) is None
-
-    def test_invalidate_on_commit_prohibits_forwarding(self):
-        """Paper Section VI-g (RMO): a committed store's entry is
-        invalidated and forwarding from it is prohibited."""
-        srb = StoreRegisterBuffer()
-        srb.add(1, 40, 41, 0)
-        srb.invalidate(1)
-        assert srb.lookup(1) is None
-        assert 1 not in srb
-
-    def test_remove_squashed(self):
-        srb = StoreRegisterBuffer()
-        for ssn in range(1, 6):
-            srb.add(ssn, 40 + ssn, 50 + ssn, ssn)
-        srb.remove_squashed(min_ssn=3)
-        assert srb.lookup(3) is not None
-        assert srb.lookup(4) is None
-        assert srb.lookup(5) is None
-        assert len(srb) == 3
-
-    def test_len(self):
-        srb = StoreRegisterBuffer()
-        srb.add(1, 1, 2, 0)
-        srb.add(2, 3, 4, 1)
-        assert len(srb) == 2
-        srb.invalidate(1)
-        assert len(srb) == 1
